@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import math
 
-LOG2E = math.log2(math.e)
 NEG_INF = float("-inf")
 
 
@@ -58,8 +57,7 @@ def binomial_stderr(successes: int, trials: int) -> float:
     return math.sqrt(p * (1.0 - p) / trials)
 
 
-def derive_seed(*parts) -> int:
-    """Deterministic 64-bit seed from arbitrary labeled parts (ints, strings, bytes)."""
+def _digest(parts, separator: bytes) -> bytes:
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, bytes):
@@ -68,19 +66,15 @@ def derive_seed(*parts) -> int:
             h.update(b"i" + part.to_bytes(32, "little", signed=True))
         else:
             h.update(b"s" + str(part).encode())
-        h.update(b"\x00")
-    return int.from_bytes(h.digest()[:8], "little")
+        h.update(separator)
+    return h.digest()
+
+
+def derive_seed(*parts) -> int:
+    """Deterministic 64-bit seed from arbitrary labeled parts (ints, strings, bytes)."""
+    return int.from_bytes(_digest(parts, b"\x00")[:8], "little")
 
 
 def derive_key(*parts) -> bytes:
     """Deterministic 128-bit key from labeled parts."""
-    h = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, bytes):
-            h.update(b"b" + part)
-        elif isinstance(part, int):
-            h.update(b"i" + part.to_bytes(32, "little", signed=True))
-        else:
-            h.update(b"s" + str(part).encode())
-        h.update(b"\x01")
-    return h.digest()[:16]
+    return _digest(parts, b"\x01")[:16]

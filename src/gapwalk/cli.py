@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -45,14 +46,6 @@ class UsageError(ValueError):
     pass
 
 
-class VerificationFailure(RuntimeError):
-    pass
-
-
-class QueryLimitExceeded(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
@@ -75,6 +68,11 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def resolve_seed(args, cfg: dict) -> int:
+    """--seed if given, else the config's seed, else 0."""
+    return int(args.seed if args.seed is not None else cfg.get("seed", 0))
+
+
 def resolve_out(args, cfg: dict) -> Path:
     out = args.out or cfg.get("out") or os.environ.get(OUT_ENV_VAR)
     if not out:
@@ -92,10 +90,14 @@ def write_json(path: Path, obj, stable=True):
         fh.write("\n")
 
 
+def jsonl(rows) -> str:
+    """One compact, key-sorted JSON object per line."""
+    return "".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows)
+
+
 def append_jsonl(path: Path, rows):
     with open(path, "a") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(jsonl(rows))
 
 
 def read_jsonl(path: Path) -> list:
@@ -113,10 +115,7 @@ def write_records(out: Path, records: list, cfg: dict | None = None):
     for rec in records:
         if rec.get("bound") is None and "unbounded" not in rec.get("flags", []):
             rec.setdefault("flags", []).append("unbounded")
-    path = out / "records.jsonl"
-    path.write_text(
-        "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
-    )
+    (out / "records.jsonl").write_text(jsonl(records))
     write_summary_csv(out, records)
 
 
@@ -213,13 +212,12 @@ def build_instance(cfg: dict, out: Path | None, seed: int):
     return params, graph_model.MainGraph(params, expander)
 
 
-def build_oracle_for(graph, cfg: dict, seed: int) -> oracle_mod.LabeledOracle:
+def oracle_maker(graph, cfg: dict):
+    """key -> oracle over `graph` with the config's padding ratio and label width."""
     section = cfg.get("oracle", {})
-    key_hex = section.get("key")
-    key = bytes.fromhex(key_hex) if key_hex else derive_key("oracle", seed)
-    return oracle_mod.build_oracle(
+    return functools.partial(
+        oracle_mod.build_oracle,
         graph,
-        key,
         padding_ratio=section.get("padding_ratio"),
         label_bits=section.get("label_bits"),
     )
@@ -232,7 +230,7 @@ def build_oracle_for(graph, cfg: dict, seed: int) -> oracle_mod.LabeledOracle:
 def cmd_gen_expander(cfg: dict, out: Path, args) -> int:
     meta = start_meta(out, cfg, "gen-expander")
     section = _require(cfg, "expander", "config")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = resolve_seed(args, cfg)
     try:
         graph, cert = build_expander(
             {"generate": section} if "N" in section else section, out, seed
@@ -273,10 +271,7 @@ def cmd_certify(cfg: dict, out: Path, args) -> int:
     return EXIT_OK
 
 
-def spectrum_report(params: graph_model.GraphParams, expander_size=None) -> dict:
-    solution = spectral.solve_for_params(
-        params, expander_size=expander_size if expander_size is not None else params.expander_size
-    )
+def _report_solution(solution: spectral.SpectralSolution) -> dict:
     split = spectral.norm_decomposition(solution)
     # Stable key order: insertion order is the contract.
     return {
@@ -288,6 +283,10 @@ def spectrum_report(params: graph_model.GraphParams, expander_size=None) -> dict
         "residual": solution.residual,
         "iterations": solution.iterations,
     }
+
+
+def spectrum_report(params: graph_model.GraphParams, expander_size=None) -> dict:
+    return _report_solution(spectral.solve_for_params(params, expander_size=expander_size))
 
 
 def custom_spectrum_report(section: dict) -> dict:
@@ -302,27 +301,17 @@ def custom_spectrum_report(section: dict) -> dict:
         )
         for t in _require(section, "trees", "instance")
     ]
-    solution = spectral.solve_top_eigenvalue(
+    return _report_solution(spectral.solve_top_eigenvalue(
         float(_require(section, "lambda_e", "instance")),
         trees,
         beta=float(section.get("beta", 1.0)),
         expander_size=int(section.get("expander_size", 1)),
-    )
-    split = spectral.norm_decomposition(solution)
-    return {
-        "lambda_g": solution.top_eigenvalue,
-        "lambda_e": solution.base_eigenvalue,
-        "alpha": list(solution.loop_weights),
-        "norm_ratio": split.ratio,
-        "one_minus_ratio": split.one_minus_ratio,
-        "residual": solution.residual,
-        "iterations": solution.iterations,
-    }
+    ))
 
 
 def cmd_spectrum(cfg: dict, out: Path, args) -> int:
     meta = start_meta(out, cfg, "spectrum")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = resolve_seed(args, cfg)
     section = _require(cfg, "instance", "config")
     if section.get("mode") == "custom":
         report = custom_spectrum_report(section)
@@ -348,7 +337,7 @@ def cmd_spectrum(cfg: dict, out: Path, args) -> int:
 
 def cmd_sample_ground(cfg: dict, out: Path, args) -> int:
     meta = start_meta(out, cfg, "sample-ground")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = resolve_seed(args, cfg)
     count = int(args.trials or cfg.get("count", 1000))
     params, graph = build_instance(cfg, out, seed)
     if graph is None:
@@ -372,9 +361,7 @@ def cmd_sample_ground(cfg: dict, out: Path, args) -> int:
                     "depth": len(v.address),
                 }
             )
-    (out / "samples.jsonl").write_text(
-        "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows)
-    )
+    (out / "samples.jsonl").write_text(jsonl(rows))
     expander_fraction = sum(1 for r in rows if r["kind"] == "expander") / count
     split = spectral.norm_decomposition(solution)
     write_records(
@@ -397,32 +384,10 @@ def cmd_sample_ground(cfg: dict, out: Path, args) -> int:
 
 
 def _exit_trial_worker(payload: tuple) -> list:
+    """Module-level so a process pool can pickle it."""
     degrees, depths, level, strategy, budget, seed, padding, indices = payload
     sched = graph_model.Schedule(tuple(degrees), tuple(depths))
-    graph = graph_model.TreeGraph(sched, level)
-    rows = []
-    for t in indices:
-        key = derive_key("exit-trial", seed, t)
-        orc = oracle_mod.LabeledOracle(graph, key, padding_ratio=padding)
-        transcript = explorer.run_exploration(
-            orc,
-            [orc.label_of(graph.root)],
-            strategy,
-            budget,
-            seed=derive_seed(seed, t),
-            stop_on_exit=True,
-        )
-        distinct = explorer._distinct_level1_decorations(transcript)
-        rows.append(
-            {
-                "trial": t,
-                "strategy": strategy,
-                "exit": int(transcript.halted == "exit"),
-                "distinct_decorations": distinct,
-                "queries": transcript.query_count,
-            }
-        )
-    return rows
+    return explorer.exit_trials(sched, level, strategy, budget, seed, indices, padding)
 
 
 def cmd_explore_tree(cfg: dict, out: Path, args) -> int:
@@ -432,7 +397,7 @@ def cmd_explore_tree(cfg: dict, out: Path, args) -> int:
     strategies = cfg.get("strategies") or [cfg.get("strategy", "greedy-unvisited")]
     budget = int(args.budget or cfg.get("budget", 16))
     trials = int(args.trials or cfg.get("trials", 1000))
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = resolve_seed(args, cfg)
     w = int(cfg.get("w", 2))
     padding = float(cfg.get("padding_ratio", 0.25))
     q_schedule = cfg.get("q_schedule") or [
@@ -494,7 +459,7 @@ def cmd_explore_tree(cfg: dict, out: Path, args) -> int:
 
 def cmd_explore_graph(cfg: dict, out: Path, args) -> int:
     meta = start_meta(out, cfg, "explore-graph")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = resolve_seed(args, cfg)
     params, graph = build_instance(cfg, out, seed)
     if graph is None:
         raise UsageError("explore-graph needs a scaled (materializable) instance")
@@ -505,6 +470,8 @@ def cmd_explore_graph(cfg: dict, out: Path, args) -> int:
     roots_count = int(cfg.get("roots", 1))
     guiding = oracle_mod.GuidingSpec(kind=cfg.get("guiding", "expander-uniform"))
     query_limit = cfg.get("query_limit")
+    make_oracle = oracle_maker(graph, cfg)
+    key_hex = cfg.get("oracle", {}).get("key")
     records_rows = []
     successes = 0
     audits_ok = 0
@@ -512,7 +479,8 @@ def cmd_explore_graph(cfg: dict, out: Path, args) -> int:
     from itertools import islice
 
     for t in range(trials):
-        orc = build_oracle_for(graph, cfg, derive_seed(seed, "oracle", t))
+        key = derive_key("oracle", derive_seed(seed, "oracle", t))
+        orc = make_oracle(bytes.fromhex(key_hex) if key_hex else key)
         if query_limit is not None and total_queries >= int(query_limit):
             finish_meta(out, meta, status="query-limit", completed_trials=t)
             print(f"query limit {query_limit} exhausted after {t} trials", file=sys.stderr)
@@ -568,7 +536,7 @@ def cmd_explore_graph(cfg: dict, out: Path, args) -> int:
 
 def cmd_ggsp(cfg: dict, out: Path, args) -> int:
     meta = start_meta(out, cfg, "ggsp")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = resolve_seed(args, cfg)
     params, graph = build_instance(cfg, out, seed)
     if graph is None:
         raise UsageError("ggsp needs a scaled (materializable) instance")
@@ -580,16 +548,8 @@ def cmd_ggsp(cfg: dict, out: Path, args) -> int:
     budget = int(args.budget or cfg.get("budget", 32))
     threshold = int(cfg.get("threshold", max(2, params.girth_floor // 2)))
     guiding = cfg.get("guiding", "exact-ground-state")
-    section = cfg.get("oracle", {})
-
-    def make_oracle(key: bytes):
-        return oracle_mod.build_oracle(
-            graph, key, padding_ratio=section.get("padding_ratio"),
-            label_bits=section.get("label_bits"),
-        )
-
     report = explorer.ggsp_experiment(
-        make_oracle, guiding, algorithm, trials, t_inputs, budget, threshold, seed
+        oracle_maker(graph, cfg), guiding, algorithm, trials, t_inputs, budget, threshold, seed
     )
     append_jsonl(out / "trials.jsonl", report.trial_rows)
     lb = bounds_mod.localization_bound(
@@ -672,7 +632,7 @@ def cmd_bounds(cfg: dict, out: Path, args) -> int:
 
 def cmd_verify_small(cfg: dict, out: Path, args) -> int:
     meta = start_meta(out, cfg, "verify-small")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = resolve_seed(args, cfg)
     planted = bool(cfg.get("planted_defect", False))
     checks = run_verification_suite(seed=seed, planted_defect=planted)
     records = [
@@ -735,10 +695,7 @@ def run_verification_suite(seed: int = 0, planted_defect: bool = False) -> list:
     check("amplitude-max-relative-error", np.max(np.abs(amps - dense) / np.abs(dense)), 1e-8)
     check("expander-marginal-nonuniformity", np.max(np.abs(dense[exp_idx] - 1.0)), 1e-8)
 
-    a_mat = np.zeros((mat.n, mat.n))
-    for u, nbrs in enumerate(mat.adjacency):
-        for v in nbrs:
-            a_mat[u, v] = 1.0
+    a_mat = graph_model.adjacency_matrix(mat.adjacency).toarray()
     resid = np.linalg.norm(a_mat @ amps - solution.top_eigenvalue * amps) / np.linalg.norm(amps)
     check("eigen-residual", resid, 1e-8)
 

@@ -13,10 +13,10 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from ._util import derive_seed
+from .graph_model import adjacency_matrix, bfs_distances
 
 DENSE_EIG_LIMIT = 4096
 
@@ -59,20 +59,7 @@ class RegularGraph:
                     yield (u, v)
 
     def is_connected(self) -> bool:
-        if self.N == 0:
-            return True
-        seen = [False] * self.N
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        return count == self.N
+        return self.N == 0 or -1 not in bfs_distances(self.adjacency, 0)
 
 
 @dataclass(frozen=True)
@@ -170,13 +157,12 @@ def sample_regular_graph(
     d: int,
     seed: int,
     max_rejections: int = 5000,
-    switch_fallback: bool = True,
 ) -> RegularGraph:
     """Uniform simple d-regular graph via the configuration model with
     whole-graph rejection; deterministic given the seed.
 
-    When rejection stalls (large d^2/N) and `switch_fallback` is set, falls back
-    to edge-switching repair and marks the graph non-uniform.
+    When rejection stalls (large d^2/N), falls back to edge-switching repair
+    and marks the graph non-uniform.
     """
     if (N * d) % 2 != 0:
         raise ValueError("N*d must be even")
@@ -187,12 +173,8 @@ def sample_regular_graph(
         edges = _pairing_attempt(N, d, rng)
         if edges is not None:
             return RegularGraph(N, d, _edges_to_adjacency(N, edges), seed)
-    if switch_fallback:
-        edges = _switching_repair(N, d, rng)
-        return RegularGraph(N, d, _edges_to_adjacency(N, edges), seed, uniform=False)
-    raise GenerationError(
-        f"no simple pairing within {max_rejections} attempts", attempts=max_rejections
-    )
+    edges = _switching_repair(N, d, rng)
+    return RegularGraph(N, d, _edges_to_adjacency(N, edges), seed, uniform=False)
 
 
 def girth(graph: RegularGraph) -> float:
@@ -230,12 +212,7 @@ def _top_eigs(graph: RegularGraph) -> tuple[float, float, float, float]:
     if not graph.is_connected():
         raise ConnectivityError("spectral gap requires a connected graph")
     N = graph.N
-    rows, cols = [], []
-    for u, nbrs in enumerate(graph.adjacency):
-        rows.extend([u] * len(nbrs))
-        cols.extend(nbrs)
-    data = np.ones(len(rows))
-    A = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(N, N))
+    A = adjacency_matrix(graph.adjacency)
     if N <= DENSE_EIG_LIMIT:
         dense = A.toarray()
         vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[N - 2, N - 1])

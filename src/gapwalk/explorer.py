@@ -1,11 +1,13 @@
 """Exploration strategies against labeled oracles, transcript recording, and
 post-hoc event scoring.
 
-Strategies see only the oracle view (neighbor lists by label). The runner holds
-the trusted oracle, records every query, classifies the revealed vertex behind
-it (isolated hit, leaf level, which decoration copy a leaf belongs to), and can
-halt a run when the watched event fires. Scoring therefore never leaks back
-into the strategy.
+Strategies see only the one strategy view, `_StrategyView`: counted neighbor
+queries by label, the answers recorded for their roots, and the label-space
+size.  Every strategy run (exit trial, explore-graph trial, ggsp trial) goes
+through `ExplorationSession.run`.  The session holds the trusted oracle, records every
+query, classifies the revealed vertex behind it (isolated hit, leaf level,
+which decoration copy a leaf belongs to), and can halt a run when the watched
+event fires. Scoring therefore never leaks back into the strategy.
 """
 
 from __future__ import annotations
@@ -110,15 +112,11 @@ def classify_vertex(graph: Union[TreeGraph, MainGraph], v: Vertex) -> dict:
     if isinstance(v, IsolatedVertex):
         return {"kind": "isolated"}
     if isinstance(v, TreeVertex):
-        if isinstance(graph, TreeGraph):
-            tree_level = graph.k
-        else:
-            tree_level = v.level
-        node = classify_address(graph.schedule, tree_level, v.address)
+        node = classify_address(graph.schedule, v.level, v.address)
         if is_leaf(graph.schedule, node):
             return {
                 "kind": "leaf",
-                "level": leaf_level(tree_level, node),
+                "level": leaf_level(v.level, node),
                 "decoration": _decoration_prefix(v.address),
                 "tree": (v.anchor, v.level, v.copy),
             }
@@ -148,9 +146,8 @@ class ExplorationSession:
         self.answers: list[tuple] = []
         self.events: list[dict] = []
         self.roots: list[int] = []
+        self.root_answers: dict[int, tuple] = {}
         self.halted: Optional[str] = None
-        self.exit_step: Optional[int] = None
-        self.decorations_with_level1_leaf: set = set()
 
     def query(self, label: int, fresh: bool = False, is_root: bool = False) -> tuple:
         if self.halted:
@@ -165,6 +162,7 @@ class ExplorationSession:
         self.answers.append(answer)
         if is_root:
             self.roots.append(label)
+            self.root_answers[label] = answer
         if self.score_events:
             self._score(label, step)
         if self.budget.remaining == 0:
@@ -185,17 +183,24 @@ class ExplorationSession:
                     "tree": repr(info["tree"]),
                 }
             )
-            if info["level"] == 1:
-                self.decorations_with_level1_leaf.add((info["tree"], info["decoration"]))
             if info["level"] == 0:
-                if self.exit_step is None:
-                    self.exit_step = step
                 self.events.append({"kind": "exit_leaf", "step": step})
                 if self.stop_on_exit:
                     self.halted = "exit"
                     raise ExplorationHalted("exit")
 
-    def finish(self, output: Optional[int], halted: str) -> Transcript:
+    def run(self, fn: Callable, roots: Sequence[int], rng: random.Random, query_roots: bool) -> Transcript:
+        """The one per-trial path: optionally query every root first (counted),
+        then run the strategy on the strategy view until it returns or halts."""
+        output = None
+        halted = "done"
+        try:
+            if query_roots:
+                for r in roots:
+                    self.query(r, is_root=True)
+            output = fn(_StrategyView(self), list(roots), rng)
+        except ExplorationHalted as halt:
+            halted = halt.reason
         return Transcript(
             roots=self.roots,
             steps=self.steps,
@@ -313,27 +318,34 @@ EXPLORATION_STRATEGIES = (
 
 
 class _StrategyView:
-    """What a strategy actually receives: root answers plus view-limited query."""
+    """The one surface a strategy sees: counted queries, the answer recorded
+    for each root (a root with none is queried once, counted, on first use),
+    and the label-space size.  No attribute leads to the oracle or the graph."""
 
     __slots__ = ("query", "root_answer", "num_labels")
 
-    def __init__(self, session: ExplorationSession, root_answers: dict):
+    def __init__(self, session: ExplorationSession):
         def query(label: int, fresh: bool = False) -> tuple:
             return session.query(label, fresh=fresh)
 
+        def root_answer(label: int) -> tuple:
+            if label not in session.root_answers:
+                return session.query(label, is_root=True)
+            return session.root_answers[label]
+
         self.query = query
-        self.root_answer = lambda label: root_answers[label]
-        self.num_labels = 1 << session.oracle.label_bits
+        self.root_answer = root_answer
+        self.num_labels = session.oracle.num_labels
 
 
-def resolve_strategy(strategy: Union[str, Callable]) -> tuple[str, Callable]:
+def resolve_strategy(strategy: Union[str, Callable], registry: dict = STRATEGIES) -> tuple[str, Callable]:
     if callable(strategy):
         return getattr(strategy, "__name__", "custom"), strategy
     try:
-        return strategy, STRATEGIES[strategy]
+        return strategy, registry[strategy]
     except KeyError:
         raise UnknownStrategyError(
-            f"unknown strategy {strategy!r}; known: {sorted(STRATEGIES)}"
+            f"unknown strategy {strategy!r}; known: {sorted(registry)}"
         ) from None
 
 
@@ -343,26 +355,14 @@ def run_exploration(
     strategy: Union[str, Callable],
     budget: int,
     seed: int,
-    score_events: bool = True,
     stop_on_exit: bool = False,
 ) -> Transcript:
     """Run one strategy against an oracle; roots are queried first (counted)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     name, fn = resolve_strategy(strategy)
-    session = ExplorationSession(
-        oracle, budget, seed, name, score_events=score_events, stop_on_exit=stop_on_exit
-    )
-    rng = random.Random(derive_seed("strategy", seed))
-    output = None
-    halted = "done"
-    try:
-        root_answers = {r: session.query(r, is_root=True) for r in roots}
-        view = _StrategyView(session, root_answers)
-        output = fn(view, list(roots), rng)
-    except ExplorationHalted as halt:
-        halted = halt.reason
-    return session.finish(output, halted)
+    session = ExplorationSession(oracle, budget, seed, name, stop_on_exit=stop_on_exit)
+    return session.run(fn, roots, random.Random(derive_seed("strategy", seed)), query_roots=True)
 
 
 # ---------------------------------------------------------------------------
@@ -381,32 +381,26 @@ class ExitEstimate:
     mean_queries: float
 
 
-def estimate_exit_probability(
+RESTRICTED_W = (1, 2)
+
+
+def exit_trials(
     schedule: Schedule,
     level: int,
     strategy: Union[str, Callable],
     budget: int,
-    trials: int,
     seed: int,
-    padding_ratio: float = 0.25,
-    restricted_w: Sequence[int] = (1, 2),
-) -> ExitEstimate:
-    """Monte Carlo estimate of the probability that a strategy, exploring a
-    standalone tree from its root under a query budget, ever queries an
-    outermost-core (exit) leaf.  Each trial runs under a fresh labeling key.
-
-    Also tallies the avoidance-restricted events: exit with fewer than w
-    distinct decoration copies having had a level-1 leaf queried (trials stop
-    at the exit event, so the tally is the count at that moment).
-    """
+    indices: Sequence[int],
+    padding_ratio: float,
+) -> list[dict]:
+    """Run the exit trials `indices` on a standalone level-`level` tree, each
+    from the root under its own labeling key and stopping at the exit event;
+    one row per trial (exit flag, distinct level-1 decorations, queries)."""
     name, _ = resolve_strategy(strategy)
     graph = TreeGraph(schedule, level)
-    exits = 0
-    restricted = {w: 0 for w in restricted_w}
-    total_queries = 0
-    for t in range(trials):
-        key = derive_key("exit-trial", seed, t)
-        orc = LabeledOracle(graph, key, padding_ratio=padding_ratio)
+    rows = []
+    for t in indices:
+        orc = LabeledOracle(graph, derive_key("exit-trial", seed, t), padding_ratio=padding_ratio)
         transcript = run_exploration(
             orc,
             [orc.label_of(graph.root)],
@@ -415,22 +409,49 @@ def estimate_exit_probability(
             seed=derive_seed(seed, t),
             stop_on_exit=True,
         )
-        total_queries += transcript.query_count
-        if transcript.halted == "exit":
-            exits += 1
-            distinct = _distinct_level1_decorations(transcript)
-            for w in restricted_w:
-                if distinct < w:
-                    restricted[w] += 1
+        rows.append(
+            {
+                "trial": t,
+                "strategy": name,
+                "exit": int(transcript.halted == "exit"),
+                "distinct_decorations": _distinct_level1_decorations(transcript),
+                "queries": transcript.query_count,
+            }
+        )
+    return rows
+
+
+def estimate_exit_probability(
+    schedule: Schedule,
+    level: int,
+    strategy: Union[str, Callable],
+    budget: int,
+    trials: int,
+    seed: int,
+    padding_ratio: float = 0.25,
+) -> ExitEstimate:
+    """Monte Carlo estimate of the probability that a strategy, exploring a
+    standalone tree from its root under a query budget, ever queries an
+    outermost-core (exit) leaf.  Each trial runs under a fresh labeling key.
+
+    Also tallies the avoidance-restricted events for w in RESTRICTED_W: exit
+    with fewer than w distinct decoration copies having had a level-1 leaf
+    queried (trials stop at the exit event, so the tally is the count at that
+    moment).
+    """
+    rows = exit_trials(schedule, level, strategy, budget, seed, range(trials), padding_ratio)
+    exits = [r["distinct_decorations"] for r in rows if r["exit"]]
     return ExitEstimate(
         schedule=schedule,
         level=level,
-        strategy=name,
+        strategy=resolve_strategy(strategy)[0],
         budget=budget,
         trials=trials,
-        exit=EventStats.from_counts(exits, trials),
-        restricted={w: EventStats.from_counts(c, trials) for w, c in restricted.items()},
-        mean_queries=total_queries / trials if trials else 0.0,
+        exit=EventStats.from_counts(len(exits), trials),
+        restricted={
+            w: EventStats.from_counts(sum(d < w for d in exits), trials) for w in RESTRICTED_W
+        },
+        mean_queries=sum(r["queries"] for r in rows) / trials if trials else 0.0,
     )
 
 
@@ -520,21 +541,6 @@ def echo_random_input(view, inputs, rng):
     return inputs[rng.randrange(len(inputs))]
 
 
-def walk_from_input(view, inputs, rng):
-    """Greedy exploration seeded at the first input; outputs the last queried label."""
-    cur = inputs[0]
-    queried = {cur}
-    answer = view.query(cur)
-    while True:
-        if not answer:
-            return cur
-        fresh = [x for x in answer if x not in queried]
-        options = fresh or list(answer)
-        cur = options[rng.randrange(len(options))]
-        queried.add(cur)
-        answer = view.query(cur)
-
-
 class GroundStateCheat:
     """Reference algorithm that samples the exact ground state through the
     trusted side, ignoring its inputs; the upper-bound comparator."""
@@ -559,7 +565,9 @@ class GroundStateCheat:
 ALGORITHMS: dict[str, Callable] = {
     "echo-first-input": echo_first_input,
     "echo-random-input": echo_random_input,
-    "walk-from-input": walk_from_input,
+    # Greedy exploration seeded at the first input; outputs the last queried label.
+    "walk-from-input": lambda view, inputs, rng: greedy_unvisited(view, inputs[:1], rng),
+    **STRATEGIES,
 }
 
 
@@ -585,7 +593,6 @@ def ggsp_experiment(
     budget: int,
     threshold: int,
     seed: int,
-    fresh_keys: bool = True,
 ) -> GgspReport:
     """Per-trial: draw guiding inputs, run the algorithm under a budget, score
     the output's expander distance from the inputs.  `make_oracle` builds the
@@ -598,37 +605,25 @@ def ggsp_experiment(
         spec = guiding_kind
     else:
         spec = GuidingSpec(kind=guiding_kind)
-    if callable(algorithm):
-        name, fn = getattr(algorithm, "__name__", "custom"), algorithm
-    else:
-        name, fn = algorithm, ALGORITHMS.get(algorithm) or STRATEGIES.get(algorithm)
-        if fn is None:
-            raise UnknownStrategyError(f"unknown algorithm {algorithm!r}")
+    name, fn = resolve_strategy(algorithm, ALGORITHMS)
     successes = 0
     total_queries = 0
     budget_failures = 0
     rows = []
-    oracle = make_oracle(derive_key("ggsp", seed, 0))
     for t in range(trials):
-        if fresh_keys and t > 0:
-            oracle = make_oracle(derive_key("ggsp", seed, t))
+        oracle = make_oracle(derive_key("ggsp", seed, t))
         stream = input_sampler(oracle, spec, derive_seed("ggsp-in", seed, t))
         inputs = list(islice(stream, inputs_per_trial))
         rng = random.Random(derive_seed("ggsp-alg", seed, t))
-        session = ExplorationSession(oracle, budget, seed, name, score_events=False)
-        output = None
-        exhausted = False
         if getattr(fn, "requires_trust", False):
-            output = fn(oracle, inputs, rng)
+            output, queries, exhausted = fn(oracle, inputs, rng), 0, False
         else:
-            view = _StrategyView(session, {})
-            try:
-                output = fn(view, inputs, rng)
-            except ExplorationHalted:
-                budget_failures += 1
-                exhausted = True
-                output = None
-        total_queries += len(session.steps)
+            session = ExplorationSession(oracle, budget, seed, name, score_events=False)
+            transcript = session.run(fn, inputs, rng, query_roots=False)
+            output, queries = transcript.output, transcript.query_count
+            exhausted = transcript.halted == "budget"
+        budget_failures += exhausted
+        total_queries += queries
         score = score_localization(oracle, inputs, output, threshold)
         if score.success:
             successes += 1
@@ -641,7 +636,7 @@ def ggsp_experiment(
                 "budget": budget,
                 "inputs": inputs,
                 "output": output,
-                "query_count": len(session.steps),
+                "query_count": queries,
                 "budget_exhausted": exhausted,
                 "localized": score.success,
                 "distance": score.distance,

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Union
 
+import numpy as np
+import scipy.sparse
+
 MATERIALIZE_CAP = 200_000
 RANKING_CAP = 1 << 50
 
@@ -333,11 +336,6 @@ def count_tree_vertices(schedule: Schedule, k: int) -> int:
     return _tree_count(schedule.degrees, schedule.depths, k)
 
 
-def count_core_vertices(schedule: Schedule, j: int) -> int:
-    internal, leaves = _core_counts(schedule.degrees, schedule.depths, j)
-    return internal + leaves
-
-
 def count_main_nonisolated(params: GraphParams) -> int:
     """Exact non-isolated vertex count of the assembled graph."""
     per_anchor = 1 + sum(
@@ -445,6 +443,30 @@ def _sizes_for(degrees: tuple, depths: tuple, k: int) -> _SubtreeSizes:
 # graph instances
 # ---------------------------------------------------------------------------
 
+def _neighbor_indices(graph, index: int) -> tuple:
+    """Canonical indices of the neighbors of the vertex at `index`; cached,
+    since the index-level topology is shared by every labeling.  Bound as the
+    `neighbor_indices` method of both instance classes."""
+    cached = graph._nbr_cache.get(index)
+    if cached is None:
+        v = graph.vertex_at(index)
+        cached = tuple(graph.index_of(w) for w in graph.neighbors(v))
+        if len(graph._nbr_cache) < 1 << 20:
+            graph._nbr_cache[index] = cached
+    return cached
+
+
+def _vertex_leaf_level(graph, v: Vertex) -> Optional[int]:
+    """Level of a leaf vertex within its tree (0 for exit leaves), None for any
+    other vertex.  Bound as the `leaf_level` method of both instance classes."""
+    if not isinstance(v, TreeVertex):
+        return None
+    node = classify_address(graph.schedule, v.level, v.address)
+    if not is_leaf(graph.schedule, node):
+        return None
+    return leaf_level(v.level, node)
+
+
 class TreeGraph:
     """A standalone fully decorated level-k tree, rooted; used by tree-exploration
     experiments.  The root has no parent, so its degree is d_1 - 1."""
@@ -469,23 +491,11 @@ class TreeGraph:
         self._sizes = _sizes_for(self.schedule.degrees, self.schedule.depths, k)
         self._nbr_cache: dict[int, tuple] = {}
 
-    def neighbor_indices(self, index: int) -> tuple:
-        """Canonical indices of the neighbors of the vertex at `index`; cached,
-        since the index-level topology is shared by every labeling."""
-        cached = self._nbr_cache.get(index)
-        if cached is None:
-            v = self.vertex_at(index)
-            cached = tuple(self.index_of(w) for w in self.neighbors(v))
-            if len(self._nbr_cache) < 1 << 20:
-                self._nbr_cache[index] = cached
-        return cached
+    neighbor_indices = _neighbor_indices
 
     @property
     def root(self) -> TreeVertex:
         return TreeVertex(0, self.k, 0, ())
-
-    def roots(self) -> list[Vertex]:
-        return [self.root]
 
     def contains(self, v: Vertex) -> bool:
         return (
@@ -507,14 +517,7 @@ class TreeGraph:
         out.extend(TreeVertex(0, self.k, 0, a) for a in children)
         return out
 
-    def classify(self, v: TreeVertex) -> NodeClass:
-        return classify_address(self.schedule, self.k, v.address)
-
-    def leaf_level(self, v: TreeVertex) -> Optional[int]:
-        node = self.classify(v)
-        if not is_leaf(self.schedule, node):
-            return None
-        return leaf_level(self.k, node)
+    leaf_level = _vertex_leaf_level
 
     def index_of(self, v: TreeVertex) -> int:
         if not self.contains(v):
@@ -568,16 +571,7 @@ class MainGraph:
         self._bfs_cache: dict[int, list[int]] = {}
         self._nbr_cache: dict[int, tuple] = {}
 
-    def neighbor_indices(self, index: int) -> tuple:
-        """Canonical indices of the neighbors of the vertex at `index`; cached,
-        since the index-level topology is shared by every labeling."""
-        cached = self._nbr_cache.get(index)
-        if cached is None:
-            v = self.vertex_at(index)
-            cached = tuple(self.index_of(w) for w in self.neighbors(v))
-            if len(self._nbr_cache) < 1 << 20:
-                self._nbr_cache[index] = cached
-        return cached
+    neighbor_indices = _neighbor_indices
 
     # -- structure ---------------------------------------------------------
 
@@ -626,16 +620,7 @@ class MainGraph:
             return v.anchor
         raise InvalidVertexError("isolated vertices have no expander anchor")
 
-    def classify(self, v: TreeVertex) -> NodeClass:
-        return classify_address(self.schedule, v.level, v.address)
-
-    def leaf_level(self, v: Vertex) -> Optional[int]:
-        if not isinstance(v, TreeVertex):
-            return None
-        node = self.classify(v)
-        if not is_leaf(self.schedule, node):
-            return None
-        return leaf_level(v.level, node)
+    leaf_level = _vertex_leaf_level
 
     # -- distance ----------------------------------------------------------
 
@@ -643,16 +628,7 @@ class MainGraph:
         cached = self._bfs_cache.get(source)
         if cached is not None:
             return cached
-        adj = self.expander.adjacency
-        dist = [-1] * self.expander.N
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
+        dist = bfs_distances(self.expander.adjacency, source)
         if len(self._bfs_cache) < 64:
             self._bfs_cache[source] = dist
         return dist
@@ -768,6 +744,14 @@ def bfs_distances(adjacency: list, source: int) -> list[int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def adjacency_matrix(adjacency) -> scipy.sparse.csr_matrix:
+    """Sparse 0/1 adjacency matrix of an adjacency-list graph."""
+    rows = [u for u, nbrs in enumerate(adjacency) for _ in nbrs]
+    cols = [v for nbrs in adjacency for v in nbrs]
+    n = len(adjacency)
+    return scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 
 
 def shortest_path(adjacency: list, source: int, target: int) -> list[int]:

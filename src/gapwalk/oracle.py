@@ -3,9 +3,11 @@ label space wraps a graph instance, exposing only neighbor queries.
 
 Labels outside the image of the non-isolated vertex enumeration are isolated;
 with the default padding almost every random label is isolated, which forces
-explorers to grow connected components from their given roots.  Strategies
-receive an `OracleView` carrying only `query`; vertex identities come back out
-only through `reveal` on the trusted object, used for post-hoc scoring.
+explorers to grow connected components from their given roots.  Exploration
+strategies never hold a `LabeledOracle`: they receive the one strategy view
+(`explorer._StrategyView`), which carries counted queries only; vertex
+identities come back out only through `reveal` on the trusted object, used for
+post-hoc scoring.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Union
@@ -154,17 +155,6 @@ class QueryBudget:
         return self.limit - self.consumed
 
 
-class OracleView:
-    """The only surface exploration strategies see: neighbor queries by label."""
-
-    __slots__ = ("query", "label_bits", "num_labels")
-
-    def __init__(self, query, label_bits: int):
-        self.query = query
-        self.label_bits = label_bits
-        self.num_labels = 1 << label_bits
-
-
 class LabeledOracle:
     """Query-counted adjacency oracle over a pseudorandomly labeled instance."""
 
@@ -196,7 +186,6 @@ class LabeledOracle:
         self.padding_count = self.num_labels - n
         self.nonisolated_fraction = n / self.num_labels
         self.perm = FeistelPermutation(label_bits, key)
-        self._count_lock = threading.Lock()
         self.query_count = 0
         self.sealed = False
 
@@ -220,11 +209,6 @@ class LabeledOracle:
         """Permanently disable reveal(); queries keep working."""
         self.sealed = True
 
-    def root_labels(self) -> list[int]:
-        return [self.label_of(r) for r in self.graph.roots()] if isinstance(
-            self.graph, TreeGraph
-        ) else []
-
     # -- query side ----------------------------------------------------------
 
     def query(self, label: int, budget: Optional[QueryBudget] = None) -> tuple:
@@ -232,16 +216,12 @@ class LabeledOracle:
         for isolated labels.  Counts every call."""
         if budget is not None:
             budget.consume()
-        with self._count_lock:
-            self.query_count += 1
+        self.query_count += 1
         idx = self.perm.inverse(label)
         if idx >= self.num_nonisolated:
             return ()
         fwd = self.perm.forward
         return tuple(sorted(fwd(i) for i in self.graph.neighbor_indices(idx)))
-
-    def view(self) -> OracleView:
-        return OracleView(self.query, self.label_bits)
 
     # -- persistence ---------------------------------------------------------
 

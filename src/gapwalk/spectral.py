@@ -25,7 +25,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from ._util import NEG_INF, log1p_from_log, logsumexp
@@ -40,6 +39,7 @@ from .graph_model import (
     SizeCapError,
     TreeVertex,
     Vertex,
+    adjacency_matrix,
 )
 
 DENSE_LIMIT = 6000
@@ -152,12 +152,13 @@ def root_resolvent(schedule: Schedule, k: int, lam: float) -> float:
     return _TreeTables(schedule, k, lam, with_norms=False).root_resolvent()
 
 
-def tree_spectral_radius(schedule: Schedule, k: int, rtol: float = 1e-13) -> float:
-    """Top eigenvalue of the level-k tree, located by bisection on the validity
-    of the resolvent recursion (valid iff lambda is above the spectrum)."""
+def tree_spectral_radius(schedule: Schedule, k: int) -> float:
+    """Top eigenvalue of the level-k tree, located to relative width 1e-13 by
+    bisection on the validity of the resolvent recursion (valid iff lambda is
+    above the spectrum)."""
     hi = 2.0 * math.sqrt(schedule.degrees[0] - 1) + 1.0
     lo = 0.0
-    while hi - lo > rtol * max(1.0, hi):
+    while hi - lo > 1e-13 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         try:
             _TreeTables(schedule, k, mid, with_norms=False)
@@ -201,10 +202,6 @@ class SpectralSolution:
         """Per-tree self-loop weight alpha = 1/m making the looped tree share
         the top eigenvalue."""
         return tuple(1.0 / self.root_resolvent(i) for i in range(len(self.trees)))
-
-    def resolvent(self, tree_index: int, segment: int, depth: int) -> float:
-        tree = self.trees[tree_index]
-        return self.tables_for(tree).m[segment][depth]
 
     # -- amplitudes ----------------------------------------------------------
 
@@ -309,11 +306,10 @@ def solve_top_eigenvalue(
     lambda_e: float,
     trees: Sequence[AttachedTree],
     beta: float = 1.0,
-    rtol: float = 1e-12,
-    max_iter: int = 200,
     expander_size: Optional[int] = None,
 ) -> SpectralSolution:
-    """Solve lambda = lambda_E + beta * sum copies * m(lambda) by bisection.
+    """Solve lambda = lambda_E + beta * sum copies * m(lambda) by bisection, to
+    relative width 1e-12 within 200 halvings.
 
     The right side is strictly decreasing in lambda above the tree spectra, so
     the root is unique.  The lower bracket starts at max(lambda_E, 2*sqrt(d-1))
@@ -363,14 +359,14 @@ def solve_top_eigenvalue(
         raise SolverError("could not bracket the fixed point from above")
 
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         iterations += 1
         if gap(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rtol * hi:
+        if hi - lo <= 1e-12 * hi:
             break
     lam = 0.5 * (lo + hi)
     return SpectralSolution(
@@ -473,10 +469,6 @@ class GroundStateSampler:
             self._groups.append((idx, tree, int(copies), weight))
         self._anchor_total = 1.0 + sum(g[3] for g in self._groups)
 
-    def stop_probability(self, tree: AttachedTree, segment: int, depth: int) -> float:
-        tables = self.solution.tables_for(tree)
-        return math.exp(-tables.log_S[segment][depth])
-
     def sample(self, rng: Optional[random.Random] = None) -> Vertex:
         rng = rng or self._rng
         anchor = rng.randrange(self.expander_size)
@@ -559,20 +551,12 @@ def dense_top_eigenpair(adjacency: Union[list, MaterializedGraph]) -> DenseEig:
         raise SizeCapError(f"{n} vertices exceeds the dense-reference cap {REFERENCE_CAP}")
     if n == 1:
         return DenseEig(0.0, float("-inf"), np.ones(1), False)
+    a = adjacency_matrix(adjacency)
     if n <= DENSE_LIMIT:
-        a = np.zeros((n, n))
-        for u, nbrs in enumerate(adjacency):
-            for v in nbrs:
-                a[u, v] = 1.0
-        vals, vecs = scipy.linalg.eigh(a, subset_by_index=[n - 2, n - 1])
+        vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[n - 2, n - 1])
         lam2, lam1 = float(vals[0]), float(vals[1])
         vec = vecs[:, 1]
     else:
-        rows = [u for u, nbrs in enumerate(adjacency) for _ in nbrs]
-        cols = [v for nbrs in adjacency for v in nbrs]
-        a = scipy.sparse.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(n, n)
-        )
         vals, vecs = scipy.sparse.linalg.eigsh(a, k=2, which="LA", tol=1e-14, maxiter=10000)
         order = np.argsort(vals)
         lam2, lam1 = float(vals[order[0]]), float(vals[order[1]])

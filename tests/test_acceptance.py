@@ -20,7 +20,7 @@ from gapwalk import (
     oracle as orc,
     spectral as sp,
 )
-from gapwalk._util import derive_key
+from gapwalk._util import derive_key, derive_seed
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -174,7 +174,7 @@ def test_criterion_5_dominance():
         for strategy in ex.EXPLORATION_STRATEGIES:
             est = ex.estimate_exit_probability(
                 sched, level, strategy, budget, TRIALS_PER_CELL,
-                seed=hash((degrees, depths, strategy)) % (1 << 32),
+                seed=derive_seed("criterion-5", *degrees, *depths, strategy),
             )
             ceiling = min(1.0, rec.value)
             if est.exit.p_hat > ceiling + 3 * est.exit.stderr:

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 import os
 
 import pytest
 
-from gapwalk import cli, expander_gen as eg
+from gapwalk import cli, expander_gen as eg, explorer as ex
 
 
 def write_config(tmp_path, name, cfg):
@@ -268,6 +269,63 @@ def test_ggsp_echo_and_cheat(tmp_path):
     assert run(["ggsp", "--config", cfg2, "--out", out2]) == cli.EXIT_OK
     rec2 = json.loads((out2 / "records.jsonl").read_text().splitlines()[0])
     assert rec2["value"] >= rec2["bound"] - 3 * rec2["stderr"]
+
+
+@pytest.mark.parametrize("algorithm", ex.EXPLORATION_STRATEGIES)
+def test_ggsp_runs_every_exploration_strategy(tmp_path, algorithm):
+    cfg = graph_cfg(tmp_path, {"algorithm": algorithm, "trials": 5, "t": 2, "budget": 8,
+                               "threshold": 2, "guiding": "exact-ground-state"})
+    out = tmp_path / "o"
+    assert run(["ggsp", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    rows = [json.loads(l) for l in (out / "trials.jsonl").read_text().splitlines()]
+    assert [r["trial"] for r in rows] == list(range(5))
+    assert all(r["strategy"] == algorithm and r["query_count"] <= 8 for r in rows)
+
+
+# -- golden outputs -----------------------------------------------------------
+
+PETERSEN_INSTANCE = {"mode": "scaled", "degrees": [4, 3], "depths": [1, 2],
+                     "expander": {"petersen": True}, "padding_ratio": 0.0625}
+GGSP_GOLDEN = {"instance": PETERSEN_INSTANCE, "trials": 20, "t": 3, "budget": 6,
+               "threshold": 2, "guiding": "exact-ground-state", "seed": 8}
+
+# SHA-256 of (records.jsonl, trials.jsonl) written by the pinned configs; a
+# refactor that changes any row, byte or trial order changes these.
+GOLDEN = {
+    "explore-tree": (
+        {"schedule": {"degrees": [4, 3], "depths": [1, 2]}, "level": 2,
+         "strategies": list(ex.EXPLORATION_STRATEGIES), "budget": 6, "trials": 40, "seed": 12},
+        "f5c9a087d95132d9eb9afedf58dcd7f8f2677ec6cb8c80c028146c0ed93cbf9a",
+        "000ffaa98dc22b883deb5d93307b64870a3a2321ee7f6aea1b8e0918f5498e27",
+    ),
+    "explore-graph": (
+        {"instance": PETERSEN_INSTANCE, "strategy": "greedy-unvisited", "roots": 2,
+         "guiding": "exact-ground-state", "trials": 20, "budget": 10, "threshold": 2,
+         "seed": 8},
+        "70f7fbcf8bc51bc8e2c31686fc95353b30f8e9be8dabc6edc6217fec1edfa199",
+        "f098716334d821b8101649ede08248c004454e070e2589a5df7ead6ef6303ddb",
+    ),
+    "ggsp:echo-random-input": (
+        dict(GGSP_GOLDEN, algorithm="echo-random-input"),
+        "2102950f99647a801fd7e9f0252cf17411d94e7f01f4e6e95f487f188d432208",
+        "7f8f09b9442be40943f3c04875b042edf063733b5b1150051465eb3b65ffbcf3",
+    ),
+    "ggsp:walk-from-input": (
+        dict(GGSP_GOLDEN, algorithm="walk-from-input"),
+        "b0b2f024c56301fa90ee9960e971174a6f6bf8e84050606235c63f89a6b99eb1",
+        "607adc6c2e4ebd45e9a45e0fc4689426d41e66e8460c70bb32dc12b56c4a8e00",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_outputs_match_golden_digests(tmp_path, case):
+    cfg, records_sha, trials_sha = GOLDEN[case]
+    out = tmp_path / "o"
+    command = case.split(":")[0]
+    assert run([command, "--config", write_config(tmp_path, "c.json", cfg), "--out", out]) == cli.EXIT_OK
+    for name, expected in (("records.jsonl", records_sha), ("trials.jsonl", trials_sha)):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
 
 
 # -- bounds / verify-small / report -------------------------------------------

@@ -34,7 +34,7 @@ def test_sampling_rejects_odd_stub_count():
 
 def test_switching_fallback_flags_nonuniform():
     # d^2/N large enough that plain rejection is likely to stall.
-    g = eg.sample_regular_graph(12, 9, seed=1, max_rejections=1, switch_fallback=True)
+    g = eg.sample_regular_graph(12, 9, seed=1, max_rejections=1)
     assert {len(nbrs) for nbrs in g.adjacency} == {9}
     # Either the single pairing attempt got lucky or the repair path ran.
     if not g.uniform:

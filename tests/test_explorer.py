@@ -43,6 +43,15 @@ def test_greedy_reaches_end_of_bare_path():
         assert tr.query_count == length + 1
 
 
+def test_isolated_root_is_queried_once():
+    graph, o = make_tree_oracle((4, 3), (1, 2), 2, "iso")
+    iso = o.label_of(gm.IsolatedVertex(0))
+    for strategy in ex.EXPLORATION_STRATEGIES:
+        tr = ex.run_exploration(o, [iso], strategy, budget=5, seed=0)
+        assert tr.query_count == 1, strategy
+        assert tr.output == iso
+
+
 def test_far_end_seen_one_query_earlier():
     length = 9
     graph, o = make_tree_oracle((2,), (length,), 1, "path2")

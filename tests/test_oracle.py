@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from gapwalk import expander_gen as eg, graph_model as gm, oracle as orc, spectral as sp
+from gapwalk import expander_gen as eg, explorer as ex, graph_model as gm, oracle as orc, spectral as sp
 from gapwalk._util import derive_key
 
 
@@ -176,11 +176,17 @@ def test_sealed_oracle_refuses_reveal(small_instance):
 
 
 def test_view_exposes_only_query(main_oracle):
-    view = main_oracle.view()
+    x = main_oracle.label_of(gm.ExpanderVertex(1))
+    seen = {}
+
+    def capture(view, roots, rng):
+        seen["view"], seen["answer"] = view, view.query(x)
+
+    ex.run_exploration(main_oracle, [], capture, budget=4, seed=0)
+    view = seen["view"]
     assert not hasattr(view, "reveal")
     assert not hasattr(view, "graph")
-    x = main_oracle.label_of(gm.ExpanderVertex(1))
-    assert view.query(x) == main_oracle.query(x)
+    assert seen["answer"] == main_oracle.query(x)
 
 
 # -- persistence --------------------------------------------------------------
