@@ -785,7 +785,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (graph_model.ScheduleError, bounds_mod.BoundDomainError) as exc:
+    except (
+        graph_model.ScheduleError,
+        bounds_mod.BoundDomainError,
+        explorer.UnknownStrategyError,
+    ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except expander_gen.GenerationError as exc:

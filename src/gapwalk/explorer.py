@@ -5,9 +5,16 @@ Strategies see only the one strategy view, `_StrategyView`: counted neighbor
 queries by label, the answers recorded for their roots, and the label-space
 size.  Every strategy run (exit trial, explore-graph trial, ggsp trial) goes
 through `ExplorationSession.run`.  The session holds the trusted oracle, records every
-query, classifies the revealed vertex behind it (isolated hit, leaf level,
-which decoration copy a leaf belongs to), and can halt a run when the watched
-event fires. Scoring therefore never leaks back into the strategy.
+query, classifies the vertex behind it (isolated hit, leaf level, which
+decoration copy a leaf belongs to), and can halt a run when the watched event
+fires. Scoring therefore never leaks back into the strategy.
+
+Scoring works by canonical index: the session asks the trusted oracle for the
+index behind a queried label (`reveal_index`, a memo hit for every label that
+came out of an answer), and `classify_index` reads the classification from a
+per-index cache on the graph, next to its neighbor cache, so a vertex is
+unranked and classified once per graph, not once per query.  A sealed oracle
+refuses `reveal_index`, so it still refuses scoring.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from typing import Callable, Optional, Sequence, Union
 from ._util import binomial_stderr, derive_key, derive_seed, wilson_interval
 from .graph_model import (
     DECOR,
+    INDEX_CACHE_CAP,
     IsolatedVertex,
     MainGraph,
     Schedule,
@@ -124,6 +132,25 @@ def classify_vertex(graph: Union[TreeGraph, MainGraph], v: Vertex) -> dict:
     return {"kind": "expander"}
 
 
+_ISOLATED = {"kind": "isolated"}
+
+
+def classify_index(graph: Union[TreeGraph, MainGraph], index: int) -> dict:
+    """`classify_vertex` of the vertex at a canonical index (isolated past
+    `num_nonisolated`).  It depends on the index alone, so it is cached on the
+    graph next to the neighbor cache and shared by every labeling and trial;
+    callers must not mutate the returned dict."""
+    if index >= graph.num_nonisolated:
+        return _ISOLATED
+    cache = graph._class_cache
+    info = cache.get(index)
+    if info is None:
+        info = classify_vertex(graph, graph.vertex_at(index))
+        if len(cache) < INDEX_CACHE_CAP:
+            cache[index] = info
+    return info
+
+
 class ExplorationSession:
     """Runner-owned session: budget, transcript, inline event scoring."""
 
@@ -170,7 +197,7 @@ class ExplorationSession:
         return answer
 
     def _score(self, label: int, step: int):
-        info = classify_vertex(self.oracle.graph, self.oracle.reveal(label))
+        info = classify_index(self.oracle.graph, self.oracle.reveal_index(label))
         if info["kind"] == "isolated":
             self.events.append({"kind": "isolated_hit", "step": step})
         elif info["kind"] == "leaf":

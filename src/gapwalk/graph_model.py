@@ -25,6 +25,7 @@ import scipy.sparse
 
 MATERIALIZE_CAP = 200_000
 RANKING_CAP = 1 << 50
+INDEX_CACHE_CAP = 1 << 20  # entries per per-index cache of one instance
 
 CORE = "c"
 DECOR = "d"
@@ -109,6 +110,18 @@ class Schedule:
             raise ScheduleError(f"depths must strictly increase: {l}")
         if l[0] < 0:
             raise ScheduleError(f"depths must be non-negative: {l}")
+        # Per-level tables indexed by level (entry 0 unused) for the hot paths
+        # (classification, ranking, children).  They are not dataclass fields,
+        # so equality and hashing stay those of (degrees, depths).
+        levels = range(1, len(d) + 1)
+        tables = {
+            "_depth_of": (None,) + l,
+            "_branching_of": (None,) + tuple(x - 1 for x in d),
+            "_decoration_count_of": (None,) + tuple(d[i - 1] - d[i] for i in levels[:-1]) + (None,),
+            "_decoration_levels_of": (None,) + tuple(tuple(range(j - 1, 0, -1)) for j in levels),
+        }
+        for name, table in tables.items():
+            object.__setattr__(self, name, table)
 
     @property
     def levels(self) -> int:
@@ -120,23 +133,24 @@ class Schedule:
 
     def depth(self, k: int) -> int:
         self._check_level(k)
-        return self.depths[k - 1]
+        return self._depth_of[k]
 
     def branching(self, k: int) -> int:
         """Core children per internal vertex of a level-k segment."""
-        return self.degree(k) - 1
+        self._check_level(k)
+        return self._branching_of[k]
 
     def decoration_count(self, i: int) -> int:
         """Pendant level-i tree copies per decorated vertex: d_i - d_{i+1}."""
         self._check_level(i)
         if i >= self.levels:
             raise ScheduleError(f"decoration count undefined at top level {i}")
-        return self.degrees[i - 1] - self.degrees[i]
+        return self._decoration_count_of[i]
 
     def decoration_levels(self, j: int) -> tuple[int, ...]:
         """Decoration levels attached to internal level-j vertices, descending."""
         self._check_level(j)
-        return tuple(range(j - 1, 0, -1))
+        return self._decoration_levels_of[j]
 
     def _check_level(self, k: int):
         if not 1 <= k <= self.levels:
@@ -263,20 +277,22 @@ class NodeClass(NamedTuple):
 def classify_address(schedule: Schedule, k: int, address: tuple) -> NodeClass:
     """Walk an address from the level-k root, validating every hop."""
     schedule._check_level(k)
+    depth_of, branching_of = schedule._depth_of, schedule._branching_of
+    decoration_count_of = schedule._decoration_count_of
     seg, depth = k, 0
     for hop in address:
-        if depth >= schedule.depth(seg):
+        if depth >= depth_of[seg]:
             raise InvalidAddressError(f"hop below a leaf in {address!r}")
         if hop[0] == CORE:
             child = hop[1]
-            if not 0 <= child < schedule.branching(seg):
+            if not 0 <= child < branching_of[seg]:
                 raise InvalidAddressError(f"core child {child} out of range in {address!r}")
             depth += 1
         elif hop[0] == DECOR:
             _, lvl, slot = hop
             if not 1 <= lvl < seg:
                 raise InvalidAddressError(f"decoration level {lvl} invalid below segment {seg}")
-            if not 0 <= slot < schedule.decoration_count(lvl):
+            if not 0 <= slot < decoration_count_of[lvl]:
                 raise InvalidAddressError(f"decoration slot {slot} out of range in {address!r}")
             seg, depth = lvl, 0
         else:
@@ -285,7 +301,7 @@ def classify_address(schedule: Schedule, k: int, address: tuple) -> NodeClass:
 
 
 def is_leaf(schedule: Schedule, node: NodeClass) -> bool:
-    return node.depth == schedule.depth(node.segment)
+    return node.depth == schedule._depth_of[node.segment]
 
 
 def leaf_level(k: int, node: NodeClass) -> int:
@@ -299,9 +315,9 @@ def tree_children(schedule: Schedule, k: int, address: tuple) -> tuple[list[tupl
     node = classify_address(schedule, k, address)
     if is_leaf(schedule, node):
         return [], node
-    children = [address + (core_hop(t),) for t in range(schedule.branching(node.segment))]
-    for lvl in schedule.decoration_levels(node.segment):
-        for slot in range(schedule.decoration_count(lvl)):
+    children = [address + (core_hop(t),) for t in range(schedule._branching_of[node.segment])]
+    for lvl in schedule._decoration_levels_of[node.segment]:
+        for slot in range(schedule._decoration_count_of[lvl]):
             children.append(address + (decoration_hop(lvl, slot),))
     return children, node
 
@@ -384,23 +400,25 @@ class _SubtreeSizes:
 
     def rank(self, address: tuple) -> int:
         sched = self.schedule
+        depth_of, branching_of = sched._depth_of, sched._branching_of
+        decoration_count_of = sched._decoration_count_of
         seg, depth, r = self.k, 0, 0
         for hop in address:
-            if depth >= sched.depth(seg):
+            if depth >= depth_of[seg]:
                 raise InvalidAddressError(f"hop below a leaf in {address!r}")
             child_size = self.sizes[seg][depth + 1]
             r += 1
             if hop[0] == CORE:
                 t = hop[1]
-                if not 0 <= t < sched.branching(seg):
+                if not 0 <= t < branching_of[seg]:
                     raise InvalidAddressError(f"core child {t} out of range")
                 r += t * child_size
                 depth += 1
             else:
                 _, lvl, slot = hop
-                if not 1 <= lvl < seg or not 0 <= slot < sched.decoration_count(lvl):
+                if not 1 <= lvl < seg or not 0 <= slot < decoration_count_of[lvl]:
                     raise InvalidAddressError(f"bad decoration hop {hop!r}")
-                r += sched.branching(seg) * child_size
+                r += branching_of[seg] * child_size
                 r += self.dec_offsets[seg][lvl] + slot * self.sizes[lvl][0]
                 seg, depth = lvl, 0
         return r
@@ -409,20 +427,22 @@ class _SubtreeSizes:
         if not 0 <= r < self.total():
             raise InvalidAddressError(f"rank {r} out of range")
         sched = self.schedule
+        branching_of, decoration_levels_of = sched._branching_of, sched._decoration_levels_of
+        decoration_count_of = sched._decoration_count_of
         seg, depth = self.k, 0
         hops = []
         while r > 0:
             r -= 1
             child_size = self.sizes[seg][depth + 1]
-            core_block = sched.branching(seg) * child_size
+            core_block = branching_of[seg] * child_size
             if r < core_block:
                 t, r = divmod(r, child_size)
                 hops.append(core_hop(t))
                 depth += 1
                 continue
             r -= core_block
-            for lvl in sched.decoration_levels(seg):
-                block = sched.decoration_count(lvl) * self.sizes[lvl][0]
+            for lvl in decoration_levels_of[seg]:
+                block = decoration_count_of[lvl] * self.sizes[lvl][0]
                 if r < block:
                     slot, r = divmod(r, self.sizes[lvl][0])
                     hops.append(decoration_hop(lvl, slot))
@@ -451,7 +471,7 @@ def _neighbor_indices(graph, index: int) -> tuple:
     if cached is None:
         v = graph.vertex_at(index)
         cached = tuple(graph.index_of(w) for w in graph.neighbors(v))
-        if len(graph._nbr_cache) < 1 << 20:
+        if len(graph._nbr_cache) < INDEX_CACHE_CAP:
             graph._nbr_cache[index] = cached
     return cached
 
@@ -490,6 +510,7 @@ class TreeGraph:
             )
         self._sizes = _sizes_for(self.schedule.degrees, self.schedule.depths, k)
         self._nbr_cache: dict[int, tuple] = {}
+        self._class_cache: dict[int, dict] = {}  # explorer.classify_index
 
     neighbor_indices = _neighbor_indices
 
@@ -570,6 +591,7 @@ class MainGraph:
             acc += c * self._tree_sizes[k]
         self._bfs_cache: dict[int, list[int]] = {}
         self._nbr_cache: dict[int, tuple] = {}
+        self._class_cache: dict[int, dict] = {}  # explorer.classify_index
 
     neighbor_indices = _neighbor_indices
 

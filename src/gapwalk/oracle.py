@@ -6,8 +6,15 @@ with the default padding almost every random label is isolated, which forces
 explorers to grow connected components from their given roots.  Exploration
 strategies never hold a `LabeledOracle`: they receive the one strategy view
 (`explorer._StrategyView`), which carries counted queries only; vertex
-identities come back out only through `reveal` on the trusted object, used for
-post-hoc scoring.
+identities come back out only through `reveal`/`reveal_index` on the trusted
+object, used for post-hoc scoring.
+
+The trusted object memoizes every index <-> label pair it has mapped, both
+ways, so a label runs through the Feistel map at most once per oracle (in
+practice once per trial): a walk queries labels that came out of earlier
+answers, and the parent of a vertex appears in each of its answers.
+`query`, `label_of`, `reveal` and `reveal_index` all read the memo first.  The
+memo is private to the oracle; the strategy view gains nothing from it.
 """
 
 from __future__ import annotations
@@ -52,16 +59,6 @@ class RevealSealedError(RuntimeError):
     """reveal() called on an oracle whose trusted side has been sealed."""
 
 
-def _mix64(x: int) -> int:
-    x = (x + _GOLDEN) & _MASK64
-    x ^= x >> 30
-    x = (x * _MIX1) & _MASK64
-    x ^= x >> 27
-    x = (x * _MIX2) & _MASK64
-    x ^= x >> 31
-    return x
-
-
 class FeistelPermutation:
     """Keyed bijection on [0, 2^bits) built from an alternating-width Feistel
     network with a splitmix-style keyed round function.
@@ -87,26 +84,42 @@ class FeistelPermutation:
             int.from_bytes(hashlib.sha256(key + bytes([r])).digest()[:8], "little")
             for r in range(rounds)
         )
+        self.size = 1 << bits
+        self._right_mask = (1 << self.right_bits) - 1
+        # The round function (splitmix64 finaliser of subkey ^ half) is inlined
+        # in `forward`/`inverse`; round r writes a half of left_bits width when
+        # r is even and right_bits when odd, in both directions.  A half has at
+        # most 31 bits, so the masked output reads only bits 0..61 of the last
+        # product, and that product skips its 64-bit mask.
+        masks = ((1 << self.left_bits) - 1, self._right_mask)
+        self._forward_rounds = tuple((sk, masks[r % 2]) for r, sk in enumerate(self.subkeys))
+        self._inverse_rounds = self._forward_rounds[::-1]
 
     def forward(self, x: int) -> int:
-        if not 0 <= x < (1 << self.bits):
+        if not 0 <= x < self.size:
             raise LabelSpaceError(f"label {x} outside [0, 2^{self.bits})")
-        wl, wr = self.left_bits, self.right_bits
-        left, right = x >> wr, x & ((1 << wr) - 1)
-        for sk in self.subkeys:
-            left, right = right, (left ^ _mix64(sk ^ right)) & ((1 << wl) - 1)
-            wl, wr = wr, wl
-        return (left << wr) | right
+        left, right = x >> self.right_bits, x & self._right_mask
+        for sk, mask in self._forward_rounds:
+            y = ((sk ^ right) + _GOLDEN) & _MASK64
+            y ^= y >> 30
+            y = (y * _MIX1) & _MASK64
+            y ^= y >> 27
+            y *= _MIX2
+            left, right = right, (left ^ y ^ (y >> 31)) & mask
+        return (left << self.right_bits) | right
 
     def inverse(self, y: int) -> int:
-        if not 0 <= y < (1 << self.bits):
+        if not 0 <= y < self.size:
             raise LabelSpaceError(f"label {y} outside [0, 2^{self.bits})")
-        wl, wr = self.left_bits, self.right_bits
-        left, right = y >> wr, y & ((1 << wr) - 1)
-        for sk in reversed(self.subkeys):
-            wl, wr = wr, wl
-            left, right = (right ^ _mix64(sk ^ left)) & ((1 << wl) - 1), left
-        return (left << wr) | right
+        left, right = y >> self.right_bits, y & self._right_mask
+        for sk, mask in self._inverse_rounds:
+            z = ((sk ^ left) + _GOLDEN) & _MASK64
+            z ^= z >> 30
+            z = (z * _MIX1) & _MASK64
+            z ^= z >> 27
+            z *= _MIX2
+            left, right = (right ^ z ^ (z >> 31)) & mask, left
+        return (left << self.right_bits) | right
 
     # Vectorized twins (bit-identical to the scalar path; cross-checked by tests).
 
@@ -186,21 +199,44 @@ class LabeledOracle:
         self.padding_count = self.num_labels - n
         self.nonisolated_fraction = n / self.num_labels
         self.perm = FeistelPermutation(label_bits, key)
+        # The index <-> label memo (module docstring); it grows with the labels
+        # this oracle has handed out, like the transcript that holds them.
+        self._label_at: dict[int, int] = {}
+        self._index_at: dict[int, int] = {}
         self.query_count = 0
         self.sealed = False
 
     # -- trusted side --------------------------------------------------------
 
+    def _label(self, index: int) -> int:
+        label = self._label_at.get(index)
+        if label is None:
+            label = self._label_at[index] = self.perm.forward(index)
+            self._index_at[label] = index
+        return label
+
+    def _index(self, label: int) -> int:
+        index = self._index_at.get(label)
+        if index is None:
+            index = self._index_at[label] = self.perm.inverse(label)
+            self._label_at[index] = label
+        return index
+
     def label_of(self, v: Vertex) -> int:
         if isinstance(v, IsolatedVertex):
-            return self.perm.forward(self.num_nonisolated + v.index)
-        return self.perm.forward(self.graph.index_of(v))
+            return self._label(self.num_nonisolated + v.index)
+        return self._label(self.graph.index_of(v))
+
+    def reveal_index(self, label: int) -> int:
+        """Canonical index behind a label (isolated labels map past
+        `num_nonisolated`); trusted post-hoc scoring only."""
+        if self.sealed:
+            raise RevealSealedError("reveal() is sealed on this oracle")
+        return self._index(label)
 
     def reveal(self, label: int) -> Vertex:
         """Invert the labeling; trusted post-hoc scoring only."""
-        if self.sealed:
-            raise RevealSealedError("reveal() is sealed on this oracle")
-        idx = self.perm.inverse(label)
+        idx = self.reveal_index(label)
         if idx >= self.num_nonisolated:
             return IsolatedVertex(idx - self.num_nonisolated)
         return self.graph.vertex_at(idx)
@@ -217,11 +253,10 @@ class LabeledOracle:
         if budget is not None:
             budget.consume()
         self.query_count += 1
-        idx = self.perm.inverse(label)
+        idx = self._index(label)
         if idx >= self.num_nonisolated:
             return ()
-        fwd = self.perm.forward
-        return tuple(sorted(fwd(i) for i in self.graph.neighbor_indices(idx)))
+        return tuple(sorted(map(self._label, self.graph.neighbor_indices(idx))))
 
     # -- persistence ---------------------------------------------------------
 

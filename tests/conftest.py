@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
 
 from gapwalk import expander_gen, graph_model as gm, spectral
+
+# Property tests replay the same examples on every run and keep no database.
+settings.register_profile("gapwalk", derandomize=True, database=None, deadline=None)
+settings.load_profile("gapwalk")
+
+
+@st.composite
+def schedules(draw, max_levels=3, max_degree=6, max_depth=4, min_depth=1):
+    """Valid (degrees, depths) schedules: strictly decreasing degrees ending
+    at >= 2, strictly increasing depths starting at >= min_depth."""
+    k = draw(st.integers(1, max_levels))
+    degrees = draw(st.lists(st.integers(2, max_degree), min_size=k, max_size=k, unique=True))
+    depths = draw(st.lists(st.integers(min_depth, max_depth), min_size=k, max_size=k, unique=True))
+    return gm.Schedule(tuple(sorted(degrees, reverse=True)), tuple(sorted(depths)))
 
 
 @pytest.fixture(scope="session")

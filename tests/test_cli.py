@@ -298,6 +298,14 @@ GOLDEN = {
         "f5c9a087d95132d9eb9afedf58dcd7f8f2677ec6cb8c80c028146c0ed93cbf9a",
         "000ffaa98dc22b883deb5d93307b64870a3a2321ee7f6aea1b8e0918f5498e27",
     ),
+    # Three levels: leaf-level and decoration classification (21 exits,
+    # distinct_decorations of 0 and 1).
+    "explore-tree:3-level": (
+        {"schedule": {"degrees": [5, 4, 3], "depths": [1, 2, 3]}, "level": 3,
+         "strategies": list(ex.EXPLORATION_STRATEGIES), "budget": 8, "trials": 40, "seed": 12},
+        "d020a287d480fc7ba24587e146bbbd49c08ed672b7115ad92b7119597cf14b89",
+        "61c0c2d89b9f95f9b7b0847eb5b1a81fa8f62c9c7213ae750cee71ccc50bc988",
+    ),
     "explore-graph": (
         {"instance": PETERSEN_INSTANCE, "strategy": "greedy-unvisited", "roots": 2,
          "guiding": "exact-ground-state", "trials": 20, "budget": 10, "threshold": 2,
@@ -326,6 +334,19 @@ def test_outputs_match_golden_digests(tmp_path, case):
     assert run([command, "--config", write_config(tmp_path, "c.json", cfg), "--out", out]) == cli.EXIT_OK
     for name, expected in (("records.jsonl", records_sha), ("trials.jsonl", trials_sha)):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("explore-tree", dict(TREE_CFG, strategies=None, strategy="warp", trials=5)),
+    ("explore-graph", {"instance": PETERSEN_INSTANCE, "strategy": "warp", "trials": 2}),
+    ("ggsp", dict(GGSP_GOLDEN, algorithm="warp", trials=2)),
+])
+def test_unknown_strategy_is_config_error(tmp_path, capsys, command, cfg):
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run([command, "--config", path, "--out", tmp_path / "o"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error:" in err and "warp" in err
+    assert "Traceback" not in err
 
 
 # -- bounds / verify-small / report -------------------------------------------

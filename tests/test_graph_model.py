@@ -1,11 +1,13 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from gapwalk import expander_gen, graph_model as gm
-from conftest import build_decorated_tree_topdown
+from conftest import build_decorated_tree_topdown, schedules
 
 
 # -- schedule formulas --------------------------------------------------------
@@ -33,6 +35,34 @@ def test_schedule_rejects_bad_inputs():
         gm.Schedule((4, 3), (2, 2))  # depths must strictly increase
     with pytest.raises(gm.ScheduleError):
         gm.Schedule((3, 1), (1, 2))  # last degree >= 2
+
+
+@given(schedules(max_levels=6, max_degree=40, max_depth=60, min_depth=0))
+def test_schedule_accessors_follow_their_formulas(schedule):
+    d, l = schedule.degrees, schedule.depths
+    top = schedule.levels
+    for k in range(1, top + 1):
+        assert schedule.degree(k) == d[k - 1]
+        assert schedule.depth(k) == l[k - 1]
+        assert schedule.branching(k) == d[k - 1] - 1
+        assert schedule.decoration_levels(k) == tuple(range(k - 1, 0, -1))
+        if k < top:
+            assert schedule.decoration_count(k) == d[k - 1] - d[k]
+    with pytest.raises(gm.ScheduleError):
+        schedule.decoration_count(top)
+    accessors = (schedule.degree, schedule.depth, schedule.branching,
+                 schedule.decoration_count, schedule.decoration_levels)
+    for bad in (0, -1, top + 1):
+        for accessor in accessors:
+            with pytest.raises(gm.ScheduleError):
+                accessor(bad)
+    # Equality and hashing stay those of the fields (spectral caches key on
+    # schedules), not of the per-level tables.
+    twin = gm.Schedule(tuple(d), tuple(l))
+    assert twin is not schedule
+    assert twin == schedule and hash(twin) == hash(schedule)
+    assert {twin: 1}[schedule] == 1
+    assert [f.name for f in dataclasses.fields(schedule)] == ["degrees", "depths"]
 
 
 def test_standard_params_consistency():

@@ -4,9 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from gapwalk import expander_gen as eg, explorer as ex, graph_model as gm, oracle as orc, spectral as sp
 from gapwalk._util import derive_key
+from conftest import schedules
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,20 @@ def test_feistel_rejects_bad_parameters():
     perm = orc.FeistelPermutation(8, derive_key("x"))
     with pytest.raises(orc.LabelSpaceError):
         perm.forward(1 << 9)
+
+
+@given(
+    bits=st.integers(1, orc.MAX_LABEL_BITS),
+    key=st.binary(min_size=16, max_size=16),
+    xs=st.lists(st.integers(0, (1 << orc.MAX_LABEL_BITS) - 1), min_size=1, max_size=16),
+)
+def test_feistel_scalar_inverts_and_matches_array_path(bits, key, xs):
+    perm = orc.FeistelPermutation(bits, key)
+    xs = [x % perm.size for x in xs]
+    ys = [perm.forward(x) for x in xs]
+    assert [perm.inverse(y) for y in ys] == xs
+    assert perm.forward_array(np.array(xs, dtype=np.uint64)).tolist() == ys
+    assert perm.inverse_array(np.array(ys, dtype=np.uint64)).tolist() == xs
 
 
 # -- oracle construction ------------------------------------------------------
@@ -119,6 +135,65 @@ def test_query_symmetry_exhaustive(tree_oracle):
         x = tree_oracle.label_of(graph.vertex_at(i))
         for y in tree_oracle.query(x):
             assert x in tree_oracle.query(y)
+
+
+# A query plan step: (kind, n).  kind 0 queries the root, 1 an isolated label,
+# 2 a label from an earlier answer (repeats included), 3 any label.
+QUERY_PLANS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1 << 40)), max_size=30)
+
+
+def _small_tree(schedule, data):
+    level = data.draw(st.integers(1, schedule.levels))
+    assume(gm.count_tree_vertices(schedule, level) <= 5000)
+    return gm.TreeGraph(schedule, level)
+
+
+@given(schedule=schedules(), data=st.data(), plan=QUERY_PLANS, key=st.binary(min_size=16, max_size=16))
+def test_memoized_query_matches_unmemoized_map(schedule, data, plan, key):
+    graph = _small_tree(schedule, data)
+    o = orc.build_oracle(graph, key, padding_ratio=0.25)
+    perm, n = o.perm, graph.num_nonisolated
+    seen = [o.label_of(graph.root)]
+    for kind, x in plan:
+        if kind == 0:
+            label = o.label_of(graph.root)
+        elif kind == 1:
+            label = o.label_of(gm.IsolatedVertex(x % o.padding_count))
+        elif kind == 2:
+            label = seen[x % len(seen)]
+        else:
+            label = x % o.num_labels
+        index = perm.inverse(label)
+        expected = () if index >= n else tuple(
+            sorted(perm.forward(i) for i in graph.neighbor_indices(index))
+        )
+        answer = o.query(label)
+        assert answer == expected
+        assert ex.classify_index(graph, o.reveal_index(label)) == ex.classify_vertex(graph, o.reveal(label))
+        assert o.reveal_index(label) == index
+        seen.extend(answer)
+    assert o.query_count == len(plan)
+
+
+@given(data=st.data(), key=st.binary(min_size=16, max_size=16))
+def test_cached_classification_matches_revealed_vertex(small_instance, data, key):
+    o = orc.build_oracle(small_instance, key, padding_ratio=2.0 ** -3)
+    for _ in range(20):
+        label = data.draw(st.integers(0, o.num_labels - 1))
+        for y in (label,) + o.query(label):
+            expected = ex.classify_vertex(small_instance, o.reveal(y))
+            assert ex.classify_index(small_instance, o.reveal_index(y)) == expected
+
+
+def test_sealed_oracle_refuses_scoring(tree_oracle):
+    o = orc.build_oracle(tree_oracle.graph, derive_key("seal-score"), padding_ratio=2.0 ** -4)
+    root = o.label_of(o.graph.root)
+    o.query(root)  # the root's label and its neighbours' are memoized
+    o.seal()
+    with pytest.raises(orc.RevealSealedError):
+        o.reveal_index(root)
+    with pytest.raises(orc.RevealSealedError):
+        ex.run_exploration(o, [root], "greedy-unvisited", budget=4, seed=0)
 
 
 def test_query_counts_every_call(tree_oracle):
