@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -105,6 +106,30 @@ def read_jsonl(path: Path) -> list:
         return []
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+def read_trial_rows(path: Path) -> list:
+    """Rows already in a resumable trials.jsonl.  A last line without its
+    newline is a write torn by an interruption: it is cut from the file, so its
+    trial runs again.  Any other line that is not a trial row is a UsageError."""
+    if not path.exists():
+        return []
+    text = path.read_text()
+    whole = text[: text.rfind("\n") + 1]
+    if whole != text:
+        path.write_text(whole)
+    rows = []
+    for n, line in enumerate(whole.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError:
+            row = None
+        if not isinstance(row, dict) or not {"strategy", "trial", "exit"} <= row.keys():
+            raise UsageError(f"{path} line {n} is not a trial row; resume into a fresh --out")
+        rows.append(row)
+    return rows
 
 
 def write_records(out: Path, records: list, cfg: dict | None = None):
@@ -213,14 +238,22 @@ def build_instance(cfg: dict, out: Path | None, seed: int):
 
 
 def oracle_maker(graph, cfg: dict):
-    """key -> oracle over `graph` with the config's padding ratio and label width."""
+    """key -> oracle over `graph` with the config's padding ratio and label
+    width; a configured `oracle.key` (32 hex digits) replaces every trial's key."""
     section = cfg.get("oracle", {})
-    return functools.partial(
+    build = functools.partial(
         oracle_mod.build_oracle,
         graph,
         padding_ratio=section.get("padding_ratio"),
         label_bits=section.get("label_bits"),
     )
+    key_hex = section.get("key")
+    if key_hex is None:
+        return build
+    if not isinstance(key_hex, str) or not re.fullmatch(r"[0-9a-fA-F]{32}", key_hex):
+        raise UsageError(f"oracle.key must be 32 hex digits, got {key_hex!r}")
+    key = bytes.fromhex(key_hex)
+    return lambda _trial_key: build(key)
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +378,19 @@ def cmd_sample_ground(cfg: dict, out: Path, args) -> int:
     else:
         solution = spectral.solve_for_instance(graph)
     sampler = spectral.GroundStateSampler(solution, seed=derive_seed("sample", seed))
+    # Standard-family anchors are ~86,000-bit integers at n=16: written in hex.
+    anchor = int if graph is not None else hex
     rows = []
     for i in range(count):
         v = sampler.sample()
         if isinstance(v, graph_model.ExpanderVertex):
-            rows.append({"i": i, "kind": "expander", "anchor": v.index})
+            rows.append({"i": i, "kind": "expander", "anchor": anchor(v.index)})
         else:
             rows.append(
                 {
                     "i": i,
                     "kind": "tree",
-                    "anchor": v.anchor,
+                    "anchor": anchor(v.anchor),
                     "level": v.level,
                     "copy": v.copy,
                     "depth": len(v.address),
@@ -406,9 +441,8 @@ def cmd_explore_tree(cfg: dict, out: Path, args) -> int:
     threads = max(1, int(args.threads or cfg.get("threads", 1)))
 
     trials_path = out / "trials.jsonl"
-    done = {
-        (row["strategy"], row["trial"]) for row in read_jsonl(trials_path)
-    }
+    all_rows = read_trial_rows(trials_path)
+    done = {(row["strategy"], row["trial"]) for row in all_rows}
     for strategy in strategies:
         pending = [t for t in range(trials) if (strategy, t) not in done]
         if not pending:
@@ -426,8 +460,8 @@ def cmd_explore_tree(cfg: dict, out: Path, args) -> int:
             results = [_exit_trial_worker(p) for p in payloads]
         rows = sorted((r for rs in results for r in rs), key=lambda r: r["trial"])
         append_jsonl(trials_path, rows)
+        all_rows += rows
 
-    all_rows = read_jsonl(trials_path)
     rec_reports = bounds_mod.recursion_bound(
         graph_model.Schedule(sched.degrees[:level], sched.depths[:level]), q_schedule, w
     )
@@ -471,7 +505,6 @@ def cmd_explore_graph(cfg: dict, out: Path, args) -> int:
     guiding = oracle_mod.GuidingSpec(kind=cfg.get("guiding", "expander-uniform"))
     query_limit = cfg.get("query_limit")
     make_oracle = oracle_maker(graph, cfg)
-    key_hex = cfg.get("oracle", {}).get("key")
     records_rows = []
     successes = 0
     audits_ok = 0
@@ -479,22 +512,21 @@ def cmd_explore_graph(cfg: dict, out: Path, args) -> int:
     from itertools import islice
 
     for t in range(trials):
-        key = derive_key("oracle", derive_seed(seed, "oracle", t))
-        orc = make_oracle(bytes.fromhex(key_hex) if key_hex else key)
+        orc = make_oracle(derive_key("oracle", derive_seed(seed, "oracle", t)))
         if query_limit is not None and total_queries >= int(query_limit):
             finish_meta(out, meta, status="query-limit", completed_trials=t)
             print(f"query limit {query_limit} exhausted after {t} trials", file=sys.stderr)
             return EXIT_BUDGET
         roots = list(islice(oracle_mod.input_sampler(orc, guiding, derive_seed(seed, t)), roots_count))
-        transcript = explorer.run_exploration(
+        trial = explorer.run_exploration(
             orc, roots, strategy, budget, seed=derive_seed(seed, "run", t)
         )
-        total_queries += transcript.query_count
-        audit = explorer.component_audit(transcript)
+        total_queries += trial.query_count
+        audit = explorer.component_audit(trial)
         audits_ok += audit.ok
-        score = explorer.score_localization(orc, roots, transcript.output, threshold)
+        score = explorer.score_localization(orc, roots, trial.output, threshold)
         successes += score.success
-        row = transcript.to_record()
+        row = trial.to_record()
         row.pop("steps")  # answers stay in memory only; keep rows compact
         row.update(
             {
@@ -505,7 +537,7 @@ def cmd_explore_graph(cfg: dict, out: Path, args) -> int:
             }
         )
         records_rows.append(row)
-    append_jsonl(out / "trials.jsonl", records_rows)
+    (out / "trials.jsonl").write_text(jsonl(records_rows))
     stats = explorer.EventStats.from_counts(successes, trials)
     lb = bounds_mod.localization_bound(
         roots_count, params.expander_degree, threshold, graph.expander.N
@@ -551,7 +583,7 @@ def cmd_ggsp(cfg: dict, out: Path, args) -> int:
     report = explorer.ggsp_experiment(
         oracle_maker(graph, cfg), guiding, algorithm, trials, t_inputs, budget, threshold, seed
     )
-    append_jsonl(out / "trials.jsonl", report.trial_rows)
+    (out / "trials.jsonl").write_text(jsonl(report.trial_rows))
     lb = bounds_mod.localization_bound(
         t_inputs, params.expander_degree, threshold, graph.expander.N
     )
@@ -782,10 +814,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else {}
         out = resolve_out(args, cfg)
         return COMMANDS[args.command](cfg, out, args)
-    except UsageError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (
+        UsageError,
         graph_model.ScheduleError,
         bounds_mod.BoundDomainError,
         explorer.UnknownStrategyError,
@@ -795,9 +825,6 @@ def main(argv=None) -> int:
     except expander_gen.GenerationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except oracle_mod.BudgetExhaustedError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

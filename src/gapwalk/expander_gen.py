@@ -1,7 +1,6 @@
 """Sampling and certification of regular graphs serving as the core: uniform
 configuration-model sampling with whole-graph rejection, girth via per-vertex
-BFS, and top-two adjacency eigenvalues (dense below 4096 vertices, Lanczos
-above)."""
+BFS, and top-two adjacency eigenvalues (`graph_model.top_eigenpairs`)."""
 
 from __future__ import annotations
 
@@ -11,14 +10,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
-
 from ._util import derive_seed
-from .graph_model import adjacency_matrix, bfs_distances
-
-DENSE_EIG_LIMIT = 4096
+from .graph_model import bfs_distances, top_eigenpairs
 
 
 class GenerationError(RuntimeError):
@@ -204,30 +197,10 @@ def girth(graph: RegularGraph) -> float:
 
 def spectral_gap(graph: RegularGraph) -> tuple[float, float]:
     """(lambda1, lambda2): the two largest adjacency eigenvalues."""
-    lam1, lam2, _, _ = _top_eigs(graph)
-    return lam1, lam2
-
-
-def _top_eigs(graph: RegularGraph) -> tuple[float, float, float, float]:
     if not graph.is_connected():
         raise ConnectivityError("spectral gap requires a connected graph")
-    N = graph.N
-    A = adjacency_matrix(graph.adjacency)
-    if N <= DENSE_EIG_LIMIT:
-        dense = A.toarray()
-        vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[N - 2, N - 1])
-        lam2, lam1 = float(vals[0]), float(vals[1])
-        v2, v1 = vecs[:, 0], vecs[:, 1]
-    else:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            A.astype(float), k=2, which="LA", tol=1e-12, maxiter=5000
-        )
-        order = np.argsort(vals)
-        lam2, lam1 = float(vals[order[0]]), float(vals[order[1]])
-        v2, v1 = vecs[:, order[0]], vecs[:, order[1]]
-    r1 = float(np.linalg.norm(A @ v1 - lam1 * v1) / np.linalg.norm(v1))
-    r2 = float(np.linalg.norm(A @ v2 - lam2 * v2) / np.linalg.norm(v2))
-    return lam1, lam2, r1, r2
+    lam1, lam2, _, _, _ = top_eigenpairs(graph.adjacency)
+    return lam1, lam2
 
 
 def certify_expander(
@@ -241,7 +214,7 @@ def certify_expander(
     g = girth(graph)
     if g < girth_min:
         return None
-    lam1, lam2, r1, r2 = _top_eigs(graph)
+    lam1, lam2, _, r1, r2 = top_eigenpairs(graph.adjacency)
     gap = lam1 - lam2
     if gap < gap_min:
         return None

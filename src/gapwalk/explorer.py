@@ -1,26 +1,31 @@
-"""Exploration strategies against labeled oracles, transcript recording, and
+"""Exploration strategies against labeled oracles, the trial record, and
 post-hoc event scoring.
 
-Strategies see only the one strategy view, `_StrategyView`: counted neighbor
-queries by label, the answers recorded for their roots, and the label-space
-size.  Every strategy run (exit trial, explore-graph trial, ggsp trial) goes
-through `ExplorationSession.run`.  The session holds the trusted oracle, records every
-query, classifies the vertex behind it (isolated hit, leaf level, which
-decoration copy a leaf belongs to), and can halt a run when the watched event
-fires. Scoring therefore never leaks back into the strategy.
+A strategy is a query algorithm written as a generator `strategy(roots, rng,
+num_labels)`: `answer = yield request`, then `return output_label`.  A request
+is a plain label (one counted query), a `Root` (the root's recorded answer, or
+one counted query marked `is_root` on first use) or a `Fresh` label (a
+declared, counted probe); a strategy never holds the oracle or the graph.
 
-Scoring works by canonical index: the session asks the trusted oracle for the
-index behind a queried label (`reveal_index`, a memo hit for every label that
-came out of an answer), and `classify_index` reads the classification from a
+Every strategy run (exit trial, explore-graph trial, ggsp trial) is one
+`ExplorationSession`: it owns the budget (no query once `len(steps)` reaches
+it), records every query and answer, classifies the vertex behind each query
+(isolated hit, leaf level, which decoration copy a leaf belongs to), stops the
+generator when the budget is spent or the watched exit fires, and is the
+record `run_exploration` returns.  Scoring never leaks back into the strategy.
+
+Scoring works by canonical index: `reveal_index` on the trusted oracle (a memo
+hit for every label that came out of an answer), then `classify_index` reads a
 per-index cache on the graph, next to its neighbor cache, so a vertex is
-unranked and classified once per graph, not once per query.  A sealed oracle
-refuses `reveal_index`, so it still refuses scoring.
+classified once per graph, not once per query.  A sealed oracle refuses
+`reveal_index`, so it still refuses scoring.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 from ._util import binomial_stderr, derive_key, derive_seed, wilson_interval
@@ -37,15 +42,7 @@ from .graph_model import (
     classify_address,
     leaf_level,
 )
-from .oracle import BudgetExhaustedError, LabeledOracle, QueryBudget
-
-
-class ExplorationHalted(Exception):
-    """Raised into a strategy when its run is over (budget or watched event)."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+from .oracle import GuidingSpec, LabeledOracle, input_sampler
 
 
 class UnknownStrategyError(ValueError):
@@ -60,36 +57,14 @@ class Step:
     is_root: bool = False
 
 
-@dataclass
-class Transcript:
-    """Ordered record of one exploration run."""
+class Root(int):
+    """Request for a root's answer: the recorded one, or one counted query
+    (marked `is_root`) on first use, so a root is never queried twice."""
 
-    roots: list
-    steps: list
-    events: list
-    query_count: int
-    seed: int
-    strategy: str
-    budget: int
-    halted: str = "done"
-    output: Optional[int] = None
-    answers: Optional[list] = None  # full answers, kept in memory for audits
 
-    SCHEMA = 1
-
-    def to_record(self) -> dict:
-        return {
-            "schema": self.SCHEMA,
-            "roots": list(self.roots),
-            "steps": [[s.label, s.answer_size, int(s.fresh), int(s.is_root)] for s in self.steps],
-            "events": self.events,
-            "query_count": self.query_count,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "budget": self.budget,
-            "halted": self.halted,
-            "output": self.output,
-        }
+class Fresh(int):
+    """Request for a declared fresh probe: one counted query that the audit
+    counts instead of flagging."""
 
 
 @dataclass(frozen=True)
@@ -152,51 +127,74 @@ def classify_index(graph: Union[TreeGraph, MainGraph], index: int) -> dict:
 
 
 class ExplorationSession:
-    """Runner-owned session: budget, transcript, inline event scoring."""
+    """One strategy run and its record: budget, queries and answers, roots,
+    scored events, how the run ended (`halted`) and the strategy's output."""
 
-    def __init__(
-        self,
-        oracle: LabeledOracle,
-        budget: int,
-        seed: int,
-        strategy_name: str,
-        score_events: bool = True,
-        stop_on_exit: bool = False,
-    ):
+    SCHEMA = 1
+
+    def __init__(self, oracle: LabeledOracle, budget: int, seed: int, strategy: str, stop_on_exit: bool = False):
         self.oracle = oracle
-        self.budget = QueryBudget(budget)
+        self.budget = budget
         self.seed = seed
-        self.strategy_name = strategy_name
-        self.score_events = score_events
+        self.strategy = strategy
         self.stop_on_exit = stop_on_exit
         self.steps: list[Step] = []
-        self.answers: list[tuple] = []
+        self.answers: list[tuple] = []  # full answers, kept in memory for audits
         self.events: list[dict] = []
         self.roots: list[int] = []
         self.root_answers: dict[int, tuple] = {}
-        self.halted: Optional[str] = None
+        self.halted = "done"
+        self.output: Optional[int] = None
 
-    def query(self, label: int, fresh: bool = False, is_root: bool = False) -> tuple:
-        if self.halted:
-            raise ExplorationHalted(self.halted)
-        try:
-            answer = self.oracle.query(label, self.budget)
-        except BudgetExhaustedError:
-            self.halted = "budget"
-            raise ExplorationHalted("budget")
+    @property
+    def query_count(self) -> int:
+        return len(self.steps)
+
+    def to_record(self) -> dict:
+        return {
+            "schema": self.SCHEMA,
+            "roots": list(self.roots),
+            "steps": [[s.label, s.answer_size, int(s.fresh), int(s.is_root)] for s in self.steps],
+            "events": self.events,
+            "query_count": self.query_count,
+            "seed": self.seed,
+            "strategy": self.strategy,
+            "budget": self.budget,
+            "halted": self.halted,
+            "output": self.output,
+        }
+
+    def query(self, label: int, fresh: bool = False, is_root: bool = False) -> Optional[tuple]:
+        """One counted, scored query; None once the run is over (the budget was
+        already spent, or this query fired the watched exit)."""
         step = len(self.steps)
+        if step >= self.budget:
+            self.halted = "budget"
+            return None
+        answer = self.oracle.query(label)
         self.steps.append(Step(label, len(answer), fresh=fresh, is_root=is_root))
         self.answers.append(answer)
         if is_root:
             self.roots.append(label)
             self.root_answers[label] = answer
-        if self.score_events:
-            self._score(label, step)
-        if self.budget.remaining == 0:
-            self.halted = "budget"
+        if self._score(label, step) and self.stop_on_exit:
+            self.halted = "exit"
+            return None
         return answer
 
-    def _score(self, label: int, step: int):
+    def _answer(self, request: int) -> Optional[tuple]:
+        kind = type(request)
+        if kind is Root:
+            label = int(request)
+            if label in self.root_answers:
+                return self.root_answers[label]
+            return self.query(label, is_root=True)
+        if kind is Fresh:
+            return self.query(int(request), fresh=True)
+        return self.query(request)
+
+    def _score(self, label: int, step: int) -> bool:
+        """Record the events of one query; True when it hit an exit leaf."""
         info = classify_index(self.oracle.graph, self.oracle.reveal_index(label))
         if info["kind"] == "isolated":
             self.events.append({"kind": "isolated_hit", "step": step})
@@ -212,82 +210,70 @@ class ExplorationSession:
             )
             if info["level"] == 0:
                 self.events.append({"kind": "exit_leaf", "step": step})
-                if self.stop_on_exit:
-                    self.halted = "exit"
-                    raise ExplorationHalted("exit")
+                return True
+        return False
 
-    def run(self, fn: Callable, roots: Sequence[int], rng: random.Random, query_roots: bool) -> Transcript:
+    def run(self, strategy: Callable, roots: Sequence[int], rng: random.Random, query_roots: bool) -> "ExplorationSession":
         """The one per-trial path: optionally query every root first (counted),
-        then run the strategy on the strategy view until it returns or halts."""
-        output = None
-        halted = "done"
+        then drive the strategy's generator until it returns (its value is the
+        output) or the run is over (the generator is closed, no output)."""
+        if query_roots:
+            for r in roots:
+                if self.query(r, is_root=True) is None:
+                    return self
+        gen = strategy(list(roots), rng, self.oracle.num_labels)
         try:
-            if query_roots:
-                for r in roots:
-                    self.query(r, is_root=True)
-            output = fn(_StrategyView(self), list(roots), rng)
-        except ExplorationHalted as halt:
-            halted = halt.reason
-        return Transcript(
-            roots=self.roots,
-            steps=self.steps,
-            events=self.events,
-            query_count=len(self.steps),
-            seed=self.seed,
-            strategy=self.strategy_name,
-            budget=self.budget.limit,
-            halted=halted,
-            output=output,
-            answers=self.answers,
-        )
+            request = next(gen)
+            while (answer := self._answer(request)) is not None:
+                request = gen.send(answer)
+            gen.close()
+        except StopIteration as stop:
+            self.output = stop.value
+        return self
 
 
 # ---------------------------------------------------------------------------
-# strategies: (session, roots, rng) -> optional output label
+# strategies: generators (roots, rng, num_labels) -> output label
 # ---------------------------------------------------------------------------
 
-def uniform_walk(session, roots, rng):
+def uniform_walk(roots, rng, num_labels):
     cur = roots[0]
-    answer = session.root_answer(cur)
-    while True:
-        if not answer:
-            return cur
+    answer = yield Root(cur)
+    while answer:
         cur = answer[rng.randrange(len(answer))]
-        answer = session.query(cur)
+        answer = yield cur
+    return cur
 
 
-def non_backtracking_walk(session, roots, rng):
+def non_backtracking_walk(roots, rng, num_labels):
     cur = roots[0]
     prev = None
-    answer = session.root_answer(cur)
-    while True:
-        if not answer:
-            return cur
-        options = [x for x in answer if x != prev] or list(answer)
+    answer = yield Root(cur)
+    while answer:
+        options = [x for x in answer if x != prev] or answer
         prev = cur
         cur = options[rng.randrange(len(options))]
-        answer = session.query(cur)
+        answer = yield cur
+    return cur
 
 
-def greedy_unvisited(session, roots, rng):
+def greedy_unvisited(roots, rng, num_labels):
     cur = roots[0]
     queried = set(roots)
-    answer = session.root_answer(cur)
-    while True:
-        if not answer:
-            return cur
-        fresh = [x for x in answer if x not in queried]
-        options = fresh or list(answer)
+    answer = yield Root(cur)
+    while answer:
+        options = [x for x in answer if x not in queried] or answer
         cur = options[rng.randrange(len(options))]
         queried.add(cur)
-        answer = session.query(cur)
+        answer = yield cur
+    return cur
 
 
-def frontier_bfs_random(session, roots, rng):
+def frontier_bfs_random(roots, rng, num_labels):
     seen = set(roots)
     frontier = []
     for r in roots:
-        for x in session.root_answer(r):
+        for x in (yield Root(r)):
             if x not in seen:
                 seen.add(x)
                 frontier.append(x)
@@ -296,31 +282,27 @@ def frontier_bfs_random(session, roots, rng):
         i = rng.randrange(len(frontier))
         frontier[i], frontier[-1] = frontier[-1], frontier[i]
         last = frontier.pop()
-        for x in session.query(last):
+        for x in (yield last):
             if x not in seen:
                 seen.add(x)
                 frontier.append(x)
     return last
 
 
-def random_probe(session, roots, rng):
-    """Probes fresh uniformly random labels; declared, so audits count the
-    non-isolated hits instead of flagging violations."""
-    space = session.num_labels
-    last = roots[0]
+def random_probe(roots, rng, num_labels):
+    """Probes fresh uniformly random labels until the budget is spent; declared,
+    so audits count the non-isolated hits instead of flagging violations."""
     while True:
-        last = rng.randrange(space)
-        session.query(last, fresh=True)
+        yield Fresh(rng.randrange(num_labels))
 
 
 def scripted(plan: Sequence[int]):
     """Fixed query plan, replayed label by label (fixture strategy)."""
 
-    def run(session, roots, rng):
+    def run(roots, rng, num_labels):
         last = roots[0] if roots else None
-        for label in plan:
-            session.query(label)
-            last = label
+        for last in plan:
+            yield last
         return last
 
     run.__name__ = "scripted"
@@ -344,27 +326,6 @@ EXPLORATION_STRATEGIES = (
 )
 
 
-class _StrategyView:
-    """The one surface a strategy sees: counted queries, the answer recorded
-    for each root (a root with none is queried once, counted, on first use),
-    and the label-space size.  No attribute leads to the oracle or the graph."""
-
-    __slots__ = ("query", "root_answer", "num_labels")
-
-    def __init__(self, session: ExplorationSession):
-        def query(label: int, fresh: bool = False) -> tuple:
-            return session.query(label, fresh=fresh)
-
-        def root_answer(label: int) -> tuple:
-            if label not in session.root_answers:
-                return session.query(label, is_root=True)
-            return session.root_answers[label]
-
-        self.query = query
-        self.root_answer = root_answer
-        self.num_labels = session.oracle.num_labels
-
-
 def resolve_strategy(strategy: Union[str, Callable], registry: dict = STRATEGIES) -> tuple[str, Callable]:
     if callable(strategy):
         return getattr(strategy, "__name__", "custom"), strategy
@@ -383,7 +344,7 @@ def run_exploration(
     budget: int,
     seed: int,
     stop_on_exit: bool = False,
-) -> Transcript:
+) -> ExplorationSession:
     """Run one strategy against an oracle; roots are queried first (counted)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -428,7 +389,7 @@ def exit_trials(
     rows = []
     for t in indices:
         orc = LabeledOracle(graph, derive_key("exit-trial", seed, t), padding_ratio=padding_ratio)
-        transcript = run_exploration(
+        session = run_exploration(
             orc,
             [orc.label_of(graph.root)],
             strategy,
@@ -440,9 +401,9 @@ def exit_trials(
             {
                 "trial": t,
                 "strategy": name,
-                "exit": int(transcript.halted == "exit"),
-                "distinct_decorations": _distinct_level1_decorations(transcript),
-                "queries": transcript.query_count,
+                "exit": int(session.halted == "exit"),
+                "distinct_decorations": _distinct_level1_decorations(session),
+                "queries": session.query_count,
             }
         )
     return rows
@@ -482,16 +443,16 @@ def estimate_exit_probability(
     )
 
 
-def _distinct_level1_decorations(transcript: Transcript) -> int:
+def _distinct_level1_decorations(session: ExplorationSession) -> int:
     seen = set()
-    for ev in transcript.events:
+    for ev in session.events:
         if ev["kind"] == "leaf" and ev["level"] == 1:
             seen.add((ev["tree"], ev["decoration"]))
     return len(seen)
 
 
 # ---------------------------------------------------------------------------
-# transcript audits and localization scoring
+# trial audits and localization scoring
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -502,24 +463,22 @@ class AuditReport:
     fresh_nonisolated_hits: int
 
 
-def component_audit(transcript: Transcript) -> AuditReport:
+def component_audit(session: ExplorationSession) -> AuditReport:
     """Check the adjacency discipline: every queried label must be a root, a
     declared fresh probe, or present in some earlier answer.  Fresh probes that
     hit non-isolated vertices (nonempty answers) are counted, not flagged."""
-    if transcript.answers is None:
-        raise ValueError("transcript lacks retained answers; rerun with them enabled")
-    seen = set(transcript.roots)
+    seen = set(session.roots)
     violations = []
     fresh_probes = 0
     fresh_hits = 0
-    for i, step in enumerate(transcript.steps):
+    for i, step in enumerate(session.steps):
         if step.fresh:
             fresh_probes += 1
             if step.answer_size > 0:
                 fresh_hits += 1
         elif not step.is_root and step.label not in seen:
             violations.append(i)
-        seen.update(transcript.answers[i])
+        seen.update(session.answers[i])
     return AuditReport(
         ok=not violations,
         violations=tuple(violations),
@@ -560,11 +519,13 @@ def score_localization(
 # end-to-end guided-output experiment
 # ---------------------------------------------------------------------------
 
-def echo_first_input(view, inputs, rng):
+def echo_first_input(inputs, rng, num_labels):
+    yield from ()
     return inputs[0]
 
 
-def echo_random_input(view, inputs, rng):
+def echo_random_input(inputs, rng, num_labels):
+    yield from ()
     return inputs[rng.randrange(len(inputs))]
 
 
@@ -593,7 +554,7 @@ ALGORITHMS: dict[str, Callable] = {
     "echo-first-input": echo_first_input,
     "echo-random-input": echo_random_input,
     # Greedy exploration seeded at the first input; outputs the last queried label.
-    "walk-from-input": lambda view, inputs, rng: greedy_unvisited(view, inputs[:1], rng),
+    "walk-from-input": lambda inputs, rng, num_labels: greedy_unvisited(inputs[:1], rng, num_labels),
     **STRATEGIES,
 }
 
@@ -624,14 +585,7 @@ def ggsp_experiment(
     """Per-trial: draw guiding inputs, run the algorithm under a budget, score
     the output's expander distance from the inputs.  `make_oracle` builds the
     oracle for a key, so fresh-key trials model averaging over labelings."""
-    from itertools import islice
-
-    from .oracle import GuidingSpec, input_sampler
-
-    if isinstance(guiding_kind, GuidingSpec):
-        spec = guiding_kind
-    else:
-        spec = GuidingSpec(kind=guiding_kind)
+    spec = guiding_kind if isinstance(guiding_kind, GuidingSpec) else GuidingSpec(kind=guiding_kind)
     name, fn = resolve_strategy(algorithm, ALGORITHMS)
     successes = 0
     total_queries = 0
@@ -645,18 +599,16 @@ def ggsp_experiment(
         if getattr(fn, "requires_trust", False):
             output, queries, exhausted = fn(oracle, inputs, rng), 0, False
         else:
-            session = ExplorationSession(oracle, budget, seed, name, score_events=False)
-            transcript = session.run(fn, inputs, rng, query_roots=False)
-            output, queries = transcript.output, transcript.query_count
-            exhausted = transcript.halted == "budget"
+            session = ExplorationSession(oracle, budget, seed, name).run(fn, inputs, rng, query_roots=False)
+            output, queries = session.output, session.query_count
+            exhausted = session.halted == "budget"
         budget_failures += exhausted
         total_queries += queries
         score = score_localization(oracle, inputs, output, threshold)
-        if score.success:
-            successes += 1
+        successes += score.success
         rows.append(
             {
-                "schema": Transcript.SCHEMA,
+                "schema": ExplorationSession.SCHEMA,
                 "trial": t,
                 "seed": seed,
                 "strategy": name,

@@ -21,7 +21,9 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 MATERIALIZE_CAP = 200_000
 RANKING_CAP = 1 << 50
@@ -774,6 +776,29 @@ def adjacency_matrix(adjacency) -> scipy.sparse.csr_matrix:
     cols = [v for nbrs in adjacency for v in nbrs]
     n = len(adjacency)
     return scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+
+DENSE_EIG_LIMIT = 4096
+
+
+def top_eigenpairs(adjacency) -> tuple[float, float, np.ndarray, float, float]:
+    """(lambda1, lambda2, v1, r1, r2): the two largest adjacency eigenvalues
+    of an adjacency-list graph with at least two vertices, the top eigenvector,
+    and each pair's residual |A v - lambda v| / |v|.  Dense `eigh` up to
+    DENSE_EIG_LIMIT vertices, Lanczos above."""
+    n = len(adjacency)
+    a = adjacency_matrix(adjacency)
+    if n <= DENSE_EIG_LIMIT:
+        vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[n - 2, n - 1])
+    else:
+        vals, vecs = scipy.sparse.linalg.eigsh(a, k=2, which="LA", tol=1e-14, maxiter=10000)
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+    lam2, lam1 = float(vals[0]), float(vals[1])
+    v2, v1 = vecs[:, 0], vecs[:, 1]
+    r1 = float(np.linalg.norm(a @ v1 - lam1 * v1) / np.linalg.norm(v1))
+    r2 = float(np.linalg.norm(a @ v2 - lam2 * v2) / np.linalg.norm(v2))
+    return lam1, lam2, v1, r1, r2
 
 
 def shortest_path(adjacency: list, source: int, target: int) -> list[int]:

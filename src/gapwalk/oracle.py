@@ -4,17 +4,18 @@ label space wraps a graph instance, exposing only neighbor queries.
 Labels outside the image of the non-isolated vertex enumeration are isolated;
 with the default padding almost every random label is isolated, which forces
 explorers to grow connected components from their given roots.  Exploration
-strategies never hold a `LabeledOracle`: they receive the one strategy view
-(`explorer._StrategyView`), which carries counted queries only; vertex
-identities come back out only through `reveal`/`reveal_index` on the trusted
-object, used for post-hoc scoring.
+strategies never hold a `LabeledOracle`: they are generators that yield labels
+and receive answers, and the trial that drives them
+(`explorer.ExplorationSession`) makes every query here and owns the query
+budget.  Vertex identities come back out only through `reveal`/`reveal_index`
+on the trusted object, used for post-hoc scoring.
 
 The trusted object memoizes every index <-> label pair it has mapped, both
 ways, so a label runs through the Feistel map at most once per oracle (in
 practice once per trial): a walk queries labels that came out of earlier
 answers, and the parent of a vertex appears in each of its answers.
 `query`, `label_of`, `reveal` and `reveal_index` all read the memo first.  The
-memo is private to the oracle; the strategy view gains nothing from it.
+memo is private to the oracle; strategies gain nothing from it.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ _MIX2 = 0x94D049BB133111EB
 
 class LabelSpaceError(ValueError):
     """Label space too small for the non-isolated vertex set, or too large to index."""
-
-
-class BudgetExhaustedError(RuntimeError):
-    """A query exceeded the attached budget."""
 
 
 class RevealSealedError(RuntimeError):
@@ -153,21 +150,6 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass
-class QueryBudget:
-    limit: int
-    consumed: int = 0
-
-    def consume(self):
-        if self.consumed >= self.limit:
-            raise BudgetExhaustedError(f"budget of {self.limit} queries exhausted")
-        self.consumed += 1
-
-    @property
-    def remaining(self) -> int:
-        return self.limit - self.consumed
-
-
 class LabeledOracle:
     """Query-counted adjacency oracle over a pseudorandomly labeled instance."""
 
@@ -247,11 +229,9 @@ class LabeledOracle:
 
     # -- query side ----------------------------------------------------------
 
-    def query(self, label: int, budget: Optional[QueryBudget] = None) -> tuple:
+    def query(self, label: int) -> tuple:
         """Sorted labels of the neighbors of the vertex behind `label`; empty
         for isolated labels.  Counts every call."""
-        if budget is not None:
-            budget.consume()
         self.query_count += 1
         idx = self._index(label)
         if idx >= self.num_nonisolated:

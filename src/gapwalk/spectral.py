@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from ._util import NEG_INF, log1p_from_log, logsumexp
 from .graph_model import (
@@ -39,10 +37,9 @@ from .graph_model import (
     SizeCapError,
     TreeVertex,
     Vertex,
-    adjacency_matrix,
+    top_eigenpairs,
 )
 
-DENSE_LIMIT = 6000
 REFERENCE_CAP = 20000
 
 
@@ -541,8 +538,9 @@ class DenseEig:
 def dense_top_eigenpair(adjacency: Union[list, MaterializedGraph]) -> DenseEig:
     """Top two eigenvalues and the top eigenvector of an adjacency-list graph.
 
-    Dense symmetric solve below DENSE_LIMIT vertices, Lanczos above; refuses
-    more than REFERENCE_CAP vertices.
+    The one top-eigenpair routine (`graph_model.top_eigenpairs`: dense up to
+    DENSE_EIG_LIMIT vertices, Lanczos above); refuses more than REFERENCE_CAP
+    vertices.
     """
     if isinstance(adjacency, MaterializedGraph):
         adjacency = adjacency.adjacency
@@ -551,16 +549,7 @@ def dense_top_eigenpair(adjacency: Union[list, MaterializedGraph]) -> DenseEig:
         raise SizeCapError(f"{n} vertices exceeds the dense-reference cap {REFERENCE_CAP}")
     if n == 1:
         return DenseEig(0.0, float("-inf"), np.ones(1), False)
-    a = adjacency_matrix(adjacency)
-    if n <= DENSE_LIMIT:
-        vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[n - 2, n - 1])
-        lam2, lam1 = float(vals[0]), float(vals[1])
-        vec = vecs[:, 1]
-    else:
-        vals, vecs = scipy.sparse.linalg.eigsh(a, k=2, which="LA", tol=1e-14, maxiter=10000)
-        order = np.argsort(vals)
-        lam2, lam1 = float(vals[order[0]]), float(vals[order[1]])
-        vec = vecs[:, order[1]]
+    lam1, lam2, vec, _, _ = top_eigenpairs(adjacency)
     if vec.sum() < 0:
         vec = -vec
     degenerate = (lam1 - lam2) <= 1e-9 * max(1.0, abs(lam1))

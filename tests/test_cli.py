@@ -167,6 +167,26 @@ def test_spectrum_beta_zero_instance(tmp_path):
     assert rep["lambda_g"] == rep["lambda_e"] == 3.0
 
 
+# -- sample-ground ------------------------------------------------------------
+
+@pytest.mark.parametrize("instance, hex_anchors", [
+    ({"mode": "scaled", "degrees": [4, 3], "depths": [1, 2], "expander": {"petersen": True}}, False),
+    ({"mode": "standard", "n": 16}, True),
+])
+def test_sample_ground_writes_rows(tmp_path, instance, hex_anchors):
+    cfg = write_config(tmp_path, "s.json", {"instance": instance, "count": 50})
+    out = tmp_path / "o"
+    assert run(["sample-ground", "--config", cfg, "--out", out, "--trials", 2]) == cli.EXIT_OK
+    rows = [json.loads(l) for l in (out / "samples.jsonl").read_text().splitlines()]
+    assert [r["i"] for r in rows] == [0, 1]
+    for r in rows:
+        assert r["kind"] in ("expander", "tree")
+        if hex_anchors:
+            assert int(r["anchor"], 16) >= 0
+        else:
+            assert 0 <= r["anchor"] < 10
+
+
 # -- explore-tree -------------------------------------------------------------
 
 TREE_CFG = {
@@ -313,6 +333,20 @@ GOLDEN = {
         "70f7fbcf8bc51bc8e2c31686fc95353b30f8e9be8dabc6edc6217fec1edfa199",
         "f098716334d821b8101649ede08248c004454e070e2589a5df7ead6ef6303ddb",
     ),
+    # Declared fresh probes: `audit_ok` depends on the fresh flag.
+    "explore-graph:random-probe": (
+        {"instance": PETERSEN_INSTANCE, "strategy": "random-probe", "roots": 2,
+         "guiding": "exact-ground-state", "trials": 20, "budget": 10, "threshold": 2,
+         "seed": 8},
+        "6df3b7ac3e949ca3e8e18334ed556026dd50020eaabf50eed115378cc4567f43",
+        "25c6224724bee557424ba6c74dcb71f317f281622cd0bd83ed352fc8b5223f2e",
+    ),
+    # Trials 18 and 19 draw duplicate inputs: lazy root answers.
+    "ggsp:frontier-bfs-random": (
+        dict(GGSP_GOLDEN, algorithm="frontier-bfs-random"),
+        "9a7c34c79a4beaced57dd0ca3572c1de63b8f9c3cb9fadb779ac5384ca2bc5ba",
+        "a99f3e4f104fcd4f7c362348bab7c4353592f3670f5dc405ec604fc05f649782",
+    ),
     "ggsp:echo-random-input": (
         dict(GGSP_GOLDEN, algorithm="echo-random-input"),
         "2102950f99647a801fd7e9f0252cf17411d94e7f01f4e6e95f487f188d432208",
@@ -334,6 +368,65 @@ def test_outputs_match_golden_digests(tmp_path, case):
     assert run([command, "--config", write_config(tmp_path, "c.json", cfg), "--out", out]) == cli.EXIT_OK
     for name, expected in (("records.jsonl", records_sha), ("trials.jsonl", trials_sha)):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("explore-graph", GOLDEN["explore-graph"][0]),
+    ("ggsp", dict(GGSP_GOLDEN, algorithm="walk-from-input", trials=4)),
+])
+def test_rerun_into_same_out_rewrites_trials(tmp_path, command, cfg):
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run([command, "--config", path, "--out", tmp_path / "once"]) == cli.EXIT_OK
+    for _ in range(2):
+        assert run([command, "--config", path, "--out", tmp_path / "twice"]) == cli.EXIT_OK
+    for name in ("records.jsonl", "trials.jsonl"):
+        assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "twice" / name).read_bytes()
+
+
+def test_ggsp_uses_configured_oracle_key(tmp_path):
+    trials = []
+    for fill in ("0", "f"):
+        cfg = dict(GGSP_GOLDEN, algorithm="walk-from-input", trials=4, oracle={"key": fill * 32})
+        out = tmp_path / fill
+        assert run(["ggsp", "--config", write_config(tmp_path, "c.json", cfg), "--out", out]) == cli.EXIT_OK
+        trials.append((out / "trials.jsonl").read_bytes())
+    assert trials[0] != trials[1]
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("explore-graph", GOLDEN["explore-graph"][0]),
+    ("ggsp", GGSP_GOLDEN),
+])
+@pytest.mark.parametrize("key", ["00ff", "zz" * 16, 7, ""])
+def test_malformed_oracle_key_is_config_error(tmp_path, capsys, command, cfg, key):
+    path = write_config(tmp_path, "c.json", dict(cfg, oracle={"key": key}))
+    assert run([command, "--config", path, "--out", tmp_path / "o"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error:" in err and "oracle.key" in err
+
+
+def test_explore_tree_resume_drops_torn_last_line(tmp_path):
+    path = write_config(tmp_path, "t.json", dict(TREE_CFG, strategies=["uniform-walk"], trials=5))
+    clean, torn = tmp_path / "clean", tmp_path / "torn"
+    assert run(["explore-tree", "--config", path, "--out", clean, "--trials", 10]) == cli.EXIT_OK
+    assert run(["explore-tree", "--config", path, "--out", torn]) == cli.EXIT_OK
+    with open(torn / "trials.jsonl", "a") as fh:
+        fh.write('{"exit":1,"stra')
+    assert run(["explore-tree", "--config", path, "--out", torn, "--trials", 10]) == cli.EXIT_OK
+    for name in ("records.jsonl", "trials.jsonl"):
+        assert (clean / name).read_bytes() == (torn / name).read_bytes()
+
+
+def test_explore_tree_resume_rejects_bad_middle_line(tmp_path, capsys):
+    path = write_config(tmp_path, "t.json", dict(TREE_CFG, strategies=["uniform-walk"], trials=5))
+    out = tmp_path / "o"
+    assert run(["explore-tree", "--config", path, "--out", out]) == cli.EXIT_OK
+    lines = (out / "trials.jsonl").read_text().splitlines(keepends=True)
+    lines[2] = lines[2][:10] + "\n"
+    (out / "trials.jsonl").write_text("".join(lines))
+    assert run(["explore-tree", "--config", path, "--out", out, "--trials", 10]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error:" in err and "line 3" in err
 
 
 @pytest.mark.parametrize("command, cfg", [

@@ -204,16 +204,6 @@ def test_query_counts_every_call(tree_oracle):
     assert tree_oracle.query_count == before + 2
 
 
-def test_budget_enforcement(tree_oracle):
-    budget = orc.QueryBudget(2)
-    x = tree_oracle.label_of(tree_oracle.graph.root)
-    tree_oracle.query(x, budget)
-    tree_oracle.query(x, budget)
-    with pytest.raises(orc.BudgetExhaustedError):
-        tree_oracle.query(x, budget)
-    assert budget.consumed == 2
-
-
 # -- reveal -------------------------------------------------------------------
 
 def test_reveal_round_trip_for_every_vertex(tree_oracle):
@@ -250,18 +240,20 @@ def test_sealed_oracle_refuses_reveal(small_instance):
     assert len(o.query(label)) > 0  # queries still served
 
 
-def test_view_exposes_only_query(main_oracle):
+def test_strategy_receives_only_roots_rng_and_label_count(main_oracle):
     x = main_oracle.label_of(gm.ExpanderVertex(1))
     seen = {}
 
-    def capture(view, roots, rng):
-        seen["view"], seen["answer"] = view, view.query(x)
+    def capture(*args):
+        seen["args"] = args
+        seen["answer"] = yield x
+        return x
 
-    ex.run_exploration(main_oracle, [], capture, budget=4, seed=0)
-    view = seen["view"]
-    assert not hasattr(view, "reveal")
-    assert not hasattr(view, "graph")
+    trial = ex.run_exploration(main_oracle, [], capture, budget=4, seed=0)
+    roots, rng, num_labels = seen["args"]
+    assert roots == [] and type(rng) is random.Random and num_labels == main_oracle.num_labels
     assert seen["answer"] == main_oracle.query(x)
+    assert trial.output == x and trial.query_count == 1
 
 
 # -- persistence --------------------------------------------------------------
