@@ -419,10 +419,11 @@ def cmd_sample_ground(cfg: dict, out: Path, args) -> int:
 
 
 def _exit_trial_worker(payload: tuple) -> list:
-    """Module-level so a process pool can pickle it."""
+    """Module-level so a process pool can pickle it; each call builds its own
+    tree in the worker process."""
     degrees, depths, level, strategy, budget, seed, padding, indices = payload
-    sched = graph_model.Schedule(tuple(degrees), tuple(depths))
-    return explorer.exit_trials(sched, level, strategy, budget, seed, indices, padding)
+    graph = graph_model.TreeGraph(graph_model.Schedule(tuple(degrees), tuple(depths)), level)
+    return explorer.exit_trials(graph, strategy, budget, seed, indices, padding)
 
 
 def cmd_explore_tree(cfg: dict, out: Path, args) -> int:
@@ -442,23 +443,22 @@ def cmd_explore_tree(cfg: dict, out: Path, args) -> int:
 
     trials_path = out / "trials.jsonl"
     all_rows = read_trial_rows(trials_path)
+    graph = graph_model.TreeGraph(sched, level)  # shared by the strategies' trials
     done = {(row["strategy"], row["trial"]) for row in all_rows}
     for strategy in strategies:
         pending = [t for t in range(trials) if (strategy, t) not in done]
         if not pending:
             continue
-        chunks = [pending[i::threads] for i in range(threads)] if threads > 1 else [pending]
-        payloads = [
-            (sched.degrees, sched.depths, level, strategy, budget, seed, padding, chunk)
-            for chunk in chunks
-            if chunk
-        ]
         if threads > 1:
+            payloads = [
+                (sched.degrees, sched.depths, level, strategy, budget, seed, padding, pending[i::threads])
+                for i in range(min(threads, len(pending)))
+            ]
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_exit_trial_worker, payloads))
+                rows = [r for rs in pool.map(_exit_trial_worker, payloads) for r in rs]
+            rows.sort(key=lambda r: r["trial"])
         else:
-            results = [_exit_trial_worker(p) for p in payloads]
-        rows = sorted((r for rs in results for r in rs), key=lambda r: r["trial"])
+            rows = explorer.exit_trials(graph, strategy, budget, seed, pending, padding)
         append_jsonl(trials_path, rows)
         all_rows += rows
 
@@ -514,6 +514,8 @@ def cmd_explore_graph(cfg: dict, out: Path, args) -> int:
     for t in range(trials):
         orc = make_oracle(derive_key("oracle", derive_seed(seed, "oracle", t)))
         if query_limit is not None and total_queries >= int(query_limit):
+            for name in ("trials.jsonl", "records.jsonl", "summary.csv"):
+                (out / name).unlink(missing_ok=True)  # an earlier run's results
             finish_meta(out, meta, status="query-limit", completed_trials=t)
             print(f"query limit {query_limit} exhausted after {t} trials", file=sys.stderr)
             return EXIT_BUDGET

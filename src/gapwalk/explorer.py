@@ -14,11 +14,19 @@ it), records every query and answer, classifies the vertex behind each query
 generator when the budget is spent or the watched exit fires, and is the
 record `run_exploration` returns.  Scoring never leaks back into the strategy.
 
+Every trial runs through one loop, `drive`: it runs a list of sessions in
+lockstep, and at each step labels the neighbours that every live session's
+next counted query needs, across all their oracles, in one `OracleWindow`
+batch before it makes the queries.  `exit_trials` drives windows of EXIT_WINDOW exit trials
+over one shared tree; `ExplorationSession.run` (explore-graph, ggsp,
+`run_exploration`) is `drive` over one session.  Sessions share nothing but
+the graph's caches, so each record is the one its trial would have alone.
+
 Scoring works by canonical index: `reveal_index` on the trusted oracle (a memo
-hit for every label that came out of an answer), then `classify_index` reads a
-per-index cache on the graph, next to its neighbor cache, so a vertex is
-classified once per graph, not once per query.  A sealed oracle refuses
-`reveal_index`, so it still refuses scoring.
+hit for every label that came out of an answer), then `classify_index` reads
+the graph's per-index walk cache (`index_info`), the one the neighbour lookups
+fill, so a vertex is walked to once per graph, not once per query.  A sealed
+oracle refuses `reveal_index`, so it still refuses scoring.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ from typing import Callable, Optional, Sequence, Union
 from ._util import binomial_stderr, derive_key, derive_seed, wilson_interval
 from .graph_model import (
     DECOR,
-    INDEX_CACHE_CAP,
     IsolatedVertex,
     MainGraph,
     Schedule,
@@ -42,7 +49,7 @@ from .graph_model import (
     classify_address,
     leaf_level,
 )
-from .oracle import GuidingSpec, LabeledOracle, input_sampler
+from .oracle import GuidingSpec, LabeledOracle, OracleWindow, input_sampler
 
 
 class UnknownStrategyError(ValueError):
@@ -108,22 +115,20 @@ def classify_vertex(graph: Union[TreeGraph, MainGraph], v: Vertex) -> dict:
 
 
 _ISOLATED = {"kind": "isolated"}
+_INTERNAL = {"kind": "internal"}
+_EXPANDER = {"kind": "expander"}
 
 
 def classify_index(graph: Union[TreeGraph, MainGraph], index: int) -> dict:
     """`classify_vertex` of the vertex at a canonical index (isolated past
-    `num_nonisolated`).  It depends on the index alone, so it is cached on the
-    graph next to the neighbor cache and shared by every labeling and trial;
-    callers must not mutate the returned dict."""
+    `num_nonisolated`), read from the graph's per-index walk cache with no
+    vertex built; callers must not mutate the returned dict."""
     if index >= graph.num_nonisolated:
         return _ISOLATED
-    cache = graph._class_cache
-    info = cache.get(index)
-    if info is None:
-        info = classify_vertex(graph, graph.vertex_at(index))
-        if len(cache) < INDEX_CACHE_CAP:
-            cache[index] = info
-    return info
+    info = graph.index_info(index)
+    if info.leaf_level is not None:
+        return {"kind": "leaf", "level": info.leaf_level, "decoration": info.decoration, "tree": info.tree}
+    return _EXPANDER if info.tree is None else _INTERNAL
 
 
 class ExplorationSession:
@@ -145,6 +150,7 @@ class ExplorationSession:
         self.root_answers: dict[int, tuple] = {}
         self.halted = "done"
         self.output: Optional[int] = None
+        self.pending: Optional[tuple] = None  # set by `start`
 
     @property
     def query_count(self) -> int:
@@ -182,17 +188,6 @@ class ExplorationSession:
             return None
         return answer
 
-    def _answer(self, request: int) -> Optional[tuple]:
-        kind = type(request)
-        if kind is Root:
-            label = int(request)
-            if label in self.root_answers:
-                return self.root_answers[label]
-            return self.query(label, is_root=True)
-        if kind is Fresh:
-            return self.query(int(request), fresh=True)
-        return self.query(request)
-
     def _score(self, label: int, step: int) -> bool:
         """Record the events of one query; True when it hit an exit leaf."""
         info = classify_index(self.oracle.graph, self.oracle.reveal_index(label))
@@ -213,23 +208,95 @@ class ExplorationSession:
                 return True
         return False
 
-    def run(self, strategy: Callable, roots: Sequence[int], rng: random.Random, query_roots: bool) -> "ExplorationSession":
-        """The one per-trial path: optionally query every root first (counted),
-        then drive the strategy's generator until it returns (its value is the
-        output) or the run is over (the generator is closed, no output)."""
-        if query_roots:
-            for r in roots:
-                if self.query(r, is_root=True) is None:
-                    return self
-        gen = strategy(list(roots), rng, self.oracle.num_labels)
-        try:
-            request = next(gen)
-            while (answer := self._answer(request)) is not None:
-                request = gen.send(answer)
-            gen.close()
-        except StopIteration as stop:
-            self.output = stop.value
+    def start(self, strategy: Callable, roots: Sequence[int], rng: random.Random, query_roots: bool) -> "ExplorationSession":
+        """Arm the run for `drive`: the roots' counted queries first when
+        `query_roots` is set, then the strategy's generator.  `pending` holds
+        the next counted query as (label, fresh, is_root), None once the run
+        is over."""
+        self._gen = strategy(list(roots), rng, self.oracle.num_labels)
+        self._root_queries = list(roots)[::-1] if query_roots else []
+        self._reply = None
+        self._advance()
         return self
+
+    def run(self, strategy: Callable, roots: Sequence[int], rng: random.Random, query_roots: bool) -> "ExplorationSession":
+        """One strategy run: `drive` over this session alone."""
+        drive([self.start(strategy, roots, rng, query_roots)])
+        return self
+
+    def _advance(self):
+        """Run the generator to its next counted query (a recorded root answer
+        costs none), or end the run: the generator returned (its value is the
+        output) or the budget is spent (the generator is closed, no output)."""
+        self._prelude = bool(self._root_queries)
+        if self._prelude:
+            request = (self._root_queries.pop(), False, True)
+        else:
+            while True:
+                try:
+                    request = self._gen.send(self._reply)
+                except StopIteration as stop:
+                    self.output = stop.value
+                    self.pending = None
+                    return
+                kind = type(request)
+                if kind is Root:
+                    label = int(request)
+                    if label in self.root_answers:
+                        self._reply = self.root_answers[label]
+                        continue
+                    request = (label, False, True)
+                elif kind is Fresh:
+                    request = (int(request), True, False)
+                else:
+                    request = (request, False, False)
+                break
+        if len(self.steps) >= self.budget:
+            self.halted = "budget"
+            self._end()
+        else:
+            self.pending = request
+
+    def _end(self):
+        self._gen.close()
+        self.pending = None
+
+    def answer(self):
+        """Make the pending counted query, hand its answer to the generator
+        (a root's first query only records it) and advance."""
+        label, fresh, is_root = self.pending
+        answer = self.query(label, fresh, is_root)
+        if answer is None:  # the watched exit fired
+            self._end()
+            return
+        if not self._prelude:
+            self._reply = answer
+        self._advance()
+
+
+def drive(sessions: Sequence[ExplorationSession], window: Optional[OracleWindow] = None) -> None:
+    """The one trial loop: run armed sessions (`ExplorationSession.start`)
+    in lockstep to their ends.  At each step with more than one live session
+    it collects the neighbours that every live session's next counted query
+    will answer with and that its oracle's memo lacks, labels all of them
+    through one `OracleWindow`, and only then makes the queries, which read
+    the memos; a lone session's query labels its own neighbours, at the same
+    cost.  Each session keeps its own oracle, budget, generator and
+    `random.Random`, so its record is the one it would have run to alone.
+    `window` holds the sessions' oracles in order (built here when needed)."""
+    live = [(row, s) for row, s in enumerate(sessions) if s.pending is not None]
+    while live:
+        if len(live) > 1:
+            window = window or OracleWindow([s.oracle for s in sessions])
+            rows, wanted = [], []
+            for row, s in live:
+                missing = s.oracle.unlabeled_neighbors(s.pending[0])
+                rows.extend([row] * len(missing))
+                wanted.extend(missing)
+            window.label(rows, wanted)
+        for _, s in live:
+            s.answer()
+        live = [(row, s) for row, s in live if s.pending is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -372,40 +439,56 @@ class ExitEstimate:
 RESTRICTED_W = (1, 2)
 
 
+# Trials run in lockstep windows of this many (`exit_trials`): enough for one
+# `forward_array` call per step to label a few hundred neighbours (its fixed
+# cost is that of about 15 scalar labels), few enough that a window's sessions
+# stay small in memory.
+EXIT_WINDOW = 128
+
+
 def exit_trials(
-    schedule: Schedule,
-    level: int,
+    graph: TreeGraph,
     strategy: Union[str, Callable],
     budget: int,
     seed: int,
     indices: Sequence[int],
     padding_ratio: float,
 ) -> list[dict]:
-    """Run the exit trials `indices` on a standalone level-`level` tree, each
-    from the root under its own labeling key and stopping at the exit event;
-    one row per trial (exit flag, distinct level-1 decorations, queries)."""
-    name, _ = resolve_strategy(strategy)
-    graph = TreeGraph(schedule, level)
+    """Run the exit trials `indices` on a standalone tree, each from the root
+    under its own labeling key and stopping at the exit event, in lockstep
+    windows of EXIT_WINDOW trials (`drive`); one row per trial (exit flag,
+    distinct level-1 decorations, queries)."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    name, fn = resolve_strategy(strategy)
+    root = graph.index_of(graph.root)
+    indices = list(indices)
     rows = []
-    for t in indices:
-        orc = LabeledOracle(graph, derive_key("exit-trial", seed, t), padding_ratio=padding_ratio)
-        session = run_exploration(
-            orc,
-            [orc.label_of(graph.root)],
-            strategy,
-            budget,
-            seed=derive_seed(seed, t),
-            stop_on_exit=True,
-        )
-        rows.append(
-            {
-                "trial": t,
-                "strategy": name,
-                "exit": int(session.halted == "exit"),
-                "distinct_decorations": _distinct_level1_decorations(session),
-                "queries": session.query_count,
-            }
-        )
+    for w in range(0, len(indices), EXIT_WINDOW):
+        trials = indices[w : w + EXIT_WINDOW]
+        oracles = [
+            LabeledOracle(graph, derive_key("exit-trial", seed, t), padding_ratio=padding_ratio)
+            for t in trials
+        ]
+        window = OracleWindow(oracles)
+        window.label(range(len(trials)), [root] * len(trials))
+        sessions = []
+        for t, orc in zip(trials, oracles):
+            trial_seed = derive_seed(seed, t)
+            session = ExplorationSession(orc, budget, trial_seed, name, stop_on_exit=True)
+            rng = random.Random(derive_seed("strategy", trial_seed))
+            sessions.append(session.start(fn, [orc.label_of(graph.root)], rng, query_roots=True))
+        drive(sessions, window)
+        for t, session in zip(trials, sessions):
+            rows.append(
+                {
+                    "trial": t,
+                    "strategy": name,
+                    "exit": int(session.halted == "exit"),
+                    "distinct_decorations": _distinct_level1_decorations(session),
+                    "queries": session.query_count,
+                }
+            )
     return rows
 
 
@@ -427,7 +510,7 @@ def estimate_exit_probability(
     queried (trials stop at the exit event, so the tally is the count at that
     moment).
     """
-    rows = exit_trials(schedule, level, strategy, budget, seed, range(trials), padding_ratio)
+    rows = exit_trials(TreeGraph(schedule, level), strategy, budget, seed, range(trials), padding_ratio)
     exits = [r["distinct_decorations"] for r in rows if r["exit"]]
     return ExitEstimate(
         schedule=schedule,

@@ -354,15 +354,6 @@ def count_tree_vertices(schedule: Schedule, k: int) -> int:
     return _tree_count(schedule.degrees, schedule.depths, k)
 
 
-def count_main_nonisolated(params: GraphParams) -> int:
-    """Exact non-isolated vertex count of the assembled graph."""
-    per_anchor = 1 + sum(
-        params.schedule.decoration_count(k) * count_tree_vertices(params.schedule, k)
-        for k in params.attached_levels()
-    )
-    return params.expander_size * per_anchor
-
-
 # ---------------------------------------------------------------------------
 # canonical ranking of tree nodes (preorder; children in canonical order)
 # ---------------------------------------------------------------------------
@@ -455,6 +446,62 @@ class _SubtreeSizes:
                 raise InvalidAddressError("rank walk escaped decoration blocks")
         return tuple(hops)
 
+    def walk(self, r: int, offset: int, up: Optional[int]) -> tuple[tuple, Optional[int], Optional[tuple]]:
+        """One walk from the root to the node at rank r, with no address built:
+        (its neighbours' ranks plus `offset`, in `neighbors` order: the parent,
+        or `up` at the root when given, then the children; its leaf level as
+        `leaf_level` gives it, or None for an internal node; the address
+        prefix up to its first decoration hop, for leaves only).  The caller
+        checks that r is in range."""
+        sched, sizes = self.schedule, self.sizes
+        branching_of, decoration_levels_of = sched._branching_of, sched._decoration_levels_of
+        decoration_count_of = sched._decoration_count_of
+        seg, depth, pos, parent = self.k, 0, 0, up
+        core_path, first_decoration = [], None
+        while pos != r:
+            parent = pos + offset
+            rest = r - pos - 1
+            child_size = sizes[seg][depth + 1]
+            core_block = branching_of[seg] * child_size
+            if rest < core_block:
+                t = rest // child_size
+                pos += 1 + t * child_size
+                depth += 1
+                if first_decoration is None:
+                    core_path.append(t)
+                continue
+            rest -= core_block
+            pos += 1 + core_block
+            for lvl in decoration_levels_of[seg]:
+                size = sizes[lvl][0]
+                block = decoration_count_of[lvl] * size
+                if rest < block:
+                    slot = rest // size
+                    pos += slot * size
+                    if first_decoration is None:
+                        first_decoration = decoration_hop(lvl, slot)
+                    seg, depth = lvl, 0
+                    break
+                rest -= block
+                pos += block
+            else:
+                raise InvalidAddressError("rank walk escaped decoration blocks")
+        neighbors = [] if parent is None else [parent]
+        if depth == sched._depth_of[seg]:
+            prefix = None
+            if first_decoration is not None:
+                prefix = tuple(core_hop(t) for t in core_path) + (first_decoration,)
+            return tuple(neighbors), self.k - seg, prefix
+        child_size = sizes[seg][depth + 1]
+        first = r + 1 + offset
+        neighbors.extend(range(first, first + branching_of[seg] * child_size, child_size))
+        first += branching_of[seg] * child_size
+        for lvl in decoration_levels_of[seg]:
+            size = sizes[lvl][0]
+            neighbors.extend(range(first, first + decoration_count_of[lvl] * size, size))
+            first += decoration_count_of[lvl] * size
+        return tuple(neighbors), None, None
+
 
 @lru_cache(maxsize=None)
 def _sizes_for(degrees: tuple, depths: tuple, k: int) -> _SubtreeSizes:
@@ -465,17 +512,34 @@ def _sizes_for(degrees: tuple, depths: tuple, k: int) -> _SubtreeSizes:
 # graph instances
 # ---------------------------------------------------------------------------
 
+class IndexInfo(NamedTuple):
+    """What one walk from the root learns about the vertex at a canonical index."""
+
+    neighbors: tuple  # canonical indices, in `neighbors` order
+    tree: Optional[tuple]  # (anchor, level, copy) of its tree; None on the core
+    leaf_level: Optional[int]  # as `leaf_level` gives it; None unless a leaf
+    decoration: Optional[tuple]  # a leaf's address prefix to its first decoration hop
+
+
+def _index_info(graph, index: int) -> IndexInfo:
+    """`IndexInfo` of the vertex at `index`, cached per index, since the
+    index-level topology is shared by every labeling.  Bound as the
+    `index_info` method of both instance classes."""
+    info = graph._info_cache.get(index)
+    if info is None:
+        if not 0 <= index < graph.num_nonisolated:
+            raise InvalidVertexError(f"index {index} out of range")
+        info = graph._walk(index)
+        if len(graph._info_cache) < INDEX_CACHE_CAP:
+            graph._info_cache[index] = info
+    return info
+
+
 def _neighbor_indices(graph, index: int) -> tuple:
-    """Canonical indices of the neighbors of the vertex at `index`; cached,
-    since the index-level topology is shared by every labeling.  Bound as the
-    `neighbor_indices` method of both instance classes."""
-    cached = graph._nbr_cache.get(index)
-    if cached is None:
-        v = graph.vertex_at(index)
-        cached = tuple(graph.index_of(w) for w in graph.neighbors(v))
-        if len(graph._nbr_cache) < INDEX_CACHE_CAP:
-            graph._nbr_cache[index] = cached
-    return cached
+    """Canonical indices of the neighbors of the vertex at `index`.  Bound as
+    the `neighbor_indices` method of both instance classes."""
+    info = graph._info_cache.get(index)
+    return (info or graph.index_info(index)).neighbors
 
 
 def _vertex_leaf_level(graph, v: Vertex) -> Optional[int]:
@@ -511,10 +575,14 @@ class TreeGraph:
                 f"exceeds the ranking cap 2^{RANKING_CAP.bit_length() - 1}"
             )
         self._sizes = _sizes_for(self.schedule.degrees, self.schedule.depths, k)
-        self._nbr_cache: dict[int, tuple] = {}
-        self._class_cache: dict[int, dict] = {}  # explorer.classify_index
+        self._info_cache: dict[int, IndexInfo] = {}
 
+    index_info = _index_info
     neighbor_indices = _neighbor_indices
+
+    def _walk(self, index: int) -> IndexInfo:
+        neighbors, leaf, decoration = self._sizes.walk(index, 0, None)
+        return IndexInfo(neighbors, (0, self.k, 0), leaf, decoration)
 
     @property
     def root(self) -> TreeVertex:
@@ -592,10 +660,20 @@ class MainGraph:
             self._block_offsets.append((k, c, acc, self._tree_sizes[k]))
             acc += c * self._tree_sizes[k]
         self._bfs_cache: dict[int, list[int]] = {}
-        self._nbr_cache: dict[int, tuple] = {}
-        self._class_cache: dict[int, dict] = {}  # explorer.classify_index
+        self._info_cache: dict[int, IndexInfo] = {}
 
+    index_info = _index_info
     neighbor_indices = _neighbor_indices
+
+    def _walk(self, index: int) -> IndexInfo:
+        self._require_ranking()
+        if index < self.expander.N:
+            first = self.expander.N + index * (self.per_anchor - 1)
+            roots = [first + off - 1 + j * size for _, c, off, size in self._block_offsets for j in range(c)]
+            return IndexInfo(tuple(self.expander.adjacency[index]) + tuple(roots), None, None, None)
+        anchor, k, copy, inner = self._tree_block(index)
+        neighbors, leaf, decoration = self._rankers[k].walk(inner, index - inner, anchor)
+        return IndexInfo(neighbors, (anchor, k, copy), leaf, decoration)
 
     # -- structure ---------------------------------------------------------
 
@@ -705,17 +783,21 @@ class MainGraph:
             raise InvalidVertexError(f"index {index} out of range")
         if index < self.expander.N:
             return ExpanderVertex(index)
-        r = index - self.expander.N
-        anchor, r = divmod(r, self.per_anchor - 1)
+        anchor, k, copy, inner = self._tree_block(index)
+        return TreeVertex(anchor, k, copy, self._rankers[k].unrank(inner))
+
+    def _tree_block(self, index: int) -> tuple[int, int, int, int]:
+        """(anchor, level, copy, rank within the tree) of a tree vertex's index."""
+        anchor, r = divmod(index - self.expander.N, self.per_anchor - 1)
         r += 1
         for k, c, off, size in self._block_offsets:
             if r < off + c * size:
                 copy, inner = divmod(r - off, size)
-                return TreeVertex(anchor, k, copy, self._rankers[k].unrank(inner))
+                return anchor, k, copy, inner
         raise InvalidVertexError("index walk escaped anchor block")
 
     def _require_ranking(self):
-        if not self._rankers:
+        if self.num_nonisolated > RANKING_CAP:
             raise SizeCapError(
                 f"instance with a ~{self.num_nonisolated.bit_length()}-bit vertex "
                 f"count exceeds the ranking cap 2^{RANKING_CAP.bit_length() - 1}"
@@ -799,23 +881,3 @@ def top_eigenpairs(adjacency) -> tuple[float, float, np.ndarray, float, float]:
     r1 = float(np.linalg.norm(a @ v1 - lam1 * v1) / np.linalg.norm(v1))
     r2 = float(np.linalg.norm(a @ v2 - lam2 * v2) / np.linalg.norm(v2))
     return lam1, lam2, v1, r1, r2
-
-
-def shortest_path(adjacency: list, source: int, target: int) -> list[int]:
-    """One shortest path (vertex index sequence) via BFS parents."""
-    parent = {source: source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        if u == target:
-            break
-        for w in adjacency[u]:
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    if target not in parent:
-        raise InvalidVertexError("target unreachable")
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    return path[::-1]

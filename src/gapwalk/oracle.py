@@ -11,11 +11,18 @@ budget.  Vertex identities come back out only through `reveal`/`reveal_index`
 on the trusted object, used for post-hoc scoring.
 
 The trusted object memoizes every index <-> label pair it has mapped, both
-ways, so a label runs through the Feistel map at most once per oracle (in
-practice once per trial): a walk queries labels that came out of earlier
-answers, and the parent of a vertex appears in each of its answers.
-`query`, `label_of`, `reveal` and `reveal_index` all read the memo first.  The
-memo is private to the oracle; strategies gain nothing from it.
+ways, so a label runs through the Feistel map at most once per oracle, that is
+once per trial: a walk queries labels that came out of earlier answers, and the
+parent of a vertex appears in each of its answers.  `query`, `label_of`,
+`reveal` and `reveal_index` all read the memo first.  The memo is private to
+the oracle; strategies gain nothing from it.
+
+An `OracleWindow` fills the memos of many oracles of one label width at once:
+the trial loop (`explorer.drive`) collects, for every live trial of a
+window, the neighbours its next query will answer with and its memo lacks,
+and maps them all in one `forward_array` call of a `KeyedColumns` map, where
+each element runs under its own trial's subkeys.  The labels, and the number
+of labels mapped, are those the trials would map one by one.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -91,6 +98,7 @@ class FeistelPermutation:
         masks = ((1 << self.left_bits) - 1, self._right_mask)
         self._forward_rounds = tuple((sk, masks[r % 2]) for r, sk in enumerate(self.subkeys))
         self._inverse_rounds = self._forward_rounds[::-1]
+        self.round_keys = np.array(self.subkeys, dtype=np.uint64)
 
     def forward(self, x: int) -> int:
         if not 0 <= x < self.size:
@@ -119,13 +127,17 @@ class FeistelPermutation:
         return (left << self.right_bits) | right
 
     # Vectorized twins (bit-identical to the scalar path; cross-checked by tests).
+    # `round_keys` holds one subkey per round, or, in a `KeyedColumns` map, one
+    # row of per-element subkeys per round.
 
     def forward_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.uint64)
         wl, wr = self.left_bits, self.right_bits
         left, right = x >> np.uint64(wr), x & np.uint64((1 << wr) - 1)
-        for sk in self.subkeys:
-            new_right = (left ^ _mix64_array(np.uint64(sk) ^ right)) & np.uint64((1 << wl) - 1)
+        for sk in self.round_keys:
+            new_right = _mix64_array(sk ^ right)
+            new_right ^= left
+            new_right &= np.uint64((1 << wl) - 1)
             left, right = right, new_right
             wl, wr = wr, wl
         return (left << np.uint64(wr)) | right
@@ -134,18 +146,35 @@ class FeistelPermutation:
         y = np.asarray(y, dtype=np.uint64)
         wl, wr = self.left_bits, self.right_bits
         left, right = y >> np.uint64(wr), y & np.uint64((1 << wr) - 1)
-        for sk in reversed(self.subkeys):
+        for sk in self.round_keys[::-1]:
             wl, wr = wr, wl
-            left, right = (right ^ _mix64_array(np.uint64(sk) ^ left)) & np.uint64((1 << wl) - 1), left
+            new_left = _mix64_array(sk ^ left)
+            new_left ^= right
+            new_left &= np.uint64((1 << wl) - 1)
+            left, right = new_left, left
         return (left << np.uint64(wr)) | right
 
 
+class KeyedColumns(FeistelPermutation):
+    """Array paths only: element i of the input runs under its own key, whose
+    subkeys are column i of `round_keys` (rounds x elements), so the labels of
+    many oracles of one width come out of one `forward_array` call."""
+
+    def __init__(self, bits: int, round_keys: np.ndarray):
+        self.bits = bits
+        self.left_bits = bits // 2
+        self.right_bits = bits - self.left_bits
+        self.round_keys = round_keys
+
+
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    x = (x + np.uint64(_GOLDEN))
+    """splitmix64 finaliser of x + golden, in place: x must be an array the
+    caller owns."""
+    x += np.uint64(_GOLDEN)
     x ^= x >> np.uint64(30)
-    x = x * np.uint64(_MIX1)
+    x *= np.uint64(_MIX1)
     x ^= x >> np.uint64(27)
-    x = x * np.uint64(_MIX2)
+    x *= np.uint64(_MIX2)
     x ^= x >> np.uint64(31)
     return x
 
@@ -236,7 +265,18 @@ class LabeledOracle:
         idx = self._index(label)
         if idx >= self.num_nonisolated:
             return ()
-        return tuple(sorted(map(self._label, self.graph.neighbor_indices(idx))))
+        have, label = self._label_at, self._label
+        neighbors = self.graph.neighbor_indices(idx)
+        return tuple(sorted([have[j] if j in have else label(j) for j in neighbors]))
+
+    def unlabeled_neighbors(self, label: int) -> list[int]:
+        """Indices whose labels an answer to `label` needs and the memo lacks;
+        uncounted (an `OracleWindow` labels them before the query is made)."""
+        idx = self._index(label)
+        if idx >= self.num_nonisolated:
+            return []
+        have = self._label_at
+        return [j for j in self.graph.neighbor_indices(idx) if j not in have]
 
     # -- persistence ---------------------------------------------------------
 
@@ -259,6 +299,40 @@ class LabeledOracle:
             desc["girth_floor"] = g.params.girth_floor
             desc["expander_file"] = expander_file
         return desc
+
+
+# Below this many labels a batch maps each label with the scalar `forward`: one
+# `forward_array` call costs about as much as 15 scalar labels, whatever its size
+# up to a few hundred elements.
+ARRAY_MIN_LABELS = 16
+
+
+class OracleWindow:
+    """Oracles of one label width, one per trial of a window, whose memo misses
+    are labeled together: one `forward_array` call per batch, each element
+    under its own oracle's subkeys (a rounds x window matrix built once)."""
+
+    def __init__(self, oracles: Sequence[LabeledOracle]):
+        self.oracles = list(oracles)
+        widths = {o.label_bits for o in self.oracles}
+        if len(widths) != 1:
+            raise LabelSpaceError(f"a window needs one label width, got {sorted(widths)}")
+        self.bits = widths.pop()
+        self._round_keys = np.stack([o.perm.round_keys for o in self.oracles], axis=1)
+
+    def label(self, rows: Sequence[int], indices: Sequence[int]) -> None:
+        """Memoize the label of `indices[i]` in oracle `rows[i]`; each pair must
+        be missing from its memo and appear once."""
+        if len(indices) < ARRAY_MIN_LABELS:
+            for row, index in zip(rows, indices):
+                self.oracles[row]._label(index)
+            return
+        perm = KeyedColumns(self.bits, self._round_keys[:, rows])
+        labels = perm.forward_array(np.array(indices, dtype=np.uint64)).tolist()
+        for row, index, label in zip(rows, indices, labels):
+            oracle = self.oracles[row]
+            oracle._label_at[index] = label
+            oracle._index_at[label] = index
 
 
 def build_oracle(

@@ -269,9 +269,33 @@ def test_explore_graph_records_and_audit(tmp_path):
 
 
 def test_explore_graph_query_limit_exit_3(tmp_path):
+    out = tmp_path / "o"
+    cfg = graph_cfg(tmp_path, {"strategy": "greedy-unvisited", "trials": 20, "budget": 10})
+    assert run(["explore-graph", "--config", cfg, "--out", out]) == cli.EXIT_OK
     cfg = graph_cfg(tmp_path, {"strategy": "greedy-unvisited", "trials": 50,
                                "budget": 10, "query_limit": 15})
-    assert run(["explore-graph", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_BUDGET
+    assert run(["explore-graph", "--config", cfg, "--out", out]) == cli.EXIT_BUDGET
+    # The earlier run's results must not read as this run's.
+    for name in ("trials.jsonl", "records.jsonl", "summary.csv"):
+        assert not (out / name).exists(), name
+    assert json.loads((out / "meta.json").read_text())["status"] == "query-limit"
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("explore-graph", {"strategy": "greedy-unvisited", "trials": 5, "budget": 6, "threshold": 2}),
+    ("ggsp", {"algorithm": "walk-from-input", "trials": 5, "t": 2, "budget": 6, "threshold": 2}),
+])
+def test_one_level_instance_runs(tmp_path, command, extra):
+    """A core with no attached trees is far below the ranking cap."""
+    cfg = write_config(tmp_path, "c.json", dict(
+        extra, seed=8, guiding="exact-ground-state",
+        instance={"mode": "scaled", "degrees": [3], "depths": [2], "expander": {"petersen": True},
+                  "padding_ratio": 0.0625},
+    ))
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", out]) == cli.EXIT_OK
+    rows = [json.loads(l) for l in (out / "trials.jsonl").read_text().splitlines()]
+    assert [r["trial"] for r in rows] == list(range(5))
 
 
 def test_ggsp_echo_and_cheat(tmp_path):
@@ -308,6 +332,12 @@ PETERSEN_INSTANCE = {"mode": "scaled", "degrees": [4, 3], "depths": [1, 2],
                      "expander": {"petersen": True}, "padding_ratio": 0.0625}
 GGSP_GOLDEN = {"instance": PETERSEN_INSTANCE, "trials": 20, "t": 3, "budget": 6,
                "threshold": 2, "guiding": "exact-ground-state", "seed": 8}
+# More trials than one lockstep window (explorer.EXIT_WINDOW).
+TREE_WINDOWS = {"schedule": {"degrees": [5, 4, 3], "depths": [1, 2, 3]}, "level": 3,
+                "strategies": list(ex.EXPLORATION_STRATEGIES), "budget": 8, "trials": 150,
+                "seed": 12}
+# Cases first run with this many trials, then resumed to the config's count.
+RESUME_FROM = {"explore-tree:resume": 101}
 
 # SHA-256 of (records.jsonl, trials.jsonl) written by the pinned configs; a
 # refactor that changes any row, byte or trial order changes these.
@@ -325,6 +355,18 @@ GOLDEN = {
          "strategies": list(ex.EXPLORATION_STRATEGIES), "budget": 8, "trials": 40, "seed": 12},
         "d020a287d480fc7ba24587e146bbbd49c08ed672b7115ad92b7119597cf14b89",
         "61c0c2d89b9f95f9b7b0847eb5b1a81fa8f62c9c7213ae750cee71ccc50bc988",
+    ),
+    "explore-tree:windows": (
+        TREE_WINDOWS,
+        "cf502510f325b11abd4fd5e48c67aa2a764a68ede0248432908081ee2f2e5483",
+        "c20adcbb2c879e61210c7be00a0aae7cee5bc3061be31d2f6efc2ef570dd6b7d",
+    ),
+    # Resumed at trial 101, inside the clean run's first window; each
+    # strategy's trials 101-149 are appended after all first 101 rows.
+    "explore-tree:resume": (
+        TREE_WINDOWS,
+        "cf502510f325b11abd4fd5e48c67aa2a764a68ede0248432908081ee2f2e5483",
+        "7008835949b3fca28902562839bb495c4c063e49a17ecd5e58dddc912e43f136",
     ),
     "explore-graph": (
         {"instance": PETERSEN_INSTANCE, "strategy": "greedy-unvisited", "roots": 2,
@@ -365,7 +407,11 @@ def test_outputs_match_golden_digests(tmp_path, case):
     cfg, records_sha, trials_sha = GOLDEN[case]
     out = tmp_path / "o"
     command = case.split(":")[0]
-    assert run([command, "--config", write_config(tmp_path, "c.json", cfg), "--out", out]) == cli.EXIT_OK
+    assert cfg is not TREE_WINDOWS or cfg["trials"] > ex.EXIT_WINDOW
+    argv = [command, "--config", write_config(tmp_path, "c.json", cfg), "--out", out]
+    if case in RESUME_FROM:
+        assert run(argv + ["--trials", RESUME_FROM[case]]) == cli.EXIT_OK
+    assert run(argv) == cli.EXIT_OK
     for name, expected in (("records.jsonl", records_sha), ("trials.jsonl", trials_sha)):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
 

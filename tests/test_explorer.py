@@ -2,8 +2,10 @@ import json
 import math
 import random
 from functools import lru_cache
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gapwalk import (
     bounds as bd,
@@ -12,7 +14,8 @@ from gapwalk import (
     graph_model as gm,
     oracle as orc,
 )
-from gapwalk._util import derive_key
+from gapwalk._util import derive_key, derive_seed
+from conftest import schedules
 
 
 def make_tree_oracle(degrees, depths, k, key_tag="t"):
@@ -183,6 +186,59 @@ def test_depth_one_tree_exits_immediately():
     for strategy in ex.EXPLORATION_STRATEGIES:
         est = ex.estimate_exit_probability(sched, 1, strategy, budget=2, trials=100, seed=1)
         assert est.exit.p_hat == 1.0
+
+
+def _one_session_per_trial(graph, strategy, budget, seed, trials, padding_ratio):
+    """Reference exit rows: each trial's `ExplorationSession` driven alone by
+    a plain loop over its counted `query` (the roots first, then the
+    strategy's requests), with no `drive` and no batched labels."""
+    rows = []
+    for t in trials:
+        o = orc.build_oracle(graph, derive_key("exit-trial", seed, t), padding_ratio=padding_ratio)
+        name, fn = ex.resolve_strategy(strategy)
+        session = ex.ExplorationSession(o, budget, derive_seed(seed, t), name, stop_on_exit=True)
+        roots = [o.label_of(graph.root)]
+        rng = random.Random(derive_seed("strategy", derive_seed(seed, t)))
+        if all(session.query(r, is_root=True) is not None for r in roots):
+            gen = fn(list(roots), rng, o.num_labels)
+            try:
+                request = next(gen)
+                while True:
+                    label = int(request)
+                    if type(request) is ex.Root and label in session.root_answers:
+                        answer = session.root_answers[label]
+                    else:
+                        answer = session.query(
+                            label, fresh=type(request) is ex.Fresh, is_root=type(request) is ex.Root
+                        )
+                    if answer is None:
+                        break
+                    request = gen.send(answer)
+            except StopIteration:
+                pass
+        rows.append({
+            "trial": t,
+            "strategy": name,
+            "exit": int(session.halted == "exit"),
+            "distinct_decorations": ex._distinct_level1_decorations(session),
+            "queries": session.query_count,
+        })
+    return rows
+
+
+@given(
+    schedule=schedules(max_depth=3),
+    strategy=st.sampled_from(sorted(ex.STRATEGIES)),
+    budget=st.integers(1, 12),
+    seed=st.integers(0, 1 << 32),
+    trials=st.lists(st.integers(0, 1000), min_size=1, max_size=12, unique=True),
+    window=st.sampled_from([1, 2, ex.EXIT_WINDOW]),
+)
+def test_lockstep_rows_match_one_session_per_trial(schedule, strategy, budget, seed, trials, window):
+    graph = gm.TreeGraph(schedule, schedule.levels)
+    with mock.patch.object(ex, "EXIT_WINDOW", window):
+        rows = ex.exit_trials(graph, strategy, budget, seed, trials, 0.25)
+    assert rows == _one_session_per_trial(graph, strategy, budget, seed, trials, 0.25)
 
 
 def _exact_nb_exit_probability(degrees, depths, k, budget):

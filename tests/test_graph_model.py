@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
-from gapwalk import expander_gen, graph_model as gm
+from gapwalk import expander_gen, explorer as ex, graph_model as gm
 from conftest import build_decorated_tree_topdown, schedules
 
 
@@ -175,7 +176,6 @@ def test_standard_count_within_stated_ceiling():
 
 
 def test_main_nonisolated_count(small_instance):
-    assert gm.count_main_nonisolated(small_instance.params) == small_instance.num_nonisolated
     assert small_instance.num_nonisolated == 10 * (1 + 5 + 33)
 
 
@@ -275,10 +275,57 @@ def test_intermediate_decoration_degree_law(r):
         assert deg == 1 or deg == expected
 
 
+# -- the index walk ------------------------------------------------------------
+
+def _check_index_walk(graph, indices):
+    """The walk's neighbours and classification against the address path."""
+    for i in indices:
+        v = graph.vertex_at(i)
+        assert graph.index_info(i).neighbors == tuple(graph.index_of(w) for w in graph.neighbors(v))
+        assert ex.classify_index(graph, i) == ex.classify_vertex(graph, v)
+
+
+@given(schedules(max_degree=5, max_depth=3))
+def test_index_walk_matches_addresses_on_trees(schedule):
+    for k in range(1, schedule.levels + 1):
+        assume(gm.count_tree_vertices(schedule, k) <= 3000)
+        tree = gm.TreeGraph(schedule, k)
+        _check_index_walk(tree, range(tree.num_nonisolated))
+
+
+@given(schedule=schedules(max_degree=5, max_depth=3))
+def test_index_walk_matches_addresses_on_petersen(schedule, petersen):
+    # Shift the degrees so the last equals the Petersen core's degree 3.
+    degrees = tuple(d - schedule.degrees[-1] + 3 for d in schedule.degrees)
+    params = gm.GraphParams.scaled(degrees, schedule.depths, expander_size=10)
+    graph = gm.MainGraph(params, petersen)
+    assume(graph.num_nonisolated <= 6000)
+    _check_index_walk(graph, range(graph.num_nonisolated))
+
+
 # -- distances ----------------------------------------------------------------
 
+def _shortest_path(adjacency: list, source: int, target: int) -> list[int]:
+    """One shortest path (vertex index sequence) via BFS parents."""
+    parent = {source: source}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        if u == target:
+            break
+        for w in adjacency[u]:
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    assert target in parent, "target unreachable"
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
 def _bfs_expander_count(mat, u_idx, v_idx):
-    path = gm.shortest_path(mat.adjacency, u_idx, v_idx)
+    path = _shortest_path(mat.adjacency, u_idx, v_idx)
     return sum(1 for i in path if isinstance(mat.vertices[i], gm.ExpanderVertex))
 
 

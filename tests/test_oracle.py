@@ -77,6 +77,44 @@ def test_feistel_scalar_inverts_and_matches_array_path(bits, key, xs):
     assert perm.inverse_array(np.array(ys, dtype=np.uint64)).tolist() == xs
 
 
+@given(
+    bits=st.integers(1, orc.MAX_LABEL_BITS),
+    keys=st.lists(st.binary(min_size=16, max_size=16), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_keyed_columns_match_scalar_forward_per_key(bits, keys, data):
+    perms = [orc.FeistelPermutation(bits, key) for key in keys]
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, len(keys) - 1), st.integers(0, (1 << bits) - 1)), min_size=1, max_size=40,
+    ))
+    rows = [r for r, _ in pairs]
+    xs = np.array([x for _, x in pairs], dtype=np.uint64)
+    columns = orc.KeyedColumns(bits, np.stack([p.round_keys for p in perms], axis=1)[:, rows])
+    ys = columns.forward_array(xs)
+    assert ys.tolist() == [perms[r].forward(x) for r, x in pairs]
+    assert columns.inverse_array(ys).tolist() == xs.tolist()
+
+
+@given(
+    schedule=schedules(),
+    data=st.data(),
+    keys=st.lists(st.binary(min_size=16, max_size=16), min_size=1, max_size=5),
+)
+def test_oracle_window_memoizes_each_oracles_own_labels(schedule, data, keys):
+    """Batches on both sides of ARRAY_MIN_LABELS label each index under its
+    own oracle's key, once."""
+    graph = _small_tree(schedule, data)
+    oracles = [orc.build_oracle(graph, key, padding_ratio=0.25) for key in keys]
+    size = data.draw(st.integers(0, 3 * orc.ARRAY_MIN_LABELS))
+    pair = st.tuples(st.integers(0, len(keys) - 1), st.integers(0, graph.num_nonisolated - 1))
+    pairs = list(dict.fromkeys(data.draw(st.lists(pair, min_size=size, max_size=size))))
+    orc.OracleWindow(oracles).label([r for r, _ in pairs], [i for _, i in pairs])
+    for row, o in enumerate(oracles):
+        indices = {i for r, i in pairs if r == row}
+        assert o._label_at == {i: o.perm.forward(i) for i in indices}
+        assert o._index_at == {label: i for i, label in o._label_at.items()}
+
+
 # -- oracle construction ------------------------------------------------------
 
 def test_label_space_sizing(tree_oracle):
