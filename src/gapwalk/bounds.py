@@ -30,17 +30,6 @@ class BoundReport:
     vacuous: bool = False
     flags: tuple = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": {k: repr(v) if not isinstance(v, (int, float, str)) else v
-                       for k, v in self.inputs.items()},
-            "value": self.value,
-            "log2_value": self.log2_value,
-            "vacuous": self.vacuous,
-            "flags": list(self.flags),
-        }
-
 
 def _prob_report(name: str, inputs: dict, log2_value: float, flags: tuple = ()) -> BoundReport:
     vacuous = log2_value >= 0.0
@@ -220,36 +209,32 @@ def gap_sum_bound(delta: float, gamma: float) -> BoundReport:
     )
 
 
-def alpha_bounds(
-    lambda_e: float, max_degree: float, beta: float, tree_count: int
-) -> BoundReport:
-    """Interval for the per-tree self-loop weights:
-    [lambda_E - 2*sqrt(Delta), lambda_E + beta * tree_count / (lambda_E - 2*sqrt(Delta))],
-    where tree_count is the number of attached tree families and Delta bounds
-    their degrees.  Vacuous when lambda_E <= 2*sqrt(Delta)."""
-    if lambda_e <= 0 or max_degree < 0 or beta < 0 or tree_count < 0:
-        raise BoundDomainError("inputs must be non-negative with lambda_E > 0")
-    margin = lambda_e - 2.0 * math.sqrt(max_degree)
-    vacuous = margin <= 0
-    lo = margin
-    hi = lambda_e + (beta * tree_count / margin if not vacuous else math.inf)
-    report = BoundReport(
-        "loop-weight-interval",
-        {"lambda_e": lambda_e, "max_degree": max_degree, "beta": beta,
-         "tree_count": tree_count, "lo": lo, "hi": hi},
-        value=lo,
-        log2_value=None,
-        vacuous=vacuous,
-        flags=("vacuous",) if vacuous else (),
-    )
-    return report
-
-
 def alpha_interval(
     lambda_e: float, max_degree: float, beta: float, tree_count: int
 ) -> tuple[float, float]:
-    rep = alpha_bounds(lambda_e, max_degree, beta, tree_count)
-    return rep.inputs["lo"], rep.inputs["hi"]
+    """Interval for the per-tree self-loop weights:
+    [lambda_E - 2*sqrt(Delta), lambda_E + beta * tree_count / (lambda_E - 2*sqrt(Delta))],
+    where tree_count is the number of attached tree families and Delta bounds
+    their degrees.  The upper end is infinite when lambda_E <= 2*sqrt(Delta)."""
+    if lambda_e <= 0 or max_degree < 0 or beta < 0 or tree_count < 0:
+        raise BoundDomainError("inputs must be non-negative with lambda_E > 0")
+    lo = lambda_e - 2.0 * math.sqrt(max_degree)
+    return lo, lambda_e + (beta * tree_count / lo if lo > 0 else math.inf)
+
+
+def alpha_bounds(
+    lambda_e: float, max_degree: float, beta: float, tree_count: int
+) -> BoundReport:
+    """`alpha_interval`'s lower end as a report; vacuous when it is <= 0."""
+    lo, _ = alpha_interval(lambda_e, max_degree, beta, tree_count)
+    vacuous = lo <= 0
+    return BoundReport(
+        "loop-weight-interval",
+        {"lambda_e": lambda_e, "max_degree": max_degree, "beta": beta, "tree_count": tree_count},
+        value=lo,
+        vacuous=vacuous,
+        flags=("vacuous",) if vacuous else (),
+    )
 
 
 def standard_alpha_interval(n: int) -> tuple[float, float]:

@@ -4,13 +4,32 @@ Configs are single JSON files (nested key/value sections).  Every run writes
 into its output directory:
 
     config.resolved.json   the fully resolved config that produced the results
-    meta.json              wall-clock metadata (the only place timestamps live)
+    meta.json              command, status, effective seed/trials/budget and
+                           timestamps (the only place timestamps live)
     records.jsonl          metric rows, each joined with its analytic bound
-    trials.jsonl           per-trial rows for resumable experiments
+    trials.jsonl           per-trial rows (explore-tree resumes from them)
     summary.csv            plot-ready summary
 
 records.jsonl and trials.jsonl contain no timestamps, so identical config plus
 seed reproduces them byte for byte.
+
+One `Run` owns the output directory.  It resolves --out, the seed and the
+command's counts (--trials, --budget, or their config keys) once; a count
+below 1 is a config error.  Starting a run deletes the files the command
+writes, then writes config.resolved.json and a meta.json with status
+"running", so a failed rerun leaves none of an earlier run's results.
+Result files are written to a temporary name and renamed into place.
+meta.json is rewritten on every exit with the status of the exit code.  A run
+that fails before it starts (no config, no --out, a bad count, a resume
+mismatch) leaves the directory untouched.  expander.txt and
+expander.certificate.json are cleared only by gen-expander, because other
+commands may read a core from there.
+`report` only reads a run: it rewrites summary.csv and nothing else.
+
+explore-tree appends to trials.jsonl and resumes from the rows it finds.  Its
+meta.json carries a resume key, stored before the first row is appended: the
+hash of the config without trials, threads and out, plus the effective seed
+and budget.  Resuming rows under a different key exits 1.
 
 Exit codes: 0 success, 1 usage/config error, 2 certification or verification
 failure, 3 query-budget exhaustion.
@@ -22,14 +41,21 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
+import random
 import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
 
 from . import bounds as bounds_mod
 from . import expander_gen, explorer, graph_model, oracle as oracle_mod, spectral
@@ -41,6 +67,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CERTIFICATION = 2
 EXIT_BUDGET = 3
+
+STATUS = {EXIT_OK: "ok", EXIT_USAGE: "config-error", EXIT_CERTIFICATION: "check-failed",
+          EXIT_BUDGET: "query-limit"}
+
+RECORDS = ("records.jsonl", "summary.csv")
+# Left out of explore-tree's resume key: they never change a trial row.
+RESUME_FREE = ("trials", "threads", "out")
 
 
 class UsageError(ValueError):
@@ -69,11 +102,6 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def resolve_seed(args, cfg: dict) -> int:
-    """--seed if given, else the config's seed, else 0."""
-    return int(args.seed if args.seed is not None else cfg.get("seed", 0))
-
-
 def resolve_out(args, cfg: dict) -> Path:
     out = args.out or cfg.get("out") or os.environ.get(OUT_ENV_VAR)
     if not out:
@@ -85,20 +113,22 @@ def resolve_out(args, cfg: dict) -> Path:
     return path
 
 
-def write_json(path: Path, obj, stable=True):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=stable)
-        fh.write("\n")
+def _integer(name: str, flag, configured) -> int:
+    """The flag if given, else the configured value, as an int."""
+    value = flag if flag is not None else configured
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+
+
+def json_text(obj, sort_keys=True) -> str:
+    return json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n"
 
 
 def jsonl(rows) -> str:
     """One compact, key-sorted JSON object per line."""
     return "".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows)
-
-
-def append_jsonl(path: Path, rows):
-    with open(path, "a") as fh:
-        fh.write(jsonl(rows))
 
 
 def read_jsonl(path: Path) -> list:
@@ -132,43 +162,114 @@ def read_trial_rows(path: Path) -> list:
     return rows
 
 
-def write_records(out: Path, records: list, cfg: dict | None = None):
-    if cfg is not None:
-        tag = config_hash(cfg)[:12]
-        for rec in records:
-            rec.setdefault("config", tag)
-    for rec in records:
-        if rec.get("bound") is None and "unbounded" not in rec.get("flags", []):
-            rec.setdefault("flags", []).append("unbounded")
-    (out / "records.jsonl").write_text(jsonl(records))
-    write_summary_csv(out, records)
-
-
-def write_summary_csv(out: Path, records: list):
+def summary_csv(records: list) -> str:
     fields = ["experiment", "metric", "value", "stderr", "bound", "bound_log2", "flags"]
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
-        writer.writeheader()
-        for rec in records:
-            row = dict(rec)
-            row["flags"] = ";".join(rec.get("flags", []))
-            writer.writerow(row)
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore")
+    writer.writeheader()
+    for rec in records:
+        writer.writerow(dict(rec, flags=";".join(rec.get("flags", []))))
+    return buf.getvalue()
 
 
-def start_meta(out: Path, cfg: dict, command: str) -> dict:
-    meta = {
-        "command": command,
-        "config_hash": config_hash(cfg),
-        "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    write_json(out / "config.resolved.json", cfg)
-    return meta
+def _now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def finish_meta(out: Path, meta: dict, **extra):
-    meta["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    meta.update(extra)
-    write_json(out / "meta.json", meta)
+# ---------------------------------------------------------------------------
+# the run object
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Command:
+    fn: Callable[["Run"], int]
+    results: tuple = ()   # files the command writes; deleted when a run starts
+    counts: dict = field(default_factory=dict)  # "trials"/"budget" -> (config key, default)
+    resumes: bool = False  # appends to trials.jsonl, guarded by a resume key
+    reader: bool = False  # only reads a run: never starts one, writes no meta.json
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def command(name: str, results=RECORDS, **spec):
+    def register(fn):
+        COMMANDS[name] = Command(fn, results, **spec)
+        return fn
+    return register
+
+
+class Run:
+    """One subcommand's run in its --out directory (see the module docstring)."""
+
+    def __init__(self, name: str, args, cfg: dict):
+        self.command = COMMANDS[name]
+        self.cfg = cfg
+        self.out = resolve_out(args, cfg)
+        self.seed = _integer("seed", args.seed, cfg.get("seed", 0))
+        self.threads = max(1, int(args.threads or cfg.get("threads", 1)))
+        self.meta = {"command": name, "config_hash": config_hash(cfg), "seed": self.seed}
+        for flag, (key, default) in self.command.counts.items():
+            value = _integer(key, getattr(args, flag), cfg.get(key, default))
+            if value < 1:
+                raise UsageError(f"{key} (--{flag}) must be at least 1, got {value}")
+            self.meta[flag] = value
+        self.trials = self.meta.get("trials")
+        self.budget = self.meta.get("budget")
+        self.records = []
+        self.started = False
+
+    def start(self):
+        """Claim --out: check a resumed file's key, delete the command's earlier
+        results, write config.resolved.json and a 'running' meta.json."""
+        if self.command.resumes:
+            kept = {k: v for k, v in self.cfg.items() if k not in RESUME_FREE}
+            key = config_hash(dict(kept, seed=self.seed, budget=self.budget))
+            path = self.out / "trials.jsonl"
+            if path.exists() and path.stat().st_size and self._earlier_meta().get("resume_key") != key:
+                raise UsageError(
+                    f"{path} holds rows of another config, seed or budget; "
+                    "rerun with those or use a fresh --out"
+                )
+            self.meta["resume_key"] = key
+        for name in self.command.results:
+            (self.out / name).unlink(missing_ok=True)
+        self.write("config.resolved.json", json_text(self.cfg))
+        self.meta.update(status="running", started=_now())
+        self.write("meta.json", json_text(self.meta))
+        self.started = True
+
+    def _earlier_meta(self) -> dict:
+        try:
+            meta = json.loads((self.out / "meta.json").read_text())
+        except (OSError, ValueError):
+            return {}
+        return meta if isinstance(meta, dict) else {}
+
+    def finish(self, code):
+        """meta.json with the status of the exit code (None: an exception)."""
+        self.meta.update(status=STATUS.get(code, "aborted"), finished=_now())
+        self.write("meta.json", json_text(self.meta))
+
+    def write(self, name: str, text: str):
+        tmp = self.out / f".{name}.tmp"
+        tmp.write_text(text, newline="")
+        os.replace(tmp, self.out / name)
+
+    def record(self, metric: str, value, stderr=0.0, bound=None, flags=(), **extra):
+        """One records.jsonl row of this command; a row without a bound is
+        flagged 'unbounded'."""
+        flags = list(flags) + (["unbounded"] if bound is None else [])
+        self.records.append({
+            "experiment": self.meta["command"], "metric": metric, "value": value,
+            "stderr": stderr, "bound": bound, "flags": flags,
+            "config": self.meta["config_hash"][:12], **extra,
+        })
+
+    def write_records(self):
+        if self.records:
+            self.write("records.jsonl", jsonl(self.records))
+            self.write("summary.csv", summary_csv(self.records))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +292,8 @@ def build_schedule(section: dict) -> graph_model.Schedule:
         raise UsageError(str(exc))
 
 
-def build_expander(section: dict, out: Path | None, seed: int):
+def build_expander(section: dict, run: Run):
+    """(graph, certificate or None); a generated core is written to --out."""
     if section.get("petersen"):
         return expander_gen.petersen(), None
     if "complete" in section:
@@ -205,28 +307,27 @@ def build_expander(section: dict, out: Path | None, seed: int):
             d=int(_require(gen, "d", "expander.generate")),
             gap_min=float(gen.get("gap_min", 0.0)),
             girth_min=float(gen.get("girth_min", 3)),
-            seed=int(gen.get("seed", seed)),
+            seed=int(gen.get("seed", run.seed)),
             max_attempts=int(gen.get("max_attempts", 50)),
         )
-        if out is not None:
-            expander_gen.save(graph, out / "expander.txt")
-            write_json(out / "expander.certificate.json", cert.as_dict())
+        run.write("expander.certificate.json", json_text(cert.as_dict()))
+        run.write("expander.txt", expander_gen.to_text(graph))
         return graph, cert
     raise UsageError(
         "expander section needs one of: petersen, complete, file, generate"
     )
 
 
-def build_instance(cfg: dict, out: Path | None, seed: int):
+def build_instance(run: Run):
     """(params, graph-or-None).  Standard-mode instances return params only
     (their cores are far too large to build)."""
-    section = _require(cfg, "instance", "config")
+    section = _require(run.cfg, "instance", "config")
     mode = section.get("mode", "scaled")
     if mode == "standard":
         params = graph_model.GraphParams.standard(int(_require(section, "n", "instance")))
         return params, None
     sched = build_schedule(section)
-    expander, _ = build_expander(_require(section, "expander", "instance"), out, seed)
+    expander, _ = build_expander(_require(section, "expander", "instance"), run)
     params = graph_model.GraphParams.scaled(
         sched.degrees,
         sched.depths,
@@ -235,6 +336,13 @@ def build_instance(cfg: dict, out: Path | None, seed: int):
         padding_ratio=float(section.get("padding_ratio", 2.0 ** -20)),
     )
     return params, graph_model.MainGraph(params, expander)
+
+
+def build_main_graph(run: Run, name: str):
+    params, graph = build_instance(run)
+    if graph is None:
+        raise UsageError(f"{name} needs a scaled (materializable) instance")
+    return params, graph
 
 
 def oracle_maker(graph, cfg: dict):
@@ -260,54 +368,69 @@ def oracle_maker(graph, cfg: dict):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_expander(cfg: dict, out: Path, args) -> int:
-    meta = start_meta(out, cfg, "gen-expander")
-    section = _require(cfg, "expander", "config")
-    seed = resolve_seed(args, cfg)
-    try:
-        graph, cert = build_expander(
-            {"generate": section} if "N" in section else section, out, seed
-        )
-    except expander_gen.GenerationError as exc:
-        finish_meta(out, meta, status="rejected", attempts=exc.attempts)
-        print(f"certification failed after {exc.attempts} attempts: {exc}", file=sys.stderr)
+def certify(run: Run, graph, section: dict, name: str) -> int:
+    """Certify `graph` against the section's gap_min and girth_min and write
+    the certificate to `name`."""
+    cert = expander_gen.certify_expander(
+        graph, gap_min=float(section.get("gap_min", 0.0)), girth_min=float(section.get("girth_min", 3))
+    )
+    if cert is None:
+        print("certification rejected", file=sys.stderr)
         return EXIT_CERTIFICATION
-    if cert is None:  # fixture sources certify on demand
-        cert = expander_gen.certify_expander(
-            graph,
-            gap_min=float(section.get("gap_min", 0.0)),
-            girth_min=float(section.get("girth_min", 3)),
-        )
-        if cert is None:
-            finish_meta(out, meta, status="rejected")
-            return EXIT_CERTIFICATION
-        expander_gen.save(graph, out / "expander.txt")
-        write_json(out / "expander.certificate.json", cert.as_dict())
-    finish_meta(out, meta, status="accepted")
+    run.write(name, json_text(cert.as_dict()))
     print(f"accepted: girth={cert.girth} gap={cert.gap:.6f} attempts={cert.attempts}")
     return EXIT_OK
 
 
-def cmd_certify(cfg: dict, out: Path, args) -> int:
-    meta = start_meta(out, cfg, "certify")
-    graph = expander_gen.load(_require(cfg, "expander_file", "config"))
-    cert = expander_gen.certify_expander(
-        graph, gap_min=float(cfg.get("gap_min", 0.0)), girth_min=float(cfg.get("girth_min", 3))
-    )
-    if cert is None:
-        finish_meta(out, meta, status="rejected")
-        print("certification rejected", file=sys.stderr)
-        return EXIT_CERTIFICATION
-    write_json(out / "certificate.json", cert.as_dict())
-    finish_meta(out, meta, status="accepted")
-    print(f"accepted: girth={cert.girth} gap={cert.gap:.6f}")
-    return EXIT_OK
+@command("gen-expander", results=("expander.txt", "expander.certificate.json"))
+def cmd_gen_expander(run: Run) -> int:
+    section = _require(run.cfg, "expander", "config")
+    graph, cert = build_expander({"generate": section} if "N" in section else section, run)
+    if cert is not None:
+        print(f"accepted: girth={cert.girth} gap={cert.gap:.6f} attempts={cert.attempts}")
+        return EXIT_OK
+    # Fixture sources certify on demand; the graph is written once accepted.
+    code = certify(run, graph, section, "expander.certificate.json")
+    if code == EXIT_OK:
+        run.write("expander.txt", expander_gen.to_text(graph))
+    return code
 
 
-def _report_solution(solution: spectral.SpectralSolution) -> dict:
+@command("certify", results=("certificate.json",))
+def cmd_certify(run: Run) -> int:
+    graph = expander_gen.load(_require(run.cfg, "expander_file", "config"))
+    return certify(run, graph, run.cfg, "certificate.json")
+
+
+@command("spectrum", results=("spectrum.json",) + RECORDS)
+def cmd_spectrum(run: Run) -> int:
+    section = _require(run.cfg, "instance", "config")
+    if section.get("mode") == "custom":
+        # An explicitly described decorated graph: a base eigenvalue plus
+        # arbitrary attached-tree families (covers degenerate fixtures like a
+        # single edge with one pendant vertex per endpoint).
+        trees = [
+            spectral.AttachedTree(
+                graph_model.Schedule(tuple(t["degrees"]), tuple(t["depths"])),
+                int(t.get("level", len(t["degrees"]))),
+                int(t.get("copies", 1)),
+            )
+            for t in _require(section, "trees", "instance")
+        ]
+        solution = spectral.solve_top_eigenvalue(
+            float(_require(section, "lambda_e", "instance")),
+            trees,
+            beta=float(section.get("beta", 1.0)),
+            expander_size=int(section.get("expander_size", 1)),
+        )
+    else:
+        params, graph = build_instance(run)
+        solution = spectral.solve_for_params(
+            params, expander_size=graph.expander.N if graph else None
+        )
     split = spectral.norm_decomposition(solution)
     # Stable key order: insertion order is the contract.
-    return {
+    report = {
         "lambda_g": solution.top_eigenvalue,
         "lambda_e": solution.base_eigenvalue,
         "alpha": list(solution.loop_weights),
@@ -316,68 +439,21 @@ def _report_solution(solution: spectral.SpectralSolution) -> dict:
         "residual": solution.residual,
         "iterations": solution.iterations,
     }
-
-
-def spectrum_report(params: graph_model.GraphParams, expander_size=None) -> dict:
-    return _report_solution(spectral.solve_for_params(params, expander_size=expander_size))
-
-
-def custom_spectrum_report(section: dict) -> dict:
-    """Spectrum of an explicitly described decorated graph: a base eigenvalue
-    plus arbitrary attached-tree families (covers degenerate fixtures like a
-    single edge with one pendant vertex per endpoint)."""
-    trees = [
-        spectral.AttachedTree(
-            graph_model.Schedule(tuple(t["degrees"]), tuple(t["depths"])),
-            int(t.get("level", len(t["degrees"]))),
-            int(t.get("copies", 1)),
-        )
-        for t in _require(section, "trees", "instance")
-    ]
-    return _report_solution(spectral.solve_top_eigenvalue(
-        float(_require(section, "lambda_e", "instance")),
-        trees,
-        beta=float(section.get("beta", 1.0)),
-        expander_size=int(section.get("expander_size", 1)),
-    ))
-
-
-def cmd_spectrum(cfg: dict, out: Path, args) -> int:
-    meta = start_meta(out, cfg, "spectrum")
-    seed = resolve_seed(args, cfg)
-    section = _require(cfg, "instance", "config")
-    if section.get("mode") == "custom":
-        report = custom_spectrum_report(section)
-    else:
-        params, graph = build_instance(cfg, out, seed)
-        report = spectrum_report(params, expander_size=graph.expander.N if graph else None)
-    write_json(out / "spectrum.json", report, stable=False)
-    records = [
-        {
-            "experiment": "spectrum",
-            "metric": "lambda_g",
-            "value": report["lambda_g"],
-            "stderr": 0.0,
-            "bound": None,
-            "flags": [],
-        }
-    ]
-    write_records(out, records, cfg)
-    finish_meta(out, meta)
+    run.write("spectrum.json", json_text(report, sort_keys=False))
+    run.record("lambda_g", report["lambda_g"])
     print(json.dumps(report))
     return EXIT_OK
 
 
-def cmd_sample_ground(cfg: dict, out: Path, args) -> int:
-    meta = start_meta(out, cfg, "sample-ground")
-    seed = resolve_seed(args, cfg)
-    count = int(args.trials or cfg.get("count", 1000))
-    params, graph = build_instance(cfg, out, seed)
+@command("sample-ground", results=("samples.jsonl",) + RECORDS, counts={"trials": ("count", 1000)})
+def cmd_sample_ground(run: Run) -> int:
+    count = run.trials
+    params, graph = build_instance(run)
     if graph is None:
         solution = spectral.solve_for_params(params)
     else:
         solution = spectral.solve_for_instance(graph)
-    sampler = spectral.GroundStateSampler(solution, seed=derive_seed("sample", seed))
+    sampler = spectral.GroundStateSampler(solution, seed=derive_seed("sample", run.seed))
     # Standard-family anchors are ~86,000-bit integers at n=16: written in hex.
     anchor = int if graph is not None else hex
     rows = []
@@ -396,24 +472,15 @@ def cmd_sample_ground(cfg: dict, out: Path, args) -> int:
                     "depth": len(v.address),
                 }
             )
-    (out / "samples.jsonl").write_text(jsonl(rows))
+    run.write("samples.jsonl", jsonl(rows))
     expander_fraction = sum(1 for r in rows if r["kind"] == "expander") / count
-    split = spectral.norm_decomposition(solution)
-    write_records(
-        out,
-        [
-            {
-                "experiment": "sample-ground",
-                "metric": "expander_mass_fraction",
-                "value": expander_fraction,
-                "stderr": math.sqrt(max(expander_fraction * (1 - expander_fraction), 1e-12) / count),
-                "bound": split.ratio,
-                "flags": ["bound-is-exact-expectation"],
-            }
-        ],
-        cfg,
+    run.record(
+        "expander_mass_fraction",
+        expander_fraction,
+        math.sqrt(max(expander_fraction * (1 - expander_fraction), 1e-12) / count),
+        spectral.norm_decomposition(solution).ratio,
+        ["bound-is-exact-expectation"],
     )
-    finish_meta(out, meta, samples=count)
     print(f"wrote {count} samples; expander mass fraction {expander_fraction:.4f}")
     return EXIT_OK
 
@@ -426,22 +493,20 @@ def _exit_trial_worker(payload: tuple) -> list:
     return explorer.exit_trials(graph, strategy, budget, seed, indices, padding)
 
 
-def cmd_explore_tree(cfg: dict, out: Path, args) -> int:
-    meta = start_meta(out, cfg, "explore-tree")
+@command("explore-tree", counts={"trials": ("trials", 1000), "budget": ("budget", 16)},
+         resumes=True)
+def cmd_explore_tree(run: Run) -> int:
+    cfg, budget, trials, seed, threads = run.cfg, run.budget, run.trials, run.seed, run.threads
     sched = build_schedule(_require(cfg, "schedule", "config"))
     level = int(cfg.get("level", sched.levels))
     strategies = cfg.get("strategies") or [cfg.get("strategy", "greedy-unvisited")]
-    budget = int(args.budget or cfg.get("budget", 16))
-    trials = int(args.trials or cfg.get("trials", 1000))
-    seed = resolve_seed(args, cfg)
     w = int(cfg.get("w", 2))
     padding = float(cfg.get("padding_ratio", 0.25))
     q_schedule = cfg.get("q_schedule") or [
         max(1.0, budget / (w ** (level - k))) for k in range(1, level + 1)
     ]
-    threads = max(1, int(args.threads or cfg.get("threads", 1)))
 
-    trials_path = out / "trials.jsonl"
+    trials_path = run.out / "trials.jsonl"
     all_rows = read_trial_rows(trials_path)
     graph = graph_model.TreeGraph(sched, level)  # shared by the strategies' trials
     done = {(row["strategy"], row["trial"]) for row in all_rows}
@@ -459,31 +524,22 @@ def cmd_explore_tree(cfg: dict, out: Path, args) -> int:
             rows.sort(key=lambda r: r["trial"])
         else:
             rows = explorer.exit_trials(graph, strategy, budget, seed, pending, padding)
-        append_jsonl(trials_path, rows)
+        with open(trials_path, "a") as fh:
+            fh.write(jsonl(rows))
         all_rows += rows
 
     rec_reports = bounds_mod.recursion_bound(
         graph_model.Schedule(sched.degrees[:level], sched.depths[:level]), q_schedule, w
     )
     bound_rep = rec_reports[level - 1]
-    records = []
     for strategy in strategies:
         rows = [r for r in all_rows if r["strategy"] == strategy and r["trial"] < trials]
         stats = explorer.EventStats.from_counts(sum(r["exit"] for r in rows), len(rows))
-        records.append(
-            {
-                "experiment": "explore-tree",
-                "metric": f"exit_probability[{strategy}]",
-                "value": stats.p_hat,
-                "stderr": stats.stderr,
-                "bound": bound_rep.value,
-                "bound_log2": bound_rep.log2_value,
-                "flags": list(bound_rep.flags),
-            }
+        run.record(
+            f"exit_probability[{strategy}]", stats.p_hat, stats.stderr, bound_rep.value,
+            bound_rep.flags, bound_log2=bound_rep.log2_value,
         )
-    write_records(out, records, cfg)
-    finish_meta(out, meta, trials=trials, strategies=strategies)
-    for rec in records:
+    for rec in run.records:
         print(
             f"{rec['metric']}: p_hat={rec['value']:.5f} +/- {rec['stderr']:.5f} "
             f"bound={rec['bound']:.5g} flags={rec['flags']}"
@@ -491,14 +547,11 @@ def cmd_explore_tree(cfg: dict, out: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_explore_graph(cfg: dict, out: Path, args) -> int:
-    meta = start_meta(out, cfg, "explore-graph")
-    seed = resolve_seed(args, cfg)
-    params, graph = build_instance(cfg, out, seed)
-    if graph is None:
-        raise UsageError("explore-graph needs a scaled (materializable) instance")
-    budget = int(args.budget or cfg.get("budget", 64))
-    trials = int(args.trials or cfg.get("trials", 100))
+@command("explore-graph", results=("trials.jsonl",) + RECORDS,
+         counts={"trials": ("trials", 100), "budget": ("budget", 64)})
+def cmd_explore_graph(run: Run) -> int:
+    cfg, seed, trials = run.cfg, run.seed, run.trials
+    params, graph = build_main_graph(run, "explore-graph")
     threshold = int(cfg.get("threshold", max(2, params.girth_floor // 2)))
     strategy = cfg.get("strategy", "greedy-unvisited")
     roots_count = int(cfg.get("roots", 1))
@@ -509,19 +562,16 @@ def cmd_explore_graph(cfg: dict, out: Path, args) -> int:
     successes = 0
     audits_ok = 0
     total_queries = 0
-    from itertools import islice
 
     for t in range(trials):
         orc = make_oracle(derive_key("oracle", derive_seed(seed, "oracle", t)))
         if query_limit is not None and total_queries >= int(query_limit):
-            for name in ("trials.jsonl", "records.jsonl", "summary.csv"):
-                (out / name).unlink(missing_ok=True)  # an earlier run's results
-            finish_meta(out, meta, status="query-limit", completed_trials=t)
+            run.meta["completed_trials"] = t
             print(f"query limit {query_limit} exhausted after {t} trials", file=sys.stderr)
             return EXIT_BUDGET
         roots = list(islice(oracle_mod.input_sampler(orc, guiding, derive_seed(seed, t)), roots_count))
         trial = explorer.run_exploration(
-            orc, roots, strategy, budget, seed=derive_seed(seed, "run", t)
+            orc, roots, strategy, run.budget, seed=derive_seed(seed, "run", t)
         )
         total_queries += trial.query_count
         audit = explorer.component_audit(trial)
@@ -539,76 +589,46 @@ def cmd_explore_graph(cfg: dict, out: Path, args) -> int:
             }
         )
         records_rows.append(row)
-    (out / "trials.jsonl").write_text(jsonl(records_rows))
+    run.write("trials.jsonl", jsonl(records_rows))
     stats = explorer.EventStats.from_counts(successes, trials)
     lb = bounds_mod.localization_bound(
         roots_count, params.expander_degree, threshold, graph.expander.N
     )
-    records = [
-        {
-            "experiment": "explore-graph",
-            "metric": f"localization_rate[{strategy}]",
-            "value": stats.p_hat,
-            "stderr": stats.stderr,
-            "bound": lb.value,
-            "flags": list(lb.flags) + ["bound-is-sampler-floor"],
-        },
-        {
-            "experiment": "explore-graph",
-            "metric": "audit_pass_rate",
-            "value": audits_ok / trials,
-            "stderr": 0.0,
-            "bound": 1.0,
-            "flags": [],
-        },
-    ]
-    write_records(out, records, cfg)
-    finish_meta(out, meta, trials=trials)
+    run.record(
+        f"localization_rate[{strategy}]", stats.p_hat, stats.stderr, lb.value,
+        lb.flags + ("bound-is-sampler-floor",),
+    )
+    run.record("audit_pass_rate", audits_ok / trials, bound=1.0)
     print(f"localization rate {stats.p_hat:.4f}; audit pass rate {audits_ok / trials:.4f}")
     return EXIT_OK
 
 
-def cmd_ggsp(cfg: dict, out: Path, args) -> int:
-    meta = start_meta(out, cfg, "ggsp")
-    seed = resolve_seed(args, cfg)
-    params, graph = build_instance(cfg, out, seed)
-    if graph is None:
-        raise UsageError("ggsp needs a scaled (materializable) instance")
-    algorithm = cfg.get("algorithm", "echo-first-input")
-    if algorithm == "ground-state-cheat":
-        algorithm = explorer.GroundStateCheat()
-    trials = int(args.trials or cfg.get("trials", 200))
+@command("ggsp", results=("trials.jsonl",) + RECORDS,
+         counts={"trials": ("trials", 200), "budget": ("budget", 32)})
+def cmd_ggsp(run: Run) -> int:
+    cfg = run.cfg
+    params, graph = build_main_graph(run, "ggsp")
     t_inputs = int(cfg.get("t", 4))
-    budget = int(args.budget or cfg.get("budget", 32))
     threshold = int(cfg.get("threshold", max(2, params.girth_floor // 2)))
-    guiding = cfg.get("guiding", "exact-ground-state")
     report = explorer.ggsp_experiment(
-        oracle_maker(graph, cfg), guiding, algorithm, trials, t_inputs, budget, threshold, seed
+        oracle_maker(graph, cfg),
+        cfg.get("guiding", "exact-ground-state"),
+        cfg.get("algorithm", "echo-first-input"),
+        run.trials,
+        t_inputs,
+        run.budget,
+        threshold,
+        run.seed,
     )
-    (out / "trials.jsonl").write_text(jsonl(report.trial_rows))
+    run.write("trials.jsonl", jsonl(report.trial_rows))
     lb = bounds_mod.localization_bound(
         t_inputs, params.expander_degree, threshold, graph.expander.N
     )
-    records = [
-        {
-            "experiment": "ggsp",
-            "metric": f"localization_rate[{report.algorithm}]",
-            "value": report.localization.p_hat,
-            "stderr": report.localization.stderr,
-            "bound": lb.value,
-            "flags": list(lb.flags),
-        },
-        {
-            "experiment": "ggsp",
-            "metric": "budget_failures",
-            "value": report.budget_failures,
-            "stderr": 0.0,
-            "bound": None,
-            "flags": [],
-        },
-    ]
-    write_records(out, records, cfg)
-    finish_meta(out, meta, trials=trials)
+    run.record(
+        f"localization_rate[{report.algorithm}]", report.localization.p_hat,
+        report.localization.stderr, lb.value, lb.flags,
+    )
+    run.record("budget_failures", report.budget_failures)
     print(
         f"{report.algorithm}: localization {report.localization.p_hat:.4f} "
         f"(bound floor {lb.value:.4f}), budget failures {report.budget_failures}"
@@ -616,85 +636,52 @@ def cmd_ggsp(cfg: dict, out: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(cfg: dict, out: Path, args) -> int:
-    meta = start_meta(out, cfg, "bounds")
-    requests = _require(cfg, "bounds", "config")
-    records = []
-    for req in requests:
-        name = _require(req, "name", "bounds entry")
-        if name == "avoidance":
-            rep = bounds_mod.avoidance_bound(
-                req["d_k"], req["d_km1"], req["l_k"], req["l_km1"], req.get("w", 2)
-            )
-        elif name == "recursion":
-            sched = build_schedule(req)
-            reports = bounds_mod.recursion_bound(sched, req["q_schedule"], req.get("w", 2))
-            rep = reports[-1]
-        elif name == "closed-form":
-            rep = bounds_mod.closed_form_exit_bound(req["n"], req["k"])
-        elif name == "localization":
-            rep = bounds_mod.localization_bound(
-                req["u_size"], req["degree"], req["g"], req["n_e"]
-            )
-        elif name == "tv-budget":
-            rep = bounds_mod.tv_budget_report(req["fidelity"], req["tv"])
-        elif name == "gap-sum":
-            rep = bounds_mod.gap_sum_bound(req["delta"], req["gamma"])
-        elif name == "alpha":
-            rep = bounds_mod.alpha_bounds(
-                req["lambda_e"], req["max_degree"], req["beta"], req["tree_count"]
-            )
-        else:
+# bounds-entry name -> the BoundReport it asks for; arguments are entry keys.
+BOUNDS = {
+    "avoidance": lambda e: bounds_mod.avoidance_bound(
+        e["d_k"], e["d_km1"], e["l_k"], e["l_km1"], e.get("w", 2)
+    ),
+    "recursion": lambda e: bounds_mod.recursion_bound(
+        build_schedule(e), e["q_schedule"], e.get("w", 2)
+    )[-1],
+    "closed-form": lambda e: bounds_mod.closed_form_exit_bound(e["n"], e["k"]),
+    "localization": lambda e: bounds_mod.localization_bound(e["u_size"], e["degree"], e["g"], e["n_e"]),
+    "tv-budget": lambda e: bounds_mod.tv_budget_report(e["fidelity"], e["tv"]),
+    "gap-sum": lambda e: bounds_mod.gap_sum_bound(e["delta"], e["gamma"]),
+    "alpha": lambda e: bounds_mod.alpha_bounds(e["lambda_e"], e["max_degree"], e["beta"], e["tree_count"]),
+}
+
+
+@command("bounds")
+def cmd_bounds(run: Run) -> int:
+    for entry in _require(run.cfg, "bounds", "config"):
+        name = _require(entry, "name", "bounds entry")
+        if name not in BOUNDS:
             raise UsageError(f"unknown bound name {name!r}")
-        records.append(
-            {
-                "experiment": "bounds",
-                "metric": rep.name,
-                "value": rep.value,
-                "stderr": 0.0,
-                "bound": rep.value,
-                "bound_log2": rep.log2_value,
-                "flags": list(rep.flags),
-            }
-        )
-    write_records(out, records, cfg)
-    finish_meta(out, meta)
-    for rec in records:
+        try:
+            rep = BOUNDS[name](entry)
+        except KeyError as exc:
+            raise UsageError(f"missing {exc} in bounds entry {name!r}") from None
+        run.record(rep.name, rep.value, bound=rep.value, flags=rep.flags, bound_log2=rep.log2_value)
+    for rec in run.records:
         print(f"{rec['metric']}: {rec['value']:.6g} (log2={rec['bound_log2']}) {rec['flags']}")
     return EXIT_OK
 
 
-def cmd_verify_small(cfg: dict, out: Path, args) -> int:
-    meta = start_meta(out, cfg, "verify-small")
-    seed = resolve_seed(args, cfg)
-    planted = bool(cfg.get("planted_defect", False))
-    checks = run_verification_suite(seed=seed, planted_defect=planted)
-    records = [
-        {
-            "experiment": "verify-small",
-            "metric": c["name"],
-            "value": c["measured"],
-            "stderr": 0.0,
-            "bound": c["threshold"],
-            "flags": [] if c["passed"] else ["FAILED"],
-        }
-        for c in checks
-    ]
-    write_records(out, records, cfg)
-    ok = all(c["passed"] for c in checks)
-    finish_meta(out, meta, status="pass" if ok else "fail")
+@command("verify-small")
+def cmd_verify_small(run: Run) -> int:
+    checks = run_verification_suite(seed=run.seed, planted_defect=bool(run.cfg.get("planted_defect", False)))
     for c in checks:
+        run.record(c["name"], c["measured"], bound=c["threshold"], flags=[] if c["passed"] else ["FAILED"])
         print(
             f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: "
             f"measured {c['measured']:.3g} vs threshold {c['threshold']:.3g}"
         )
-    return EXIT_OK if ok else EXIT_CERTIFICATION
+    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_CERTIFICATION
 
 
 def run_verification_suite(seed: int = 0, planted_defect: bool = False) -> list:
     """Brute-force equivalence suite on a small fixed instance."""
-    import numpy as np
-
     checks = []
 
     def check(name, measured, threshold, higher_is_bad=True):
@@ -733,8 +720,6 @@ def run_verification_suite(seed: int = 0, planted_defect: bool = False) -> list:
     resid = np.linalg.norm(a_mat @ amps - solution.top_eigenvalue * amps) / np.linalg.norm(amps)
     check("eigen-residual", resid, 1e-8)
 
-    import random as _random
-
     exact = spectral.exact_distribution(solution, mat)
     sampler = spectral.GroundStateSampler(solution, seed=derive_seed("verify", seed))
     counts = {}
@@ -746,7 +731,7 @@ def run_verification_suite(seed: int = 0, planted_defect: bool = False) -> list:
     check("sampler-tv-distance", 0.5 * float(np.abs(emp - exact).sum()), 0.05)
 
     orc = oracle_mod.build_oracle(graph, derive_key("verify", seed), padding_ratio=2.0 ** -6)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     bad_roundtrip = 0
     bad_symmetry = 0
     for _ in range(100):
@@ -769,32 +754,19 @@ def run_verification_suite(seed: int = 0, planted_defect: bool = False) -> list:
     return checks
 
 
-def cmd_report(cfg: dict, out: Path, args) -> int:
-    src = Path(cfg.get("dir") or out)
+@command("report", results=(), reader=True)
+def cmd_report(run: Run) -> int:
+    src = Path(run.cfg.get("dir") or run.out)
     records = read_jsonl(src / "records.jsonl")
     if not records:
         raise UsageError(f"no records.jsonl under {src}")
-    write_summary_csv(out, records)
+    run.write("summary.csv", summary_csv(records))
     width = max(len(r["metric"]) for r in records)
     for r in records:
         bound = r.get("bound")
         bound_txt = f" bound={bound:.5g}" if isinstance(bound, (int, float)) else ""
         print(f"{r['metric']:<{width}}  value={r['value']:.6g}{bound_txt}  {';'.join(r.get('flags', []))}")
     return EXIT_OK
-
-
-COMMANDS = {
-    "gen-expander": cmd_gen_expander,
-    "certify": cmd_certify,
-    "spectrum": cmd_spectrum,
-    "sample-ground": cmd_sample_ground,
-    "explore-tree": cmd_explore_tree,
-    "explore-graph": cmd_explore_graph,
-    "ggsp": cmd_ggsp,
-    "bounds": cmd_bounds,
-    "verify-small": cmd_verify_small,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
@@ -812,21 +784,30 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=Path, default=None)
         p.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
+    run = code = None
     try:
         cfg = load_config(args.config) if args.config else {}
-        out = resolve_out(args, cfg)
-        return COMMANDS[args.command](cfg, out, args)
+        run = Run(args.command, args, cfg)
+        if not run.command.reader:
+            run.start()
+        code = run.command.fn(run)
+        run.write_records()
     except (
         UsageError,
+        FileNotFoundError,
         graph_model.ScheduleError,
         bounds_mod.BoundDomainError,
         explorer.UnknownStrategyError,
     ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
     except expander_gen.GenerationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
+        code = EXIT_CERTIFICATION
+    finally:
+        if run is not None and run.started:
+            run.finish(code)
+    return code
 
 
 if __name__ == "__main__":

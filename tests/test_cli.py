@@ -538,3 +538,107 @@ def test_report_reads_records(tmp_path, capsys):
 
 def test_report_without_records_usage_error(tmp_path):
     assert run(["report", "--out", tmp_path / "empty"]) == cli.EXIT_USAGE
+
+
+# -- run directory ------------------------------------------------------------
+
+@pytest.mark.parametrize("command, cfg, argv", [
+    ("explore-tree", TREE_CFG, ["--trials", 0]),
+    ("explore-tree", TREE_CFG, ["--budget", 0]),
+    ("explore-tree", TREE_CFG, ["--trials", -3]),
+    ("explore-graph", {"instance": PETERSEN_INSTANCE, "trials": 0, "budget": 6}, []),
+    ("explore-graph", {"instance": PETERSEN_INSTANCE, "trials": 2}, ["--budget", 0]),
+    ("ggsp", dict(GGSP_GOLDEN, trials=0), []),
+    ("ggsp", GGSP_GOLDEN, ["--budget", -1]),
+    ("sample-ground", {"instance": PETERSEN_INSTANCE, "count": 0}, []),
+    ("sample-ground", {"instance": PETERSEN_INSTANCE}, ["--trials", 0]),
+])
+def test_count_below_one_is_config_error(tmp_path, capsys, command, cfg, argv):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run([command, "--config", path, "--out", out] + argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error:" in err and "at least 1" in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", 99), ("--budget", 2)])
+def test_explore_tree_resume_with_other_seed_or_budget_exits_1(tmp_path, capsys, flag, value):
+    path = write_config(tmp_path, "t.json", dict(TREE_CFG, trials=20))
+    out = tmp_path / "o"
+    assert run(["explore-tree", "--config", path, "--out", out]) == cli.EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run(["explore-tree", "--config", path, "--out", out, flag, value]) == cli.EXIT_USAGE
+    assert "config error:" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_explore_tree_resume_key_ignores_trials_and_seed_source(tmp_path):
+    """The config's seed and an equal --seed write the same rows: resume accepts both."""
+    seeded = write_config(tmp_path, "a.json", dict(TREE_CFG, trials=10))
+    unseeded = write_config(tmp_path, "b.json", {k: v for k, v in TREE_CFG.items() if k != "seed"})
+    out = tmp_path / "o"
+    assert run(["explore-tree", "--config", seeded, "--out", out]) == cli.EXIT_OK
+    assert run(["explore-tree", "--config", unseeded, "--out", out, "--seed", 12,
+                "--trials", 20, "--threads", 2]) == cli.EXIT_OK
+    rows = (out / "trials.jsonl").read_text().splitlines()
+    assert len(rows) == 2 * 20
+
+
+def _spectrum_rerun_fails(tmp_path):
+    out = tmp_path / "o"
+    good = write_config(tmp_path, "good.json", {"instance": {"mode": "standard", "n": 16}})
+    assert run(["spectrum", "--config", good, "--out", out]) == cli.EXIT_OK
+    bad = write_config(tmp_path, "bad.json", {"instance": {"mode": "standard", "n": 15}})
+    assert run(["spectrum", "--config", bad, "--out", out]) == cli.EXIT_USAGE
+    return out
+
+
+def test_failed_rerun_leaves_no_earlier_results(tmp_path):
+    out = _spectrum_rerun_fails(tmp_path)
+    for name in ("spectrum.json", "records.jsonl", "summary.csv"):
+        assert not (out / name).exists(), name
+
+
+def test_failed_run_meta_has_status_and_matching_config_hash(tmp_path):
+    out = _spectrum_rerun_fails(tmp_path)
+    meta = json.loads((out / "meta.json").read_text())
+    resolved = json.loads((out / "config.resolved.json").read_text())
+    assert resolved["instance"]["n"] == 15
+    assert meta["status"] == "config-error"
+    assert meta["config_hash"] == cli.config_hash(resolved)
+    assert "finished" in meta
+
+
+def test_every_command_writes_meta_with_status_and_effective_values(tmp_path):
+    eg.save(eg.petersen(), tmp_path / "petersen.txt")
+    graph = {"instance": PETERSEN_INSTANCE, "threshold": 2, "seed": 8}
+    # command -> (config, extra argv, expected meta entries)
+    cases = {
+        "gen-expander": ({"expander": {"petersen": True, "gap_min": 1.5, "girth_min": 5}},
+                         ["--seed", 4], {"seed": 4}),
+        "certify": ({"expander_file": str(tmp_path / "petersen.txt")}, [], {"seed": 0}),
+        "spectrum": ({"instance": PETERSEN_INSTANCE, "seed": 2}, [], {"seed": 2}),
+        "sample-ground": ({"instance": PETERSEN_INSTANCE, "count": 5}, [],
+                          {"seed": 0, "trials": 5}),
+        "explore-tree": (TREE_CFG, ["--trials", 4], {"seed": 12, "trials": 4, "budget": 6}),
+        "explore-graph": (dict(graph, trials=3, budget=6), ["--seed", 5],
+                          {"seed": 5, "trials": 3, "budget": 6}),
+        "ggsp": (dict(graph, trials=3, t=2), ["--budget", 4], {"seed": 8, "trials": 3, "budget": 4}),
+        "bounds": ({"bounds": [{"name": "closed-form", "n": 16, "k": 4}]}, [], {"seed": 0}),
+        "verify-small": ({}, ["--seed", 3], {"seed": 3}),
+    }
+    assert set(cases) | {"report"} == set(cli.COMMANDS)
+    for command, (cfg, argv, expected) in cases.items():
+        out = tmp_path / command
+        path = write_config(tmp_path, f"{command}.json", cfg)
+        assert run([command, "--config", path, "--out", out] + argv) == cli.EXIT_OK, command
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["status"] == "ok" and meta["command"] == command
+        assert {k: meta.get(k) for k in expected} == expected, command
+        assert ("trials" in meta, "budget" in meta) == ("trials" in expected, "budget" in expected)
+    # report only reads a run: the run's own files stay as they were.
+    source = tmp_path / "spectrum"
+    before = {p.name: p.read_bytes() for p in source.iterdir()}
+    assert run(["report", "--out", source]) == cli.EXIT_OK
+    assert {p.name: p.read_bytes() for p in source.iterdir()} == before

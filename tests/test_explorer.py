@@ -331,7 +331,7 @@ def test_ground_state_outputs_localize_on_petersen(small_instance):
     report = ex.ggsp_experiment(
         make,
         orc.GuidingSpec(kind="single-fixed-root"),
-        ex.GroundStateCheat(),
+        "ground-state-cheat",
         trials=400,
         inputs_per_trial=1,
         budget=4,
