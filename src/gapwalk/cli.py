@@ -14,17 +14,18 @@ records.jsonl and trials.jsonl contain no timestamps, so identical config plus
 seed reproduces them byte for byte.
 
 One `Run` owns the output directory.  It resolves --out, the seed and the
-command's counts (--trials, --budget, or their config keys) once; a count
-below 1 is a config error.  Starting a run deletes the files the command
-writes, then writes config.resolved.json and a meta.json with status
-"running", so a failed rerun leaves none of an earlier run's results.
-Result files are written to a temporary name and renamed into place.
-meta.json is rewritten on every exit with the status of the exit code.  A run
-that fails before it starts (no config, no --out, a bad count, a resume
-mismatch) leaves the directory untouched.  expander.txt and
+command's counts (--trials, --budget, or their config keys) once.  A count
+below 1 is a config error, and so is a non-integer count or config-only
+integer (t, roots, threshold, level, w, query_limit).  Starting a run deletes
+the files the command writes, then writes config.resolved.json and a
+meta.json with status "running", so a failed rerun leaves none of an earlier
+run's results.  Result files are written to a temporary name and renamed into
+place.  meta.json is rewritten on every exit with the status of the exit
+code.  A run that fails before it starts (no config, no --out, a bad count,
+a resume mismatch) leaves the directory untouched.  expander.txt and
 expander.certificate.json are cleared only by gen-expander, because other
-commands may read a core from there.
-`report` only reads a run: it rewrites summary.csv and nothing else.
+commands may read a core from there.  A core read from a file must be
+connected.  `report` only reads a run: it rewrites summary.csv and nothing else.
 
 explore-tree appends to trials.jsonl and resumes from the rows it finds.  Its
 meta.json carries a resume key, stored before the first row is appended: the
@@ -113,13 +114,17 @@ def resolve_out(args, cfg: dict) -> Path:
     return path
 
 
-def _integer(name: str, flag, configured) -> int:
-    """The flag if given, else the configured value, as an int."""
-    value = flag if flag is not None else configured
+def _integer(name: str, value, low=None) -> int:
+    """`value` as an int; a non-integer, or a value below `low`, is a UsageError."""
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError):
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, float) and value != number:
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if low is not None and number < low:
+        raise UsageError(f"{name} must be at least {low}, got {number}")
+    return number
 
 
 def json_text(obj, sort_keys=True) -> str:
@@ -206,18 +211,22 @@ class Run:
         self.command = COMMANDS[name]
         self.cfg = cfg
         self.out = resolve_out(args, cfg)
-        self.seed = _integer("seed", args.seed, cfg.get("seed", 0))
+        self.seed = _integer("seed", cfg.get("seed", 0) if args.seed is None else args.seed)
         self.threads = max(1, int(args.threads or cfg.get("threads", 1)))
         self.meta = {"command": name, "config_hash": config_hash(cfg), "seed": self.seed}
         for flag, (key, default) in self.command.counts.items():
-            value = _integer(key, getattr(args, flag), cfg.get(key, default))
-            if value < 1:
-                raise UsageError(f"{key} (--{flag}) must be at least 1, got {value}")
-            self.meta[flag] = value
+            value = getattr(args, flag)
+            self.meta[flag] = _integer(
+                f"{key} (--{flag})", cfg.get(key, default) if value is None else value, low=1
+            )
         self.trials = self.meta.get("trials")
         self.budget = self.meta.get("budget")
         self.records = []
         self.started = False
+
+    def integer(self, key: str, default, low=None) -> int:
+        """A config-only integer, checked like the counts."""
+        return _integer(key, self.cfg.get(key, default), low)
 
     def start(self):
         """Claim --out: check a resumed file's key, delete the command's earlier
@@ -299,7 +308,10 @@ def build_expander(section: dict, run: Run):
     if "complete" in section:
         return expander_gen.complete_graph(int(section["complete"])), None
     if "file" in section:
-        return expander_gen.load(section["file"]), None
+        graph = expander_gen.load(section["file"])
+        if not graph.is_connected():
+            raise UsageError(f"expander file {section['file']} is not connected")
+        return graph, None
     if "generate" in section:
         gen = section["generate"]
         graph, cert = expander_gen.generate_certified(
@@ -498,9 +510,9 @@ def _exit_trial_worker(payload: tuple) -> list:
 def cmd_explore_tree(run: Run) -> int:
     cfg, budget, trials, seed, threads = run.cfg, run.budget, run.trials, run.seed, run.threads
     sched = build_schedule(_require(cfg, "schedule", "config"))
-    level = int(cfg.get("level", sched.levels))
+    level = run.integer("level", sched.levels)
     strategies = cfg.get("strategies") or [cfg.get("strategy", "greedy-unvisited")]
-    w = int(cfg.get("w", 2))
+    w = run.integer("w", 2, low=1)
     padding = float(cfg.get("padding_ratio", 0.25))
     q_schedule = cfg.get("q_schedule") or [
         max(1.0, budget / (w ** (level - k))) for k in range(1, level + 1)
@@ -552,11 +564,13 @@ def cmd_explore_tree(run: Run) -> int:
 def cmd_explore_graph(run: Run) -> int:
     cfg, seed, trials = run.cfg, run.seed, run.trials
     params, graph = build_main_graph(run, "explore-graph")
-    threshold = int(cfg.get("threshold", max(2, params.girth_floor // 2)))
+    threshold = run.integer("threshold", max(2, params.girth_floor // 2))
     strategy = cfg.get("strategy", "greedy-unvisited")
-    roots_count = int(cfg.get("roots", 1))
+    roots_count = run.integer("roots", 1, low=1)
     guiding = oracle_mod.GuidingSpec(kind=cfg.get("guiding", "expander-uniform"))
     query_limit = cfg.get("query_limit")
+    if query_limit is not None:
+        query_limit = run.integer("query_limit", None, low=0)
     make_oracle = oracle_maker(graph, cfg)
     records_rows = []
     successes = 0
@@ -565,7 +579,7 @@ def cmd_explore_graph(run: Run) -> int:
 
     for t in range(trials):
         orc = make_oracle(derive_key("oracle", derive_seed(seed, "oracle", t)))
-        if query_limit is not None and total_queries >= int(query_limit):
+        if query_limit is not None and total_queries >= query_limit:
             run.meta["completed_trials"] = t
             print(f"query limit {query_limit} exhausted after {t} trials", file=sys.stderr)
             return EXIT_BUDGET
@@ -608,8 +622,8 @@ def cmd_explore_graph(run: Run) -> int:
 def cmd_ggsp(run: Run) -> int:
     cfg = run.cfg
     params, graph = build_main_graph(run, "ggsp")
-    t_inputs = int(cfg.get("t", 4))
-    threshold = int(cfg.get("threshold", max(2, params.girth_floor // 2)))
+    t_inputs = run.integer("t", 4, low=1)
+    threshold = run.integer("threshold", max(2, params.girth_floor // 2))
     report = explorer.ggsp_experiment(
         oracle_maker(graph, cfg),
         cfg.get("guiding", "exact-ground-state"),

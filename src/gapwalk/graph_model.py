@@ -745,11 +745,7 @@ class MainGraph:
         for x in (u, v):
             if isinstance(x, IsolatedVertex):
                 raise InvalidVertexError("distance undefined for isolated vertices")
-        if (
-            isinstance(u, TreeVertex)
-            and isinstance(v, TreeVertex)
-            and (u.anchor, u.level, u.copy) == (v.anchor, v.level, v.copy)
-        ):
+        if _same_tree(u, v):
             return 0
         a, b = self.expander_anchor(u), self.expander_anchor(v)
         d = self._bfs_from(a)[b]
@@ -758,7 +754,19 @@ class MainGraph:
         return 1 + d
 
     def expander_distance_to_set(self, us: Iterable[Vertex], v: Vertex) -> int:
-        return min(self.expander_distance(u, v) for u in us)
+        """min(expander_distance(u, v) for u in us), from one BFS out of v's
+        anchor that stops at the nearest anchor of a u."""
+        us = list(us)
+        if any(isinstance(x, IsolatedVertex) for x in us + [v]):
+            raise InvalidVertexError("distance undefined for isolated vertices")
+        if any(_same_tree(u, v) for u in us):
+            return 0
+        anchors = {self.expander_anchor(u) for u in us}
+        dist = bfs_distances(self.expander.adjacency, self.expander_anchor(v), anchors)
+        reached = [dist[a] for a in anchors if dist[a] >= 0]
+        if not reached:
+            raise InvalidVertexError("no anchor of the set is reachable on the expander")
+        return 1 + min(reached)
 
     # -- canonical enumeration ---------------------------------------------
 
@@ -838,16 +846,30 @@ def materialize(graph: Instance, cap: int = MATERIALIZE_CAP) -> MaterializedGrap
     return MaterializedGraph(vertices, index, adjacency)
 
 
-def bfs_distances(adjacency: list, source: int) -> list[int]:
-    """Plain BFS hop distances on an adjacency-list graph; -1 for unreachable."""
+def _same_tree(u: Vertex, v: Vertex) -> bool:
+    """Both in one attached tree: same anchor, level and copy."""
+    return isinstance(u, TreeVertex) and isinstance(v, TreeVertex) and u[:3] == v[:3]
+
+
+def bfs_distances(adjacency: list, source: int, stop=frozenset()) -> list[int]:
+    """Plain BFS hop distances on an adjacency-list graph; -1 for unreachable.
+
+    The search ends at the first vertex of `stop` it reaches (the source
+    included).  BFS reaches vertices in nondecreasing distance, so that vertex
+    is the nearest of `stop` and the only one with a distance; the vertices
+    not reached by then also read -1."""
     dist = [-1] * len(adjacency)
     dist[source] = 0
+    if source in stop:
+        return dist
     queue = deque([source])
     while queue:
         u = queue.popleft()
         for w in adjacency[u]:
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
+                if w in stop:
+                    return dist
                 queue.append(w)
     return dist
 

@@ -399,6 +399,14 @@ GOLDEN = {
         "b0b2f024c56301fa90ee9960e971174a6f6bf8e84050606235c63f89a6b99eb1",
         "607adc6c2e4ebd45e9a45e0fc4689426d41e66e8460c70bb32dc12b56c4a8e00",
     ),
+    # A generated 200-vertex cubic core: outputs score distances 1-8, past the
+    # Petersen instance's 1-3.
+    "ggsp:ground-state-cheat": (
+        dict(GGSP_GOLDEN, algorithm="ground-state-cheat", trials=40, threshold=5,
+             instance=dict(PETERSEN_INSTANCE, expander={"generate": {"N": 200, "d": 3, "seed": 3}})),
+        "82897ddcc8a6bad784c5ed311299944fe53b972ca6823a373a3d6f074aafe516",
+        "bfeac77e517bbef510324845215e43aafc0cc12694a3ca8f14a5e1a2e937c644",
+    ),
 }
 
 
@@ -560,6 +568,40 @@ def test_count_below_one_is_config_error(tmp_path, capsys, command, cfg, argv):
     err = capsys.readouterr().err
     assert "config error:" in err and "at least 1" in err
     assert not any(out.iterdir())
+
+
+GRAPH_CFG = dict(GOLDEN["explore-graph"][0], trials=2)
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("ggsp", dict(GGSP_GOLDEN, t=0)),
+    ("ggsp", dict(GGSP_GOLDEN, threshold=2.5)),
+    ("explore-graph", dict(GRAPH_CFG, roots=0)),
+    ("explore-graph", dict(GRAPH_CFG, threshold="x")),
+    ("explore-graph", dict(GRAPH_CFG, query_limit="many")),
+    ("explore-tree", dict(TREE_CFG, w="two")),
+    ("explore-tree", dict(TREE_CFG, level=1.5)),
+])
+def test_bad_config_integer_is_config_error(tmp_path, capsys, command, cfg):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run([command, "--config", path, "--out", out]) == cli.EXIT_USAGE
+    assert "config error:" in capsys.readouterr().err
+    assert json.loads((out / "meta.json").read_text())["status"] == "config-error"
+
+
+@pytest.mark.parametrize("command", ["explore-graph", "ggsp"])
+def test_disconnected_file_core_is_config_error(tmp_path, capsys, command):
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    edges = k4 + [(u + 4, v + 4) for u, v in k4]
+    core = tmp_path / "two-k4.txt"
+    core.write_text("8 3 0\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    instance = dict(PETERSEN_INSTANCE, expander={"file": str(core)})
+    path = write_config(tmp_path, "c.json", dict(GGSP_GOLDEN, trials=5, roots=2, instance=instance))
+    out = tmp_path / "o"
+    assert run([command, "--config", path, "--out", out]) == cli.EXIT_USAGE
+    assert "config error:" in capsys.readouterr().err
+    assert json.loads((out / "meta.json").read_text())["status"] == "config-error"
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", 99), ("--budget", 2)])

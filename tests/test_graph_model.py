@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 import math
 import random
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, strategies as st
 
 from gapwalk import expander_gen, explorer as ex, graph_model as gm
 from conftest import build_decorated_tree_topdown, schedules
@@ -382,6 +383,52 @@ def test_expander_distance_triangle_inequality_exhaustive():
             row_j = dist[j]
             for k in range(n):
                 assert dist[i][k] <= dij + row_j[k]
+
+
+@functools.lru_cache(maxsize=None)
+def _distance_instance(name):
+    if name == "petersen":
+        params = gm.GraphParams.scaled((5, 4, 3), (1, 2, 3), expander_size=10)
+        return gm.MainGraph(params, expander_gen.petersen())
+    core, _ = expander_gen.generate_certified(60, 3, gap_min=0.0, girth_min=3, seed=1)
+    return gm.MainGraph(gm.GraphParams.scaled((4, 3), (1, 2), expander_size=60), core)
+
+
+@pytest.mark.parametrize("name", ["petersen", "cubic-60"])
+@given(data=st.data())
+def test_expander_distance_to_set_is_min_of_pairwise(name, data):
+    graph = _distance_instance(name)
+    index = st.integers(0, graph.num_nonisolated - 1)
+    v = graph.vertex_at(data.draw(index))
+    us = []
+    kinds = st.sampled_from(["any", "same-tree", "same-anchor"])
+    for kind in data.draw(st.lists(kinds, min_size=1, max_size=5)):
+        if kind == "any":
+            us.append(graph.vertex_at(data.draw(index)))
+        elif kind == "same-anchor":  # distance 1
+            us.append(gm.ExpanderVertex(graph.expander_anchor(v)))
+        elif isinstance(v, gm.TreeVertex):  # distance 0: the root of v's tree
+            us.append(v._replace(address=()))
+    assume(us)
+    expected = min(graph.expander_distance(u, v) for u in us)
+    assert graph.expander_distance_to_set(us, v) == expected
+    assert graph.expander_distance_to_set(reversed(us), v) == expected
+    with pytest.raises(gm.InvalidVertexError):
+        graph.expander_distance_to_set(us + [gm.IsolatedVertex(0)], v)
+    with pytest.raises(gm.InvalidVertexError):
+        graph.expander_distance_to_set(us, gm.IsolatedVertex(0))
+
+
+def test_expander_distance_to_set_on_a_disconnected_core():
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    edges = k4 + [(u + 4, v + 4) for u, v in k4]
+    core = expander_gen.RegularGraph(8, 3, expander_gen._edges_to_adjacency(8, edges), 0)
+    graph = gm.MainGraph(gm.GraphParams.scaled((4, 3), (1, 2), expander_size=8), core)
+    near, far = gm.ExpanderVertex(1), gm.TreeVertex(6, 1, 0, ())
+    # An input in the other component does not hide a reachable one.
+    assert graph.expander_distance_to_set([far, near], gm.ExpanderVertex(0)) == 2
+    with pytest.raises(gm.InvalidVertexError):
+        graph.expander_distance_to_set([far], gm.ExpanderVertex(0))
 
 
 def test_expander_anchor(small_instance):
