@@ -16,7 +16,8 @@ seed reproduces them byte for byte.
 One `Run` owns the output directory.  It resolves --out, the seed and the
 command's counts (--trials, --budget, or their config keys) once.  A count
 below 1 is a config error, and so is a non-integer count or config-only
-integer (t, roots, threshold, level, w, query_limit).  Starting a run deletes
+integer (t, roots, threshold, level, w, query_limit), or a non-number among
+the instance's and the core's values.  Starting a run deletes
 the files the command writes, then writes config.resolved.json and a
 meta.json with status "running", so a failed rerun leaves none of an earlier
 run's results.  Result files are written to a temporary name and renamed into
@@ -81,6 +82,14 @@ class UsageError(ValueError):
     pass
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors raise UsageError instead of exiting 2, the
+    code documented for check failures."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
@@ -112,6 +121,14 @@ def resolve_out(args, cfg: dict) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _number(name: str, value) -> float:
+    """`value` as a float; a non-number is a UsageError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} must be a number, got {value!r}") from None
 
 
 def _integer(name: str, value, low=None) -> int:
@@ -306,7 +323,7 @@ def build_expander(section: dict, run: Run):
     if section.get("petersen"):
         return expander_gen.petersen(), None
     if "complete" in section:
-        return expander_gen.complete_graph(int(section["complete"])), None
+        return expander_gen.complete_graph(_integer("expander.complete", section["complete"])), None
     if "file" in section:
         graph = expander_gen.load(section["file"])
         if not graph.is_connected():
@@ -315,12 +332,12 @@ def build_expander(section: dict, run: Run):
     if "generate" in section:
         gen = section["generate"]
         graph, cert = expander_gen.generate_certified(
-            N=int(_require(gen, "N", "expander.generate")),
-            d=int(_require(gen, "d", "expander.generate")),
-            gap_min=float(gen.get("gap_min", 0.0)),
-            girth_min=float(gen.get("girth_min", 3)),
-            seed=int(gen.get("seed", run.seed)),
-            max_attempts=int(gen.get("max_attempts", 50)),
+            N=_integer("expander.generate.N", _require(gen, "N", "expander.generate")),
+            d=_integer("expander.generate.d", _require(gen, "d", "expander.generate")),
+            gap_min=_number("expander.generate.gap_min", gen.get("gap_min", 0.0)),
+            girth_min=_number("expander.generate.girth_min", gen.get("girth_min", 3)),
+            seed=_integer("expander.generate.seed", gen.get("seed", run.seed)),
+            max_attempts=_integer("expander.generate.max_attempts", gen.get("max_attempts", 50)),
         )
         run.write("expander.certificate.json", json_text(cert.as_dict()))
         run.write("expander.txt", expander_gen.to_text(graph))
@@ -336,7 +353,7 @@ def build_instance(run: Run):
     section = _require(run.cfg, "instance", "config")
     mode = section.get("mode", "scaled")
     if mode == "standard":
-        params = graph_model.GraphParams.standard(int(_require(section, "n", "instance")))
+        params = graph_model.GraphParams.standard(_integer("instance.n", _require(section, "n", "instance")))
         return params, None
     sched = build_schedule(section)
     expander, _ = build_expander(_require(section, "expander", "instance"), run)
@@ -344,8 +361,8 @@ def build_instance(run: Run):
         sched.degrees,
         sched.depths,
         expander_size=expander.N,
-        girth_floor=int(section.get("girth_floor", 3)),
-        padding_ratio=float(section.get("padding_ratio", 2.0 ** -20)),
+        girth_floor=_integer("instance.girth_floor", section.get("girth_floor", 3)),
+        padding_ratio=_number("instance.padding_ratio", section.get("padding_ratio", 2.0 ** -20)),
     )
     return params, graph_model.MainGraph(params, expander)
 
@@ -384,7 +401,8 @@ def certify(run: Run, graph, section: dict, name: str) -> int:
     """Certify `graph` against the section's gap_min and girth_min and write
     the certificate to `name`."""
     cert = expander_gen.certify_expander(
-        graph, gap_min=float(section.get("gap_min", 0.0)), girth_min=float(section.get("girth_min", 3))
+        graph, gap_min=_number("gap_min", section.get("gap_min", 0.0)),
+        girth_min=_number("girth_min", section.get("girth_min", 3)),
     )
     if cert is None:
         print("certification rejected", file=sys.stderr)
@@ -423,17 +441,17 @@ def cmd_spectrum(run: Run) -> int:
         # single edge with one pendant vertex per endpoint).
         trees = [
             spectral.AttachedTree(
-                graph_model.Schedule(tuple(t["degrees"]), tuple(t["depths"])),
-                int(t.get("level", len(t["degrees"]))),
-                int(t.get("copies", 1)),
+                build_schedule(t),
+                _integer("instance.trees.level", t.get("level", len(t["degrees"]))),
+                _integer("instance.trees.copies", t.get("copies", 1), low=1),
             )
             for t in _require(section, "trees", "instance")
         ]
         solution = spectral.solve_top_eigenvalue(
-            float(_require(section, "lambda_e", "instance")),
+            _number("instance.lambda_e", _require(section, "lambda_e", "instance")),
             trees,
-            beta=float(section.get("beta", 1.0)),
-            expander_size=int(section.get("expander_size", 1)),
+            beta=_number("instance.beta", section.get("beta", 1.0)),
+            expander_size=_integer("instance.expander_size", section.get("expander_size", 1), low=1),
         )
     else:
         params, graph = build_instance(run)
@@ -784,20 +802,20 @@ def cmd_report(run: Run) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="gapwalk",
         description="Decorated-expander experiments: spectra, oracles, exploration bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--out", type=Path, default=None)
-        p.add_argument("--threads", type=int, default=None)
-    args = parser.parse_args(argv)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", type=Path)
+    for flag in ("seed", "trials", "budget", "threads"):
+        parser.add_argument(f"--{flag}", type=int)
+    parser.add_argument("--out", type=Path)
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as exc:
+        print(f"{parser.format_usage()}gapwalk: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     run = code = None
     try:
         cfg = load_config(args.config) if args.config else {}

@@ -22,11 +22,14 @@ over one shared tree; `ExplorationSession.run` (explore-graph, ggsp,
 `run_exploration`) is `drive` over one session.  Sessions share nothing but
 the graph's caches, so each record is the one its trial would have alone.
 
-Scoring works by canonical index: `reveal_index` on the trusted oracle (a memo
-hit for every label that came out of an answer), then `classify_index` reads
-the graph's per-index walk cache (`index_info`), the one the neighbour lookups
-fill, so a vertex is walked to once per graph, not once per query.  A sealed
-oracle refuses `reveal_index`, so it still refuses scoring.
+Each query is scored from the index it already mapped: `LabeledOracle.query`
+(the one counted entry point) leaves the label's canonical index in the
+oracle's memo, and the session reads it there once, then reads the graph's
+per-index walk cache (`index_info`) once, the cache the neighbour lookups
+fill, so a vertex is walked to once per graph, not once per query.  Events are
+kept raw, as (kind, step, IndexInfo), and formatted into dicts only when
+`events` or `to_record` is read.  A sealed oracle refuses scoring before the
+first query.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .graph_model import (
     classify_address,
     leaf_level,
 )
-from .oracle import GuidingSpec, LabeledOracle, OracleWindow, input_sampler
+from .oracle import GuidingSpec, LabeledOracle, OracleWindow, RevealSealedError, input_sampler
 
 
 class UnknownStrategyError(ValueError):
@@ -115,23 +118,6 @@ def classify_vertex(graph: Union[TreeGraph, MainGraph], v: Vertex) -> dict:
     return {"kind": "expander"}
 
 
-_ISOLATED = {"kind": "isolated"}
-_INTERNAL = {"kind": "internal"}
-_EXPANDER = {"kind": "expander"}
-
-
-def classify_index(graph: Union[TreeGraph, MainGraph], index: int) -> dict:
-    """`classify_vertex` of the vertex at a canonical index (isolated past
-    `num_nonisolated`), read from the graph's per-index walk cache with no
-    vertex built; callers must not mutate the returned dict."""
-    if index >= graph.num_nonisolated:
-        return _ISOLATED
-    info = graph.index_info(index)
-    if info.leaf_level is not None:
-        return {"kind": "leaf", "level": info.leaf_level, "decoration": info.decoration, "tree": info.tree}
-    return _EXPANDER if info.tree is None else _INTERNAL
-
-
 class ExplorationSession:
     """One strategy run and its record: budget, queries and answers, roots,
     scored events, how the run ended (`halted`) and the strategy's output."""
@@ -146,7 +132,7 @@ class ExplorationSession:
         self.stop_on_exit = stop_on_exit
         self.steps: list[Step] = []
         self.answers: list[tuple] = []  # full answers, kept in memory for audits
-        self.events: list[dict] = []
+        self._events: list[tuple] = []  # (kind, step, IndexInfo or None); see `events`
         self.roots: list[int] = []
         self.root_answers: dict[int, tuple] = {}
         self.halted = "done"
@@ -156,6 +142,18 @@ class ExplorationSession:
     @property
     def query_count(self) -> int:
         return len(self.steps)
+
+    @property
+    def events(self) -> list[dict]:
+        """Scored events in query order: an isolated hit, a leaf (its level,
+        and the reprs of its decoration copy and tree), and an exit leaf after
+        each level-0 leaf."""
+        return [
+            {"kind": kind, "step": step} if info is None else
+            {"kind": kind, "step": step, "level": info.leaf_level,
+             "decoration": repr(info.decoration), "tree": repr(info.tree)}
+            for kind, step, info in self._events
+        ]
 
     def to_record(self) -> dict:
         return {
@@ -178,36 +176,26 @@ class ExplorationSession:
         if step >= self.budget:
             self.halted = "budget"
             return None
-        answer = self.oracle.query(label)
+        oracle = self.oracle
+        if oracle.sealed:
+            raise RevealSealedError("scoring needs reveal(), which is sealed on this oracle")
+        answer = oracle.query(label)
         self.steps.append(Step(label, len(answer), fresh=fresh, is_root=is_root))
         self.answers.append(answer)
         if is_root:
             self.roots.append(label)
             self.root_answers[label] = answer
-        if self._score(label, step) and self.stop_on_exit:
-            self.halted = "exit"
-            return None
+        index = oracle._index_at[label]  # memoized by the query
+        if index >= oracle.num_nonisolated:
+            self._events.append(("isolated_hit", step, None))
+        elif (info := oracle.graph.index_info(index)).leaf_level is not None:
+            self._events.append(("leaf", step, info))
+            if info.leaf_level == 0:
+                self._events.append(("exit_leaf", step, None))
+                if self.stop_on_exit:
+                    self.halted = "exit"
+                    return None
         return answer
-
-    def _score(self, label: int, step: int) -> bool:
-        """Record the events of one query; True when it hit an exit leaf."""
-        info = classify_index(self.oracle.graph, self.oracle.reveal_index(label))
-        if info["kind"] == "isolated":
-            self.events.append({"kind": "isolated_hit", "step": step})
-        elif info["kind"] == "leaf":
-            self.events.append(
-                {
-                    "kind": "leaf",
-                    "step": step,
-                    "level": info["level"],
-                    "decoration": repr(info["decoration"]),
-                    "tree": repr(info["tree"]),
-                }
-            )
-            if info["level"] == 0:
-                self.events.append({"kind": "exit_leaf", "step": step})
-                return True
-        return False
 
     def start(self, strategy: Callable, roots: Sequence[int], rng: random.Random, query_roots: bool) -> "ExplorationSession":
         """Arm the run for `drive`: the roots' counted queries first when
@@ -279,10 +267,11 @@ def drive(sessions: Sequence[ExplorationSession], window: Optional[OracleWindow]
     """The one trial loop: run armed sessions (`ExplorationSession.start`)
     in lockstep to their ends.  At each step with more than one live session
     it collects the neighbours that every live session's next counted query
-    will answer with and that its oracle's memo lacks, labels all of them
-    through one `OracleWindow`, and only then makes the queries, which read
-    the memos; a lone session's query labels its own neighbours, at the same
-    cost.  Each session keeps its own oracle, budget, generator and
+    will answer with and that its oracle's memo lacks, and labels all of them
+    through one `OracleWindow`.  Only then does each session make its query
+    (`ExplorationSession.answer`), whose answer and scored index both come
+    out of the memo; a lone session's query labels its own neighbours, at the
+    same cost.  Each session keeps its own oracle, budget, generator and
     `random.Random`, so its record is the one it would have run to alone.
     `window` holds the sessions' oracles in order (built here when needed)."""
     live = [(row, s) for row, s in enumerate(sessions) if s.pending is not None]
@@ -528,11 +517,8 @@ def estimate_exit_probability(
 
 
 def _distinct_level1_decorations(session: ExplorationSession) -> int:
-    seen = set()
-    for ev in session.events:
-        if ev["kind"] == "leaf" and ev["level"] == 1:
-            seen.add((ev["tree"], ev["decoration"]))
-    return len(seen)
+    return len({(info.tree, info.decoration) for kind, _, info in session._events
+                if kind == "leaf" and info.leaf_level == 1})
 
 
 # ---------------------------------------------------------------------------

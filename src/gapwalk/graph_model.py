@@ -542,17 +542,6 @@ def _neighbor_indices(graph, index: int) -> tuple:
     return (info or graph.index_info(index)).neighbors
 
 
-def _vertex_leaf_level(graph, v: Vertex) -> Optional[int]:
-    """Level of a leaf vertex within its tree (0 for exit leaves), None for any
-    other vertex.  Bound as the `leaf_level` method of both instance classes."""
-    if not isinstance(v, TreeVertex):
-        return None
-    node = classify_address(graph.schedule, v.level, v.address)
-    if not is_leaf(graph.schedule, node):
-        return None
-    return leaf_level(v.level, node)
-
-
 class TreeGraph:
     """A standalone fully decorated level-k tree, rooted; used by tree-exploration
     experiments.  The root has no parent, so its degree is d_1 - 1."""
@@ -607,8 +596,6 @@ class TreeGraph:
             out.append(TreeVertex(0, self.k, 0, v.address[:-1]))
         out.extend(TreeVertex(0, self.k, 0, a) for a in children)
         return out
-
-    leaf_level = _vertex_leaf_level
 
     def index_of(self, v: TreeVertex) -> int:
         if not self.contains(v):
@@ -721,8 +708,6 @@ class MainGraph:
         if isinstance(v, TreeVertex):
             return v.anchor
         raise InvalidVertexError("isolated vertices have no expander anchor")
-
-    leaf_level = _vertex_leaf_level
 
     # -- distance ----------------------------------------------------------
 

@@ -7,15 +7,17 @@ explorers to grow connected components from their given roots.  Exploration
 strategies never hold a `LabeledOracle`: they are generators that yield labels
 and receive answers, and the trial that drives them
 (`explorer.ExplorationSession`) makes every query here and owns the query
-budget.  Vertex identities come back out only through `reveal`/`reveal_index`
-on the trusted object, used for post-hoc scoring.
+budget.  Vertex identities come back out only through `reveal` on the trusted
+object, and through the memo that the trial reads to score each query.
 
 The trusted object memoizes every index <-> label pair it has mapped, both
 ways, so a label runs through the Feistel map at most once per oracle, that is
 once per trial: a walk queries labels that came out of earlier answers, and the
-parent of a vertex appears in each of its answers.  `query`, `label_of`,
-`reveal` and `reveal_index` all read the memo first.  The memo is private to
-the oracle; strategies gain nothing from it.
+parent of a vertex appears in each of its answers.  `query`, `label_of` and
+`reveal` all read the memo first, and after `query(label)` the memo holds
+`label`'s index, so the trial scores the query with one memo read and no
+second map.  The memo is private to the oracle; strategies gain nothing from
+it.  A sealed oracle refuses `reveal` and scoring alike.
 
 An `OracleWindow` fills the memos of many oracles of one label width at once:
 the trial loop (`explorer.drive`) collects, for every live trial of a
@@ -27,6 +29,7 @@ of labels mapped, are those the trials would map one by one.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -53,6 +56,11 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# numpy scalars of the round constants, made once for the array paths.
+_GOLDEN_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+# The byte that tags round r's subkey derivation, for every round count allowed.
+_ROUND_BYTES = tuple(bytes([r]) for r in range(256))
 
 
 class LabelSpaceError(ValueError):
@@ -85,8 +93,8 @@ class FeistelPermutation:
         self.left_bits = bits // 2
         self.right_bits = bits - self.left_bits
         self.subkeys = tuple(
-            int.from_bytes(hashlib.sha256(key + bytes([r])).digest()[:8], "little")
-            for r in range(rounds)
+            int.from_bytes(hashlib.sha256(key + tag).digest()[:8], "little")
+            for tag in _ROUND_BYTES[:rounds]
         )
         self.size = 1 << bits
         self._right_mask = (1 << self.right_bits) - 1
@@ -98,7 +106,11 @@ class FeistelPermutation:
         masks = ((1 << self.left_bits) - 1, self._right_mask)
         self._forward_rounds = tuple((sk, masks[r % 2]) for r, sk in enumerate(self.subkeys))
         self._inverse_rounds = self._forward_rounds[::-1]
-        self.round_keys = np.array(self.subkeys, dtype=np.uint64)
+
+    @functools.cached_property
+    def round_keys(self) -> np.ndarray:
+        """The subkeys as a uint64 array, built on the first array call."""
+        return np.array(self.subkeys, dtype=np.uint64)
 
     def forward(self, x: int) -> int:
         if not 0 <= x < self.size:
@@ -170,12 +182,12 @@ class KeyedColumns(FeistelPermutation):
 def _mix64_array(x: np.ndarray) -> np.ndarray:
     """splitmix64 finaliser of x + golden, in place: x must be an array the
     caller owns."""
-    x += np.uint64(_GOLDEN)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
+    x += _GOLDEN_U64
+    x ^= x >> _S30
+    x *= _MIX1_U64
+    x ^= x >> _S27
+    x *= _MIX2_U64
+    x ^= x >> _S31
     return x
 
 
@@ -238,16 +250,11 @@ class LabeledOracle:
             return self._label(self.num_nonisolated + v.index)
         return self._label(self.graph.index_of(v))
 
-    def reveal_index(self, label: int) -> int:
-        """Canonical index behind a label (isolated labels map past
-        `num_nonisolated`); trusted post-hoc scoring only."""
-        if self.sealed:
-            raise RevealSealedError("reveal() is sealed on this oracle")
-        return self._index(label)
-
     def reveal(self, label: int) -> Vertex:
         """Invert the labeling; trusted post-hoc scoring only."""
-        idx = self.reveal_index(label)
+        if self.sealed:
+            raise RevealSealedError("reveal() is sealed on this oracle")
+        idx = self._index(label)
         if idx >= self.num_nonisolated:
             return IsolatedVertex(idx - self.num_nonisolated)
         return self.graph.vertex_at(idx)
@@ -318,7 +325,7 @@ class OracleWindow:
         if len(widths) != 1:
             raise LabelSpaceError(f"a window needs one label width, got {sorted(widths)}")
         self.bits = widths.pop()
-        self._round_keys = np.stack([o.perm.round_keys for o in self.oracles], axis=1)
+        self._round_keys = np.array([o.perm.subkeys for o in self.oracles], dtype=np.uint64).T
 
     def label(self, rows: Sequence[int], indices: Sequence[int]) -> None:
         """Memoize the label of `indices[i]` in oracle `rows[i]`; each pair must
@@ -445,7 +452,6 @@ def input_sampler(oracle: LabeledOracle, spec: GuidingSpec, seed: int) -> Iterat
             (w, input_sampler(oracle, sub, derive_seed(seed, i)))
             for i, (w, sub) in enumerate(spec.components)
         ]
-        weights = [w for w, _ in subs]
         while True:
             x = rng.random()
             for w, stream in subs:

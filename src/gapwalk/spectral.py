@@ -18,6 +18,7 @@ geometrically with depth, so everything is carried in log domain.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -451,7 +452,6 @@ class GroundStateSampler:
             raise ValueError("expander_size required")
         self.expander_size = n_e
         self.seed = seed
-        self._rng = random.Random(seed)
         # Anchor-level weights: stop weight 1, one group per attached tree family.
         self._groups = []
         for idx, tree in enumerate(solution.trees):
@@ -465,6 +465,12 @@ class GroundStateSampler:
             weight = copies * per_copy
             self._groups.append((idx, tree, int(copies), weight))
         self._anchor_total = 1.0 + sum(g[3] for g in self._groups)
+
+    @functools.cached_property
+    def _rng(self) -> random.Random:
+        """The sampler's own stream, seeded on first use: callers that always
+        pass an `rng` never pay for it."""
+        return random.Random(self.seed)
 
     def sample(self, rng: Optional[random.Random] = None) -> Vertex:
         rng = rng or self._rng
@@ -519,7 +525,6 @@ class GroundStateSampler:
                 return tuple(hops)
 
     def sample_many(self, count: int, rng: Optional[random.Random] = None) -> list:
-        rng = rng or self._rng
         return [self.sample(rng) for _ in range(count)]
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from gapwalk import expander_gen, graph_model as gm, spectral
+from gapwalk import expander_gen, explorer, graph_model as gm, spectral
 
 # Property tests replay the same examples on every run and keep no database.
 settings.register_profile("gapwalk", derandomize=True, database=None, deadline=None)
@@ -17,6 +17,19 @@ def schedules(draw, max_levels=3, max_degree=6, max_depth=4, min_depth=1):
     degrees = draw(st.lists(st.integers(2, max_degree), min_size=k, max_size=k, unique=True))
     depths = draw(st.lists(st.integers(min_depth, max_depth), min_size=k, max_size=k, unique=True))
     return gm.Schedule(tuple(sorted(degrees, reverse=True)), tuple(sorted(depths)))
+
+
+def reference_events(graph, vertex, step) -> list:
+    """The events a query at `step` scores for the revealed `vertex`, built
+    from `explorer.classify_vertex`, the address-walk reference."""
+    info = explorer.classify_vertex(graph, vertex)
+    if info["kind"] == "isolated":
+        return [{"kind": "isolated_hit", "step": step}]
+    if info["kind"] != "leaf":
+        return []
+    leaf = {"kind": "leaf", "step": step, "level": info["level"],
+            "decoration": repr(info["decoration"]), "tree": repr(info["tree"])}
+    return [leaf] + ([{"kind": "exit_leaf", "step": step}] if info["level"] == 0 else [])
 
 
 @pytest.fixture(scope="session")

@@ -571,6 +571,8 @@ def test_count_below_one_is_config_error(tmp_path, capsys, command, cfg, argv):
 
 
 GRAPH_CFG = dict(GOLDEN["explore-graph"][0], trials=2)
+CUSTOM_INSTANCE = {"mode": "custom", "lambda_e": 1.0, "expander_size": 2,
+                   "trees": [{"degrees": [2], "depths": [0], "copies": 1}]}
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -581,6 +583,24 @@ GRAPH_CFG = dict(GOLDEN["explore-graph"][0], trials=2)
     ("explore-graph", dict(GRAPH_CFG, query_limit="many")),
     ("explore-tree", dict(TREE_CFG, w="two")),
     ("explore-tree", dict(TREE_CFG, level=1.5)),
+    # The instance's and the core's numbers, integer or not.
+    ("ggsp", dict(GGSP_GOLDEN, instance=dict(PETERSEN_INSTANCE, girth_floor="x"))),
+    ("explore-graph", dict(GRAPH_CFG, instance=dict(PETERSEN_INSTANCE, padding_ratio="big"))),
+    ("spectrum", {"instance": {"mode": "standard", "n": "sixteen"}}),
+    ("spectrum", {"instance": dict(PETERSEN_INSTANCE, expander={"complete": "four"})}),
+    ("gen-expander", {"expander": {"N": "x", "d": 3}}),
+    ("gen-expander", {"expander": {"N": 20, "d": "three"}}),
+    ("gen-expander", {"expander": {"N": 20, "d": 3, "seed": "s"}}),
+    ("gen-expander", {"expander": {"N": 20, "d": 3, "max_attempts": "lots"}}),
+    ("gen-expander", {"expander": {"N": 20, "d": 3, "gap_min": "wide"}}),
+    ("gen-expander", {"expander": {"petersen": True, "girth_min": "x"}}),
+    ("spectrum", {"instance": dict(CUSTOM_INSTANCE, lambda_e="one")}),
+    ("spectrum", {"instance": dict(CUSTOM_INSTANCE, beta="x")}),
+    ("spectrum", {"instance": dict(CUSTOM_INSTANCE, expander_size="two")}),
+    ("spectrum", {"instance": dict(CUSTOM_INSTANCE, trees=[{"degrees": [2], "depths": [0], "level": "x"}])}),
+    ("spectrum", {"instance": dict(CUSTOM_INSTANCE, trees=[{"degrees": [2], "depths": [0], "copies": "x"}])}),
+    ("spectrum", {"instance": dict(CUSTOM_INSTANCE, trees=[{"degrees": [2], "depths": [0], "copies": 0}])}),
+    ("spectrum", {"instance": dict(CUSTOM_INSTANCE, expander_size=0)}),
 ])
 def test_bad_config_integer_is_config_error(tmp_path, capsys, command, cfg):
     out = tmp_path / "o"
@@ -588,6 +608,22 @@ def test_bad_config_integer_is_config_error(tmp_path, capsys, command, cfg):
     assert run([command, "--config", path, "--out", out]) == cli.EXIT_USAGE
     assert "config error:" in capsys.readouterr().err
     assert json.loads((out / "meta.json").read_text())["status"] == "config-error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["warp"],
+    [],
+    ["spectrum", "--seed", "x"],
+    ["spectrum", "--colour", "red"],
+])
+def test_usage_error_exits_1_and_leaves_out_untouched(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "records.jsonl").write_text("an earlier run's row\n")
+    assert run(argv + ["--out", out]) == cli.EXIT_USAGE
+    assert "usage: gapwalk" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["records.jsonl"]
+    assert (out / "records.jsonl").read_text() == "an earlier run's row\n"
 
 
 @pytest.mark.parametrize("command", ["explore-graph", "ggsp"])

@@ -15,7 +15,7 @@ from gapwalk import (
     oracle as orc,
 )
 from gapwalk._util import derive_key, derive_seed
-from conftest import schedules
+from conftest import reference_events, schedules
 
 
 def make_tree_oracle(degrees, depths, k, key_tag="t"):
@@ -114,7 +114,7 @@ def test_leaf_events_carry_levels_and_decorations():
     level1_leaf = None
     for i in range(graph.num_nonisolated):
         v = graph.vertex_at(i)
-        if graph.leaf_level(v) == 1:
+        if ex.classify_vertex(graph, v).get("level") == 1:
             level1_leaf = v
             break
     # Scripted path from root to that leaf through its ancestors.
@@ -132,7 +132,7 @@ def test_exit_event_fires_and_stops():
     exit_leaf = next(
         graph.vertex_at(i)
         for i in range(graph.num_nonisolated)
-        if graph.leaf_level(graph.vertex_at(i)) == 0
+        if ex.classify_vertex(graph, graph.vertex_at(i)).get("level") == 0
     )
     labels = [
         o.label_of(gm.TreeVertex(0, 2, 0, exit_leaf.address[:j]))
@@ -241,12 +241,102 @@ def test_lockstep_rows_match_one_session_per_trial(schedule, strategy, budget, s
     assert rows == _one_session_per_trial(graph, strategy, budget, seed, trials, 0.25)
 
 
+def _reference_session(oracle, fn, roots, rng, budget, stop_on_exit, query_roots):
+    """A session's record rebuilt by a plain loop: `LabeledOracle.query` for
+    each counted query, scored by `classify_vertex` of `oracle.reveal(label)`."""
+    record = {"steps": [], "answers": [], "events": [], "halted": "done", "output": None}
+    root_answers = {}
+
+    def ask(label, fresh, is_root):
+        step = len(record["steps"])
+        if step >= budget:
+            record["halted"] = "budget"
+            return None
+        answer = oracle.query(label)
+        record["steps"].append(ex.Step(label, len(answer), fresh=fresh, is_root=is_root))
+        record["answers"].append(answer)
+        if is_root:
+            root_answers[label] = answer
+        events = reference_events(oracle.graph, oracle.reveal(label), step)
+        record["events"] += events
+        if stop_on_exit and events and events[-1]["kind"] == "exit_leaf":
+            record["halted"] = "exit"
+            return None
+        return answer
+
+    gen = fn(list(roots), rng, oracle.num_labels)
+    if all(ask(r, False, True) is not None for r in (roots if query_roots else [])):
+        reply = None
+        while True:
+            try:
+                request = gen.send(reply)
+            except StopIteration as stop:
+                record["output"] = stop.value
+                break
+            label = int(request)
+            if type(request) is ex.Root and label in root_answers:
+                reply = root_answers[label]
+                continue
+            reply = ask(label, type(request) is ex.Fresh, type(request) is ex.Root)
+            if reply is None:
+                break
+    return record
+
+
+@given(
+    schedule=schedules(max_degree=5, max_depth=3),
+    strategy=st.sampled_from(sorted(ex.STRATEGIES)),
+    budget=st.integers(1, 12),
+    window=st.sampled_from([1, 2, ex.EXIT_WINDOW]),
+    stop_on_exit=st.booleans(),
+    query_roots=st.booleans(),
+    seed=st.integers(0, 1 << 32),
+)
+def test_session_scoring_matches_revealed_classification(
+    petersen, schedule, strategy, budget, window, stop_on_exit, query_roots, seed
+):
+    degrees = tuple(d - schedule.degrees[-1] + 3 for d in schedule.degrees)
+    graph = gm.MainGraph(gm.GraphParams.scaled(degrees, schedule.depths, expander_size=10), petersen)
+    n = graph.num_nonisolated
+    fn = ex.STRATEGIES[strategy]
+    pick = random.Random(seed)
+
+    def oracle(t):
+        return orc.build_oracle(graph, derive_key("score", seed, t), padding_ratio=0.5)
+
+    def roots(o):
+        # One or two roots, a quarter of them isolated.
+        picks = [pick.randrange(n + n // 3) for _ in range(pick.randint(1, 2))]
+        return [o.label_of(graph.vertex_at(i) if i < n else gm.IsolatedVertex(i - n)) for i in picks]
+
+    sessions, references = [], []
+    for t in range(window):
+        o, ref_oracle = oracle(t), oracle(t)
+        rs = roots(o)
+        session = ex.ExplorationSession(o, budget, t, strategy, stop_on_exit=stop_on_exit)
+        sessions.append(session.start(fn, rs, random.Random(t), query_roots))
+        references.append(_reference_session(ref_oracle, fn, rs, random.Random(t), budget, stop_on_exit, query_roots))
+    ex.drive(sessions)
+    for session, ref in zip(sessions, references):
+        got = {"steps": session.steps, "answers": session.answers, "events": session.events,
+               "halted": session.halted, "output": session.output}
+        assert got == ref
+
+    sealed = oracle(window)
+    rs = roots(sealed)
+    sealed.seal()
+    session = ex.ExplorationSession(sealed, budget, 0, strategy, stop_on_exit=stop_on_exit)
+    with pytest.raises(orc.RevealSealedError):
+        session.run(fn, rs, random.Random(0), query_roots)
+    assert session.steps == [] and session.events == [] and sealed.query_count == 0
+
+
 def _exact_nb_exit_probability(degrees, depths, k, budget):
     """Exact exit probability of the non-backtracking walk by dynamic
     programming over the materialized tree (independent of the MC path)."""
     graph = gm.TreeGraph(gm.Schedule(degrees, depths), k)
     mat = gm.materialize(graph)
-    is_exit = [graph.leaf_level(v) == 0 for v in mat.vertices]
+    is_exit = [ex.classify_vertex(graph, v).get("level") == 0 for v in mat.vertices]
 
     @lru_cache(maxsize=None)
     def prob(cur, prev, remaining):

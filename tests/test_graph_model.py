@@ -283,7 +283,11 @@ def _check_index_walk(graph, indices):
     for i in indices:
         v = graph.vertex_at(i)
         assert graph.index_info(i).neighbors == tuple(graph.index_of(w) for w in graph.neighbors(v))
-        assert ex.classify_index(graph, i) == ex.classify_vertex(graph, v)
+        info, expected = graph.index_info(i), ex.classify_vertex(graph, v)
+        assert (info.tree is None) == (expected["kind"] == "expander")
+        assert info.leaf_level == expected.get("level")
+        if expected["kind"] == "leaf":
+            assert (info.decoration, info.tree) == (expected["decoration"], expected["tree"])
 
 
 @given(schedules(max_degree=5, max_depth=3))

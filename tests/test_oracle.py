@@ -8,7 +8,7 @@ from hypothesis import assume, given, strategies as st
 
 from gapwalk import expander_gen as eg, explorer as ex, graph_model as gm, oracle as orc, spectral as sp
 from gapwalk._util import derive_key
-from conftest import schedules
+from conftest import reference_events, schedules
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +207,8 @@ def test_memoized_query_matches_unmemoized_map(schedule, data, plan, key):
         )
         answer = o.query(label)
         assert answer == expected
-        assert ex.classify_index(graph, o.reveal_index(label)) == ex.classify_vertex(graph, o.reveal(label))
-        assert o.reveal_index(label) == index
+        assert o._index_at[label] == index  # the memo read that scores the query
+        assert o.reveal(label) == (graph.vertex_at(index) if index < n else gm.IsolatedVertex(index - n))
         seen.extend(answer)
     assert o.query_count == len(plan)
 
@@ -216,11 +216,14 @@ def test_memoized_query_matches_unmemoized_map(schedule, data, plan, key):
 @given(data=st.data(), key=st.binary(min_size=16, max_size=16))
 def test_cached_classification_matches_revealed_vertex(small_instance, data, key):
     o = orc.build_oracle(small_instance, key, padding_ratio=2.0 ** -3)
+    plan = []
     for _ in range(20):
         label = data.draw(st.integers(0, o.num_labels - 1))
-        for y in (label,) + o.query(label):
-            expected = ex.classify_vertex(small_instance, o.reveal(y))
-            assert ex.classify_index(small_instance, o.reveal_index(y)) == expected
+        plan += (label,) + o.query(label)
+    session = ex.ExplorationSession(o, len(plan), 0, "scripted")
+    session.run(ex.scripted(plan), [], random.Random(0), query_roots=False)
+    expected = [ev for step, y in enumerate(plan) for ev in reference_events(small_instance, o.reveal(y), step)]
+    assert session.events == expected
 
 
 def test_sealed_oracle_refuses_scoring(tree_oracle):
@@ -229,7 +232,7 @@ def test_sealed_oracle_refuses_scoring(tree_oracle):
     o.query(root)  # the root's label and its neighbours' are memoized
     o.seal()
     with pytest.raises(orc.RevealSealedError):
-        o.reveal_index(root)
+        o.reveal(root)
     with pytest.raises(orc.RevealSealedError):
         ex.run_exploration(o, [root], "greedy-unvisited", budget=4, seed=0)
 
