@@ -1,4 +1,4 @@
-"""Shared numeric helpers: stable log-domain sums, binomial statistics, seed derivation."""
+"""Shared helpers: the input error type, stable log-domain sums, binomial statistics, seed derivation."""
 
 from __future__ import annotations
 
@@ -6,6 +6,11 @@ import hashlib
 import math
 
 NEG_INF = float("-inf")
+
+
+class InputError(ValueError):
+    """A value from outside the program (a config, a file, an argument) that
+    the library refuses; the CLI reports it as a config error."""
 
 
 def logsumexp(values) -> float:

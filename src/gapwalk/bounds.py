@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ._util import NEG_INF, log2sumexp
+from ._util import NEG_INF, InputError, log2sumexp
 from .graph_model import Schedule, _exact_sqrt
 
 
-class BoundDomainError(ValueError):
+class BoundDomainError(InputError):
     """Inputs outside the range a bound statement covers."""
 
 

@@ -14,10 +14,11 @@ records.jsonl and trials.jsonl contain no timestamps, so identical config plus
 seed reproduces them byte for byte.
 
 One `Run` owns the output directory.  It resolves --out, the seed and the
-command's counts (--trials, --budget, or their config keys) once.  A count
-below 1 is a config error, and so is a non-integer count or config-only
-integer (t, roots, threshold, level, w, query_limit), or a non-number among
-the instance's and the core's values.  Starting a run deletes
+command's counts (--trials, --budget, or their config keys) and thread count
+once.  A count below 1 is a config error, and so is a non-integer count or
+config-only integer (t, roots, threshold, level, w, query_limit), a
+non-number among the instance's and the core's values, or any value the
+library refuses (an InputError).  Starting a run deletes
 the files the command writes, then writes config.resolved.json and a
 meta.json with status "running", so a failed rerun leaves none of an earlier
 run's results.  Result files are written to a temporary name and renamed into
@@ -28,10 +29,15 @@ expander.certificate.json are cleared only by gen-expander, because other
 commands may read a core from there.  A core read from a file must be
 connected.  `report` only reads a run: it rewrites summary.csv and nothing else.
 
-explore-tree appends to trials.jsonl and resumes from the rows it finds.  Its
-meta.json carries a resume key, stored before the first row is appended: the
-hash of the config without trials, threads and out, plus the effective seed
-and budget.  Resuming rows under a different key exits 1.
+explore-tree maps one window function, in order, over each strategy's pending
+trials in windows of explorer.EXIT_WINDOW, smaller when there are too few
+trials to keep every worker busy: builtin map with --threads 1, one process
+pool per run otherwise (no other command uses --threads).  It appends
+each window's rows to trials.jsonl as they arrive, so an interruption loses
+only the windows in flight, and resumes from the rows it finds.  Its meta.json
+carries a resume key, stored before the first row is appended: the hash of the
+config without trials, threads and out, plus the effective seed and budget.
+Resuming rows under a different key exits 1.
 
 Exit codes: 0 success, 1 usage/config error, 2 certification or verification
 failure, 3 query-budget exhaustion.
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -61,7 +68,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import expander_gen, explorer, graph_model, oracle as oracle_mod, spectral
-from ._util import derive_key, derive_seed
+from ._util import InputError, derive_key, derive_seed
 
 OUT_ENV_VAR = "GAPWALK_OUT"
 
@@ -78,7 +85,7 @@ RECORDS = ("records.jsonl", "summary.csv")
 RESUME_FREE = ("trials", "threads", "out")
 
 
-class UsageError(ValueError):
+class UsageError(InputError):
     pass
 
 
@@ -135,7 +142,7 @@ def _integer(name: str, value, low=None) -> int:
     """`value` as an int; a non-integer, or a value below `low`, is a UsageError."""
     try:
         number = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or isinstance(value, float) and value != number:
         raise UsageError(f"{name} must be an integer, got {value!r}")
@@ -229,7 +236,8 @@ class Run:
         self.cfg = cfg
         self.out = resolve_out(args, cfg)
         self.seed = _integer("seed", cfg.get("seed", 0) if args.seed is None else args.seed)
-        self.threads = max(1, int(args.threads or cfg.get("threads", 1)))
+        threads = cfg.get("threads", 1) if args.threads is None else args.threads
+        self.threads = _integer("threads (--threads)", threads, low=1)
         self.meta = {"command": name, "config_hash": config_hash(cfg), "seed": self.seed}
         for flag, (key, default) in self.command.counts.items():
             value = getattr(args, flag)
@@ -309,13 +317,13 @@ def _require(cfg: dict, key: str, context: str):
 
 
 def build_schedule(section: dict) -> graph_model.Schedule:
-    try:
-        return graph_model.Schedule(
-            tuple(_require(section, "degrees", "schedule")),
-            tuple(_require(section, "depths", "schedule")),
-        )
-    except graph_model.ScheduleError as exc:
-        raise UsageError(str(exc))
+    lists = []
+    for key in ("degrees", "depths"):
+        values = _require(section, key, "schedule")
+        if not isinstance(values, list):
+            raise UsageError(f"schedule {key} must be a list of integers, got {values!r}")
+        lists.append(tuple(_integer(f"schedule {key}", v) for v in values))
+    return graph_model.Schedule(*lists)
 
 
 def build_expander(section: dict, run: Run):
@@ -339,7 +347,7 @@ def build_expander(section: dict, run: Run):
             seed=_integer("expander.generate.seed", gen.get("seed", run.seed)),
             max_attempts=_integer("expander.generate.max_attempts", gen.get("max_attempts", 50)),
         )
-        run.write("expander.certificate.json", json_text(cert.as_dict()))
+        run.write("expander.certificate.json", json_text(dataclasses.asdict(cert)))
         run.write("expander.txt", expander_gen.to_text(graph))
         return graph, cert
     raise UsageError(
@@ -378,11 +386,12 @@ def oracle_maker(graph, cfg: dict):
     """key -> oracle over `graph` with the config's padding ratio and label
     width; a configured `oracle.key` (32 hex digits) replaces every trial's key."""
     section = cfg.get("oracle", {})
+    ratio, bits = section.get("padding_ratio"), section.get("label_bits")
     build = functools.partial(
-        oracle_mod.build_oracle,
+        oracle_mod.LabeledOracle,
         graph,
-        padding_ratio=section.get("padding_ratio"),
-        label_bits=section.get("label_bits"),
+        padding_ratio=None if ratio is None else _number("oracle.padding_ratio", ratio),
+        label_bits=None if bits is None else _integer("oracle.label_bits", bits, low=1),
     )
     key_hex = section.get("key")
     if key_hex is None:
@@ -407,7 +416,7 @@ def certify(run: Run, graph, section: dict, name: str) -> int:
     if cert is None:
         print("certification rejected", file=sys.stderr)
         return EXIT_CERTIFICATION
-    run.write(name, json_text(cert.as_dict()))
+    run.write(name, json_text(dataclasses.asdict(cert)))
     print(f"accepted: girth={cert.girth} gap={cert.gap:.6f} attempts={cert.attempts}")
     return EXIT_OK
 
@@ -515,48 +524,56 @@ def cmd_sample_ground(run: Run) -> int:
     return EXIT_OK
 
 
-def _exit_trial_worker(payload: tuple) -> list:
-    """Module-level so a process pool can pickle it; each call builds its own
-    tree in the worker process."""
-    degrees, depths, level, strategy, budget, seed, padding, indices = payload
-    graph = graph_model.TreeGraph(graph_model.Schedule(tuple(degrees), tuple(depths)), level)
-    return explorer.exit_trials(graph, strategy, budget, seed, indices, padding)
+@functools.lru_cache(maxsize=1)
+def exit_tree(degrees: tuple, depths: tuple, level: int) -> graph_model.TreeGraph:
+    """explore-tree's tree, built once per process; one entry, so one tree is held."""
+    return graph_model.TreeGraph(graph_model.Schedule(degrees, depths), level)
+
+
+def exit_window(job: tuple) -> list:
+    """The rows of one window of exit trials; module-level, so a pool can pickle it."""
+    degrees, depths, level, strategy, budget, seed, padding, trials = job
+    return explorer.exit_trials(exit_tree(degrees, depths, level), strategy, budget, seed, trials, padding)
 
 
 @command("explore-tree", counts={"trials": ("trials", 1000), "budget": ("budget", 16)},
          resumes=True)
 def cmd_explore_tree(run: Run) -> int:
-    cfg, budget, trials, seed, threads = run.cfg, run.budget, run.trials, run.seed, run.threads
+    cfg, budget, trials = run.cfg, run.budget, run.trials
     sched = build_schedule(_require(cfg, "schedule", "config"))
     level = run.integer("level", sched.levels)
     strategies = cfg.get("strategies") or [cfg.get("strategy", "greedy-unvisited")]
+    if not isinstance(strategies, list) or not all(isinstance(s, str) for s in strategies):
+        raise UsageError(f"strategies must be a list of strategy names, got {strategies!r}")
     w = run.integer("w", 2, low=1)
-    padding = float(cfg.get("padding_ratio", 0.25))
+    padding = _number("padding_ratio", cfg.get("padding_ratio", 0.25))
     q_schedule = cfg.get("q_schedule") or [
         max(1.0, budget / (w ** (level - k))) for k in range(1, level + 1)
     ]
 
+    exit_tree(sched.degrees, sched.depths, level)  # a bad level exits 1 before any trial
     trials_path = run.out / "trials.jsonl"
     all_rows = read_trial_rows(trials_path)
-    graph = graph_model.TreeGraph(sched, level)  # shared by the strategies' trials
     done = {(row["strategy"], row["trial"]) for row in all_rows}
-    for strategy in strategies:
-        pending = [t for t in range(trials) if (strategy, t) not in done]
-        if not pending:
-            continue
-        if threads > 1:
-            payloads = [
-                (sched.degrees, sched.depths, level, strategy, budget, seed, padding, pending[i::threads])
-                for i in range(min(threads, len(pending)))
-            ]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                rows = [r for rs in pool.map(_exit_trial_worker, payloads) for r in rs]
-            rows.sort(key=lambda r: r["trial"])
-        else:
-            rows = explorer.exit_trials(graph, strategy, budget, seed, pending, padding)
-        with open(trials_path, "a") as fh:
-            fh.write(jsonl(rows))
-        all_rows += rows
+    pending = [(s, [t for t in range(trials) if (s, t) not in done]) for s in strategies]
+    # Windows of EXIT_WINDOW trials, smaller where that would leave a worker idle.
+    total = sum(len(ts) for _, ts in pending)
+    size = max(1, min(explorer.EXIT_WINDOW, math.ceil(total / run.threads)))
+    jobs = [
+        (sched.degrees, sched.depths, level, strategy, budget, run.seed, padding, ts[i : i + size])
+        for strategy, ts in pending
+        for i in range(0, len(ts), size)
+    ]
+    pool = ProcessPoolExecutor(run.threads) if run.threads > 1 else None
+    try:
+        for rows in (pool.map if pool else map)(exit_window, jobs):
+            with open(trials_path, "a") as fh:
+                fh.write(jsonl(rows))
+            all_rows += rows
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+        exit_tree.cache_clear()  # hold no tree after the run
 
     rec_reports = bounds_mod.recursion_bound(
         graph_model.Schedule(sched.degrees[:level], sched.depths[:level]), q_schedule, w
@@ -762,7 +779,7 @@ def run_verification_suite(seed: int = 0, planted_defect: bool = False) -> list:
     emp = np.array([counts.get(v, 0) / n_samples for v in mat.vertices])
     check("sampler-tv-distance", 0.5 * float(np.abs(emp - exact).sum()), 0.05)
 
-    orc = oracle_mod.build_oracle(graph, derive_key("verify", seed), padding_ratio=2.0 ** -6)
+    orc = oracle_mod.LabeledOracle(graph, derive_key("verify", seed), padding_ratio=2.0 ** -6)
     rng = random.Random(seed)
     bad_roundtrip = 0
     bad_symmetry = 0
@@ -824,13 +841,7 @@ def main(argv=None) -> int:
             run.start()
         code = run.command.fn(run)
         run.write_records()
-    except (
-        UsageError,
-        FileNotFoundError,
-        graph_model.ScheduleError,
-        bounds_mod.BoundDomainError,
-        explorer.UnknownStrategyError,
-    ) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     except expander_gen.GenerationError as exc:

@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from ._util import derive_seed
+from ._util import InputError, derive_seed
 from .graph_model import bfs_distances, top_eigenpairs
 
 
@@ -38,12 +38,12 @@ class RegularGraph:
 
     def __post_init__(self):
         if any(len(nbrs) != self.d for nbrs in self.adjacency):
-            raise ValueError("not regular")
+            raise InputError(f"not {self.d}-regular")
         for u, nbrs in enumerate(self.adjacency):
             if u in nbrs:
-                raise ValueError("self-loop")
+                raise InputError(f"self-loop at vertex {u}")
             if len(set(nbrs)) != len(nbrs):
-                raise ValueError("multi-edge")
+                raise InputError(f"multi-edge at vertex {u}")
 
     def edges(self):
         for u, nbrs in enumerate(self.adjacency):
@@ -65,18 +65,6 @@ class ExpanderCertificate:
     residual1: float = 0.0
     residual2: float = 0.0
     uniform: bool = True
-
-    def as_dict(self) -> dict:
-        return {
-            "girth": self.girth,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "gap": self.gap,
-            "attempts": self.attempts,
-            "residual1": self.residual1,
-            "residual2": self.residual2,
-            "uniform": self.uniform,
-        }
 
 
 def _edges_to_adjacency(N: int, edges) -> tuple:
@@ -158,9 +146,9 @@ def sample_regular_graph(
     and marks the graph non-uniform.
     """
     if (N * d) % 2 != 0:
-        raise ValueError("N*d must be even")
+        raise InputError(f"N*d must be even, got N={N}, d={d}")
     if not 0 <= d < N:
-        raise ValueError("need 0 <= d < N")
+        raise InputError(f"need 0 <= d < N, got N={N}, d={d}")
     rng = random.Random(derive_seed("regular-graph", N, d, seed))
     for attempt in range(max_rejections):
         edges = _pairing_attempt(N, d, rng)
@@ -208,7 +196,7 @@ def certify_expander(
 ) -> Optional[ExpanderCertificate]:
     """Certificate if the graph meets the gap and girth thresholds, else None."""
     if gap_min < 0 or girth_min < 0:
-        raise ValueError("thresholds must be non-negative")
+        raise InputError("thresholds must be non-negative")
     if not graph.is_connected():
         return None
     g = girth(graph)
@@ -287,7 +275,7 @@ def from_text(text: str) -> RegularGraph:
     for ln in lines[1:]:
         u, v = (int(x) for x in ln.split())
         if not u < v:
-            raise ValueError(f"edge list must be sorted with u < v: {ln!r}")
+            raise InputError(f"edge list must be sorted with u < v: {ln!r}")
         edges.append((u, v))
     return RegularGraph(N, d, _edges_to_adjacency(N, edges), seed)
 

@@ -40,7 +40,7 @@ from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 from . import spectral
-from ._util import binomial_stderr, derive_key, derive_seed, wilson_interval
+from ._util import InputError, binomial_stderr, derive_key, derive_seed, wilson_interval
 from .graph_model import (
     DECOR,
     IsolatedVertex,
@@ -56,7 +56,7 @@ from .graph_model import (
 from .oracle import GuidingSpec, LabeledOracle, OracleWindow, RevealSealedError, input_sampler
 
 
-class UnknownStrategyError(ValueError):
+class UnknownStrategyError(InputError):
     pass
 
 

@@ -25,6 +25,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from ._util import InputError
+
 MATERIALIZE_CAP = 200_000
 RANKING_CAP = 1 << 50
 INDEX_CACHE_CAP = 1 << 20  # entries per per-index cache of one instance
@@ -33,7 +35,7 @@ CORE = "c"
 DECOR = "d"
 
 
-class ScheduleError(ValueError):
+class ScheduleError(InputError):
     """Invalid degree/depth schedule or parameters."""
 
 
@@ -618,12 +620,12 @@ class MainGraph:
         self.schedule = params.schedule
         self.expander = expander
         if expander.N != params.expander_size:
-            raise InvalidVertexError(
+            raise ScheduleError(
                 f"expander has {expander.N} vertices, params say {params.expander_size}"
             )
         degs = {len(nbrs) for nbrs in expander.adjacency}
         if degs != {params.expander_degree}:
-            raise InvalidVertexError(
+            raise ScheduleError(
                 f"expander degree set {degs} does not match d_E={params.expander_degree}"
             )
         self._attach = [

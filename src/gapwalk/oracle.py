@@ -40,7 +40,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from . import expander_gen
-from ._util import derive_seed
+from ._util import InputError, derive_seed
 from .graph_model import (
     ExpanderVertex,
     GraphParams,
@@ -59,8 +59,10 @@ _MIX2 = 0x94D049BB133111EB
 # numpy scalars of the round constants, made once for the array paths.
 _GOLDEN_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
 _S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
-# The byte that tags round r's subkey derivation, for every round count allowed.
-_ROUND_BYTES = tuple(bytes([r]) for r in range(256))
+# Feistel rounds of every label map; even, so the half-widths come back.
+ROUNDS = 8
+# The byte that tags round r's subkey derivation.
+_ROUND_BYTES = tuple(bytes([r]) for r in range(ROUNDS))
 
 
 class LabelSpaceError(ValueError):
@@ -75,26 +77,23 @@ class FeistelPermutation:
     """Keyed bijection on [0, 2^bits) built from an alternating-width Feistel
     network with a splitmix-style keyed round function.
 
-    Round subkeys are derived from the 128-bit key by SHA-256.  An even number
-    of rounds restores the original half-widths, so odd bit counts are handled
-    without cycle walking.
+    Its ROUNDS round subkeys are derived from the 128-bit key by SHA-256.  An
+    even number of rounds restores the original half-widths, so odd bit counts
+    are handled without cycle walking.
     """
 
-    def __init__(self, bits: int, key: bytes, rounds: int = 8):
+    def __init__(self, bits: int, key: bytes):
         if not 1 <= bits <= MAX_LABEL_BITS:
             raise LabelSpaceError(f"label bits must lie in [1, {MAX_LABEL_BITS}]")
         if len(key) != 16:
             raise ValueError("key must be 16 bytes")
-        if rounds < 8 or rounds % 2:
-            raise ValueError("rounds must be even and >= 8")
         self.bits = bits
         self.key = key
-        self.rounds = rounds
         self.left_bits = bits // 2
         self.right_bits = bits - self.left_bits
         self.subkeys = tuple(
             int.from_bytes(hashlib.sha256(key + tag).digest()[:8], "little")
-            for tag in _ROUND_BYTES[:rounds]
+            for tag in _ROUND_BYTES
         )
         self.size = 1 << bits
         self._right_mask = (1 << self.right_bits) - 1
@@ -207,7 +206,7 @@ class LabeledOracle:
             params = getattr(graph, "params", None)
             padding_ratio = params.padding_ratio if params is not None else 2.0 ** -20
         if not 0 < padding_ratio <= 1:
-            raise LabelSpaceError(f"padding_ratio must lie in (0, 1]: {padding_ratio}")
+            raise InputError(f"padding_ratio must lie in (0, 1]: {padding_ratio}")
         self.padding_ratio = padding_ratio
         n = graph.num_nonisolated
         if label_bits is None:
@@ -342,15 +341,6 @@ class OracleWindow:
             oracle._index_at[label] = index
 
 
-def build_oracle(
-    graph: Union[MainGraph, TreeGraph],
-    key: bytes,
-    padding_ratio: Optional[float] = None,
-    label_bits: Optional[int] = None,
-) -> LabeledOracle:
-    return LabeledOracle(graph, key, padding_ratio, label_bits)
-
-
 def save_descriptor(oracle: LabeledOracle, path, expander_file: Optional[str] = None):
     with open(path, "w") as fh:
         json.dump(oracle.descriptor(expander_file), fh, indent=2, sort_keys=True)
@@ -402,15 +392,15 @@ class GuidingSpec:
     def __post_init__(self):
         kinds = {"exact-ground-state", "expander-uniform", "single-fixed-root", "mixture"}
         if self.kind not in kinds:
-            raise ValueError(f"unknown guiding kind {self.kind!r}")
+            raise InputError(f"unknown guiding kind {self.kind!r}")
         if self.kind == "mixture":
             if not self.components:
-                raise ValueError("mixture needs components")
+                raise InputError("mixture needs components")
             total = sum(w for w, _ in self.components)
             if not math.isclose(total, 1.0, rel_tol=1e-9):
-                raise ValueError(f"mixture weights sum to {total}, expected 1")
+                raise InputError(f"mixture weights sum to {total}, expected 1")
             if any(w < 0 for w, _ in self.components):
-                raise ValueError("mixture weights must be non-negative")
+                raise InputError("mixture weights must be non-negative")
 
 
 def input_sampler(oracle: LabeledOracle, spec: GuidingSpec, seed: int) -> Iterator[int]:

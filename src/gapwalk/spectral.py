@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._util import NEG_INF, log1p_from_log, logsumexp
+from ._util import NEG_INF, InputError, log1p_from_log, logsumexp
 from .graph_model import (
     CORE,
     ExpanderVertex,
@@ -63,7 +63,7 @@ class AttachedTree:
     def __post_init__(self):
         self.schedule._check_level(self.level)
         if self.copies < 1:
-            raise ValueError("copies must be >= 1")
+            raise InputError("copies must be >= 1")
 
     def norm_upper_bound(self) -> float:
         """Safe upper bound on the tree's spectral radius: 2*sqrt(d_1 - 1)."""
@@ -317,10 +317,10 @@ def solve_top_eigenvalue(
     bound and geometric expansion otherwise.
     """
     trees = tuple(trees)
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    if lambda_e <= 0:
-        raise ValueError("lambda_E must be positive")
+    if not beta >= 0:
+        raise InputError(f"beta must be >= 0, got {beta}")
+    if not lambda_e > 0:
+        raise InputError(f"lambda_E must be positive, got {lambda_e}")
     if beta == 0 or not trees:
         return SpectralSolution(
             base_eigenvalue=lambda_e,

@@ -220,7 +220,7 @@ def test_criterion_6_localization():
     sampling_ok = measured >= floor.value - 3 * stderr
 
     def make(key):
-        return orc.build_oracle(graph, key, padding_ratio=2.0 ** -8)
+        return orc.LabeledOracle(graph, key, padding_ratio=2.0 ** -8)
 
     echo = ex.ggsp_experiment(
         make, "exact-ground-state", "echo-first-input",
@@ -249,7 +249,7 @@ def test_criterion_7_oracle_hygiene(tmp_path):
     params = gm.GraphParams.scaled((4, 3), (1, 2), expander_size=10,
                                    padding_ratio=2.0 ** -10)
     graph = gm.MainGraph(params, eg.petersen())
-    o = orc.build_oracle(graph, derive_key("acceptance-pad"))
+    o = orc.LabeledOracle(graph, derive_key("acceptance-pad"))
     n_probes = 100_000
     tr = ex.run_exploration(
         o, [o.label_of(gm.ExpanderVertex(0))], "random-probe",
@@ -265,7 +265,7 @@ def test_criterion_7_oracle_hygiene(tmp_path):
     audits_ok = True
     for seed in range(100):
         key = derive_key("acceptance-audit", seed)
-        ot = orc.build_oracle(tree, key, padding_ratio=0.25)
+        ot = orc.LabeledOracle(tree, key, padding_ratio=0.25)
         strategy = ex.EXPLORATION_STRATEGIES[seed % 4]
         t = ex.run_exploration(ot, [ot.label_of(tree.root)], strategy, budget=25, seed=seed)
         audits_ok &= ex.component_audit(t).ok

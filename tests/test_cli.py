@@ -141,6 +141,31 @@ def test_explore_tree_threads_do_not_change_results(tmp_path):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
+def test_explore_tree_pool_splits_a_small_run_across_workers(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, "t.json", dict(TREE_CFG, strategies=["uniform-walk"], trials=10))
+    assert run(["explore-tree", "--config", cfg, "--out", tmp_path / "one"]) == cli.EXIT_OK
+    windows = []
+
+    class Pool:  # runs the windows in process and records their sizes
+        def __init__(self, workers):
+            assert workers == 3
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            windows.extend(len(job[-1]) for job in jobs)
+            return map(fn, jobs)
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    assert run(["explore-tree", "--config", cfg, "--out", tmp_path / "three",
+                "--threads", 3]) == cli.EXIT_OK
+    assert windows == [4, 4, 2]
+    for name in ("records.jsonl", "trials.jsonl"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "three" / name).read_bytes()
+
+
 def test_ggsp_writes_per_trial_records(tmp_path):
     cfg = graph_cfg(tmp_path, {"algorithm": "echo-first-input", "trials": 10,
                                "t": 2, "budget": 6, "threshold": 2,
@@ -608,6 +633,69 @@ def test_bad_config_integer_is_config_error(tmp_path, capsys, command, cfg):
     assert run([command, "--config", path, "--out", out]) == cli.EXIT_USAGE
     assert "config error:" in capsys.readouterr().err
     assert json.loads((out / "meta.json").read_text())["status"] == "config-error"
+
+
+NOT_REGULAR = "not-regular.txt"  # header "4 3 0" over two edges
+
+
+@pytest.mark.parametrize("command, cfg", [
+    # Out-of-range values the library refuses.
+    ("spectrum", {"instance": dict(CUSTOM_INSTANCE, lambda_e=-1)}),
+    ("spectrum", {"instance": dict(CUSTOM_INSTANCE, beta="nan")}),
+    ("spectrum", {"instance": dict(PETERSEN_INSTANCE, expander={"complete": 1})}),
+    ("gen-expander", {"expander": {"N": -5, "d": 3}}),
+    ("explore-tree", dict(TREE_CFG, padding_ratio=0)),
+    ("explore-graph", dict(GRAPH_CFG, guiding="nonsense")),
+    ("ggsp", dict(GGSP_GOLDEN, guiding="nonsense")),
+    ("explore-graph", dict(GRAPH_CFG, oracle={"padding_ratio": 2})),
+    ("explore-graph", dict(GRAPH_CFG, oracle={"padding_ratio": "x"})),
+    ("ggsp", dict(GGSP_GOLDEN, oracle={"label_bits": "x"})),
+    ("explore-graph", dict(GRAPH_CFG, instance=dict(PETERSEN_INSTANCE, expander={"file": NOT_REGULAR}))),
+    ("certify", {"expander_file": NOT_REGULAR}),
+    # Values read without a check.
+    ("spectrum", {"instance": CUSTOM_INSTANCE, "threads": "x"}),
+    ("explore-tree", dict(TREE_CFG, threads=-2)),
+    ("explore-tree", dict(TREE_CFG, threads=math.inf)),  # json writes Infinity
+    ("explore-tree", dict(TREE_CFG, schedule={"degrees": [math.inf, 2], "depths": [1, 2]})),
+    ("explore-tree", dict(TREE_CFG, padding_ratio="x")),
+    ("explore-tree", dict(TREE_CFG, schedule={"degrees": [4.5, 2], "depths": [1, 2]})),
+    ("explore-tree", dict(TREE_CFG, schedule={"degrees": "42", "depths": [1, 2]})),
+    ("spectrum", {"instance": dict(PETERSEN_INSTANCE, depths="12")}),
+    ("explore-tree", dict(TREE_CFG, strategies=5)),
+])
+def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / NOT_REGULAR).write_text("4 3 0\n0 1\n2 3\n")
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run([command, "--config", path, "--out", out]) == cli.EXIT_USAGE
+    assert "config error:" in capsys.readouterr().err
+    if "threads" in cfg:  # read before the run starts: nothing is written
+        assert not any(out.iterdir())
+    else:
+        assert json.loads((out / "meta.json").read_text())["status"] == "config-error"
+
+
+def test_explore_tree_interruption_keeps_appended_windows(tmp_path, monkeypatch):
+    path = write_config(tmp_path, "t.json", dict(TREE_CFG, strategies=["uniform-walk"], trials=300))
+    clean, cut = tmp_path / "clean", tmp_path / "cut"
+    assert run(["explore-tree", "--config", path, "--out", clean]) == cli.EXIT_OK
+    drive, calls = ex.drive, []
+
+    def drive_once(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        return drive(*args)
+
+    monkeypatch.setattr(ex, "drive", drive_once)
+    with pytest.raises(RuntimeError):
+        run(["explore-tree", "--config", path, "--out", cut])
+    assert len((cut / "trials.jsonl").read_text().splitlines()) == ex.EXIT_WINDOW
+    monkeypatch.setattr(ex, "drive", drive)
+    assert run(["explore-tree", "--config", path, "--out", cut]) == cli.EXIT_OK
+    for name in ("records.jsonl", "trials.jsonl"):
+        assert (clean / name).read_bytes() == (cut / name).read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

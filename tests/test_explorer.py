@@ -20,7 +20,7 @@ from conftest import reference_events, schedules
 
 def make_tree_oracle(degrees, depths, k, key_tag="t"):
     graph = gm.TreeGraph(gm.Schedule(degrees, depths), k)
-    return graph, orc.build_oracle(graph, derive_key(key_tag), padding_ratio=2.0 ** -4)
+    return graph, orc.LabeledOracle(graph, derive_key(key_tag), padding_ratio=2.0 ** -4)
 
 
 # -- run_exploration basics ---------------------------------------------------
@@ -169,7 +169,7 @@ def test_audit_reports_planted_violations_exactly():
 
 def test_audit_random_probe_hits_match_padding():
     graph = gm.TreeGraph(gm.Schedule((4, 3), (2, 4)), 2)
-    o = orc.build_oracle(graph, derive_key("probe-pad"), padding_ratio=2.0 ** -7)
+    o = orc.LabeledOracle(graph, derive_key("probe-pad"), padding_ratio=2.0 ** -7)
     tr = ex.run_exploration(o, [o.label_of(graph.root)], "random-probe", budget=4000, seed=9)
     rep = ex.component_audit(tr)
     assert rep.ok
@@ -194,7 +194,7 @@ def _one_session_per_trial(graph, strategy, budget, seed, trials, padding_ratio)
     strategy's requests), with no `drive` and no batched labels."""
     rows = []
     for t in trials:
-        o = orc.build_oracle(graph, derive_key("exit-trial", seed, t), padding_ratio=padding_ratio)
+        o = orc.LabeledOracle(graph, derive_key("exit-trial", seed, t), padding_ratio=padding_ratio)
         name, fn = ex.resolve_strategy(strategy)
         session = ex.ExplorationSession(o, budget, derive_seed(seed, t), name, stop_on_exit=True)
         roots = [o.label_of(graph.root)]
@@ -302,7 +302,7 @@ def test_session_scoring_matches_revealed_classification(
     pick = random.Random(seed)
 
     def oracle(t):
-        return orc.build_oracle(graph, derive_key("score", seed, t), padding_ratio=0.5)
+        return orc.LabeledOracle(graph, derive_key("score", seed, t), padding_ratio=0.5)
 
     def roots(o):
         # One or two roots, a quarter of them isolated.
@@ -398,7 +398,7 @@ def test_exit_estimate_wilson_interval_contains_p_hat():
 
 @pytest.fixture(scope="module")
 def petersen_oracle(small_instance):
-    return orc.build_oracle(small_instance, derive_key("loc"), padding_ratio=2.0 ** -4)
+    return orc.LabeledOracle(small_instance, derive_key("loc"), padding_ratio=2.0 ** -4)
 
 
 def test_echoed_root_fails_localization(petersen_oracle, small_instance):
@@ -416,7 +416,7 @@ def test_isolated_output_scored_as_failure(petersen_oracle):
 
 def test_ground_state_outputs_localize_on_petersen(small_instance):
     def make(key):
-        return orc.build_oracle(small_instance, key, padding_ratio=2.0 ** -4)
+        return orc.LabeledOracle(small_instance, key, padding_ratio=2.0 ** -4)
 
     report = ex.ggsp_experiment(
         make,
@@ -435,7 +435,7 @@ def test_ground_state_outputs_localize_on_petersen(small_instance):
 
 def test_echo_algorithm_fails_localization(small_instance):
     def make(key):
-        return orc.build_oracle(small_instance, key, padding_ratio=2.0 ** -4)
+        return orc.LabeledOracle(small_instance, key, padding_ratio=2.0 ** -4)
 
     report = ex.ggsp_experiment(
         make, "exact-ground-state", "echo-first-input",
@@ -446,7 +446,7 @@ def test_echo_algorithm_fails_localization(small_instance):
 
 def test_walk_algorithm_runs_within_budget(small_instance):
     def make(key):
-        return orc.build_oracle(small_instance, key, padding_ratio=2.0 ** -4)
+        return orc.LabeledOracle(small_instance, key, padding_ratio=2.0 ** -4)
 
     report = ex.ggsp_experiment(
         make, "expander-uniform", "walk-from-input",

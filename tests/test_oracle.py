@@ -14,12 +14,12 @@ from conftest import reference_events, schedules
 @pytest.fixture(scope="module")
 def tree_oracle():
     graph = gm.TreeGraph(gm.Schedule((4, 3), (1, 2)), 2)
-    return orc.build_oracle(graph, derive_key("tree-oracle"), padding_ratio=2.0 ** -4)
+    return orc.LabeledOracle(graph, derive_key("tree-oracle"), padding_ratio=2.0 ** -4)
 
 
 @pytest.fixture(scope="module")
 def main_oracle(small_instance):
-    return orc.build_oracle(small_instance, derive_key("main-oracle"), padding_ratio=2.0 ** -6)
+    return orc.LabeledOracle(small_instance, derive_key("main-oracle"), padding_ratio=2.0 ** -6)
 
 
 # -- permutation --------------------------------------------------------------
@@ -56,8 +56,6 @@ def test_feistel_rejects_bad_parameters():
         orc.FeistelPermutation(0, derive_key("x"))
     with pytest.raises(ValueError):
         orc.FeistelPermutation(8, b"short")
-    with pytest.raises(ValueError):
-        orc.FeistelPermutation(8, derive_key("x"), rounds=7)
     perm = orc.FeistelPermutation(8, derive_key("x"))
     with pytest.raises(orc.LabelSpaceError):
         perm.forward(1 << 9)
@@ -104,7 +102,7 @@ def test_oracle_window_memoizes_each_oracles_own_labels(schedule, data, keys):
     """Batches on both sides of ARRAY_MIN_LABELS label each index under its
     own oracle's key, once."""
     graph = _small_tree(schedule, data)
-    oracles = [orc.build_oracle(graph, key, padding_ratio=0.25) for key in keys]
+    oracles = [orc.LabeledOracle(graph, key, padding_ratio=0.25) for key in keys]
     size = data.draw(st.integers(0, 3 * orc.ARRAY_MIN_LABELS))
     pair = st.tuples(st.integers(0, len(keys) - 1), st.integers(0, graph.num_nonisolated - 1))
     pairs = list(dict.fromkeys(data.draw(st.lists(pair, min_size=size, max_size=size))))
@@ -125,20 +123,20 @@ def test_label_space_sizing(tree_oracle):
 
 def test_label_space_too_small_rejected(small_instance):
     with pytest.raises(orc.LabelSpaceError):
-        orc.build_oracle(small_instance, derive_key("tiny"), label_bits=5)
+        orc.LabeledOracle(small_instance, derive_key("tiny"), label_bits=5)
 
 
 def test_single_vertex_graph_with_full_density():
     graph = gm.TreeGraph(gm.Schedule((2,), (1,)), 1)  # one edge, two vertices
-    o = orc.build_oracle(graph, derive_key("small"), padding_ratio=1.0)
+    o = orc.LabeledOracle(graph, derive_key("small"), padding_ratio=1.0)
     assert o.num_labels == 2
     labels = {o.label_of(graph.vertex_at(i)) for i in range(2)}
     assert labels == {0, 1}
 
 
 def test_same_key_gives_identical_answers(small_instance):
-    a = orc.build_oracle(small_instance, derive_key("det"), padding_ratio=2.0 ** -4)
-    b = orc.build_oracle(small_instance, derive_key("det"), padding_ratio=2.0 ** -4)
+    a = orc.LabeledOracle(small_instance, derive_key("det"), padding_ratio=2.0 ** -4)
+    b = orc.LabeledOracle(small_instance, derive_key("det"), padding_ratio=2.0 ** -4)
     for x in range(0, a.num_labels, 97):
         assert a.query(x) == b.query(x)
 
@@ -189,7 +187,7 @@ def _small_tree(schedule, data):
 @given(schedule=schedules(), data=st.data(), plan=QUERY_PLANS, key=st.binary(min_size=16, max_size=16))
 def test_memoized_query_matches_unmemoized_map(schedule, data, plan, key):
     graph = _small_tree(schedule, data)
-    o = orc.build_oracle(graph, key, padding_ratio=0.25)
+    o = orc.LabeledOracle(graph, key, padding_ratio=0.25)
     perm, n = o.perm, graph.num_nonisolated
     seen = [o.label_of(graph.root)]
     for kind, x in plan:
@@ -215,7 +213,7 @@ def test_memoized_query_matches_unmemoized_map(schedule, data, plan, key):
 
 @given(data=st.data(), key=st.binary(min_size=16, max_size=16))
 def test_cached_classification_matches_revealed_vertex(small_instance, data, key):
-    o = orc.build_oracle(small_instance, key, padding_ratio=2.0 ** -3)
+    o = orc.LabeledOracle(small_instance, key, padding_ratio=2.0 ** -3)
     plan = []
     for _ in range(20):
         label = data.draw(st.integers(0, o.num_labels - 1))
@@ -227,7 +225,7 @@ def test_cached_classification_matches_revealed_vertex(small_instance, data, key
 
 
 def test_sealed_oracle_refuses_scoring(tree_oracle):
-    o = orc.build_oracle(tree_oracle.graph, derive_key("seal-score"), padding_ratio=2.0 ** -4)
+    o = orc.LabeledOracle(tree_oracle.graph, derive_key("seal-score"), padding_ratio=2.0 ** -4)
     root = o.label_of(o.graph.root)
     o.query(root)  # the root's label and its neighbours' are memoized
     o.seal()
@@ -273,7 +271,7 @@ def test_reveal_histogram_matches_padding(main_oracle):
 
 
 def test_sealed_oracle_refuses_reveal(small_instance):
-    o = orc.build_oracle(small_instance, derive_key("seal"), padding_ratio=2.0 ** -4)
+    o = orc.LabeledOracle(small_instance, derive_key("seal"), padding_ratio=2.0 ** -4)
     label = o.label_of(gm.ExpanderVertex(0))
     o.seal()
     with pytest.raises(orc.RevealSealedError):
@@ -309,7 +307,7 @@ def test_descriptor_round_trip_tree(tmp_path, tree_oracle):
 
 
 def test_descriptor_round_trip_main(tmp_path, small_instance):
-    o = orc.build_oracle(small_instance, derive_key("desc"), padding_ratio=2.0 ** -5)
+    o = orc.LabeledOracle(small_instance, derive_key("desc"), padding_ratio=2.0 ** -5)
     eg.save(small_instance.expander, tmp_path / "core.txt")
     orc.save_descriptor(o, tmp_path / "oracle.json", expander_file="core.txt")
     loaded = orc.load_oracle(tmp_path / "oracle.json")
