@@ -60,7 +60,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Callable
 
@@ -136,6 +135,13 @@ def _number(name: str, value) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise UsageError(f"{name} must be a number, got {value!r}") from None
+
+
+def _numbers(name: str, values) -> list:
+    """`values` as a list of floats; anything else is a UsageError."""
+    if not isinstance(values, list):
+        raise UsageError(f"{name} must be a list of numbers, got {values!r}")
+    return [_number(name, v) for v in values]
 
 
 def _integer(name: str, value, low=None) -> int:
@@ -311,9 +317,19 @@ class Run:
 # ---------------------------------------------------------------------------
 
 def _require(cfg: dict, key: str, context: str):
+    if not isinstance(cfg, dict):
+        raise UsageError(f"{context} must be a JSON object, got {cfg!r}")
     if key not in cfg:
         raise UsageError(f"missing '{key}' in {context}")
     return cfg[key]
+
+
+def _section(cfg: dict, key: str, context: str, required: bool = True) -> dict:
+    """The JSON object under `key` ({} when it is optional and absent)."""
+    section = _require(cfg, key, context) if required else cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise UsageError(f"'{key}' in {context} must be a JSON object, got {section!r}")
+    return section
 
 
 def build_schedule(section: dict) -> graph_model.Schedule:
@@ -338,7 +354,7 @@ def build_expander(section: dict, run: Run):
             raise UsageError(f"expander file {section['file']} is not connected")
         return graph, None
     if "generate" in section:
-        gen = section["generate"]
+        gen = _section(section, "generate", "expander")
         graph, cert = expander_gen.generate_certified(
             N=_integer("expander.generate.N", _require(gen, "N", "expander.generate")),
             d=_integer("expander.generate.d", _require(gen, "d", "expander.generate")),
@@ -358,13 +374,13 @@ def build_expander(section: dict, run: Run):
 def build_instance(run: Run):
     """(params, graph-or-None).  Standard-mode instances return params only
     (their cores are far too large to build)."""
-    section = _require(run.cfg, "instance", "config")
+    section = _section(run.cfg, "instance", "config")
     mode = section.get("mode", "scaled")
     if mode == "standard":
         params = graph_model.GraphParams.standard(_integer("instance.n", _require(section, "n", "instance")))
         return params, None
     sched = build_schedule(section)
-    expander, _ = build_expander(_require(section, "expander", "instance"), run)
+    expander, _ = build_expander(_section(section, "expander", "instance"), run)
     params = graph_model.GraphParams.scaled(
         sched.degrees,
         sched.depths,
@@ -385,7 +401,7 @@ def build_main_graph(run: Run, name: str):
 def oracle_maker(graph, cfg: dict):
     """key -> oracle over `graph` with the config's padding ratio and label
     width; a configured `oracle.key` (32 hex digits) replaces every trial's key."""
-    section = cfg.get("oracle", {})
+    section = _section(cfg, "oracle", "config", required=False)
     ratio, bits = section.get("padding_ratio"), section.get("label_bits")
     build = functools.partial(
         oracle_mod.LabeledOracle,
@@ -394,10 +410,16 @@ def oracle_maker(graph, cfg: dict):
         label_bits=None if bits is None else _integer("oracle.label_bits", bits, low=1),
     )
     key_hex = section.get("key")
+    if key_hex is not None and (
+        not isinstance(key_hex, str) or not re.fullmatch(r"[0-9a-fA-F]{32}", key_hex)
+    ):
+        raise UsageError(f"oracle.key must be 32 hex digits, got {key_hex!r}")
+    try:
+        build(bytes(16))  # a label width the instance cannot use exits before any trial
+    except oracle_mod.LabelSpaceError as exc:
+        raise UsageError(f"oracle.label_bits: {exc}") from None
     if key_hex is None:
         return build
-    if not isinstance(key_hex, str) or not re.fullmatch(r"[0-9a-fA-F]{32}", key_hex):
-        raise UsageError(f"oracle.key must be 32 hex digits, got {key_hex!r}")
     key = bytes.fromhex(key_hex)
     return lambda _trial_key: build(key)
 
@@ -423,7 +445,7 @@ def certify(run: Run, graph, section: dict, name: str) -> int:
 
 @command("gen-expander", results=("expander.txt", "expander.certificate.json"))
 def cmd_gen_expander(run: Run) -> int:
-    section = _require(run.cfg, "expander", "config")
+    section = _section(run.cfg, "expander", "config")
     graph, cert = build_expander({"generate": section} if "N" in section else section, run)
     if cert is not None:
         print(f"accepted: girth={cert.girth} gap={cert.gap:.6f} attempts={cert.attempts}")
@@ -443,7 +465,7 @@ def cmd_certify(run: Run) -> int:
 
 @command("spectrum", results=("spectrum.json",) + RECORDS)
 def cmd_spectrum(run: Run) -> int:
-    section = _require(run.cfg, "instance", "config")
+    section = _section(run.cfg, "instance", "config")
     if section.get("mode") == "custom":
         # An explicitly described decorated graph: a base eigenvalue plus
         # arbitrary attached-tree families (covers degenerate fixtures like a
@@ -547,7 +569,7 @@ def cmd_explore_tree(run: Run) -> int:
         raise UsageError(f"strategies must be a list of strategy names, got {strategies!r}")
     w = run.integer("w", 2, low=1)
     padding = _number("padding_ratio", cfg.get("padding_ratio", 0.25))
-    q_schedule = cfg.get("q_schedule") or [
+    q_schedule = _numbers("q_schedule", cfg["q_schedule"]) if cfg.get("q_schedule") else [
         max(1.0, budget / (w ** (level - k))) for k in range(1, level + 1)
     ]
 
@@ -597,58 +619,39 @@ def cmd_explore_tree(run: Run) -> int:
 @command("explore-graph", results=("trials.jsonl",) + RECORDS,
          counts={"trials": ("trials", 100), "budget": ("budget", 64)})
 def cmd_explore_graph(run: Run) -> int:
-    cfg, seed, trials = run.cfg, run.seed, run.trials
+    cfg, trials = run.cfg, run.trials
     params, graph = build_main_graph(run, "explore-graph")
     threshold = run.integer("threshold", max(2, params.girth_floor // 2))
-    strategy = cfg.get("strategy", "greedy-unvisited")
     roots_count = run.integer("roots", 1, low=1)
-    guiding = oracle_mod.GuidingSpec(kind=cfg.get("guiding", "expander-uniform"))
     query_limit = cfg.get("query_limit")
     if query_limit is not None:
         query_limit = run.integer("query_limit", None, low=0)
-    make_oracle = oracle_maker(graph, cfg)
-    records_rows = []
-    successes = 0
-    audits_ok = 0
-    total_queries = 0
-
-    for t in range(trials):
-        orc = make_oracle(derive_key("oracle", derive_seed(seed, "oracle", t)))
-        if query_limit is not None and total_queries >= query_limit:
-            run.meta["completed_trials"] = t
-            print(f"query limit {query_limit} exhausted after {t} trials", file=sys.stderr)
-            return EXIT_BUDGET
-        roots = list(islice(oracle_mod.input_sampler(orc, guiding, derive_seed(seed, t)), roots_count))
-        trial = explorer.run_exploration(
-            orc, roots, strategy, run.budget, seed=derive_seed(seed, "run", t)
-        )
-        total_queries += trial.query_count
-        audit = explorer.component_audit(trial)
-        audits_ok += audit.ok
-        score = explorer.score_localization(orc, roots, trial.output, threshold)
-        successes += score.success
-        row = trial.to_record()
-        row.pop("steps")  # answers stay in memory only; keep rows compact
-        row.update(
-            {
-                "trial": t,
-                "audit_ok": audit.ok,
-                "localized": score.success,
-                "distance": score.distance,
-            }
-        )
-        records_rows.append(row)
-    run.write("trials.jsonl", jsonl(records_rows))
-    stats = explorer.EventStats.from_counts(successes, trials)
+    report = explorer.explore_graph_experiment(
+        oracle_maker(graph, cfg),
+        oracle_mod.GuidingSpec(kind=cfg.get("guiding", "expander-uniform")),
+        cfg.get("strategy", "greedy-unvisited"),
+        roots_count,
+        run.budget,
+        threshold,
+        run.seed,
+        trials,
+        query_limit,
+    )
+    if report.trials < trials:
+        run.meta["completed_trials"] = report.trials
+        print(f"query limit {query_limit} exhausted after {report.trials} trials", file=sys.stderr)
+        return EXIT_BUDGET
+    run.write("trials.jsonl", jsonl(report.trial_rows))
+    stats = report.localization
     lb = bounds_mod.localization_bound(
         roots_count, params.expander_degree, threshold, graph.expander.N
     )
     run.record(
-        f"localization_rate[{strategy}]", stats.p_hat, stats.stderr, lb.value,
+        f"localization_rate[{report.strategy}]", stats.p_hat, stats.stderr, lb.value,
         lb.flags + ("bound-is-sampler-floor",),
     )
-    run.record("audit_pass_rate", audits_ok / trials, bound=1.0)
-    print(f"localization rate {stats.p_hat:.4f}; audit pass rate {audits_ok / trials:.4f}")
+    run.record("audit_pass_rate", report.audits_ok / trials, bound=1.0)
+    print(f"localization rate {stats.p_hat:.4f}; audit pass rate {report.audits_ok / trials:.4f}")
     return EXIT_OK
 
 
@@ -685,19 +688,36 @@ def cmd_ggsp(run: Run) -> int:
     return EXIT_OK
 
 
-# bounds-entry name -> the BoundReport it asks for; arguments are entry keys.
+def _entry_integers(e: dict, *keys) -> list:
+    return [_integer(f"bounds entry {k}", e[k]) for k in keys]
+
+
+def _entry_numbers(e: dict, *keys) -> list:
+    return [_number(f"bounds entry {k}", e[k]) for k in keys]
+
+
+def _entry_w(e: dict) -> int:
+    return _integer("bounds entry w", e.get("w", 2))
+
+
+# bounds-entry name -> the BoundReport it asks for; arguments are entry keys,
+# read as integers or numbers.
 BOUNDS = {
     "avoidance": lambda e: bounds_mod.avoidance_bound(
-        e["d_k"], e["d_km1"], e["l_k"], e["l_km1"], e.get("w", 2)
+        *_entry_integers(e, "d_k", "d_km1", "l_k", "l_km1"), _entry_w(e)
     ),
     "recursion": lambda e: bounds_mod.recursion_bound(
-        build_schedule(e), e["q_schedule"], e.get("w", 2)
+        build_schedule(e), _numbers("bounds entry q_schedule", e["q_schedule"]), _entry_w(e)
     )[-1],
-    "closed-form": lambda e: bounds_mod.closed_form_exit_bound(e["n"], e["k"]),
-    "localization": lambda e: bounds_mod.localization_bound(e["u_size"], e["degree"], e["g"], e["n_e"]),
-    "tv-budget": lambda e: bounds_mod.tv_budget_report(e["fidelity"], e["tv"]),
-    "gap-sum": lambda e: bounds_mod.gap_sum_bound(e["delta"], e["gamma"]),
-    "alpha": lambda e: bounds_mod.alpha_bounds(e["lambda_e"], e["max_degree"], e["beta"], e["tree_count"]),
+    "closed-form": lambda e: bounds_mod.closed_form_exit_bound(*_entry_integers(e, "n", "k")),
+    "localization": lambda e: bounds_mod.localization_bound(
+        *_entry_integers(e, "u_size", "degree", "g", "n_e")
+    ),
+    "tv-budget": lambda e: bounds_mod.tv_budget_report(*_entry_numbers(e, "fidelity", "tv")),
+    "gap-sum": lambda e: bounds_mod.gap_sum_bound(*_entry_numbers(e, "delta", "gamma")),
+    "alpha": lambda e: bounds_mod.alpha_bounds(
+        *_entry_numbers(e, "lambda_e", "max_degree", "beta"), *_entry_integers(e, "tree_count")
+    ),
 }
 
 

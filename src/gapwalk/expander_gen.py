@@ -268,14 +268,25 @@ def to_text(graph: RegularGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _line_ints(line: str, count: int) -> list[int]:
+    """The `count` integers of one line of the text format."""
+    try:
+        values = [int(x) for x in line.split()]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise InputError(f"expected {count} integers on a line, got {line!r}")
+    return values
+
+
 def from_text(text: str) -> RegularGraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    N, d, seed = (int(x) for x in lines[0].split())
+    N, d, seed = _line_ints(lines[0] if lines else "", 3)
     edges = []
     for ln in lines[1:]:
-        u, v = (int(x) for x in ln.split())
-        if not u < v:
-            raise InputError(f"edge list must be sorted with u < v: {ln!r}")
+        u, v = _line_ints(ln, 2)
+        if not 0 <= u < v < N:
+            raise InputError(f"edge must read u v with 0 <= u < v < N={N}: {ln!r}")
         edges.append((u, v))
     return RegularGraph(N, d, _edges_to_adjacency(N, edges), seed)
 

@@ -15,21 +15,28 @@ generator when the budget is spent or the watched exit fires, and is the
 record `run_exploration` returns.  Scoring never leaks back into the strategy.
 
 Every trial runs through one loop, `drive`: it runs a list of sessions in
-lockstep, and at each step labels the neighbours that every live session's
-next counted query needs, across all their oracles, in one `OracleWindow`
-batch before it makes the queries.  `exit_trials` drives windows of EXIT_WINDOW exit trials
-over one shared tree; `ExplorationSession.run` (explore-graph, ggsp,
-`run_exploration`) is `drive` over one session.  Sessions share nothing but
-the graph's caches, so each record is the one its trial would have alone.
+lockstep, and at each step resolves every live session's next counted query
+once (`LabeledOracle.lookup`: the label's index and neighbour indices), labels
+the neighbours that their oracles' memos lack in one `OracleWindow` batch, and
+then makes each query from that same lookup.  Every experiment runs its trials
+through one windowing, `_windows`: windows of EXIT_WINDOW trials, each with
+its oracles built, each trial's roots or inputs drawn as canonical indices
+(`oracle.input_draws`) and the window's missing labels mapped in one batch,
+then its sessions armed and driven together.  `exit_trials` (over one shared
+tree), `explore_graph_experiment` and `ggsp_experiment` all run this way and
+emit rows in trial order; `run_exploration` is `drive` over one session.
+Sessions share nothing but the graph's caches, so each record is the one its
+trial would have alone.
 
-Each query is scored from the index it already mapped: `LabeledOracle.query`
-(the one counted entry point) leaves the label's canonical index in the
-oracle's memo, and the session reads it there once, then reads the graph's
-per-index walk cache (`index_info`) once, the cache the neighbour lookups
-fill, so a vertex is walked to once per graph, not once per query.  Events are
-kept raw, as (kind, step, IndexInfo), and formatted into dicts only when
-`events` or `to_record` is read.  A sealed oracle refuses scoring before the
-first query.
+Each query is scored from the index it already resolved: the lookup that
+answers it carries the index, and the session reads the graph's per-index
+walk cache (`index_info`) once, the cache the neighbour lookups fill, so a
+vertex is walked to once per graph, not once per query.  Steps and events are
+kept raw, as plain tuples and (kind, step, IndexInfo), and built into `Step`s
+and dicts only when `steps`, `events` or `to_record` is read: a window holds
+its sessions' records alive together, and plain tuples of numbers cost the
+garbage collector nothing once it has seen them.  A sealed oracle refuses
+scoring before the first query.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from .graph_model import (
     classify_address,
     leaf_level,
 )
-from .oracle import GuidingSpec, LabeledOracle, OracleWindow, RevealSealedError, input_sampler
+from .oracle import GuidingSpec, LabeledOracle, OracleWindow, RevealSealedError, input_draws
 
 
 class UnknownStrategyError(InputError):
@@ -130,7 +137,7 @@ class ExplorationSession:
         self.seed = seed
         self.strategy = strategy
         self.stop_on_exit = stop_on_exit
-        self.steps: list[Step] = []
+        self._steps: list[tuple] = []  # (label, answer_size, fresh, is_root); see `steps`
         self.answers: list[tuple] = []  # full answers, kept in memory for audits
         self._events: list[tuple] = []  # (kind, step, IndexInfo or None); see `events`
         self.roots: list[int] = []
@@ -141,7 +148,12 @@ class ExplorationSession:
 
     @property
     def query_count(self) -> int:
-        return len(self.steps)
+        return len(self._steps)
+
+    @property
+    def steps(self) -> list[Step]:
+        """The counted queries in order."""
+        return [Step(*step) for step in self._steps]
 
     @property
     def events(self) -> list[dict]:
@@ -156,10 +168,11 @@ class ExplorationSession:
         ]
 
     def to_record(self) -> dict:
+        """The run as a JSON-ready dict; its steps and answers stay in memory
+        (`steps`, `answers`), which keeps trials.jsonl rows compact."""
         return {
             "schema": self.SCHEMA,
             "roots": list(self.roots),
-            "steps": [[s.label, s.answer_size, int(s.fresh), int(s.is_root)] for s in self.steps],
             "events": self.events,
             "query_count": self.query_count,
             "seed": self.seed,
@@ -169,23 +182,26 @@ class ExplorationSession:
             "output": self.output,
         }
 
-    def query(self, label: int, fresh: bool = False, is_root: bool = False) -> Optional[tuple]:
+    def query(self, label: int, fresh: bool = False, is_root: bool = False,
+              lookup: Optional[tuple] = None) -> Optional[tuple]:
         """One counted, scored query; None once the run is over (the budget was
-        already spent, or this query fired the watched exit)."""
-        step = len(self.steps)
+        already spent, or this query fired the watched exit).  `lookup` is
+        the oracle's `lookup(label)` when `drive` has already made it."""
+        step = len(self._steps)
         if step >= self.budget:
             self.halted = "budget"
             return None
         oracle = self.oracle
         if oracle.sealed:
             raise RevealSealedError("scoring needs reveal(), which is sealed on this oracle")
-        answer = oracle.query(label)
-        self.steps.append(Step(label, len(answer), fresh=fresh, is_root=is_root))
+        lookup = lookup or oracle.lookup(label)
+        answer = oracle.query(label, lookup)
+        self._steps.append((label, len(answer), fresh, is_root))
         self.answers.append(answer)
         if is_root:
             self.roots.append(label)
             self.root_answers[label] = answer
-        index = oracle._index_at[label]  # memoized by the query
+        index = lookup[0]
         if index >= oracle.num_nonisolated:
             self._events.append(("isolated_hit", step, None))
         elif (info := oracle.graph.index_info(index)).leaf_level is not None:
@@ -240,7 +256,7 @@ class ExplorationSession:
                 else:
                     request = (request, False, False)
                 break
-        if len(self.steps) >= self.budget:
+        if len(self._steps) >= self.budget:
             self.halted = "budget"
             self._end()
         else:
@@ -250,11 +266,11 @@ class ExplorationSession:
         self._gen.close()
         self.pending = None
 
-    def answer(self):
+    def answer(self, lookup: Optional[tuple] = None):
         """Make the pending counted query, hand its answer to the generator
         (a root's first query only records it) and advance."""
         label, fresh, is_root = self.pending
-        answer = self.query(label, fresh, is_root)
+        answer = self.query(label, fresh, is_root, lookup)
         if answer is None:  # the watched exit fired
             self._end()
             return
@@ -266,26 +282,33 @@ class ExplorationSession:
 def drive(sessions: Sequence[ExplorationSession], window: Optional[OracleWindow] = None) -> None:
     """The one trial loop: run armed sessions (`ExplorationSession.start`)
     in lockstep to their ends.  At each step with more than one live session
-    it collects the neighbours that every live session's next counted query
-    will answer with and that its oracle's memo lacks, and labels all of them
-    through one `OracleWindow`.  Only then does each session make its query
-    (`ExplorationSession.answer`), whose answer and scored index both come
-    out of the memo; a lone session's query labels its own neighbours, at the
-    same cost.  Each session keeps its own oracle, budget, generator and
-    `random.Random`, so its record is the one it would have run to alone.
-    `window` holds the sessions' oracles in order (built here when needed)."""
+    it resolves every live session's next counted query once (its oracle's
+    `lookup`: the label's index and neighbour indices), labels the neighbours
+    that the oracles' memos lack through one `OracleWindow`, and then makes
+    each query (`ExplorationSession.answer`) from that same lookup, so its
+    answer and its scored index come out of the memo.  A lone session's query
+    labels its own neighbours, at the same cost.  Each session keeps its own
+    oracle, budget, generator and `random.Random`, so its record is the one it
+    would have run to alone.  `window` holds the sessions' oracles in order
+    (built here when needed)."""
     live = [(row, s) for row, s in enumerate(sessions) if s.pending is not None]
     while live:
-        if len(live) > 1:
+        if len(live) == 1:
+            live[0][1].answer()
+        else:
             window = window or OracleWindow([s.oracle for s in sessions])
-            rows, wanted = [], []
+            rows, wanted, lookups = [], [], []
             for row, s in live:
-                missing = s.oracle.unlabeled_neighbors(s.pending[0])
-                rows.extend([row] * len(missing))
-                wanted.extend(missing)
+                lookup = s.oracle.lookup(s.pending[0])
+                have = s.oracle._label_at
+                for j in lookup[1]:
+                    if j not in have:
+                        rows.append(row)
+                        wanted.append(j)
+                lookups.append(lookup)
             window.label(rows, wanted)
-        for _, s in live:
-            s.answer()
+            for (_, s), lookup in zip(live, lookups):
+                s.answer(lookup)
         live = [(row, s) for row, s in live if s.pending is not None]
 
 
@@ -451,23 +474,20 @@ def exit_trials(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     name, fn = resolve_strategy(strategy)
-    root = graph.index_of(graph.root)
-    indices = list(indices)
+    root = (graph.index_of(graph.root),)
     rows = []
-    for w in range(0, len(indices), EXIT_WINDOW):
-        trials = indices[w : w + EXIT_WINDOW]
-        oracles = [
-            LabeledOracle(graph, derive_key("exit-trial", seed, t), padding_ratio=padding_ratio)
-            for t in trials
-        ]
-        window = OracleWindow(oracles)
-        window.label(range(len(trials)), [root] * len(trials))
+    for trials, window, roots in _windows(
+        list(indices),
+        lambda t: LabeledOracle(graph, derive_key("exit-trial", seed, t), padding_ratio=padding_ratio),
+        lambda t, oracle: root,
+        1,
+    ):
         sessions = []
-        for t, orc in zip(trials, oracles):
+        for t, orc, labels in zip(trials, window.oracles, roots):
             trial_seed = derive_seed(seed, t)
             session = ExplorationSession(orc, budget, trial_seed, name, stop_on_exit=True)
             rng = random.Random(derive_seed("strategy", trial_seed))
-            sessions.append(session.start(fn, [orc.label_of(graph.root)], rng, query_roots=True))
+            sessions.append(session.start(fn, labels, rng, query_roots=True))
         drive(sessions, window)
         for t, session in zip(trials, sessions):
             rows.append(
@@ -480,6 +500,19 @@ def exit_trials(
                 }
             )
     return rows
+
+
+def _windows(trials: Sequence[int], oracle_of: Callable, draws_of: Callable, count: int):
+    """The one windowing of trials: `trials` in windows of EXIT_WINDOW, each
+    yielded as (its trials, an `OracleWindow` of `oracle_of(t)`, each trial's
+    inputs as labels).  Trial t's inputs are the first `count` draws of
+    `draws_of(t, oracle)`, canonical indices (`input_draws`); the window's
+    misses are labeled in one batch."""
+    for w in range(0, len(trials), EXIT_WINDOW):
+        ts = trials[w : w + EXIT_WINDOW]
+        window = OracleWindow([oracle_of(t) for t in ts])
+        draws = [list(islice(draws_of(t, o), count)) for t, o in zip(ts, window.oracles)]
+        yield ts, window, window.label_inputs(draws)
 
 
 def estimate_exit_probability(
@@ -541,12 +574,12 @@ def component_audit(session: ExplorationSession) -> AuditReport:
     violations = []
     fresh_probes = 0
     fresh_hits = 0
-    for i, step in enumerate(session.steps):
-        if step.fresh:
+    for i, (label, answer_size, fresh, is_root) in enumerate(session._steps):
+        if fresh:
             fresh_probes += 1
-            if step.answer_size > 0:
+            if answer_size > 0:
                 fresh_hits += 1
-        elif not step.is_root and step.label not in seen:
+        elif not is_root and label not in seen:
             violations.append(i)
         seen.update(session.answers[i])
     return AuditReport(
@@ -585,6 +618,65 @@ def score_localization(
     return LocalizationScore(dist, dist >= threshold, threshold)
 
 
+@dataclass(frozen=True)
+class GraphReport:
+    strategy: str
+    trials: int  # trials run; fewer than asked when the query limit stopped the run
+    localization: EventStats
+    audits_ok: int
+    trial_rows: tuple = ()  # schema-versioned per-trial records, without their steps
+
+
+def explore_graph_experiment(
+    make_oracle: Callable[[bytes], LabeledOracle],
+    guiding: GuidingSpec,
+    strategy: Union[str, Callable],
+    roots_per_trial: int,
+    budget: int,
+    threshold: int,
+    seed: int,
+    trials: int,
+    query_limit: Optional[int] = None,
+) -> GraphReport:
+    """Per trial: draw `roots_per_trial` guiding roots under a fresh key, run
+    the strategy from them (roots queried first, counted), audit its
+    transcript and score its output's expander distance from the roots.  Trial
+    t runs only while the queries of trials 0..t-1 stay below `query_limit`;
+    the report then holds trials 0..t-1."""
+    name, fn = resolve_strategy(strategy)
+    successes = audits_ok = total_queries = 0
+    rows = []
+
+    def report(completed: int) -> GraphReport:
+        stats = EventStats.from_counts(successes, completed)
+        return GraphReport(name, completed, stats, audits_ok, tuple(rows))
+
+    for ts, window, roots in _windows(
+        range(trials),
+        lambda t: make_oracle(derive_key("oracle", derive_seed(seed, "oracle", t))),
+        lambda t, oracle: input_draws(oracle.graph, guiding, derive_seed(seed, t)),
+        roots_per_trial,
+    ):
+        sessions = []
+        for t, oracle, labels in zip(ts, window.oracles, roots):
+            session = ExplorationSession(oracle, budget, derive_seed(seed, "run", t), name)
+            rng = random.Random(derive_seed("strategy", session.seed))
+            sessions.append(session.start(fn, labels, rng, query_roots=True))
+        drive(sessions, window)
+        for t, session, labels in zip(ts, sessions, roots):
+            if query_limit is not None and total_queries >= query_limit:
+                return report(t)
+            total_queries += session.query_count
+            audit = component_audit(session)
+            audits_ok += audit.ok
+            score = score_localization(session.oracle, labels, session.output, threshold)
+            successes += score.success
+            row = session.to_record()
+            row.update(trial=t, audit_ok=audit.ok, localized=score.success, distance=score.distance)
+            rows.append(row)
+    return report(trials)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end guided-output experiment
 # ---------------------------------------------------------------------------
@@ -601,10 +693,9 @@ def echo_random_input(inputs, rng, num_labels):
 
 def ground_state_cheat(oracle: LabeledOracle, inputs, rng):
     """Reference algorithm that samples the exact ground state through the
-    trusted side, ignoring its inputs; the upper-bound comparator.  The solve
-    is cached on the graph, so each trial only rebuilds the sampler."""
-    sampler = spectral.GroundStateSampler(spectral.solve_for_instance(oracle.graph))
-    return oracle.label_of(sampler.sample(rng))
+    trusted side, ignoring its inputs; the upper-bound comparator.  The
+    sampler (and its solve) is built once per graph."""
+    return oracle.label_of(spectral.sampler_for_instance(oracle.graph).sample(rng))
 
 
 ground_state_cheat.requires_trust = True
@@ -648,40 +739,47 @@ def ggsp_experiment(
     oracle for a key, so fresh-key trials model averaging over labelings."""
     spec = guiding_kind if isinstance(guiding_kind, GuidingSpec) else GuidingSpec(kind=guiding_kind)
     name, fn = resolve_strategy(algorithm, ALGORITHMS)
+    trusted = getattr(fn, "requires_trust", False)
     successes = 0
     total_queries = 0
     budget_failures = 0
     rows = []
-    for t in range(trials):
-        oracle = make_oracle(derive_key("ggsp", seed, t))
-        stream = input_sampler(oracle, spec, derive_seed("ggsp-in", seed, t))
-        inputs = list(islice(stream, inputs_per_trial))
-        rng = random.Random(derive_seed("ggsp-alg", seed, t))
-        if getattr(fn, "requires_trust", False):
-            output, queries, exhausted = fn(oracle, inputs, rng), 0, False
+    for ts, window, inputs in _windows(
+        range(trials),
+        lambda t: make_oracle(derive_key("ggsp", seed, t)),
+        lambda t, oracle: input_draws(oracle.graph, spec, derive_seed("ggsp-in", seed, t)),
+        inputs_per_trial,
+    ):
+        rngs = [random.Random(derive_seed("ggsp-alg", seed, t)) for t in ts]
+        if trusted:
+            runs = [(fn(o, x, rng), 0, False) for o, x, rng in zip(window.oracles, inputs, rngs)]
         else:
-            session = ExplorationSession(oracle, budget, seed, name).run(fn, inputs, rng, query_roots=False)
-            output, queries = session.output, session.query_count
-            exhausted = session.halted == "budget"
-        budget_failures += exhausted
-        total_queries += queries
-        score = score_localization(oracle, inputs, output, threshold)
-        successes += score.success
-        rows.append(
-            {
-                "schema": ExplorationSession.SCHEMA,
-                "trial": t,
-                "seed": seed,
-                "strategy": name,
-                "budget": budget,
-                "inputs": inputs,
-                "output": output,
-                "query_count": queries,
-                "budget_exhausted": exhausted,
-                "localized": score.success,
-                "distance": score.distance,
-            }
-        )
+            sessions = [
+                ExplorationSession(o, budget, seed, name).start(fn, x, rng, query_roots=False)
+                for o, x, rng in zip(window.oracles, inputs, rngs)
+            ]
+            drive(sessions, window)
+            runs = [(s.output, s.query_count, s.halted == "budget") for s in sessions]
+        for t, oracle, x, (output, queries, exhausted) in zip(ts, window.oracles, inputs, runs):
+            budget_failures += exhausted
+            total_queries += queries
+            score = score_localization(oracle, x, output, threshold)
+            successes += score.success
+            rows.append(
+                {
+                    "schema": ExplorationSession.SCHEMA,
+                    "trial": t,
+                    "seed": seed,
+                    "strategy": name,
+                    "budget": budget,
+                    "inputs": x,
+                    "output": output,
+                    "query_count": queries,
+                    "budget_exhausted": exhausted,
+                    "localized": score.success,
+                    "distance": score.distance,
+                }
+            )
     return GgspReport(
         algorithm=name,
         trials=trials,

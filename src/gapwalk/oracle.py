@@ -13,18 +13,23 @@ object, and through the memo that the trial reads to score each query.
 The trusted object memoizes every index <-> label pair it has mapped, both
 ways, so a label runs through the Feistel map at most once per oracle, that is
 once per trial: a walk queries labels that came out of earlier answers, and the
-parent of a vertex appears in each of its answers.  `query`, `label_of` and
-`reveal` all read the memo first, and after `query(label)` the memo holds
-`label`'s index, so the trial scores the query with one memo read and no
-second map.  The memo is private to the oracle; strategies gain nothing from
-it.  A sealed oracle refuses `reveal` and scoring alike.
+parent of a vertex appears in each of its answers.  `lookup`, `query`,
+`label_of` and `reveal` all read the memo first.  `lookup(label)` resolves a
+label once to its index and neighbour indices; `query` (counted) builds the
+answer from that lookup, and the trial scores the query from the same index,
+with no second map.  The memo is private to the oracle; strategies gain
+nothing from it.  A sealed oracle refuses `reveal` and scoring alike.
 
-An `OracleWindow` fills the memos of many oracles of one label width at once:
-the trial loop (`explorer.drive`) collects, for every live trial of a
-window, the neighbours its next query will answer with and its memo lacks,
-and maps them all in one `forward_array` call of a `KeyedColumns` map, where
-each element runs under its own trial's subkeys.  The labels, and the number
-of labels mapped, are those the trials would map one by one.
+An `OracleWindow` fills the memos of many oracles of one label width at once,
+in one `forward_array` call of a `KeyedColumns` map, where each element runs
+under its own trial's subkeys.  The trial loop (`explorer.drive`) hands it, at
+each step, the neighbours that every live trial's next query will answer with
+and its memo lacks.  Guiding inputs are labeled the same way: `input_draws`
+draws a trial's inputs as canonical indices (a configured single-fixed-root
+label passes through as a `Label`), and `OracleWindow.label_inputs` labels a
+whole window's missing inputs in one batch.  `input_sampler` is the same
+stream labeled one input at a time.  The labels, and the number of labels
+mapped, are those the trials would map one by one.
 """
 
 from __future__ import annotations
@@ -33,13 +38,14 @@ import functools
 import hashlib
 import json
 import math
+import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from . import expander_gen
+from . import expander_gen, spectral
 from ._util import InputError, derive_seed
 from .graph_model import (
     ExpanderVertex,
@@ -264,25 +270,23 @@ class LabeledOracle:
 
     # -- query side ----------------------------------------------------------
 
-    def query(self, label: int) -> tuple:
-        """Sorted labels of the neighbors of the vertex behind `label`; empty
-        for isolated labels.  Counts every call."""
-        self.query_count += 1
+    def lookup(self, label: int) -> tuple[int, tuple]:
+        """(index, neighbour indices) of the vertex behind `label`, no
+        neighbours for an isolated label; uncounted and trusted, the one place
+        a query resolves its label."""
         idx = self._index(label)
         if idx >= self.num_nonisolated:
-            return ()
-        have, label = self._label_at, self._label
-        neighbors = self.graph.neighbor_indices(idx)
-        return tuple(sorted([have[j] if j in have else label(j) for j in neighbors]))
+            return idx, ()
+        return idx, self.graph.neighbor_indices(idx)
 
-    def unlabeled_neighbors(self, label: int) -> list[int]:
-        """Indices whose labels an answer to `label` needs and the memo lacks;
-        uncounted (an `OracleWindow` labels them before the query is made)."""
-        idx = self._index(label)
-        if idx >= self.num_nonisolated:
-            return []
-        have = self._label_at
-        return [j for j in self.graph.neighbor_indices(idx) if j not in have]
+    def query(self, label: int, lookup: Optional[tuple] = None) -> tuple:
+        """Sorted labels of the neighbors of the vertex behind `label`; empty
+        for isolated labels.  Counts every call.  `lookup` is
+        `self.lookup(label)` when the caller has already made it."""
+        self.query_count += 1
+        _, neighbors = lookup or self.lookup(label)
+        have, label = self._label_at, self._label
+        return tuple(sorted([have[j] if j in have else label(j) for j in neighbors]))
 
     # -- persistence ---------------------------------------------------------
 
@@ -339,6 +343,22 @@ class OracleWindow:
             oracle = self.oracles[row]
             oracle._label_at[index] = label
             oracle._index_at[label] = index
+
+    def label_inputs(self, draws: Sequence[Sequence[int]]) -> list[list[int]]:
+        """Each oracle's drawn inputs (`input_draws`) as labels: the canonical
+        indices that its memo lacks, across all rows, are labeled in one
+        `label` call; a `Label` passes through unchanged."""
+        rows, wanted = [], []
+        for row, (oracle, drawn) in enumerate(zip(self.oracles, draws)):
+            have = oracle._label_at
+            missing = dict.fromkeys(x for x in drawn if type(x) is not Label and x not in have)
+            rows.extend([row] * len(missing))
+            wanted.extend(missing)
+        self.label(rows, wanted)
+        return [
+            [int(x) if type(x) is Label else oracle._label_at[x] for x in drawn]
+            for oracle, drawn in zip(self.oracles, draws)
+        ]
 
 
 def save_descriptor(oracle: LabeledOracle, path, expander_file: Optional[str] = None):
@@ -403,22 +423,23 @@ class GuidingSpec:
                 raise InputError("mixture weights must be non-negative")
 
 
-def input_sampler(oracle: LabeledOracle, spec: GuidingSpec, seed: int) -> Iterator[int]:
-    """Deterministic i.i.d. label stream for a guiding spec."""
-    import random as _random
+class Label(int):
+    """An input drawn as a label, not a canonical index (a configured
+    single-fixed-root): labeling passes it through unchanged."""
 
-    from . import spectral
 
-    rng = _random.Random(derive_seed("guiding", seed, spec.kind))
-    graph = oracle.graph
+def input_draws(graph: Union[MainGraph, TreeGraph], spec: GuidingSpec, seed: int) -> Iterator[int]:
+    """Deterministic i.i.d. stream of a guiding spec's inputs as canonical
+    indices (a configured fixed root as a `Label`); no labeling key enters."""
+    rng = random.Random(derive_seed("guiding", seed, spec.kind))
 
     if spec.kind == "single-fixed-root":
         if spec.root is not None:
-            fixed = spec.root
+            fixed = Label(spec.root)
         elif isinstance(graph, TreeGraph):
-            fixed = oracle.label_of(graph.root)
+            fixed = graph.index_of(graph.root)
         else:
-            fixed = oracle.label_of(ExpanderVertex(0))
+            fixed = graph.index_of(ExpanderVertex(0))
         while True:
             yield fixed
 
@@ -427,19 +448,18 @@ def input_sampler(oracle: LabeledOracle, spec: GuidingSpec, seed: int) -> Iterat
             raise ValueError("expander-uniform guiding needs a main-graph oracle")
         n_e = graph.expander.N
         while True:
-            yield oracle.label_of(ExpanderVertex(rng.randrange(n_e)))
+            yield rng.randrange(n_e)  # an expander vertex's index is its core index
 
     elif spec.kind == "exact-ground-state":
         if not isinstance(graph, MainGraph):
             raise ValueError("ground-state guiding needs a main-graph oracle")
-        solution = spectral.solve_for_instance(graph)
-        sampler = spectral.GroundStateSampler(solution, graph.expander.N, seed=0)
+        sample, index_of = spectral.sampler_for_instance(graph).sample, graph.index_of
         while True:
-            yield oracle.label_of(sampler.sample(rng))
+            yield index_of(sample(rng))
 
     else:  # mixture
         subs = [
-            (w, input_sampler(oracle, sub, derive_seed(seed, i)))
+            (w, input_draws(graph, sub, derive_seed(seed, i)))
             for i, (w, sub) in enumerate(spec.components)
         ]
         while True:
@@ -451,3 +471,10 @@ def input_sampler(oracle: LabeledOracle, spec: GuidingSpec, seed: int) -> Iterat
                 x -= w
             else:
                 yield next(subs[-1][1])
+
+
+def input_sampler(oracle: LabeledOracle, spec: GuidingSpec, seed: int) -> Iterator[int]:
+    """Deterministic i.i.d. label stream for a guiding spec: `input_draws`
+    labeled one at a time under `oracle`."""
+    for x in input_draws(oracle.graph, spec, seed):
+        yield int(x) if type(x) is Label else oracle._label(x)

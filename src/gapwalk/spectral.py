@@ -432,6 +432,16 @@ def solve_for_instance(graph: MainGraph) -> SpectralSolution:
     return solution
 
 
+def sampler_for_instance(graph: MainGraph) -> "GroundStateSampler":
+    """The instance's ground-state sampler, built once per graph like its
+    solve; callers pass their own rng to every draw, so they share no state."""
+    sampler = getattr(graph, "_sampler_cache", None)
+    if sampler is None:
+        sampler = GroundStateSampler(solve_for_instance(graph), graph.expander.N)
+        graph._sampler_cache = sampler
+    return sampler
+
+
 # ---------------------------------------------------------------------------
 # exact ground-state sampling (never materializes the graph)
 # ---------------------------------------------------------------------------

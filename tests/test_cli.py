@@ -357,10 +357,14 @@ PETERSEN_INSTANCE = {"mode": "scaled", "degrees": [4, 3], "depths": [1, 2],
                      "expander": {"petersen": True}, "padding_ratio": 0.0625}
 GGSP_GOLDEN = {"instance": PETERSEN_INSTANCE, "trials": 20, "t": 3, "budget": 6,
                "threshold": 2, "guiding": "exact-ground-state", "seed": 8}
+GRAPH_GOLDEN = {"instance": PETERSEN_INSTANCE, "strategy": "greedy-unvisited", "roots": 2,
+                "guiding": "exact-ground-state", "trials": 20, "budget": 10, "threshold": 2,
+                "seed": 8}
 # More trials than one lockstep window (explorer.EXIT_WINDOW).
 TREE_WINDOWS = {"schedule": {"degrees": [5, 4, 3], "depths": [1, 2, 3]}, "level": 3,
                 "strategies": list(ex.EXPLORATION_STRATEGIES), "budget": 8, "trials": 150,
                 "seed": 12}
+MULTI_WINDOW = ("explore-tree:windows", "explore-graph:windows", "ggsp:echo-first-input")
 # Cases first run with this many trials, then resumed to the config's count.
 RESUME_FROM = {"explore-tree:resume": 101}
 
@@ -394,11 +398,14 @@ GOLDEN = {
         "7008835949b3fca28902562839bb495c4c063e49a17ecd5e58dddc912e43f136",
     ),
     "explore-graph": (
-        {"instance": PETERSEN_INSTANCE, "strategy": "greedy-unvisited", "roots": 2,
-         "guiding": "exact-ground-state", "trials": 20, "budget": 10, "threshold": 2,
-         "seed": 8},
+        GRAPH_GOLDEN,
         "70f7fbcf8bc51bc8e2c31686fc95353b30f8e9be8dabc6edc6217fec1edfa199",
         "f098716334d821b8101649ede08248c004454e070e2589a5df7ead6ef6303ddb",
+    ),
+    "explore-graph:windows": (
+        dict(GRAPH_GOLDEN, trials=150),
+        "a09055ed62bb11ab09810efdad5e805c35d72b4ad75b112c4a5cbf5f431af69e",
+        "7fd86a7ed930e92bffa76ac9d985d43f6e91548e2ed40fe0266764e15307935f",
     ),
     # Declared fresh probes: `audit_ok` depends on the fresh flag.
     "explore-graph:random-probe": (
@@ -413,6 +420,12 @@ GOLDEN = {
         dict(GGSP_GOLDEN, algorithm="frontier-bfs-random"),
         "9a7c34c79a4beaced57dd0ca3572c1de63b8f9c3cb9fadb779ac5384ca2bc5ba",
         "a99f3e4f104fcd4f7c362348bab7c4353592f3670f5dc405ec604fc05f649782",
+    ),
+    # The guided-localization benchmark's algorithm, over two windows.
+    "ggsp:echo-first-input": (
+        dict(GGSP_GOLDEN, algorithm="echo-first-input", trials=150),
+        "f9ee269582b24b051a832b41c887198ef12b19593668614da49fe89b049b0002",
+        "cf86f2109fa0f31a7f3a07fa3860affc66b69582bc69794cdbc36852ab9536fe",
     ),
     "ggsp:echo-random-input": (
         dict(GGSP_GOLDEN, algorithm="echo-random-input"),
@@ -440,13 +453,25 @@ def test_outputs_match_golden_digests(tmp_path, case):
     cfg, records_sha, trials_sha = GOLDEN[case]
     out = tmp_path / "o"
     command = case.split(":")[0]
-    assert cfg is not TREE_WINDOWS or cfg["trials"] > ex.EXIT_WINDOW
+    assert case not in MULTI_WINDOW or cfg["trials"] > ex.EXIT_WINDOW
     argv = [command, "--config", write_config(tmp_path, "c.json", cfg), "--out", out]
     if case in RESUME_FROM:
         assert run(argv + ["--trials", RESUME_FROM[case]]) == cli.EXIT_OK
     assert run(argv) == cli.EXIT_OK
     for name, expected in (("records.jsonl", records_sha), ("trials.jsonl", trials_sha)):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
+
+
+def test_explore_graph_query_limit_inside_a_window(tmp_path, capsys):
+    """Trials 128-149 of the second window run, but only 128 and 129 fit under
+    the limit: exit 3 after 130 trials, with nothing written."""
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json", dict(GRAPH_GOLDEN, trials=150, query_limit=1295))
+    assert run(["explore-graph", "--config", path, "--out", out]) == cli.EXIT_BUDGET
+    assert "exhausted after 130 trials" in capsys.readouterr().err
+    meta = json.loads((out / "meta.json").read_text())
+    assert (meta["status"], meta["completed_trials"]) == ("query-limit", 130)
+    assert not (out / "trials.jsonl").exists()
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -636,6 +661,7 @@ def test_bad_config_integer_is_config_error(tmp_path, capsys, command, cfg):
 
 
 NOT_REGULAR = "not-regular.txt"  # header "4 3 0" over two edges
+BAD_EDGE = "bad-edge.txt"  # header "4 1 0", then an edge to vertex 7
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -662,10 +688,27 @@ NOT_REGULAR = "not-regular.txt"  # header "4 3 0" over two edges
     ("explore-tree", dict(TREE_CFG, schedule={"degrees": "42", "depths": [1, 2]})),
     ("spectrum", {"instance": dict(PETERSEN_INSTANCE, depths="12")}),
     ("explore-tree", dict(TREE_CFG, strategies=5)),
+    # A label width the instance cannot use, too narrow or above MAX_LABEL_BITS.
+    ("explore-graph", dict(GRAPH_CFG, oracle={"label_bits": 5})),
+    ("explore-graph", dict(GRAPH_CFG, oracle={"label_bits": 63})),
+    ("ggsp", dict(GGSP_GOLDEN, oracle={"label_bits": 5})),
+    ("ggsp", dict(GGSP_GOLDEN, oracle={"label_bits": 63})),
+    # A core file edge past N, and sections that are not JSON objects.
+    ("spectrum", {"instance": dict(PETERSEN_INSTANCE, expander={"file": BAD_EDGE})}),
+    ("certify", {"expander_file": BAD_EDGE}),
+    ("spectrum", {"instance": [1]}),
+    ("spectrum", {"instance": dict(PETERSEN_INSTANCE, expander=[1])}),
+    ("explore-graph", dict(GRAPH_CFG, oracle=[1])),
+    # Bounds entry values are read as integers or numbers.
+    ("bounds", {"bounds": [{"name": "closed-form", "n": "x", "k": 4}]}),
+    ("bounds", {"bounds": [{"name": "gap-sum", "delta": "x", "gamma": 0.1}]}),
+    ("bounds", {"bounds": [{"name": "recursion", "degrees": [4, 3], "depths": [1, 2],
+                            "q_schedule": ["x", 4]}]}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
     monkeypatch.chdir(tmp_path)
     (tmp_path / NOT_REGULAR).write_text("4 3 0\n0 1\n2 3\n")
+    (tmp_path / BAD_EDGE).write_text("4 1 0\n0 1\n2 7\n")
     out = tmp_path / "o"
     path = write_config(tmp_path, "c.json", cfg)
     assert run([command, "--config", path, "--out", out]) == cli.EXIT_USAGE
