@@ -29,15 +29,16 @@ expander.certificate.json are cleared only by gen-expander, because other
 commands may read a core from there.  A core read from a file must be
 connected.  `report` only reads a run: it rewrites summary.csv and nothing else.
 
-explore-tree maps one window function, in order, over each strategy's pending
-trials in windows of explorer.EXIT_WINDOW, smaller when there are too few
-trials to keep every worker busy: builtin map with --threads 1, one process
-pool per run otherwise (no other command uses --threads).  It appends
-each window's rows to trials.jsonl as they arrive, so an interruption loses
-only the windows in flight, and resumes from the rows it finds.  Its meta.json
-carries a resume key, stored before the first row is appended: the hash of the
-config without trials, threads and out, plus the effective seed and budget.
-Resuming rows under a different key exits 1.
+explore-tree lists its pending (strategy, trial) pairs in row order, strategy
+by strategy, and maps one window function, in order, over that list cut into
+windows of explorer.EXIT_WINDOW pairs (a window may span strategies), smaller
+when there are too few pairs to keep every worker busy: builtin map with
+--threads 1, one process pool per run otherwise (no other command uses
+--threads).  It appends each window's rows to trials.jsonl as they arrive, so
+an interruption loses only the windows in flight, and resumes from the rows it
+finds.  Its meta.json carries a resume key, stored before the first row is
+appended: the hash of the config without trials, threads and out, plus the
+effective seed and budget.  Resuming rows under a different key exits 1.
 
 Exit codes: 0 success, 1 usage/config error, 2 certification or verification
 failure, 3 query-budget exhaustion.
@@ -324,6 +325,14 @@ def _require(cfg: dict, key: str, context: str):
     return cfg[key]
 
 
+def _list(cfg: dict, key: str, context: str) -> list:
+    """The JSON list under `key`."""
+    values = _require(cfg, key, context)
+    if not isinstance(values, list):
+        raise UsageError(f"'{key}' in {context} must be a list, got {values!r}")
+    return values
+
+
 def _section(cfg: dict, key: str, context: str, required: bool = True) -> dict:
     """The JSON object under `key` ({} when it is optional and absent)."""
     section = _require(cfg, key, context) if required else cfg.get(key, {})
@@ -476,7 +485,7 @@ def cmd_spectrum(run: Run) -> int:
                 _integer("instance.trees.level", t.get("level", len(t["degrees"]))),
                 _integer("instance.trees.copies", t.get("copies", 1), low=1),
             )
-            for t in _require(section, "trees", "instance")
+            for t in _list(section, "trees", "instance")
         ]
         solution = spectral.solve_top_eigenvalue(
             _number("instance.lambda_e", _require(section, "lambda_e", "instance")),
@@ -554,8 +563,8 @@ def exit_tree(degrees: tuple, depths: tuple, level: int) -> graph_model.TreeGrap
 
 def exit_window(job: tuple) -> list:
     """The rows of one window of exit trials; module-level, so a pool can pickle it."""
-    degrees, depths, level, strategy, budget, seed, padding, trials = job
-    return explorer.exit_trials(exit_tree(degrees, depths, level), strategy, budget, seed, trials, padding)
+    degrees, depths, level, budget, seed, padding, pairs = job
+    return explorer.exit_trials(exit_tree(degrees, depths, level), pairs, budget, seed, padding)
 
 
 @command("explore-tree", counts={"trials": ("trials", 1000), "budget": ("budget", 16)},
@@ -577,14 +586,12 @@ def cmd_explore_tree(run: Run) -> int:
     trials_path = run.out / "trials.jsonl"
     all_rows = read_trial_rows(trials_path)
     done = {(row["strategy"], row["trial"]) for row in all_rows}
-    pending = [(s, [t for t in range(trials) if (s, t) not in done]) for s in strategies]
+    pending = [(s, t) for s in strategies for t in range(trials) if (s, t) not in done]
     # Windows of EXIT_WINDOW trials, smaller where that would leave a worker idle.
-    total = sum(len(ts) for _, ts in pending)
-    size = max(1, min(explorer.EXIT_WINDOW, math.ceil(total / run.threads)))
+    size = max(1, min(explorer.EXIT_WINDOW, math.ceil(len(pending) / run.threads)))
     jobs = [
-        (sched.degrees, sched.depths, level, strategy, budget, run.seed, padding, ts[i : i + size])
-        for strategy, ts in pending
-        for i in range(0, len(ts), size)
+        (sched.degrees, sched.depths, level, budget, run.seed, padding, pending[i : i + size])
+        for i in range(0, len(pending), size)
     ]
     pool = ProcessPoolExecutor(run.threads) if run.threads > 1 else None
     try:
@@ -723,9 +730,9 @@ BOUNDS = {
 
 @command("bounds")
 def cmd_bounds(run: Run) -> int:
-    for entry in _require(run.cfg, "bounds", "config"):
+    for entry in _list(run.cfg, "bounds", "config"):
         name = _require(entry, "name", "bounds entry")
-        if name not in BOUNDS:
+        if not isinstance(name, str) or name not in BOUNDS:
             raise UsageError(f"unknown bound name {name!r}")
         try:
             rep = BOUNDS[name](entry)

@@ -15,28 +15,29 @@ generator when the budget is spent or the watched exit fires, and is the
 record `run_exploration` returns.  Scoring never leaks back into the strategy.
 
 Every trial runs through one loop, `drive`: it runs a list of sessions in
-lockstep, and at each step resolves every live session's next counted query
-once (`LabeledOracle.lookup`: the label's index and neighbour indices), labels
-the neighbours that their oracles' memos lack in one `OracleWindow` batch, and
-then makes each query from that same lookup.  Every experiment runs its trials
-through one windowing, `_windows`: windows of EXIT_WINDOW trials, each with
-its oracles built, each trial's roots or inputs drawn as canonical indices
-(`oracle.input_draws`) and the window's missing labels mapped in one batch,
-then its sessions armed and driven together.  `exit_trials` (over one shared
-tree), `explore_graph_experiment` and `ggsp_experiment` all run this way and
-emit rows in trial order; `run_exploration` is `drive` over one session.
-Sessions share nothing but the graph's caches, so each record is the one its
-trial would have alone.
+lockstep, a lone session as a window of one.  At each step it resolves every
+live session's pending label once, to its index (the oracle's memo) and that
+vertex's `IndexInfo` (the graph's per-index walk cache, so a vertex is walked
+to once per graph, not once per query), labels the neighbours that the
+oracles' memos lack in one `OracleWindow` batch, and hands each session its
+`IndexInfo`: the session makes its counted query with those neighbours,
+records the step, scores it from the same record and advances its generator.
+Every experiment runs its trials through one windowing, `_windows`: windows
+of EXIT_WINDOW trials, each with its oracles built, each trial's roots or
+inputs drawn as canonical indices (`oracle.input_draws`) and the window's
+missing labels mapped in one batch, then its sessions armed and driven
+together.  `exit_trials` (over one shared tree, its windows cut from
+(strategy, trial) pairs, so one window may run several strategies),
+`explore_graph_experiment` and `ggsp_experiment` all run this way and emit
+rows in trial order; `run_exploration` is `drive` over one session.  Sessions
+share nothing but the graph's caches, so each record is the one its trial
+would have alone.
 
-Each query is scored from the index it already resolved: the lookup that
-answers it carries the index, and the session reads the graph's per-index
-walk cache (`index_info`) once, the cache the neighbour lookups fill, so a
-vertex is walked to once per graph, not once per query.  Steps and events are
-kept raw, as plain tuples and (kind, step, IndexInfo), and built into `Step`s
-and dicts only when `steps`, `events` or `to_record` is read: a window holds
-its sessions' records alive together, and plain tuples of numbers cost the
-garbage collector nothing once it has seen them.  A sealed oracle refuses
-scoring before the first query.
+Steps and events are kept raw, as plain tuples and (kind, step, IndexInfo),
+and built into `Step`s and dicts only when `steps`, `events` or `to_record` is
+read: a window holds its sessions' records alive together, and plain tuples
+of numbers cost the garbage collector nothing once it has seen them.  Scoring
+reads the trusted side, so a session refuses to arm on a sealed oracle.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from . import spectral
 from ._util import InputError, binomial_stderr, derive_key, derive_seed, wilson_interval
 from .graph_model import (
     DECOR,
+    IndexInfo,
     IsolatedVertex,
     MainGraph,
     Schedule,
@@ -182,42 +184,14 @@ class ExplorationSession:
             "output": self.output,
         }
 
-    def query(self, label: int, fresh: bool = False, is_root: bool = False,
-              lookup: Optional[tuple] = None) -> Optional[tuple]:
-        """One counted, scored query; None once the run is over (the budget was
-        already spent, or this query fired the watched exit).  `lookup` is
-        the oracle's `lookup(label)` when `drive` has already made it."""
-        step = len(self._steps)
-        if step >= self.budget:
-            self.halted = "budget"
-            return None
-        oracle = self.oracle
-        if oracle.sealed:
-            raise RevealSealedError("scoring needs reveal(), which is sealed on this oracle")
-        lookup = lookup or oracle.lookup(label)
-        answer = oracle.query(label, lookup)
-        self._steps.append((label, len(answer), fresh, is_root))
-        self.answers.append(answer)
-        if is_root:
-            self.roots.append(label)
-            self.root_answers[label] = answer
-        index = lookup[0]
-        if index >= oracle.num_nonisolated:
-            self._events.append(("isolated_hit", step, None))
-        elif (info := oracle.graph.index_info(index)).leaf_level is not None:
-            self._events.append(("leaf", step, info))
-            if info.leaf_level == 0:
-                self._events.append(("exit_leaf", step, None))
-                if self.stop_on_exit:
-                    self.halted = "exit"
-                    return None
-        return answer
-
     def start(self, strategy: Callable, roots: Sequence[int], rng: random.Random, query_roots: bool) -> "ExplorationSession":
         """Arm the run for `drive`: the roots' counted queries first when
         `query_roots` is set, then the strategy's generator.  `pending` holds
         the next counted query as (label, fresh, is_root), None once the run
-        is over."""
+        is over.  Scoring reads the trusted side, so a sealed oracle refuses
+        here, before any query."""
+        if self.oracle.sealed:
+            raise RevealSealedError("scoring needs reveal(), which is sealed on this oracle")
         self._gen = strategy(list(roots), rng, self.oracle.num_labels)
         self._root_queries = list(roots)[::-1] if query_roots else []
         self._reply = None
@@ -266,14 +240,31 @@ class ExplorationSession:
         self._gen.close()
         self.pending = None
 
-    def answer(self, lookup: Optional[tuple] = None):
-        """Make the pending counted query, hand its answer to the generator
-        (a root's first query only records it) and advance."""
+    def answer(self, info: Optional[IndexInfo]):
+        """The pending counted query, resolved by `drive` to its vertex's walk
+        record `info` (None for an isolated vertex): query the oracle with the
+        record's neighbours, record the step and score it from the same
+        record, then hand the answer to the generator (a root's first query
+        only records it) and advance, or end the run if it fired the watched
+        exit."""
         label, fresh, is_root = self.pending
-        answer = self.query(label, fresh, is_root, lookup)
-        if answer is None:  # the watched exit fired
-            self._end()
-            return
+        step = len(self._steps)
+        answer = self.oracle.query(label, info.neighbors if info else ())
+        self._steps.append((label, len(answer), fresh, is_root))
+        self.answers.append(answer)
+        if is_root:
+            self.roots.append(label)
+            self.root_answers[label] = answer
+        if info is None:
+            self._events.append(("isolated_hit", step, None))
+        elif info.leaf_level is not None:
+            self._events.append(("leaf", step, info))
+            if info.leaf_level == 0:
+                self._events.append(("exit_leaf", step, None))
+                if self.stop_on_exit:
+                    self.halted = "exit"
+                    self._end()
+                    return
         if not self._prelude:
             self._reply = answer
         self._advance()
@@ -281,34 +272,34 @@ class ExplorationSession:
 
 def drive(sessions: Sequence[ExplorationSession], window: Optional[OracleWindow] = None) -> None:
     """The one trial loop: run armed sessions (`ExplorationSession.start`)
-    in lockstep to their ends.  At each step with more than one live session
-    it resolves every live session's next counted query once (its oracle's
-    `lookup`: the label's index and neighbour indices), labels the neighbours
-    that the oracles' memos lack through one `OracleWindow`, and then makes
-    each query (`ExplorationSession.answer`) from that same lookup, so its
-    answer and its scored index come out of the memo.  A lone session's query
-    labels its own neighbours, at the same cost.  Each session keeps its own
-    oracle, budget, generator and `random.Random`, so its record is the one it
-    would have run to alone.  `window` holds the sessions' oracles in order
-    (built here when needed)."""
+    in lockstep to their ends; a lone session is a window of one.  At each
+    step it resolves every live session's pending label once: its index from
+    the oracle's memo, then the vertex's `IndexInfo` from the graph's walk
+    cache.  It labels the neighbours that the oracles' memos lack in one
+    `OracleWindow.label` call, and hands each session its `IndexInfo`
+    (`ExplorationSession.answer`), which queries, records and scores from it.
+    Each session keeps its own oracle, budget, generator and `random.Random`,
+    so its record is the one it would have run to alone.  `window` holds the
+    sessions' oracles in order (built here when not given)."""
     live = [(row, s) for row, s in enumerate(sessions) if s.pending is not None]
     while live:
-        if len(live) == 1:
-            live[0][1].answer()
-        else:
-            window = window or OracleWindow([s.oracle for s in sessions])
-            rows, wanted, lookups = [], [], []
-            for row, s in live:
-                lookup = s.oracle.lookup(s.pending[0])
-                have = s.oracle._label_at
-                for j in lookup[1]:
+        window = window or OracleWindow([s.oracle for s in sessions])
+        rows, wanted, infos = [], [], []
+        for row, s in live:
+            oracle = s.oracle
+            index = oracle._index(s.pending[0])
+            info = None
+            if index < oracle.num_nonisolated:
+                info = oracle.graph.index_info(index)
+                have = oracle._label_at
+                for j in info.neighbors:
                     if j not in have:
                         rows.append(row)
                         wanted.append(j)
-                lookups.append(lookup)
-            window.label(rows, wanted)
-            for (_, s), lookup in zip(live, lookups):
-                s.answer(lookup)
+            infos.append(info)
+        window.label(rows, wanted)
+        for (_, s), info in zip(live, infos):
+            s.answer(info)
         live = [(row, s) for row, s in live if s.pending is not None]
 
 
@@ -409,12 +400,9 @@ EXPLORATION_STRATEGIES = (
 def resolve_strategy(strategy: Union[str, Callable], registry: dict = STRATEGIES) -> tuple[str, Callable]:
     if callable(strategy):
         return getattr(strategy, "__name__", "custom"), strategy
-    try:
+    if isinstance(strategy, str) and strategy in registry:
         return strategy, registry[strategy]
-    except KeyError:
-        raise UnknownStrategyError(
-            f"unknown strategy {strategy!r}; known: {sorted(registry)}"
-        ) from None
+    raise UnknownStrategyError(f"unknown strategy {strategy!r}; known: {sorted(registry)}")
 
 
 def run_exploration(
@@ -461,39 +449,40 @@ EXIT_WINDOW = 128
 
 def exit_trials(
     graph: TreeGraph,
-    strategy: Union[str, Callable],
+    pairs: Sequence[tuple],
     budget: int,
     seed: int,
-    indices: Sequence[int],
     padding_ratio: float,
 ) -> list[dict]:
-    """Run the exit trials `indices` on a standalone tree, each from the root
-    under its own labeling key and stopping at the exit event, in lockstep
-    windows of EXIT_WINDOW trials (`drive`); one row per trial (exit flag,
-    distinct level-1 decorations, queries)."""
+    """Run the exit trials `pairs`, each a (strategy, trial), on a standalone
+    tree: each from the root under its trial's labeling key, running its own
+    strategy and stopping at the exit event, in lockstep windows of
+    EXIT_WINDOW pairs (`drive`), which may mix strategies; one row per pair
+    (exit flag, distinct level-1 decorations, queries), in the pairs' order."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    name, fn = resolve_strategy(strategy)
+    resolved = {strategy: resolve_strategy(strategy) for strategy, _ in pairs}
     root = (graph.index_of(graph.root),)
     rows = []
-    for trials, window, roots in _windows(
-        list(indices),
-        lambda t: LabeledOracle(graph, derive_key("exit-trial", seed, t), padding_ratio=padding_ratio),
-        lambda t, oracle: root,
+    for window_pairs, window, roots in _windows(
+        list(pairs),
+        lambda pair: LabeledOracle(graph, derive_key("exit-trial", seed, pair[1]), padding_ratio=padding_ratio),
+        lambda pair, oracle: root,
         1,
     ):
         sessions = []
-        for t, orc, labels in zip(trials, window.oracles, roots):
+        for (strategy, t), orc, labels in zip(window_pairs, window.oracles, roots):
+            name, fn = resolved[strategy]
             trial_seed = derive_seed(seed, t)
             session = ExplorationSession(orc, budget, trial_seed, name, stop_on_exit=True)
             rng = random.Random(derive_seed("strategy", trial_seed))
             sessions.append(session.start(fn, labels, rng, query_roots=True))
         drive(sessions, window)
-        for t, session in zip(trials, sessions):
+        for (_, t), session in zip(window_pairs, sessions):
             rows.append(
                 {
                     "trial": t,
-                    "strategy": name,
+                    "strategy": session.strategy,
                     "exit": int(session.halted == "exit"),
                     "distinct_decorations": _distinct_level1_decorations(session),
                     "queries": session.query_count,
@@ -533,7 +522,8 @@ def estimate_exit_probability(
     queried (trials stop at the exit event, so the tally is the count at that
     moment).
     """
-    rows = exit_trials(TreeGraph(schedule, level), strategy, budget, seed, range(trials), padding_ratio)
+    pairs = [(strategy, t) for t in range(trials)]
+    rows = exit_trials(TreeGraph(schedule, level), pairs, budget, seed, padding_ratio)
     exits = [r["distinct_decorations"] for r in rows if r["exit"]]
     return ExitEstimate(
         schedule=schedule,

@@ -13,12 +13,13 @@ object, and through the memo that the trial reads to score each query.
 The trusted object memoizes every index <-> label pair it has mapped, both
 ways, so a label runs through the Feistel map at most once per oracle, that is
 once per trial: a walk queries labels that came out of earlier answers, and the
-parent of a vertex appears in each of its answers.  `lookup`, `query`,
-`label_of` and `reveal` all read the memo first.  `lookup(label)` resolves a
-label once to its index and neighbour indices; `query` (counted) builds the
-answer from that lookup, and the trial scores the query from the same index,
-with no second map.  The memo is private to the oracle; strategies gain
-nothing from it.  A sealed oracle refuses `reveal` and scoring alike.
+parent of a vertex appears in each of its answers.  `query`, `label_of` and
+`reveal` all read the memo first.  The trial loop resolves each query's label
+once, from the memo, to its index and the graph's per-index walk record
+(`IndexInfo`); `query` (counted) builds the answer from the neighbour indices
+it is handed, and the trial scores the query from the same record, with no
+second map.  The memo is private to the oracle; strategies gain nothing from
+it.  A sealed oracle refuses `reveal`, and a trial refuses to arm on it.
 
 An `OracleWindow` fills the memos of many oracles of one label width at once,
 in one `forward_array` call of a `KeyedColumns` map, where each element runs
@@ -270,21 +271,15 @@ class LabeledOracle:
 
     # -- query side ----------------------------------------------------------
 
-    def lookup(self, label: int) -> tuple[int, tuple]:
-        """(index, neighbour indices) of the vertex behind `label`, no
-        neighbours for an isolated label; uncounted and trusted, the one place
-        a query resolves its label."""
-        idx = self._index(label)
-        if idx >= self.num_nonisolated:
-            return idx, ()
-        return idx, self.graph.neighbor_indices(idx)
-
-    def query(self, label: int, lookup: Optional[tuple] = None) -> tuple:
+    def query(self, label: int, neighbors: Optional[tuple] = None) -> tuple:
         """Sorted labels of the neighbors of the vertex behind `label`; empty
-        for isolated labels.  Counts every call.  `lookup` is
-        `self.lookup(label)` when the caller has already made it."""
+        for isolated labels.  Counts every call.  `neighbors` is the vertex's
+        neighbour indices (() when isolated) when the caller has resolved
+        them already, as the trial loop does."""
         self.query_count += 1
-        _, neighbors = lookup or self.lookup(label)
+        if neighbors is None:
+            idx = self._index(label)
+            neighbors = () if idx >= self.num_nonisolated else self.graph.neighbor_indices(idx)
         have, label = self._label_at, self._label
         return tuple(sorted([have[j] if j in have else label(j) for j in neighbors]))
 
@@ -411,7 +406,7 @@ class GuidingSpec:
 
     def __post_init__(self):
         kinds = {"exact-ground-state", "expander-uniform", "single-fixed-root", "mixture"}
-        if self.kind not in kinds:
+        if not isinstance(self.kind, str) or self.kind not in kinds:
             raise InputError(f"unknown guiding kind {self.kind!r}")
         if self.kind == "mixture":
             if not self.components:

@@ -704,6 +704,14 @@ BAD_EDGE = "bad-edge.txt"  # header "4 1 0", then an edge to vertex 7
     ("bounds", {"bounds": [{"name": "gap-sum", "delta": "x", "gamma": 0.1}]}),
     ("bounds", {"bounds": [{"name": "recursion", "degrees": [4, 3], "depths": [1, 2],
                             "q_schedule": ["x", 4]}]}),
+    # Names that are not strings, and lists that are not lists.
+    ("explore-graph", dict(GRAPH_CFG, strategy=[1])),
+    ("explore-graph", dict(GRAPH_CFG, guiding=[1])),
+    ("ggsp", dict(GGSP_GOLDEN, algorithm=[1])),
+    ("ggsp", dict(GGSP_GOLDEN, guiding=[1])),
+    ("bounds", {"bounds": [{"name": [1]}]}),
+    ("spectrum", {"instance": dict(CUSTOM_INSTANCE, trees=5)}),
+    ("bounds", {"bounds": 5}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
     monkeypatch.chdir(tmp_path)

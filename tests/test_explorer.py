@@ -188,57 +188,44 @@ def test_depth_one_tree_exits_immediately():
         assert est.exit.p_hat == 1.0
 
 
-def _one_session_per_trial(graph, strategy, budget, seed, trials, padding_ratio):
-    """Reference exit rows: each trial's `ExplorationSession` driven alone by
-    a plain loop over its counted `query` (the roots first, then the
-    strategy's requests), with no `drive` and no batched labels."""
+def _one_session_per_trial(graph, pairs, budget, seed, padding_ratio):
+    """Reference exit rows: each (strategy, trial) pair rebuilt alone by
+    `_reference_session`'s plain loop over `LabeledOracle.query`, scored by
+    revealed classification, with no `drive` and no batched labels."""
     rows = []
-    for t in trials:
+    for strategy, t in pairs:
         o = orc.LabeledOracle(graph, derive_key("exit-trial", seed, t), padding_ratio=padding_ratio)
         name, fn = ex.resolve_strategy(strategy)
-        session = ex.ExplorationSession(o, budget, derive_seed(seed, t), name, stop_on_exit=True)
-        roots = [o.label_of(graph.root)]
         rng = random.Random(derive_seed("strategy", derive_seed(seed, t)))
-        if all(session.query(r, is_root=True) is not None for r in roots):
-            gen = fn(list(roots), rng, o.num_labels)
-            try:
-                request = next(gen)
-                while True:
-                    label = int(request)
-                    if type(request) is ex.Root and label in session.root_answers:
-                        answer = session.root_answers[label]
-                    else:
-                        answer = session.query(
-                            label, fresh=type(request) is ex.Fresh, is_root=type(request) is ex.Root
-                        )
-                    if answer is None:
-                        break
-                    request = gen.send(answer)
-            except StopIteration:
-                pass
+        record = _reference_session(o, fn, [o.label_of(graph.root)], rng, budget, True, True)
+        level1 = {(e["tree"], e["decoration"]) for e in record["events"]
+                  if e["kind"] == "leaf" and e["level"] == 1}
         rows.append({
             "trial": t,
             "strategy": name,
-            "exit": int(session.halted == "exit"),
-            "distinct_decorations": ex._distinct_level1_decorations(session),
-            "queries": session.query_count,
+            "exit": int(record["halted"] == "exit"),
+            "distinct_decorations": len(level1),
+            "queries": len(record["steps"]),
         })
     return rows
 
 
 @given(
     schedule=schedules(max_depth=3),
-    strategy=st.sampled_from(sorted(ex.STRATEGIES)),
+    strategies=st.lists(st.sampled_from(sorted(ex.STRATEGIES)), min_size=1, max_size=4),
     budget=st.integers(1, 12),
     seed=st.integers(0, 1 << 32),
     trials=st.lists(st.integers(0, 1000), min_size=1, max_size=12, unique=True),
     window=st.sampled_from([1, 2, ex.EXIT_WINDOW]),
 )
-def test_lockstep_rows_match_one_session_per_trial(schedule, strategy, budget, seed, trials, window):
+def test_lockstep_rows_match_one_session_per_trial(schedule, strategies, budget, seed, trials, window):
+    """Windows cut from (strategy, trial) pairs, strategy-major, so that a
+    window of 2 or EXIT_WINDOW mixes strategies."""
     graph = gm.TreeGraph(schedule, schedule.levels)
+    pairs = [(strategy, t) for strategy in strategies for t in trials]
     with mock.patch.object(ex, "EXIT_WINDOW", window):
-        rows = ex.exit_trials(graph, strategy, budget, seed, trials, 0.25)
-    assert rows == _one_session_per_trial(graph, strategy, budget, seed, trials, 0.25)
+        rows = ex.exit_trials(graph, pairs, budget, seed, 0.25)
+    assert rows == _one_session_per_trial(graph, pairs, budget, seed, 0.25)
 
 
 @given(
