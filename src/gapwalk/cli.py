@@ -573,16 +573,21 @@ def cmd_explore_tree(run: Run) -> int:
     cfg, budget, trials = run.cfg, run.budget, run.trials
     sched = build_schedule(_require(cfg, "schedule", "config"))
     level = run.integer("level", sched.levels)
-    strategies = cfg.get("strategies") or [cfg.get("strategy", "greedy-unvisited")]
-    if not isinstance(strategies, list) or not all(isinstance(s, str) for s in strategies):
-        raise UsageError(f"strategies must be a list of strategy names, got {strategies!r}")
+    strategies = cfg.get("strategies")
+    if strategies is None:
+        strategies = [cfg.get("strategy", "greedy-unvisited")]
+    if not (isinstance(strategies, list) and strategies and all(isinstance(s, str) for s in strategies)
+            and len(set(strategies)) == len(strategies)):
+        raise UsageError(f"strategies must be a list of distinct strategy names, got {strategies!r}")
     w = run.integer("w", 2, low=1)
     padding = _number("padding_ratio", cfg.get("padding_ratio", 0.25))
     q_schedule = _numbers("q_schedule", cfg["q_schedule"]) if cfg.get("q_schedule") else [
         max(1.0, budget / (w ** (level - k))) for k in range(1, level + 1)
     ]
 
-    exit_tree(sched.degrees, sched.depths, level)  # a bad level exits 1 before any trial
+    tree = exit_tree(sched.degrees, sched.depths, level)  # a bad level or width exits 1 before any trial
+    if 0 < padding <= 1 and math.log2(tree.num_nonisolated / padding) > oracle_mod.MAX_LABEL_BITS:
+        raise UsageError(f"padding_ratio {padding} needs more than {oracle_mod.MAX_LABEL_BITS} label bits")
     trials_path = run.out / "trials.jsonl"
     all_rows = read_trial_rows(trials_path)
     done = {(row["strategy"], row["trial"]) for row in all_rows}

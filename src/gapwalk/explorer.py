@@ -23,15 +23,15 @@ oracles' memos lack in one `OracleWindow` batch, and hands each session its
 `IndexInfo`: the session makes its counted query with those neighbours,
 records the step, scores it from the same record and advances its generator.
 Every experiment runs its trials through one windowing, `_windows`: windows
-of EXIT_WINDOW trials, each with its oracles built, each trial's roots or
-inputs drawn as canonical indices (`oracle.input_draws`) and the window's
-missing labels mapped in one batch, then its sessions armed and driven
-together.  `exit_trials` (over one shared tree, its windows cut from
-(strategy, trial) pairs, so one window may run several strategies),
-`explore_graph_experiment` and `ggsp_experiment` all run this way and emit
-rows in trial order; `run_exploration` is `drive` over one session.  Sessions
-share nothing but the graph's caches, so each record is the one its trial
-would have alone.
+of EXIT_WINDOW trials, each with one oracle built per distinct trial, each
+trial's roots or inputs drawn as canonical indices (`oracle.input_draws`) and
+the window's missing labels mapped in one batch, then its sessions armed and
+driven together.  `exit_trials` (over one shared tree, its windows cut from
+(strategy, trial) pairs, so one window may run several strategies of a trial,
+which share its oracle), `explore_graph_experiment` and `ggsp_experiment` all
+run this way and emit rows in trial order; `run_exploration` is `drive` over
+one session.  Sessions share only caches whose values the keys fix (the
+graph's, a trial's oracle memo), so each record is the one it would be alone.
 
 Steps and events are kept raw, as plain tuples and (kind, step, IndexInfo),
 and built into `Step`s and dicts only when `steps`, `events` or `to_record` is
@@ -275,15 +275,21 @@ def drive(sessions: Sequence[ExplorationSession], window: Optional[OracleWindow]
     in lockstep to their ends; a lone session is a window of one.  At each
     step it resolves every live session's pending label once: its index from
     the oracle's memo, then the vertex's `IndexInfo` from the graph's walk
-    cache.  It labels the neighbours that the oracles' memos lack in one
-    `OracleWindow.label` call, and hands each session its `IndexInfo`
-    (`ExplorationSession.answer`), which queries, records and scores from it.
-    Each session keeps its own oracle, budget, generator and `random.Random`,
-    so its record is the one it would have run to alone.  `window` holds the
-    sessions' oracles in order (built here when not given)."""
-    live = [(row, s) for row, s in enumerate(sessions) if s.pending is not None]
+    cache.  It labels each (oracle, index) that the memos lack once, in one
+    `OracleWindow.label` call (the memo holds a miss as None until then), and
+    hands each session its `IndexInfo` (`ExplorationSession.answer`), which
+    queries, records and scores from it.  Each session keeps its own budget,
+    generator and `random.Random`, so its record is the one it would have run
+    to alone; sessions of one trial may share its oracle, whose `query_count`
+    is then their sum.  `window` holds their distinct oracles (built here
+    when not given)."""
+    live = [s for s in sessions if s.pending is not None]
+    if not live:
+        return
+    window = window or OracleWindow(dict.fromkeys(s.oracle for s in sessions))
+    row_of = {oracle: row for row, oracle in enumerate(window.oracles)}
+    live = [(row_of[s.oracle], s) for s in live]
     while live:
-        window = window or OracleWindow([s.oracle for s in sessions])
         rows, wanted, infos = [], [], []
         for row, s in live:
             oracle = s.oracle
@@ -294,6 +300,7 @@ def drive(sessions: Sequence[ExplorationSession], window: Optional[OracleWindow]
                 have = oracle._label_at
                 for j in info.neighbors:
                     if j not in have:
+                        have[j] = None
                         rows.append(row)
                         wanted.append(j)
             infos.append(info)
@@ -457,26 +464,28 @@ def exit_trials(
     """Run the exit trials `pairs`, each a (strategy, trial), on a standalone
     tree: each from the root under its trial's labeling key, running its own
     strategy and stopping at the exit event, in lockstep windows of
-    EXIT_WINDOW pairs (`drive`), which may mix strategies; one row per pair
-    (exit flag, distinct level-1 decorations, queries), in the pairs' order."""
+    EXIT_WINDOW pairs (`drive`), which may mix strategies and share a trial's
+    key, seeds and oracle among its sessions; one row per pair (exit flag,
+    distinct level-1 decorations, queries), in the pairs' order."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     resolved = {strategy: resolve_strategy(strategy) for strategy, _ in pairs}
     root = (graph.index_of(graph.root),)
     rows = []
-    for window_pairs, window, roots in _windows(
+    for window_pairs, window, oracles, roots in _windows(
         list(pairs),
-        lambda pair: LabeledOracle(graph, derive_key("exit-trial", seed, pair[1]), padding_ratio=padding_ratio),
-        lambda pair, oracle: root,
+        lambda t: LabeledOracle(graph, derive_key("exit-trial", seed, t), padding_ratio=padding_ratio),
+        lambda t, oracle: root,
         1,
+        trial_of=lambda pair: pair[1],
     ):
+        seeds = {t: derive_seed(seed, t) for t in {t for _, t in window_pairs}}
+        rng_seeds = {t: derive_seed("strategy", trial_seed) for t, trial_seed in seeds.items()}
         sessions = []
-        for (strategy, t), orc, labels in zip(window_pairs, window.oracles, roots):
+        for (strategy, t), orc, labels in zip(window_pairs, oracles, roots):
             name, fn = resolved[strategy]
-            trial_seed = derive_seed(seed, t)
-            session = ExplorationSession(orc, budget, trial_seed, name, stop_on_exit=True)
-            rng = random.Random(derive_seed("strategy", trial_seed))
-            sessions.append(session.start(fn, labels, rng, query_roots=True))
+            session = ExplorationSession(orc, budget, seeds[t], name, stop_on_exit=True)
+            sessions.append(session.start(fn, labels, random.Random(rng_seeds[t]), query_roots=True))
         drive(sessions, window)
         for (_, t), session in zip(window_pairs, sessions):
             rows.append(
@@ -491,17 +500,23 @@ def exit_trials(
     return rows
 
 
-def _windows(trials: Sequence[int], oracle_of: Callable, draws_of: Callable, count: int):
-    """The one windowing of trials: `trials` in windows of EXIT_WINDOW, each
-    yielded as (its trials, an `OracleWindow` of `oracle_of(t)`, each trial's
-    inputs as labels).  Trial t's inputs are the first `count` draws of
-    `draws_of(t, oracle)`, canonical indices (`input_draws`); the window's
-    misses are labeled in one batch."""
-    for w in range(0, len(trials), EXIT_WINDOW):
-        ts = trials[w : w + EXIT_WINDOW]
+def _windows(items: Sequence, oracle_of: Callable, draws_of: Callable, count: int, trial_of=None):
+    """The one windowing of trials: `items` in windows of EXIT_WINDOW, each
+    yielded as (its items, an `OracleWindow` of one `oracle_of(t)` per
+    distinct trial t among them, each item's oracle, each item's inputs as
+    labels).  An item is its own trial unless `trial_of` names it, and the
+    items of one trial share its oracle and inputs.  Trial t's inputs are
+    the first `count` draws of `draws_of(t, oracle)`, canonical indices
+    (`input_draws`); the window's misses are labeled in one batch."""
+    for w in range(0, len(items), EXIT_WINDOW):
+        chunk = items[w : w + EXIT_WINDOW]
+        keys = list(map(trial_of, chunk)) if trial_of else chunk
+        ts = list(dict.fromkeys(keys))
         window = OracleWindow([oracle_of(t) for t in ts])
         draws = [list(islice(draws_of(t, o), count)) for t, o in zip(ts, window.oracles)]
-        yield ts, window, window.label_inputs(draws)
+        setup = dict(zip(ts, zip(window.oracles, window.label_inputs(draws))))
+        oracles, inputs = zip(*(setup[t] for t in keys))
+        yield chunk, window, oracles, inputs
 
 
 def estimate_exit_probability(
@@ -641,14 +656,14 @@ def explore_graph_experiment(
         stats = EventStats.from_counts(successes, completed)
         return GraphReport(name, completed, stats, audits_ok, tuple(rows))
 
-    for ts, window, roots in _windows(
+    for ts, window, oracles, roots in _windows(
         range(trials),
         lambda t: make_oracle(derive_key("oracle", derive_seed(seed, "oracle", t))),
         lambda t, oracle: input_draws(oracle.graph, guiding, derive_seed(seed, t)),
         roots_per_trial,
     ):
         sessions = []
-        for t, oracle, labels in zip(ts, window.oracles, roots):
+        for t, oracle, labels in zip(ts, oracles, roots):
             session = ExplorationSession(oracle, budget, derive_seed(seed, "run", t), name)
             rng = random.Random(derive_seed("strategy", session.seed))
             sessions.append(session.start(fn, labels, rng, query_roots=True))
@@ -734,7 +749,7 @@ def ggsp_experiment(
     total_queries = 0
     budget_failures = 0
     rows = []
-    for ts, window, inputs in _windows(
+    for ts, window, oracles, inputs in _windows(
         range(trials),
         lambda t: make_oracle(derive_key("ggsp", seed, t)),
         lambda t, oracle: input_draws(oracle.graph, spec, derive_seed("ggsp-in", seed, t)),
@@ -742,15 +757,15 @@ def ggsp_experiment(
     ):
         rngs = [random.Random(derive_seed("ggsp-alg", seed, t)) for t in ts]
         if trusted:
-            runs = [(fn(o, x, rng), 0, False) for o, x, rng in zip(window.oracles, inputs, rngs)]
+            runs = [(fn(o, x, rng), 0, False) for o, x, rng in zip(oracles, inputs, rngs)]
         else:
             sessions = [
                 ExplorationSession(o, budget, seed, name).start(fn, x, rng, query_roots=False)
-                for o, x, rng in zip(window.oracles, inputs, rngs)
+                for o, x, rng in zip(oracles, inputs, rngs)
             ]
             drive(sessions, window)
             runs = [(s.output, s.query_count, s.halted == "budget") for s in sessions]
-        for t, oracle, x, (output, queries, exhausted) in zip(ts, window.oracles, inputs, runs):
+        for t, oracle, x, (output, queries, exhausted) in zip(ts, oracles, inputs, runs):
             budget_failures += exhausted
             total_queries += queries
             score = score_localization(oracle, x, output, threshold)

@@ -232,7 +232,7 @@ class LabeledOracle:
         # this oracle has handed out, like the transcript that holds them.
         self._label_at: dict[int, int] = {}
         self._index_at: dict[int, int] = {}
-        self.query_count = 0
+        self.query_count = 0  # summed over the sessions that share this oracle
         self.sealed = False
 
     # -- trusted side --------------------------------------------------------
@@ -313,9 +313,9 @@ ARRAY_MIN_LABELS = 16
 
 
 class OracleWindow:
-    """Oracles of one label width, one per trial of a window, whose memo misses
-    are labeled together: one `forward_array` call per batch, each element
-    under its own oracle's subkeys (a rounds x window matrix built once)."""
+    """Distinct oracles of one label width, one per trial of a window, whose
+    memo misses are labeled together: one `forward_array` call per batch, each
+    element under its own oracle's subkeys (a rounds x window matrix built once)."""
 
     def __init__(self, oracles: Sequence[LabeledOracle]):
         self.oracles = list(oracles)
@@ -327,7 +327,7 @@ class OracleWindow:
 
     def label(self, rows: Sequence[int], indices: Sequence[int]) -> None:
         """Memoize the label of `indices[i]` in oracle `rows[i]`; each pair must
-        be missing from its memo and appear once."""
+        be missing from its memo, or held there as None, and appear once."""
         if len(indices) < ARRAY_MIN_LABELS:
             for row, index in zip(rows, indices):
                 self.oracles[row]._label(index)

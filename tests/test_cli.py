@@ -712,6 +712,11 @@ BAD_EDGE = "bad-edge.txt"  # header "4 1 0", then an edge to vertex 7
     ("bounds", {"bounds": [{"name": [1]}]}),
     ("spectrum", {"instance": dict(CUSTOM_INSTANCE, trees=5)}),
     ("bounds", {"bounds": 5}),
+    # explore-tree strategy lists that repeat a name or name none, and a padding
+    # ratio whose label width is past MAX_LABEL_BITS.
+    ("explore-tree", dict(TREE_CFG, strategies=["uniform-walk", "uniform-walk"])),
+    ("explore-tree", dict(TREE_CFG, strategies=[])),
+    ("explore-tree", dict(TREE_CFG, padding_ratio=1e-30)),
 ])
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
     monkeypatch.chdir(tmp_path)

@@ -1,11 +1,12 @@
 import json
 import math
 import random
+from contextlib import contextmanager
 from functools import lru_cache
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gapwalk import (
     bounds as bd,
@@ -210,6 +211,19 @@ def _one_session_per_trial(graph, pairs, budget, seed, padding_ratio):
     return rows
 
 
+@contextmanager
+def _counted_builds():
+    """The `LabeledOracle`s built inside the block, in order."""
+    init, built = orc.LabeledOracle.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(orc.LabeledOracle, "__init__", counted):
+        yield built
+
+
 @given(
     schedule=schedules(max_depth=3),
     strategies=st.lists(st.sampled_from(sorted(ex.STRATEGIES)), min_size=1, max_size=4),
@@ -218,14 +232,68 @@ def _one_session_per_trial(graph, pairs, budget, seed, padding_ratio):
     trials=st.lists(st.integers(0, 1000), min_size=1, max_size=12, unique=True),
     window=st.sampled_from([1, 2, ex.EXIT_WINDOW]),
 )
+# Windows that hold one trial under two or more strategies, which share its oracle.
+@example(schedule=gm.Schedule((4, 3), (1, 2)), strategies=["greedy-unvisited", "uniform-walk"],
+         budget=8, seed=5, trials=[7], window=2)
+@example(schedule=gm.Schedule((5, 3, 2), (1, 2, 4)), strategies=sorted(ex.STRATEGIES), budget=12,
+         seed=21, trials=[0, 3, 1], window=ex.EXIT_WINDOW)
 def test_lockstep_rows_match_one_session_per_trial(schedule, strategies, budget, seed, trials, window):
     """Windows cut from (strategy, trial) pairs, strategy-major, so that a
-    window of 2 or EXIT_WINDOW mixes strategies."""
+    window of 2 or EXIT_WINDOW mixes strategies; a window builds one oracle
+    per distinct trial in it."""
     graph = gm.TreeGraph(schedule, schedule.levels)
     pairs = [(strategy, t) for strategy in strategies for t in trials]
-    with mock.patch.object(ex, "EXIT_WINDOW", window):
+    with mock.patch.object(ex, "EXIT_WINDOW", window), _counted_builds() as built:
         rows = ex.exit_trials(graph, pairs, budget, seed, 0.25)
+    assert len(built) == sum(len({t for _, t in pairs[w : w + window]}) for w in range(0, len(pairs), window))
     assert rows == _one_session_per_trial(graph, pairs, budget, seed, 0.25)
+
+
+@pytest.mark.parametrize("k, n", [(4, 25), (2, 3), (3, 1)])
+def test_exit_window_builds_one_oracle_per_trial(k, n):
+    """k strategies x n trials in one window build n oracles, not k * n."""
+    assert k * n <= ex.EXIT_WINDOW
+    pairs = [(s, t) for s in ex.EXPLORATION_STRATEGIES[:k] for t in range(n)]
+    with _counted_builds() as built:
+        rows = ex.exit_trials(gm.TreeGraph(gm.Schedule((4, 3), (1, 2)), 2), pairs, 8, 3, 0.25)
+    assert [(r["strategy"], r["trial"]) for r in rows] == pairs
+    assert len(built) == n
+
+
+@pytest.mark.parametrize("strategies", [
+    ("greedy-unvisited", "uniform-walk"),
+    ("frontier-bfs-random", "frontier-bfs-random"),
+    ("non-backtracking-walk", "greedy-unvisited"),
+])
+def test_sessions_sharing_an_oracle_record_what_separate_oracles_do(monkeypatch, strategies):
+    """Two sessions of one labeling, driven together on one oracle, record what
+    they record on two oracles of the same key, and a step labels each missing
+    (oracle, index) once: both ask for the root's neighbours at step 0, one
+    array batch's worth."""
+    graph = gm.TreeGraph(gm.Schedule((9, 3), (2, 3)), 2)
+    key = derive_key("shared")
+
+    def armed(oracle, strategy, t):
+        name, fn = ex.resolve_strategy(strategy)
+        session = ex.ExplorationSession(oracle, 12, t, name, stop_on_exit=True)
+        return session.start(fn, [oracle.label_of(graph.root)], random.Random(t), query_roots=True)
+
+    separate = [armed(orc.LabeledOracle(graph, key, padding_ratio=0.25), s, t) for t, s in enumerate(strategies)]
+    ex.drive(separate)
+    mapped = []
+    forward, forward_array = orc.FeistelPermutation.forward, orc.FeistelPermutation.forward_array
+    monkeypatch.setattr(orc.FeistelPermutation, "forward", lambda p, x: mapped.append(x) or forward(p, x))
+    monkeypatch.setattr(orc.FeistelPermutation, "forward_array",
+                        lambda p, x: mapped.extend(x) or forward_array(p, x))
+    oracle = orc.LabeledOracle(graph, key, padding_ratio=0.25)
+    shared = [armed(oracle, s, t) for t, s in enumerate(strategies)]
+    assert 2 * len(separate[0].answers[0]) >= orc.ARRAY_MIN_LABELS  # the root's answer
+    ex.drive(shared)
+    assert [(s.to_record(), s.steps, s.answers) for s in shared] == [
+        (s.to_record(), s.steps, s.answers) for s in separate
+    ]
+    assert oracle.query_count == sum(s.query_count for s in shared)
+    assert len(mapped) == len(oracle._label_at)  # walks query only labels already mapped
 
 
 @given(
