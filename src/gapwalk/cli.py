@@ -131,11 +131,14 @@ def resolve_out(args, cfg: dict) -> Path:
 
 
 def _number(name: str, value) -> float:
-    """`value` as a float; a non-number is a UsageError."""
+    """`value` as a float; a non-number, NaN included, is a UsageError."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
-        raise UsageError(f"{name} must be a number, got {value!r}") from None
+        number = math.nan
+    if math.isnan(number):
+        raise UsageError(f"{name} must be a number, got {value!r}")
+    return number
 
 
 def _numbers(name: str, values) -> list:

@@ -6,9 +6,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from ._util import InputError, derive_seed
 from .graph_model import bfs_distances, top_eigenpairs
@@ -28,7 +31,8 @@ class ConnectivityError(ValueError):
 
 @dataclass(frozen=True)
 class RegularGraph:
-    """Simple d-regular graph with per-vertex sorted neighbor tuples."""
+    """Simple d-regular graph with per-vertex sorted neighbor tuples; build it
+    with `from_edges`, which checks that it is simple and d-regular."""
 
     N: int
     d: int
@@ -36,14 +40,21 @@ class RegularGraph:
     seed: int
     uniform: bool = True  # False when produced by the edge-switching fallback
 
-    def __post_init__(self):
-        if any(len(nbrs) != self.d for nbrs in self.adjacency):
-            raise InputError(f"not {self.d}-regular")
-        for u, nbrs in enumerate(self.adjacency):
-            if u in nbrs:
-                raise InputError(f"self-loop at vertex {u}")
-            if len(set(nbrs)) != len(nbrs):
-                raise InputError(f"multi-edge at vertex {u}")
+    @classmethod
+    def from_edges(cls, N: int, d: int, edges, seed: int, uniform: bool = True) -> "RegularGraph":
+        """The graph of an edge list (an array or list of vertex pairs in
+        [0, N)), built and checked in whole-array steps: InputError unless
+        every vertex has d neighbours, none of them itself and none twice."""
+        ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        ends = np.concatenate([ends, ends[:, ::-1]])
+        ends = ends[np.argsort(ends[:, 0] * N + ends[:, 1])]
+        if (np.bincount(ends[:, 0], minlength=N) != d).any():
+            raise InputError(f"not {d}-regular")
+        for kind, bad in (("self-loop", ends[:, 0] == ends[:, 1]),
+                          ("multi-edge", (ends[1:] == ends[:-1]).all(axis=1))):
+            if bad.any():
+                raise InputError(f"{kind} at vertex {ends[bad.argmax(), 0]}")
+        return cls(N, d, tuple(map(tuple, ends[:, 1].reshape(N, d).tolist())), seed, uniform)
 
     def edges(self):
         for u, nbrs in enumerate(self.adjacency):
@@ -65,14 +76,6 @@ class ExpanderCertificate:
     residual1: float = 0.0
     residual2: float = 0.0
     uniform: bool = True
-
-
-def _edges_to_adjacency(N: int, edges) -> tuple:
-    adj = [[] for _ in range(N)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
 
 def _pairing_attempt(N: int, d: int, rng: random.Random) -> Optional[set]:
@@ -153,9 +156,9 @@ def sample_regular_graph(
     for attempt in range(max_rejections):
         edges = _pairing_attempt(N, d, rng)
         if edges is not None:
-            return RegularGraph(N, d, _edges_to_adjacency(N, edges), seed)
+            return RegularGraph.from_edges(N, d, list(edges), seed)
     edges = _switching_repair(N, d, rng)
-    return RegularGraph(N, d, _edges_to_adjacency(N, edges), seed, uniform=False)
+    return RegularGraph.from_edges(N, d, list(edges), seed, uniform=False)
 
 
 def girth(graph: RegularGraph) -> float:
@@ -245,17 +248,17 @@ def petersen() -> RegularGraph:
         edges.append((i, (i + 1) % 5))
         edges.append((5 + i, 5 + (i + 2) % 5))
         edges.append((i, 5 + i))
-    return RegularGraph(10, 3, _edges_to_adjacency(10, edges), seed=0)
+    return RegularGraph.from_edges(10, 3, edges, seed=0)
 
 
 def complete_graph(n: int) -> RegularGraph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return RegularGraph(n, n - 1, _edges_to_adjacency(n, edges), seed=0)
+    return RegularGraph.from_edges(n, n - 1, edges, seed=0)
 
 
 def cycle_graph(n: int) -> RegularGraph:
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return RegularGraph(n, 2, _edges_to_adjacency(n, edges), seed=0)
+    return RegularGraph.from_edges(n, 2, edges, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,27 +271,31 @@ def to_text(graph: RegularGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _line_ints(line: str, count: int) -> list[int]:
-    """The `count` integers of one line of the text format."""
-    try:
-        values = [int(x) for x in line.split()]
-    except ValueError:
-        values = []
-    if len(values) != count:
-        raise InputError(f"expected {count} integers on a line, got {line!r}")
-    return values
+# An edge line: two decimal integers of at most 18 digits (so each fits an
+# int64), or nothing; blank lines are skipped.
+_EDGE_LINE = r"[ \t\r]*(?:[0-9]{1,18}[ \t\r]+[0-9]{1,18}[ \t\r]*)?"
+_EDGE_BODY = rf"(?:{_EDGE_LINE}\n)*{_EDGE_LINE}"  # compiled on first use (re's cache)
 
 
 def from_text(text: str) -> RegularGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    N, d, seed = _line_ints(lines[0] if lines else "", 3)
-    edges = []
-    for ln in lines[1:]:
-        u, v = _line_ints(ln, 2)
-        if not 0 <= u < v < N:
-            raise InputError(f"edge must read u v with 0 <= u < v < N={N}: {ln!r}")
-        edges.append((u, v))
-    return RegularGraph(N, d, _edges_to_adjacency(N, edges), seed)
+    """Parse the text format in whole-array steps: one regular expression
+    checks the edge lines, one `np.fromstring` call reads them.  A malformed
+    file (a line that is not two integers, an edge that is not 0 <= u < v < N,
+    a graph that is not simple and d-regular) is an InputError."""
+    head, _, body = text.lstrip().partition("\n")
+    if not re.fullmatch(r"\s*[0-9]+\s+[0-9]+\s+-?[0-9]+\s*", head):
+        raise InputError(f"header must read N d seed, got {head!r}")
+    N, d, seed = map(int, head.split())
+    if not re.fullmatch(_EDGE_BODY, body):
+        bad = next(ln for ln in body.split("\n") if not re.fullmatch(_EDGE_LINE, ln))
+        raise InputError(f"expected 2 integers on a line, got {bad!r}")
+    # fromstring reads a blank body as [0], hence the guard.
+    edges = np.fromstring(body if body.strip() else "", dtype=np.int64, sep=" ").reshape(-1, 2)
+    bad = (edges[:, 0] >= edges[:, 1]) | (edges[:, 1] >= N)
+    if bad.any():
+        u, v = edges[bad.argmax()].tolist()
+        raise InputError(f"edge must read u v with 0 <= u < v < N={N}: {f'{u} {v}'!r}")
+    return RegularGraph.from_edges(N, d, edges, seed)
 
 
 def save(graph: RegularGraph, path) -> None:

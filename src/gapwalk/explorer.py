@@ -162,10 +162,13 @@ class ExplorationSession:
         """Scored events in query order: an isolated hit, a leaf (its level,
         and the reprs of its decoration copy and tree), and an exit leaf after
         each level-0 leaf."""
+        text = {}  # id(IndexInfo) -> its reprs, made once however often a walk revisits it
+        for _, _, info in self._events:
+            if info is not None and id(info) not in text:
+                text[id(info)] = {"decoration": repr(info.decoration), "tree": repr(info.tree)}
         return [
             {"kind": kind, "step": step} if info is None else
-            {"kind": kind, "step": step, "level": info.leaf_level,
-             "decoration": repr(info.decoration), "tree": repr(info.tree)}
+            {"kind": kind, "step": step, "level": info.leaf_level, **text[id(info)]}
             for kind, step, info in self._events
         ]
 
@@ -191,7 +194,7 @@ class ExplorationSession:
         is over.  Scoring reads the trusted side, so a sealed oracle refuses
         here, before any query."""
         if self.oracle.sealed:
-            raise RevealSealedError("scoring needs reveal(), which is sealed on this oracle")
+            raise RevealSealedError("scoring reads the trusted side, which is sealed on this oracle")
         self._gen = strategy(list(roots), rng, self.oracle.num_labels)
         self._root_queries = list(roots)[::-1] if query_roots else []
         self._reply = None
@@ -275,14 +278,15 @@ def drive(sessions: Sequence[ExplorationSession], window: Optional[OracleWindow]
     in lockstep to their ends; a lone session is a window of one.  At each
     step it resolves every live session's pending label once: its index from
     the oracle's memo, then the vertex's `IndexInfo` from the graph's walk
-    cache.  It labels each (oracle, index) that the memos lack once, in one
-    `OracleWindow.label` call (the memo holds a miss as None until then), and
-    hands each session its `IndexInfo` (`ExplorationSession.answer`), which
-    queries, records and scores from it.  Each session keeps its own budget,
-    generator and `random.Random`, so its record is the one it would have run
-    to alone; sessions of one trial may share its oracle, whose `query_count`
-    is then their sum.  `window` holds their distinct oracles (built here
-    when not given)."""
+    cache.  It labels each neighbour (oracle, index) that the memos lack once,
+    in one `OracleWindow.label` call (the memo holds a miss as None until
+    then), except for a label its oracle has answered before, whose query
+    returns the memoized answer.  It hands each session its `IndexInfo`
+    (`ExplorationSession.answer`), which queries, records and scores from
+    it.  Each session keeps its own budget, generator and `random.Random`,
+    so its record is the one it would have run to alone; sessions of one
+    trial may share its oracle, whose `query_count` is then their sum.
+    `window` holds their distinct oracles (built here when not given)."""
     live = [s for s in sessions if s.pending is not None]
     if not live:
         return
@@ -293,16 +297,18 @@ def drive(sessions: Sequence[ExplorationSession], window: Optional[OracleWindow]
         rows, wanted, infos = [], [], []
         for row, s in live:
             oracle = s.oracle
-            index = oracle._index(s.pending[0])
+            label = s.pending[0]
+            index = oracle._index(label)
             info = None
             if index < oracle.num_nonisolated:
                 info = oracle.graph.index_info(index)
-                have = oracle._label_at
-                for j in info.neighbors:
-                    if j not in have:
-                        have[j] = None
-                        rows.append(row)
-                        wanted.append(j)
+                if label not in oracle._answers:  # else its query reads the memo
+                    have = oracle._label_at
+                    for j in info.neighbors:
+                        if j not in have:
+                            have[j] = None
+                            rows.append(row)
+                            wanted.append(j)
             infos.append(info)
         window.label(rows, wanted)
         for (_, s), info in zip(live, infos):
@@ -606,20 +612,20 @@ def score_localization(
     oracle: LabeledOracle, root_labels: Sequence[int], output_label: Optional[int], threshold: int
 ) -> LocalizationScore:
     """Expander-vertex path distance from the root set to the output vertex,
-    scored through the trusted side; isolated or missing outputs fail."""
+    from each label's canonical index (the oracle's memo) and index arithmetic
+    (`MainGraph.expander_distance_to_set`): no vertex is revealed or
+    unranked.  A sealed oracle refuses; isolated or missing outputs fail."""
     graph = oracle.graph
     if not isinstance(graph, MainGraph):
         raise ValueError("localization scoring needs a main-graph oracle")
-    if output_label is None:
-        return LocalizationScore(None, False, threshold)
-    out_v = oracle.reveal(output_label)
-    if isinstance(out_v, IsolatedVertex):
-        return LocalizationScore(None, False, threshold)
-    roots = [oracle.reveal(r) for r in root_labels]
-    roots = [r for r in roots if not isinstance(r, IsolatedVertex)]
+    if oracle.sealed:
+        raise RevealSealedError("scoring reads the trusted side, which is sealed on this oracle")
+    n = oracle.num_nonisolated
+    out = n if output_label is None else oracle._index(output_label)
+    roots = [i for i in map(oracle._index, root_labels) if i < n] if out < n else []
     if not roots:
         return LocalizationScore(None, False, threshold)
-    dist = graph.expander_distance_to_set(roots, out_v)
+    dist = graph.expander_distance_to_set(roots, out)
     return LocalizationScore(dist, dist >= threshold, threshold)
 
 

@@ -732,28 +732,36 @@ class MainGraph:
         for x in (u, v):
             if isinstance(x, IsolatedVertex):
                 raise InvalidVertexError("distance undefined for isolated vertices")
-        if _same_tree(u, v):
-            return 0
+        if isinstance(u, TreeVertex) and isinstance(v, TreeVertex) and u[:3] == v[:3]:
+            return 0  # one attached tree: same anchor, level and copy
         a, b = self.expander_anchor(u), self.expander_anchor(v)
         d = self._bfs_from(a)[b]
         if d < 0:
             raise InvalidVertexError("expander is disconnected between the anchors")
         return 1 + d
 
-    def expander_distance_to_set(self, us: Iterable[Vertex], v: Vertex) -> int:
-        """min(expander_distance(u, v) for u in us), from one BFS out of v's
-        anchor that stops at the nearest anchor of a u."""
-        us = list(us)
-        if any(isinstance(x, IsolatedVertex) for x in us + [v]):
-            raise InvalidVertexError("distance undefined for isolated vertices")
-        if any(_same_tree(u, v) for u in us):
+    def expander_distance_to_set(self, us: Iterable[int], v: int) -> int:
+        """min(expander_distance(u, v) for u in us) over canonical indices, from
+        one BFS out of v's anchor that stops at the nearest anchor of a u;
+        anchors and trees come from index arithmetic, with no unranking."""
+        (anchor, tree), *placed = map(self._placement, (v, *us))
+        if tree is not None and any(t == tree for _, t in placed):
             return 0
-        anchors = {self.expander_anchor(u) for u in us}
-        dist = bfs_distances(self.expander.adjacency, self.expander_anchor(v), anchors)
+        anchors = {a for a, _ in placed}
+        dist = bfs_distances(self.expander.adjacency, anchor, anchors)
         reached = [dist[a] for a in anchors if dist[a] >= 0]
         if not reached:
             raise InvalidVertexError("no anchor of the set is reachable on the expander")
         return 1 + min(reached)
+
+    def _placement(self, index: int) -> tuple[int, Optional[tuple]]:
+        """(anchor, its tree's (anchor, level, copy) or None on the core)."""
+        if not 0 <= index < self.num_nonisolated:
+            raise InvalidVertexError(f"index {index} is not a non-isolated vertex")
+        if index < self.expander.N:
+            return index, None
+        anchor, k, copy, _ = self._tree_block(index)
+        return anchor, (anchor, k, copy)
 
     # -- canonical enumeration ---------------------------------------------
 
@@ -831,11 +839,6 @@ def materialize(graph: Instance, cap: int = MATERIALIZE_CAP) -> MaterializedGrap
     for v in vertices:
         adjacency.append(sorted(index[w] for w in graph.neighbors(v)))
     return MaterializedGraph(vertices, index, adjacency)
-
-
-def _same_tree(u: Vertex, v: Vertex) -> bool:
-    """Both in one attached tree: same anchor, level and copy."""
-    return isinstance(u, TreeVertex) and isinstance(v, TreeVertex) and u[:3] == v[:3]
 
 
 def bfs_distances(adjacency: list, source: int, stop=frozenset()) -> list[int]:

@@ -14,12 +14,14 @@ The trusted object memoizes every index <-> label pair it has mapped, both
 ways, so a label runs through the Feistel map at most once per oracle, that is
 once per trial: a walk queries labels that came out of earlier answers, and the
 parent of a vertex appears in each of its answers.  `query`, `label_of` and
-`reveal` all read the memo first.  The trial loop resolves each query's label
-once, from the memo, to its index and the graph's per-index walk record
-(`IndexInfo`); `query` (counted) builds the answer from the neighbour indices
-it is handed, and the trial scores the query from the same record, with no
-second map.  The memo is private to the oracle; strategies gain nothing from
-it.  A sealed oracle refuses `reveal`, and a trial refuses to arm on it.
+`reveal` all read the memo first, and so does localization scoring.  The trial
+loop resolves each query's label once, from the memo, to its index and the
+graph's per-index walk record (`IndexInfo`); `query` (counted) builds the
+answer from the neighbour indices it is handed and memoizes it per label, so
+a label asked again (walks revisit vertices) gets the same tuple with no
+labeling or sort.  The trial scores the query from the same record.  The
+memos are private to the oracle; strategies gain nothing from them.  A sealed
+oracle refuses `reveal` and scoring, and a trial refuses to arm on it.
 
 An `OracleWindow` fills the memos of many oracles of one label width at once,
 in one `forward_array` call of a `KeyedColumns` map, where each element runs
@@ -232,6 +234,7 @@ class LabeledOracle:
         # this oracle has handed out, like the transcript that holds them.
         self._label_at: dict[int, int] = {}
         self._index_at: dict[int, int] = {}
+        self._answers: dict[int, tuple] = {}  # label -> its query's answer
         self.query_count = 0  # summed over the sessions that share this oracle
         self.sealed = False
 
@@ -273,15 +276,20 @@ class LabeledOracle:
 
     def query(self, label: int, neighbors: Optional[tuple] = None) -> tuple:
         """Sorted labels of the neighbors of the vertex behind `label`; empty
-        for isolated labels.  Counts every call.  `neighbors` is the vertex's
+        for isolated labels.  Counts every call; a label asked before gets
+        its memoized answer, the same tuple.  `neighbors` is the vertex's
         neighbour indices (() when isolated) when the caller has resolved
         them already, as the trial loop does."""
         self.query_count += 1
-        if neighbors is None:
-            idx = self._index(label)
-            neighbors = () if idx >= self.num_nonisolated else self.graph.neighbor_indices(idx)
-        have, label = self._label_at, self._label
-        return tuple(sorted([have[j] if j in have else label(j) for j in neighbors]))
+        answer = self._answers.get(label)
+        if answer is None:
+            if neighbors is None:
+                idx = self._index(label)
+                neighbors = () if idx >= self.num_nonisolated else self.graph.neighbor_indices(idx)
+            have, label_of = self._label_at, self._label
+            answer = tuple(sorted([have[j] if j in have else label_of(j) for j in neighbors]))
+            self._answers[label] = answer
+        return answer
 
     # -- persistence ---------------------------------------------------------
 

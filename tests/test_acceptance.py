@@ -154,6 +154,7 @@ ACCEPTANCE_SCHEDULES = [
 TRIALS_PER_CELL = 10_000
 
 
+@pytest.mark.slow
 def test_criterion_5_dominance():
     t0 = time.perf_counter()
     violations = []

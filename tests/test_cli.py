@@ -448,6 +448,37 @@ GOLDEN = {
 }
 
 
+CORE_200 = "core-200.txt"  # a certified 200-vertex cubic core, read as a file core
+FILE_CORE_INSTANCE = dict(PETERSEN_INSTANCE, expander={"file": CORE_200})
+# The same contract on a `{"file": ...}` core; the path is relative (the test
+# runs in its own directory), so the config hash does not depend on it.
+FILE_CORE_GOLDEN = {
+    "explore-graph:file-core": (
+        dict(GRAPH_GOLDEN, instance=FILE_CORE_INSTANCE, trials=40),
+        "3ffddeb29d8bd6a7897e15d458a13e1966fd19c32a0d81b0ea2a3cba3de3126c",
+        "e40e28319c6662ae9550135413c2ba95400c8845b94c971fce578e3de4eaff63",
+    ),
+    "ggsp:echo-first-input:file-core": (
+        dict(GGSP_GOLDEN, algorithm="echo-first-input", instance=FILE_CORE_INSTANCE, trials=40),
+        "3bd547aa30b71b35f79d06dc49f03f1823aa8ba0cd8f554c3d83e26a034709f3",
+        "9f36522fee20609b172210c90982d0cccefa30022301bd9bad149b0520f68075",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_CORE_GOLDEN))
+def test_file_core_outputs_match_golden_digests(tmp_path, monkeypatch, case):
+    cfg, records_sha, trials_sha = FILE_CORE_GOLDEN[case]
+    monkeypatch.chdir(tmp_path)
+    core, _ = eg.generate_certified(200, 3, gap_min=0.05, girth_min=4, seed=5)
+    eg.save(core, CORE_200)
+    out = tmp_path / "o"
+    argv = [case.split(":")[0], "--config", write_config(tmp_path, "c.json", cfg), "--out", out]
+    assert run(argv) == cli.EXIT_OK
+    for name, expected in (("records.jsonl", records_sha), ("trials.jsonl", trials_sha)):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_outputs_match_golden_digests(tmp_path, case):
     cfg, records_sha, trials_sha = GOLDEN[case]
@@ -717,6 +748,12 @@ BAD_EDGE = "bad-edge.txt"  # header "4 1 0", then an edge to vertex 7
     ("explore-tree", dict(TREE_CFG, strategies=["uniform-walk", "uniform-walk"])),
     ("explore-tree", dict(TREE_CFG, strategies=[])),
     ("explore-tree", dict(TREE_CFG, padding_ratio=1e-30)),
+    # NaN reads as a number; json writes it as NaN.
+    ("explore-tree", dict(TREE_CFG, schedule={"degrees": [4, 2], "depths": [1, 3]},
+                          q_schedule=[math.nan, 2])),
+    ("bounds", {"bounds": [{"name": "recursion", "degrees": [4, 2], "depths": [1, 3],
+                            "q_schedule": [math.nan, 2]}]}),
+    ("bounds", {"bounds": [{"name": "gap-sum", "delta": math.nan, "gamma": 0.1}]}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
     monkeypatch.chdir(tmp_path)

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gapwalk import expander_gen as eg
+from gapwalk._util import InputError
 
 
 def test_k4_is_unique_cubic_graph_on_four_vertices():
@@ -132,6 +134,44 @@ def test_serialization_round_trip_and_determinism(tmp_path):
     eg.save(g, path)
     eg.save(eg.load(path), tmp_path / "g2.txt")
     assert (tmp_path / "g.txt").read_bytes() == (tmp_path / "g2.txt").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 40), d=st.integers(0, 4), seed=st.integers(0, 2**32))
+def test_text_round_trip_over_generated_cores(N, d, seed):
+    assume(d < N and N * d % 2 == 0)
+    g = eg.sample_regular_graph(N, d, seed)
+    assume(g.uniform)  # the text format does not carry the flag
+    assert eg.from_text(eg.to_text(g)) == g
+
+
+CUBIC_K4 = "4 3 0\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+
+
+@pytest.mark.parametrize("text", [
+    "4 3 0\n0 1 2\n0 2\n0 3\n1 2\n1 3\n2 3\n",  # three integers on a line
+    "4 3 0\n0 1\n0 x\n0 3\n1 2\n1 3\n2 3\n",  # a non-integer
+    "4 3 0\n0 1\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",  # a duplicate edge
+    "4 3 0\n1 0\n0 2\n0 3\n1 2\n1 3\n2 3\n",  # u > v
+    "4 3 0\n0 0\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",  # u == v
+    "4 3 0\n0 1\n0 2\n0 3\n1 2\n1 3\n2 4\n",  # v == N
+    "4 3 0\n0 1\n0 2\n0 3\n1 2\n1 3\n",  # not regular
+    CUBIC_K4 + "7\n",  # a trailing line of one integer
+    CUBIC_K4 + "2 3 junk\n",  # a trailing line with text
+    "4 3\n" + CUBIC_K4.partition("\n")[2],  # a short header
+    "-4 3 0\n",
+    "",
+])
+def test_malformed_core_text_is_input_error(text):
+    with pytest.raises(InputError):
+        eg.from_text(text)
+
+
+def test_blank_and_trailing_lines_are_skipped():
+    k4 = eg.from_text(CUBIC_K4)
+    spaced = "\n  \n" + CUBIC_K4.replace("\n0 3\n", "\n\n 0\t3 \r\n") + "\n\n  \n"
+    assert eg.from_text(spaced) == k4 == eg.complete_graph(4)
+    assert eg.from_text(CUBIC_K4.rstrip("\n")) == k4
 
 
 def test_certificates_invariant_under_relabeling():

@@ -503,6 +503,15 @@ def test_isolated_output_scored_as_failure(petersen_oracle):
     assert score.distance is None and not score.success
 
 
+def test_sealed_oracle_refuses_localization_scoring(small_instance):
+    o = orc.LabeledOracle(small_instance, derive_key("loc-sealed"), padding_ratio=2.0 ** -4)
+    root = o.label_of(gm.ExpanderVertex(4))
+    o.seal()
+    for output in (root, None):
+        with pytest.raises(orc.RevealSealedError):
+            ex.score_localization(o, [root], output, threshold=2)
+
+
 def test_ground_state_outputs_localize_on_petersen(small_instance):
     def make(key):
         return orc.LabeledOracle(small_instance, key, padding_ratio=2.0 ** -4)

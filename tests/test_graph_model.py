@@ -415,24 +415,26 @@ def test_expander_distance_to_set_is_min_of_pairwise(name, data):
             us.append(v._replace(address=()))
     assume(us)
     expected = min(graph.expander_distance(u, v) for u in us)
-    assert graph.expander_distance_to_set(us, v) == expected
-    assert graph.expander_distance_to_set(reversed(us), v) == expected
+    indices, at = [graph.index_of(u) for u in us], graph.index_of(v)
+    assert graph.expander_distance_to_set(indices, at) == expected
+    assert graph.expander_distance_to_set(reversed(indices), at) == expected
+    isolated = graph.num_nonisolated  # the first isolated index
     with pytest.raises(gm.InvalidVertexError):
-        graph.expander_distance_to_set(us + [gm.IsolatedVertex(0)], v)
+        graph.expander_distance_to_set(indices + [isolated], at)
     with pytest.raises(gm.InvalidVertexError):
-        graph.expander_distance_to_set(us, gm.IsolatedVertex(0))
+        graph.expander_distance_to_set(indices, isolated)
 
 
 def test_expander_distance_to_set_on_a_disconnected_core():
     k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     edges = k4 + [(u + 4, v + 4) for u, v in k4]
-    core = expander_gen.RegularGraph(8, 3, expander_gen._edges_to_adjacency(8, edges), 0)
+    core = expander_gen.RegularGraph.from_edges(8, 3, edges, 0)
     graph = gm.MainGraph(gm.GraphParams.scaled((4, 3), (1, 2), expander_size=8), core)
-    near, far = gm.ExpanderVertex(1), gm.TreeVertex(6, 1, 0, ())
+    near, far = 1, graph.index_of(gm.TreeVertex(6, 1, 0, ()))
     # An input in the other component does not hide a reachable one.
-    assert graph.expander_distance_to_set([far, near], gm.ExpanderVertex(0)) == 2
+    assert graph.expander_distance_to_set([far, near], 0) == 2
     with pytest.raises(gm.InvalidVertexError):
-        graph.expander_distance_to_set([far], gm.ExpanderVertex(0))
+        graph.expander_distance_to_set([far], 0)
 
 
 def test_expander_anchor(small_instance):

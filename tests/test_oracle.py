@@ -235,6 +235,20 @@ def test_sealed_oracle_refuses_scoring(tree_oracle):
         ex.run_exploration(o, [root], "greedy-unvisited", budget=4, seed=0)
 
 
+def test_repeated_query_reads_the_answer_memo(tree_oracle, monkeypatch):
+    o = orc.LabeledOracle(tree_oracle.graph, derive_key("answer-memo"), padding_ratio=2.0 ** -4)
+    label = o.label_of(o.graph.root)
+    first = o.query(label)
+
+    def no_feistel(self, x):
+        raise AssertionError("a repeated query ran the Feistel map")
+
+    monkeypatch.setattr(orc.FeistelPermutation, "forward", no_feistel)
+    monkeypatch.setattr(orc.FeistelPermutation, "inverse", no_feistel)
+    assert o.query(label) is first
+    assert o.query_count == 2
+
+
 def test_query_counts_every_call(tree_oracle):
     before = tree_oracle.query_count
     x = tree_oracle.label_of(tree_oracle.graph.root)
