@@ -9,10 +9,11 @@ declared, counted probe); a strategy never holds the oracle or the graph.
 
 Every strategy run (exit trial, explore-graph trial, ggsp trial) is one
 `ExplorationSession`: it owns the budget (no query once `len(steps)` reaches
-it), records every query and answer, classifies the vertex behind each query
-(isolated hit, leaf level, which decoration copy a leaf belongs to), stops the
-generator when the budget is spent or the watched exit fires, and is the
-record `run_exploration` returns.  Scoring never leaks back into the strategy.
+it), records every query and answer, scores the vertex behind each query from
+its `IndexInfo` (isolated hit, leaf level, which decoration copy a leaf belongs
+to), stops the generator when the budget is spent or the watched exit fires,
+and is the record `run_exploration` returns.  Scoring never leaks back into
+the strategy.
 
 Every trial runs through one loop, `drive`: it runs a list of sessions in
 lockstep, a lone session as a window of one.  At each step it resolves every
@@ -49,19 +50,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import spectral
 from ._util import InputError, binomial_stderr, derive_key, derive_seed, wilson_interval
-from .graph_model import (
-    DECOR,
-    IndexInfo,
-    IsolatedVertex,
-    MainGraph,
-    Schedule,
-    TreeGraph,
-    TreeVertex,
-    Vertex,
-    is_leaf,
-    classify_address,
-    leaf_level,
-)
+from .graph_model import IndexInfo, MainGraph, Schedule, TreeGraph
 from .oracle import GuidingSpec, LabeledOracle, OracleWindow, RevealSealedError, input_draws
 
 
@@ -99,32 +88,6 @@ class EventStats:
     def from_counts(cls, successes: int, trials: int) -> "EventStats":
         p = successes / trials if trials else 0.0
         return cls(trials, successes, p, binomial_stderr(successes, trials), wilson_interval(successes, trials))
-
-
-def _decoration_prefix(address: tuple) -> Optional[tuple]:
-    """Address prefix up to and including the first decoration hop; identifies
-    the outermost decoration copy a node lives in (None inside the outer core)."""
-    for i, hop in enumerate(address):
-        if hop[0] == DECOR:
-            return address[: i + 1]
-    return None
-
-
-def classify_vertex(graph: Union[TreeGraph, MainGraph], v: Vertex) -> dict:
-    """Event-relevant classification of a revealed vertex."""
-    if isinstance(v, IsolatedVertex):
-        return {"kind": "isolated"}
-    if isinstance(v, TreeVertex):
-        node = classify_address(graph.schedule, v.level, v.address)
-        if is_leaf(graph.schedule, node):
-            return {
-                "kind": "leaf",
-                "level": leaf_level(v.level, node),
-                "decoration": _decoration_prefix(v.address),
-                "tree": (v.anchor, v.level, v.copy),
-            }
-        return {"kind": "internal"}
-    return {"kind": "expander"}
 
 
 class ExplorationSession:

@@ -1,4 +1,4 @@
-"""Parameter schedules, vertex addressing and label-free neighbor/geometry logic.
+"""Parameter schedules, vertex addressing, the index walk and core distances.
 
 The graph family: a regular core graph (the "expander") where every core vertex
 carries, for each level k = 1..K-1, (d_k - d_{k+1}) pendant copies of the
@@ -8,8 +8,11 @@ internal vertex additionally carries, for each lower level i < k, (d_i - d_{i+1}
 pendant copies of the level-i tree.  With expander degree equal to d_K every
 non-leaf, non-isolated vertex of the assembled graph has degree d_1.
 
-Everything here is pure and immutable; no vertex set is ever materialized unless
-`materialize` is called explicitly.
+Adjacency comes from one place, the index walk (`index_info`): a walk from the
+root to a canonical index that yields that vertex's neighbour indices.  Every
+experiment reads it, and so does `materialize`, so the dense checks cover the
+same adjacency.  Everything here is pure and immutable; no vertex set is ever
+materialized unless `materialize` is called explicitly.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ class Schedule:
         if l[0] < 0:
             raise ScheduleError(f"depths must be non-negative: {l}")
         # Per-level tables indexed by level (entry 0 unused) for the hot paths
-        # (classification, ranking, children).  They are not dataclass fields,
+        # (ranking and the index walk).  They are not dataclass fields,
         # so equality and hashing stay those of (degrees, depths).
         levels = range(1, len(d) + 1)
         tables = {
@@ -271,61 +274,6 @@ def decoration_hop(level: int, slot: int) -> tuple:
     return (DECOR, level, slot)
 
 
-class NodeClass(NamedTuple):
-    """Structural class of a tree node: containing segment level and depth within it."""
-
-    segment: int
-    depth: int
-
-
-def classify_address(schedule: Schedule, k: int, address: tuple) -> NodeClass:
-    """Walk an address from the level-k root, validating every hop."""
-    schedule._check_level(k)
-    depth_of, branching_of = schedule._depth_of, schedule._branching_of
-    decoration_count_of = schedule._decoration_count_of
-    seg, depth = k, 0
-    for hop in address:
-        if depth >= depth_of[seg]:
-            raise InvalidAddressError(f"hop below a leaf in {address!r}")
-        if hop[0] == CORE:
-            child = hop[1]
-            if not 0 <= child < branching_of[seg]:
-                raise InvalidAddressError(f"core child {child} out of range in {address!r}")
-            depth += 1
-        elif hop[0] == DECOR:
-            _, lvl, slot = hop
-            if not 1 <= lvl < seg:
-                raise InvalidAddressError(f"decoration level {lvl} invalid below segment {seg}")
-            if not 0 <= slot < decoration_count_of[lvl]:
-                raise InvalidAddressError(f"decoration slot {slot} out of range in {address!r}")
-            seg, depth = lvl, 0
-        else:
-            raise InvalidAddressError(f"unknown hop {hop!r}")
-    return NodeClass(seg, depth)
-
-
-def is_leaf(schedule: Schedule, node: NodeClass) -> bool:
-    return node.depth == schedule._depth_of[node.segment]
-
-
-def leaf_level(k: int, node: NodeClass) -> int:
-    """Level of a leaf within the level-k tree: 0 for outermost-core (exit) leaves."""
-    return k - node.segment
-
-
-def tree_children(schedule: Schedule, k: int, address: tuple) -> tuple[list[tuple], NodeClass]:
-    """Children addresses in canonical order (core first, then decorations by
-    descending level) plus the node's structural class.  Leaves have no children."""
-    node = classify_address(schedule, k, address)
-    if is_leaf(schedule, node):
-        return [], node
-    children = [address + (core_hop(t),) for t in range(schedule._branching_of[node.segment])]
-    for lvl in schedule._decoration_levels_of[node.segment]:
-        for slot in range(schedule._decoration_count_of[lvl]):
-            children.append(address + (decoration_hop(lvl, slot),))
-    return children, node
-
-
 # ---------------------------------------------------------------------------
 # exact counting (arbitrary precision)
 # ---------------------------------------------------------------------------
@@ -403,19 +351,21 @@ class _SubtreeSizes:
                 raise InvalidAddressError(f"hop below a leaf in {address!r}")
             child_size = self.sizes[seg][depth + 1]
             r += 1
-            if hop[0] == CORE:
+            if len(hop) == 2 and hop[0] == CORE:
                 t = hop[1]
                 if not 0 <= t < branching_of[seg]:
                     raise InvalidAddressError(f"core child {t} out of range")
                 r += t * child_size
                 depth += 1
-            else:
+            elif len(hop) == 3 and hop[0] == DECOR:
                 _, lvl, slot = hop
                 if not 1 <= lvl < seg or not 0 <= slot < decoration_count_of[lvl]:
                     raise InvalidAddressError(f"bad decoration hop {hop!r}")
                 r += branching_of[seg] * child_size
                 r += self.dec_offsets[seg][lvl] + slot * self.sizes[lvl][0]
                 seg, depth = lvl, 0
+            else:
+                raise InvalidAddressError(f"unknown hop {hop!r}")
         return r
 
     def unrank(self, r: int) -> tuple:
@@ -450,11 +400,11 @@ class _SubtreeSizes:
 
     def walk(self, r: int, offset: int, up: Optional[int]) -> tuple[tuple, Optional[int], Optional[tuple]]:
         """One walk from the root to the node at rank r, with no address built:
-        (its neighbours' ranks plus `offset`, in `neighbors` order: the parent,
-        or `up` at the root when given, then the children; its leaf level as
-        `leaf_level` gives it, or None for an internal node; the address
-        prefix up to its first decoration hop, for leaves only).  The caller
-        checks that r is in range."""
+        (its neighbours' ranks plus `offset`: the parent, or `up` at the root
+        when given, then the children in canonical order; its leaf level, k
+        minus the level of the leaf's segment, or None for an internal node;
+        the address prefix up to its first decoration hop, for leaves only).
+        The caller checks that r is in range."""
         sched, sizes = self.schedule, self.sizes
         branching_of, decoration_levels_of = sched._branching_of, sched._decoration_levels_of
         decoration_count_of = sched._decoration_count_of
@@ -517,9 +467,9 @@ def _sizes_for(degrees: tuple, depths: tuple, k: int) -> _SubtreeSizes:
 class IndexInfo(NamedTuple):
     """What one walk from the root learns about the vertex at a canonical index."""
 
-    neighbors: tuple  # canonical indices, in `neighbors` order
+    neighbors: tuple  # canonical indices: the parent (a tree root's anchor), then the children
     tree: Optional[tuple]  # (anchor, level, copy) of its tree; None on the core
-    leaf_level: Optional[int]  # as `leaf_level` gives it; None unless a leaf
+    leaf_level: Optional[int]  # k minus its segment's level (0: an exit leaf); None unless a leaf
     decoration: Optional[tuple]  # a leaf's address prefix to its first decoration hop
 
 
@@ -535,13 +485,6 @@ def _index_info(graph, index: int) -> IndexInfo:
         if len(graph._info_cache) < INDEX_CACHE_CAP:
             graph._info_cache[index] = info
     return info
-
-
-def _neighbor_indices(graph, index: int) -> tuple:
-    """Canonical indices of the neighbors of the vertex at `index`.  Bound as
-    the `neighbor_indices` method of both instance classes."""
-    info = graph._info_cache.get(index)
-    return (info or graph.index_info(index)).neighbors
 
 
 class TreeGraph:
@@ -569,7 +512,6 @@ class TreeGraph:
         self._info_cache: dict[int, IndexInfo] = {}
 
     index_info = _index_info
-    neighbor_indices = _neighbor_indices
 
     def _walk(self, index: int) -> IndexInfo:
         neighbors, leaf, decoration = self._sizes.walk(index, 0, None)
@@ -579,28 +521,8 @@ class TreeGraph:
     def root(self) -> TreeVertex:
         return TreeVertex(0, self.k, 0, ())
 
-    def contains(self, v: Vertex) -> bool:
-        return (
-            isinstance(v, TreeVertex)
-            and v.anchor == 0
-            and v.copy == 0
-            and v.level == self.k
-        )
-
-    def neighbors(self, v: Vertex) -> list[Vertex]:
-        if isinstance(v, IsolatedVertex):
-            return []
-        if not self.contains(v):
-            raise InvalidVertexError(f"{v!r} is not a vertex of this tree")
-        children, _ = tree_children(self.schedule, self.k, v.address)
-        out = []
-        if v.address:
-            out.append(TreeVertex(0, self.k, 0, v.address[:-1]))
-        out.extend(TreeVertex(0, self.k, 0, a) for a in children)
-        return out
-
     def index_of(self, v: TreeVertex) -> int:
-        if not self.contains(v):
+        if not (isinstance(v, TreeVertex) and v[:3] == (0, self.k, 0)):
             raise InvalidVertexError(f"{v!r} is not a vertex of this tree")
         return self._sizes.rank(v.address)
 
@@ -648,11 +570,9 @@ class MainGraph:
         for k, c in self._attach:
             self._block_offsets.append((k, c, acc, self._tree_sizes[k]))
             acc += c * self._tree_sizes[k]
-        self._bfs_cache: dict[int, list[int]] = {}
         self._info_cache: dict[int, IndexInfo] = {}
 
     index_info = _index_info
-    neighbor_indices = _neighbor_indices
 
     def _walk(self, index: int) -> IndexInfo:
         self._require_ranking()
@@ -672,28 +592,6 @@ class MainGraph:
             d[k - 1] - d[k] for k in range(1, len(d))
         ) == d[0]
 
-    def neighbors(self, v: Vertex) -> list[Vertex]:
-        if isinstance(v, IsolatedVertex):
-            return []
-        if isinstance(v, ExpanderVertex):
-            if not 0 <= v.index < self.expander.N:
-                raise InvalidVertexError(f"expander index {v.index} out of range")
-            out: list[Vertex] = [ExpanderVertex(w) for w in self.expander.adjacency[v.index]]
-            for k, c in self._attach:
-                out.extend(TreeVertex(v.index, k, j, ()) for j in range(c))
-            return out
-        if isinstance(v, TreeVertex):
-            self._check_tree_vertex(v)
-            children, _ = tree_children(self.schedule, v.level, v.address)
-            out = []
-            if v.address:
-                out.append(TreeVertex(v.anchor, v.level, v.copy, v.address[:-1]))
-            else:
-                out.append(ExpanderVertex(v.anchor))
-            out.extend(TreeVertex(v.anchor, v.level, v.copy, a) for a in children)
-            return out
-        raise InvalidVertexError(f"unknown vertex {v!r}")
-
     def _check_tree_vertex(self, v: TreeVertex):
         if not 0 <= v.anchor < self.expander.N:
             raise InvalidVertexError(f"anchor {v.anchor} out of range")
@@ -703,47 +601,14 @@ class MainGraph:
         if not 0 <= v.copy < lvls[v.level]:
             raise InvalidVertexError(f"copy {v.copy} out of range at level {v.level}")
 
-    def expander_anchor(self, v: Vertex) -> int:
-        """Index of the closest expander vertex (identity on the core)."""
-        if isinstance(v, ExpanderVertex):
-            return v.index
-        if isinstance(v, TreeVertex):
-            return v.anchor
-        raise InvalidVertexError("isolated vertices have no expander anchor")
-
     # -- distance ----------------------------------------------------------
 
-    def _bfs_from(self, source: int) -> list[int]:
-        cached = self._bfs_cache.get(source)
-        if cached is not None:
-            return cached
-        dist = bfs_distances(self.expander.adjacency, source)
-        if len(self._bfs_cache) < 64:
-            self._bfs_cache[source] = dist
-        return dist
-
-    def expander_distance(self, u: Vertex, v: Vertex) -> int:
-        """Number of expander vertices on a shortest path, endpoints included.
-
-        Zero iff both endpoints live in the same attached tree; vertices of
-        distinct trees sharing an anchor are at distance 1.  Satisfies the
-        triangle inequality.
-        """
-        for x in (u, v):
-            if isinstance(x, IsolatedVertex):
-                raise InvalidVertexError("distance undefined for isolated vertices")
-        if isinstance(u, TreeVertex) and isinstance(v, TreeVertex) and u[:3] == v[:3]:
-            return 0  # one attached tree: same anchor, level and copy
-        a, b = self.expander_anchor(u), self.expander_anchor(v)
-        d = self._bfs_from(a)[b]
-        if d < 0:
-            raise InvalidVertexError("expander is disconnected between the anchors")
-        return 1 + d
-
     def expander_distance_to_set(self, us: Iterable[int], v: int) -> int:
-        """min(expander_distance(u, v) for u in us) over canonical indices, from
-        one BFS out of v's anchor that stops at the nearest anchor of a u;
-        anchors and trees come from index arithmetic, with no unranking."""
+        """Fewest expander vertices, endpoints included, on a shortest path from
+        v to any u in us, over canonical indices: 0 when v shares an attached
+        tree with a u, 1 when it shares only an anchor.  One BFS out of v's
+        anchor stops at the nearest anchor of a u; anchors and trees come from
+        index arithmetic, with no unranking."""
         (anchor, tree), *placed = map(self._placement, (v, *us))
         if tree is not None and any(t == tree for _, t in placed):
             return 0
@@ -767,6 +632,8 @@ class MainGraph:
 
     def index_of(self, v: Vertex) -> int:
         if isinstance(v, ExpanderVertex):
+            if not 0 <= v.index < self.expander.N:
+                raise InvalidVertexError(f"expander index {v.index} out of range")
             return v.index
         if isinstance(v, TreeVertex):
             self._require_ranking()
@@ -828,16 +695,15 @@ class MaterializedGraph:
         return len(self.adjacency[i])
 
 
-def materialize(graph: Instance, cap: int = MATERIALIZE_CAP) -> MaterializedGraph:
-    """Explicit vertex list + adjacency of a small instance, in canonical order."""
+def materialize(graph: Instance) -> MaterializedGraph:
+    """Explicit vertex list + adjacency of a small instance, in canonical
+    order; the adjacency is the index walk's, the one every trial reads."""
     n = graph.num_nonisolated
-    if n > cap:
-        raise SizeCapError(f"{n} vertices exceeds materialization cap {cap}")
+    if n > MATERIALIZE_CAP:
+        raise SizeCapError(f"{n} vertices exceeds materialization cap {MATERIALIZE_CAP}")
     vertices = [graph.vertex_at(i) for i in range(n)]
     index = {v: i for i, v in enumerate(vertices)}
-    adjacency = []
-    for v in vertices:
-        adjacency.append(sorted(index[w] for w in graph.neighbors(v)))
+    adjacency = [sorted(graph.index_info(i).neighbors) for i in range(n)]
     return MaterializedGraph(vertices, index, adjacency)
 
 

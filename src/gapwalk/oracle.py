@@ -279,13 +279,14 @@ class LabeledOracle:
         for isolated labels.  Counts every call; a label asked before gets
         its memoized answer, the same tuple.  `neighbors` is the vertex's
         neighbour indices (() when isolated) when the caller has resolved
-        them already, as the trial loop does."""
+        them already, as the trial loop does; otherwise they come from the
+        graph's index walk (`index_info`)."""
         self.query_count += 1
         answer = self._answers.get(label)
         if answer is None:
             if neighbors is None:
                 idx = self._index(label)
-                neighbors = () if idx >= self.num_nonisolated else self.graph.neighbor_indices(idx)
+                neighbors = () if idx >= self.num_nonisolated else self.graph.index_info(idx).neighbors
             have, label_of = self._label_at, self._label
             answer = tuple(sorted([have[j] if j in have else label_of(j) for j in neighbors]))
             self._answers[label] = answer

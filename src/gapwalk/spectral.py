@@ -29,6 +29,7 @@ import numpy as np
 from ._util import NEG_INF, InputError, log1p_from_log, logsumexp
 from .graph_model import (
     CORE,
+    DECOR,
     ExpanderVertex,
     GraphParams,
     IsolatedVertex,
@@ -525,7 +526,7 @@ class GroundStateSampler:
                 c = sched.decoration_count(lvl)
                 w = c * math.exp(2.0 * tables.log_m[lvl][0] + tables.log_S[lvl][0])
                 if x < w:
-                    hops.append(("d", lvl, rng.randrange(c)))
+                    hops.append((DECOR, lvl, rng.randrange(c)))
                     seg, depth = lvl, 0
                     moved = True
                     break

@@ -1,8 +1,10 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from gapwalk import expander_gen, explorer, graph_model as gm, spectral
+from gapwalk import expander_gen, graph_model as gm, spectral
 
 # Property tests replay the same examples on every run and keep no database.
 settings.register_profile("gapwalk", derandomize=True, database=None, deadline=None)
@@ -19,10 +21,92 @@ def schedules(draw, max_levels=3, max_degree=6, max_depth=4, min_depth=1):
     return gm.Schedule(tuple(sorted(degrees, reverse=True)), tuple(sorted(depths)))
 
 
+# -- the address-walk reference ------------------------------------------------
+# The program reads adjacency only from the index walk (`index_info`).  These
+# walk a vertex's tree address hop by hop instead, as the independent
+# reference that the index walk and the oracle's answers are checked against.
+
+class NodeClass(NamedTuple):
+    """Structural class of a tree node: containing segment level and depth within it."""
+
+    segment: int
+    depth: int
+
+
+def classify_address(schedule, k, address) -> NodeClass:
+    """Walk an address from the level-k root, validating every hop."""
+    seg, depth = k, 0
+    for hop in address:
+        if depth >= schedule.depth(seg):
+            raise gm.InvalidAddressError(f"hop below a leaf in {address!r}")
+        if hop[0] == gm.CORE:
+            if not 0 <= hop[1] < schedule.branching(seg):
+                raise gm.InvalidAddressError(f"core child {hop[1]} out of range in {address!r}")
+            depth += 1
+        elif hop[0] == gm.DECOR:
+            _, lvl, slot = hop
+            if not 1 <= lvl < seg or not 0 <= slot < schedule.decoration_count(lvl):
+                raise gm.InvalidAddressError(f"bad decoration hop {hop!r}")
+            seg, depth = lvl, 0
+        else:
+            raise gm.InvalidAddressError(f"unknown hop {hop!r}")
+    return NodeClass(seg, depth)
+
+
+def tree_children(schedule, k, address) -> tuple[list, NodeClass]:
+    """Children addresses in canonical order (core first, then decorations by
+    descending level) plus the node's structural class.  Leaves have no children."""
+    node = classify_address(schedule, k, address)
+    if node.depth == schedule.depth(node.segment):
+        return [], node
+    children = [address + (gm.core_hop(t),) for t in range(schedule.branching(node.segment))]
+    for lvl in schedule.decoration_levels(node.segment):
+        children += [address + (gm.decoration_hop(lvl, slot),) for slot in range(schedule.decoration_count(lvl))]
+    return children, node
+
+
+def neighbors(graph, v) -> list:
+    """Neighbours of `v` in the index walk's order: the parent (a tree root's
+    anchor on a main graph), then the children in canonical order."""
+    if isinstance(v, gm.IsolatedVertex):
+        return []
+    if isinstance(v, gm.ExpanderVertex):
+        out = [gm.ExpanderVertex(w) for w in graph.expander.adjacency[v.index]]
+        for k in graph.params.attached_levels():
+            out += [gm.TreeVertex(v.index, k, j, ()) for j in range(graph.schedule.decoration_count(k))]
+        return out
+    children, _ = tree_children(graph.schedule, v.level, v.address)
+    if v.address:
+        out = [v._replace(address=v.address[:-1])]
+    else:
+        out = [gm.ExpanderVertex(v.anchor)] if isinstance(graph, gm.MainGraph) else []
+    return out + [v._replace(address=a) for a in children]
+
+
+def classify_vertex(graph, v) -> dict:
+    """Event-relevant classification of a revealed vertex, from its address."""
+    if isinstance(v, gm.IsolatedVertex):
+        return {"kind": "isolated"}
+    if isinstance(v, gm.ExpanderVertex):
+        return {"kind": "expander"}
+    node = classify_address(graph.schedule, v.level, v.address)
+    if node.depth < graph.schedule.depth(node.segment):
+        return {"kind": "internal"}
+    decorations = [i for i, hop in enumerate(v.address) if hop[0] == gm.DECOR]
+    return {
+        "kind": "leaf",
+        "level": v.level - node.segment,  # 0 for an exit leaf of the outer core
+        # the address prefix up to the first decoration hop names the outermost
+        # decoration copy the leaf lives in (None inside the outer core)
+        "decoration": v.address[: decorations[0] + 1] if decorations else None,
+        "tree": v[:3],
+    }
+
+
 def reference_events(graph, vertex, step) -> list:
     """The events a query at `step` scores for the revealed `vertex`, built
-    from `explorer.classify_vertex`, the address-walk reference."""
-    info = explorer.classify_vertex(graph, vertex)
+    from `classify_vertex`, the address-walk reference."""
+    info = classify_vertex(graph, vertex)
     if info["kind"] == "isolated":
         return [{"kind": "isolated_hit", "step": step}]
     if info["kind"] != "leaf":

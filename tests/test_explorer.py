@@ -16,7 +16,7 @@ from gapwalk import (
     oracle as orc,
 )
 from gapwalk._util import derive_key, derive_seed
-from conftest import reference_events, schedules
+from conftest import classify_vertex, reference_events, schedules
 
 
 def make_tree_oracle(degrees, depths, k, key_tag="t"):
@@ -115,7 +115,7 @@ def test_leaf_events_carry_levels_and_decorations():
     level1_leaf = None
     for i in range(graph.num_nonisolated):
         v = graph.vertex_at(i)
-        if ex.classify_vertex(graph, v).get("level") == 1:
+        if classify_vertex(graph, v).get("level") == 1:
             level1_leaf = v
             break
     # Scripted path from root to that leaf through its ancestors.
@@ -133,7 +133,7 @@ def test_exit_event_fires_and_stops():
     exit_leaf = next(
         graph.vertex_at(i)
         for i in range(graph.num_nonisolated)
-        if ex.classify_vertex(graph, graph.vertex_at(i)).get("level") == 0
+        if classify_vertex(graph, graph.vertex_at(i)).get("level") == 0
     )
     labels = [
         o.label_of(gm.TreeVertex(0, 2, 0, exit_leaf.address[:j]))
@@ -425,7 +425,7 @@ def _exact_nb_exit_probability(degrees, depths, k, budget):
     programming over the materialized tree (independent of the MC path)."""
     graph = gm.TreeGraph(gm.Schedule(degrees, depths), k)
     mat = gm.materialize(graph)
-    is_exit = [ex.classify_vertex(graph, v).get("level") == 0 for v in mat.vertices]
+    is_exit = [classify_vertex(graph, v).get("level") == 0 for v in mat.vertices]
 
     @lru_cache(maxsize=None)
     def prob(cur, prev, remaining):

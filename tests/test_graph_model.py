@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from gapwalk import expander_gen, explorer as ex, graph_model as gm
-from conftest import build_decorated_tree_topdown, schedules
+from gapwalk import expander_gen, graph_model as gm
+from conftest import (
+    NodeClass,
+    build_decorated_tree_topdown,
+    classify_address,
+    classify_vertex,
+    neighbors,
+    schedules,
+    tree_children,
+)
 
 
 # -- schedule formulas --------------------------------------------------------
@@ -86,18 +94,18 @@ def test_scaled_params_require_degree_identity():
         )
 
 
-# -- tree children ------------------------------------------------------------
+# -- tree children (the address-walk reference) --------------------------------
 
 def test_tree_children_root_of_level1_standard():
     sched = gm.GraphParams.standard(16).schedule
-    children, node = gm.tree_children(sched, 1, ())
-    assert node == gm.NodeClass(1, 0)
+    children, node = tree_children(sched, 1, ())
+    assert node == NodeClass(1, 0)
     assert len(children) == 27  # d_1 - 1 core children, no decorations at level 1
 
 
 def test_tree_children_internal_level2_standard():
     sched = gm.GraphParams.standard(16).schedule
-    children, _ = gm.tree_children(sched, 2, (gm.core_hop(0),))
+    children, _ = tree_children(sched, 2, (gm.core_hop(0),))
     core = [c for c in children if c[-1][0] == gm.CORE]
     decor = [c for c in children if c[-1][0] == gm.DECOR]
     assert len(core) == 23  # d_2 - 1
@@ -108,15 +116,15 @@ def test_tree_children_internal_level2_standard():
 def test_tree_children_leaf_at_core_depth():
     sched = gm.Schedule((4, 3), (2, 4))
     address = tuple(gm.core_hop(0) for _ in range(4))
-    children, node = gm.tree_children(sched, 2, address)
+    children, node = tree_children(sched, 2, address)
     assert children == []
-    assert gm.is_leaf(sched, node)
-    assert gm.leaf_level(2, node) == 0
+    assert node.depth == sched.depth(node.segment)  # a leaf
+    assert classify_vertex(gm.TreeGraph(sched, 2), gm.TreeVertex(0, 2, 0, address))["level"] == 0
 
 
 def test_children_canonical_order_core_first_then_descending_levels():
     sched = gm.Schedule((6, 5, 4), (1, 2, 3))
-    children, _ = gm.tree_children(sched, 3, ())
+    children, _ = tree_children(sched, 3, ())
     kinds = [(c[-1][0], c[-1][1] if c[-1][0] == gm.DECOR else None) for c in children]
     n_core = sched.branching(3)
     assert all(k == gm.CORE for k, _ in kinds[:n_core])
@@ -127,12 +135,12 @@ def test_children_canonical_order_core_first_then_descending_levels():
 def test_invalid_addresses_rejected():
     sched = gm.Schedule((4, 3), (1, 2))
     with pytest.raises(gm.InvalidAddressError):
-        gm.classify_address(sched, 2, (gm.core_hop(5),))
+        classify_address(sched, 2, (gm.core_hop(5),))
     with pytest.raises(gm.InvalidAddressError):
-        gm.classify_address(sched, 2, (gm.decoration_hop(2, 0),))  # level must drop
+        classify_address(sched, 2, (gm.decoration_hop(2, 0),))  # level must drop
     with pytest.raises(gm.InvalidAddressError):
         # hop below a leaf
-        gm.classify_address(sched, 2, tuple(gm.core_hop(0) for _ in range(3)))
+        classify_address(sched, 2, tuple(gm.core_hop(0) for _ in range(3)))
 
 
 def test_address_round_trip_through_children():
@@ -141,10 +149,10 @@ def test_address_round_trip_through_children():
     seen = 0
     while frontier and seen < 2000:
         addr = frontier.pop()
-        children, _ = gm.tree_children(sched, 3, addr)
+        children, _ = tree_children(sched, 3, addr)
         seen += 1
         for child in children:
-            gm.classify_address(sched, 3, child)  # must validate
+            classify_address(sched, 3, child)  # must validate
             frontier.append(child)
 
 
@@ -203,14 +211,47 @@ def test_main_enumeration_order(small_instance):
     assert first_tree == gm.TreeVertex(0, 1, 0, ())
 
 
+@pytest.mark.parametrize("vertex", [
+    gm.ExpanderVertex(10),
+    gm.ExpanderVertex(12),
+    gm.ExpanderVertex(-1),
+    gm.ExpanderVertex(10**6),
+    gm.TreeVertex(10, 1, 0, ()),
+    gm.TreeVertex(0, 3, 0, ()),
+    gm.TreeVertex(0, 1, 1, ()),
+])
+def test_index_of_refuses_vertices_outside_the_instance(small_instance, vertex):
+    with pytest.raises(gm.InvalidVertexError):
+        small_instance.index_of(vertex)
+
+
+@pytest.mark.parametrize("address", [
+    (("x", 1, 0),),
+    (("x", 0),),
+    (("c", 0, 7),),
+    (("d", 1),),
+    (("d", 1, 0, 0),),
+    (("c",),),
+    ((),),
+])
+def test_index_of_refuses_malformed_hops(address):
+    tree = gm.TreeGraph(gm.Schedule((4, 3), (1, 2)), 2)
+    with pytest.raises(gm.InvalidAddressError):
+        tree.index_of(gm.TreeVertex(0, 2, 0, address))
+    params = gm.GraphParams.scaled((4, 3), (1, 2), expander_size=4)
+    graph = gm.MainGraph(params, expander_gen.complete_graph(4))
+    with pytest.raises(gm.InvalidAddressError):
+        graph.index_of(gm.TreeVertex(0, 1, 0, address))
+
+
 # -- neighbors ----------------------------------------------------------------
 
 def test_isolated_neighbors_empty(small_instance):
-    assert small_instance.neighbors(gm.IsolatedVertex(7)) == []
+    assert neighbors(small_instance, gm.IsolatedVertex(7)) == []
 
 
 def test_expander_vertex_degree_tree_root_split(small_instance):
-    nbrs = small_instance.neighbors(gm.ExpanderVertex(0))
+    nbrs = [small_instance.vertex_at(j) for j in small_instance.index_info(0).neighbors]
     assert len(nbrs) == 5  # d_1 = 3 expander + (1 + 1) tree roots
     roots = [v for v in nbrs if isinstance(v, gm.TreeVertex)]
     assert {(r.level, r.copy) for r in roots} == {(1, 0), (2, 0)}
@@ -237,8 +278,8 @@ def test_neighbor_duality_exhaustive(small_materialized):
 def test_neighbor_indices_cache_consistent(small_instance):
     for idx in range(0, small_instance.num_nonisolated, 37):
         v = small_instance.vertex_at(idx)
-        expected = sorted(small_instance.index_of(w) for w in small_instance.neighbors(v))
-        assert sorted(small_instance.neighbor_indices(idx)) == expected
+        expected = sorted(small_instance.index_of(w) for w in neighbors(small_instance, v))
+        assert sorted(small_instance.index_info(idx).neighbors) == expected
 
 
 # -- top-down equivalence (structural audit of the two constructions) ---------
@@ -282,8 +323,8 @@ def _check_index_walk(graph, indices):
     """The walk's neighbours and classification against the address path."""
     for i in indices:
         v = graph.vertex_at(i)
-        assert graph.index_info(i).neighbors == tuple(graph.index_of(w) for w in graph.neighbors(v))
-        info, expected = graph.index_info(i), ex.classify_vertex(graph, v)
+        assert graph.index_info(i).neighbors == tuple(graph.index_of(w) for w in neighbors(graph, v))
+        info, expected = graph.index_info(i), classify_vertex(graph, v)
         assert (info.tree is None) == (expected["kind"] == "expander")
         assert info.leaf_level == expected.get("level")
         if expected["kind"] == "leaf":
@@ -334,22 +375,27 @@ def _bfs_expander_count(mat, u_idx, v_idx):
     return sum(1 for i in path if isinstance(mat.vertices[i], gm.ExpanderVertex))
 
 
+def _distance(graph, u, v):
+    """The pairwise distance: `expander_distance_to_set` on a one-element set."""
+    return graph.expander_distance_to_set([graph.index_of(u)], graph.index_of(v))
+
+
 def test_expander_distance_examples(small_instance, small_materialized):
     g = small_instance
     u = gm.ExpanderVertex(0)
-    assert g.expander_distance(u, u) == 1
-    v = g.neighbors(u)[0]
+    assert _distance(g, u, u) == 1
+    v = g.vertex_at(g.index_info(0).neighbors[0])
     assert isinstance(v, gm.ExpanderVertex)
-    assert g.expander_distance(u, v) == 2
+    assert _distance(g, u, v) == 2
     # Same attached tree: distance 0.
     t_root = gm.TreeVertex(0, 2, 0, ())
     t_deep = gm.TreeVertex(0, 2, 0, (gm.core_hop(1),))
-    assert g.expander_distance(t_root, t_deep) == 0
+    assert _distance(g, t_root, t_deep) == 0
     # Distinct trees sharing the anchor: distance 1.
     other = gm.TreeVertex(0, 1, 0, ())
-    assert g.expander_distance(t_root, other) == 1
+    assert _distance(g, t_root, other) == 1
     with pytest.raises(gm.InvalidVertexError):
-        g.expander_distance(u, gm.IsolatedVertex(0))
+        _distance(g, u, gm.IsolatedVertex(0))
 
 
 def test_expander_distance_matches_bfs_path_count(small_instance, small_materialized):
@@ -358,7 +404,7 @@ def test_expander_distance_matches_bfs_path_count(small_instance, small_material
     for _ in range(300):
         i, j = rng.randrange(mat.n), rng.randrange(mat.n)
         u, v = mat.vertices[i], mat.vertices[j]
-        assert small_instance.expander_distance(u, v) == _bfs_expander_count(mat, i, j)
+        assert _distance(small_instance, u, v) == _bfs_expander_count(mat, i, j)
 
 
 def test_expander_distance_triangle_inequality(small_instance, small_materialized):
@@ -366,9 +412,9 @@ def test_expander_distance_triangle_inequality(small_instance, small_materialize
     rng = random.Random(13)
     for _ in range(300):
         a, b, c = (mat.vertices[rng.randrange(mat.n)] for _ in range(3))
-        dab = small_instance.expander_distance(a, b)
-        dbc = small_instance.expander_distance(b, c)
-        dac = small_instance.expander_distance(a, c)
+        dab = _distance(small_instance, a, b)
+        dbc = _distance(small_instance, b, c)
+        dac = _distance(small_instance, a, c)
         assert dac <= dab + dbc
 
 
@@ -378,7 +424,7 @@ def test_expander_distance_triangle_inequality_exhaustive():
     graph = gm.MainGraph(params, expander_gen.complete_graph(4))
     mat = gm.materialize(graph)
     dist = [
-        [graph.expander_distance(u, v) for v in mat.vertices] for u in mat.vertices
+        [_distance(graph, u, v) for v in mat.vertices] for u in mat.vertices
     ]
     n = mat.n
     for i in range(n):
@@ -391,17 +437,21 @@ def test_expander_distance_triangle_inequality_exhaustive():
 
 @functools.lru_cache(maxsize=None)
 def _distance_instance(name):
+    """The instance and its materialization, whose shortest paths give the
+    pairwise reference."""
     if name == "petersen":
         params = gm.GraphParams.scaled((5, 4, 3), (1, 2, 3), expander_size=10)
-        return gm.MainGraph(params, expander_gen.petersen())
-    core, _ = expander_gen.generate_certified(60, 3, gap_min=0.0, girth_min=3, seed=1)
-    return gm.MainGraph(gm.GraphParams.scaled((4, 3), (1, 2), expander_size=60), core)
+        graph = gm.MainGraph(params, expander_gen.petersen())
+    else:
+        core, _ = expander_gen.generate_certified(60, 3, gap_min=0.0, girth_min=3, seed=1)
+        graph = gm.MainGraph(gm.GraphParams.scaled((4, 3), (1, 2), expander_size=60), core)
+    return graph, gm.materialize(graph)
 
 
 @pytest.mark.parametrize("name", ["petersen", "cubic-60"])
 @given(data=st.data())
 def test_expander_distance_to_set_is_min_of_pairwise(name, data):
-    graph = _distance_instance(name)
+    graph, mat = _distance_instance(name)
     index = st.integers(0, graph.num_nonisolated - 1)
     v = graph.vertex_at(data.draw(index))
     us = []
@@ -410,12 +460,12 @@ def test_expander_distance_to_set_is_min_of_pairwise(name, data):
         if kind == "any":
             us.append(graph.vertex_at(data.draw(index)))
         elif kind == "same-anchor":  # distance 1
-            us.append(gm.ExpanderVertex(graph.expander_anchor(v)))
+            us.append(gm.ExpanderVertex(graph._placement(graph.index_of(v))[0]))
         elif isinstance(v, gm.TreeVertex):  # distance 0: the root of v's tree
             us.append(v._replace(address=()))
     assume(us)
-    expected = min(graph.expander_distance(u, v) for u in us)
     indices, at = [graph.index_of(u) for u in us], graph.index_of(v)
+    expected = min(_bfs_expander_count(mat, i, at) for i in indices)
     assert graph.expander_distance_to_set(indices, at) == expected
     assert graph.expander_distance_to_set(reversed(indices), at) == expected
     isolated = graph.num_nonisolated  # the first isolated index
@@ -438,13 +488,29 @@ def test_expander_distance_to_set_on_a_disconnected_core():
 
 
 def test_expander_anchor(small_instance):
-    assert small_instance.expander_anchor(gm.ExpanderVertex(3)) == 3
-    assert small_instance.expander_anchor(gm.TreeVertex(5, 1, 0, ())) == 5
+    def anchor(v):
+        return small_instance._placement(small_instance.index_of(v))[0]
+
+    assert anchor(gm.ExpanderVertex(3)) == 3
+    assert anchor(gm.TreeVertex(5, 1, 0, ())) == 5
     with pytest.raises(gm.InvalidVertexError):
-        small_instance.expander_anchor(gm.IsolatedVertex(1))
+        anchor(gm.IsolatedVertex(1))
 
 
 def test_materialize_cap():
     params = gm.GraphParams.standard(16)
     with pytest.raises(gm.SizeCapError):
         gm.TreeGraph(params, 4)
+
+
+def test_materialize_refuses_above_its_cap_before_building(monkeypatch):
+    tree = gm.TreeGraph(gm.Schedule((6, 5, 4), (1, 4, 6)), 3)
+    assert tree.num_nonisolated == 313_041 > gm.MATERIALIZE_CAP
+
+    def build(_index):
+        raise AssertionError("built a vertex")
+
+    monkeypatch.setattr(tree, "vertex_at", build)
+    monkeypatch.setattr(tree, "index_info", build)
+    with pytest.raises(gm.SizeCapError):
+        gm.materialize(tree)
