@@ -235,11 +235,3 @@ def alpha_bounds(
         vacuous=vacuous,
         flags=("vacuous",) if vacuous else (),
     )
-
-
-def standard_alpha_interval(n: int) -> tuple[float, float]:
-    """Loop-weight interval of the standard family: beta = sqrt(n) copies of
-    each of sqrt(n)-1 tree families of degree at most 2n attached to an
-    n-regular core."""
-    root = _exact_sqrt(n)
-    return alpha_interval(float(n), 2.0 * n, float(root), root - 1)

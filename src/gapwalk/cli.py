@@ -643,7 +643,7 @@ def cmd_explore_graph(run: Run) -> int:
         query_limit = run.integer("query_limit", None, low=0)
     report = explorer.explore_graph_experiment(
         oracle_maker(graph, cfg),
-        oracle_mod.GuidingSpec(kind=cfg.get("guiding", "expander-uniform")),
+        cfg.get("guiding", "expander-uniform"),
         cfg.get("strategy", "greedy-unvisited"),
         roots_count,
         run.budget,

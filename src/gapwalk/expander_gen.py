@@ -25,10 +25,6 @@ class GenerationError(RuntimeError):
         self.attempts = attempts
 
 
-class ConnectivityError(ValueError):
-    """Operation requires a connected graph."""
-
-
 @dataclass(frozen=True)
 class RegularGraph:
     """Simple d-regular graph with per-vertex sorted neighbor tuples; build it
@@ -186,14 +182,6 @@ def girth(graph: RegularGraph) -> float:
     return best
 
 
-def spectral_gap(graph: RegularGraph) -> tuple[float, float]:
-    """(lambda1, lambda2): the two largest adjacency eigenvalues."""
-    if not graph.is_connected():
-        raise ConnectivityError("spectral gap requires a connected graph")
-    lam1, lam2, _, _, _ = top_eigenpairs(graph.adjacency)
-    return lam1, lam2
-
-
 def certify_expander(
     graph: RegularGraph, gap_min: float, girth_min: float, attempts: int = 1
 ) -> Optional[ExpanderCertificate]:
@@ -256,11 +244,6 @@ def complete_graph(n: int) -> RegularGraph:
     return RegularGraph.from_edges(n, n - 1, edges, seed=0)
 
 
-def cycle_graph(n: int) -> RegularGraph:
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return RegularGraph.from_edges(n, 2, edges, seed=0)
-
-
 # ---------------------------------------------------------------------------
 # serialization: header "N d seed", then sorted "u v" lines with u < v
 # ---------------------------------------------------------------------------
@@ -296,11 +279,6 @@ def from_text(text: str) -> RegularGraph:
         u, v = edges[bad.argmax()].tolist()
         raise InputError(f"edge must read u v with 0 <= u < v < N={N}: {f'{u} {v}'!r}")
     return RegularGraph.from_edges(N, d, edges, seed)
-
-
-def save(graph: RegularGraph, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_text(graph))
 
 
 def load(path) -> RegularGraph:

@@ -51,7 +51,7 @@ from typing import Callable, Optional, Sequence, Union
 from . import spectral
 from ._util import InputError, binomial_stderr, derive_key, derive_seed, wilson_interval
 from .graph_model import IndexInfo, MainGraph, Schedule, TreeGraph
-from .oracle import GuidingSpec, LabeledOracle, OracleWindow, RevealSealedError, input_draws
+from .oracle import LabeledOracle, OracleWindow, RevealSealedError, input_draws
 
 
 class UnknownStrategyError(InputError):
@@ -162,11 +162,6 @@ class ExplorationSession:
         self._root_queries = list(roots)[::-1] if query_roots else []
         self._reply = None
         self._advance()
-        return self
-
-    def run(self, strategy: Callable, roots: Sequence[int], rng: random.Random, query_roots: bool) -> "ExplorationSession":
-        """One strategy run: `drive` over this session alone."""
-        drive([self.start(strategy, roots, rng, query_roots)])
         return self
 
     def _advance(self):
@@ -394,7 +389,8 @@ def run_exploration(
         raise ValueError("budget must be >= 1")
     name, fn = resolve_strategy(strategy)
     session = ExplorationSession(oracle, budget, seed, name, stop_on_exit=stop_on_exit)
-    return session.run(fn, roots, random.Random(derive_seed("strategy", seed)), query_roots=True)
+    drive([session.start(fn, roots, random.Random(derive_seed("strategy", seed)), query_roots=True)])
+    return session
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +599,7 @@ class GraphReport:
 
 def explore_graph_experiment(
     make_oracle: Callable[[bytes], LabeledOracle],
-    guiding: GuidingSpec,
+    guiding: str,
     strategy: Union[str, Callable],
     roots_per_trial: int,
     budget: int,
@@ -678,7 +674,9 @@ ground_state_cheat.requires_trust = True
 ALGORITHMS: dict[str, Callable] = {
     "echo-first-input": echo_first_input,
     "echo-random-input": echo_random_input,
-    # Greedy exploration seeded at the first input; outputs the last queried label.
+    # Greedy exploration seeded at the first input.  It outputs only after an
+    # empty answer, and on a main graph no answer is empty, so the budget
+    # closes every run and the output is None.
     "walk-from-input": lambda inputs, rng, num_labels: greedy_unvisited(inputs[:1], rng, num_labels),
     "ground-state-cheat": ground_state_cheat,
     **STRATEGIES,
@@ -700,7 +698,7 @@ class GgspReport:
 
 def ggsp_experiment(
     make_oracle: Callable[[bytes], LabeledOracle],
-    guiding_kind,
+    guiding: str,
     algorithm: Union[str, Callable],
     trials: int,
     inputs_per_trial: int,
@@ -711,7 +709,6 @@ def ggsp_experiment(
     """Per-trial: draw guiding inputs, run the algorithm under a budget, score
     the output's expander distance from the inputs.  `make_oracle` builds the
     oracle for a key, so fresh-key trials model averaging over labelings."""
-    spec = guiding_kind if isinstance(guiding_kind, GuidingSpec) else GuidingSpec(kind=guiding_kind)
     name, fn = resolve_strategy(algorithm, ALGORITHMS)
     trusted = getattr(fn, "requires_trust", False)
     successes = 0
@@ -721,7 +718,7 @@ def ggsp_experiment(
     for ts, window, oracles, inputs in _windows(
         range(trials),
         lambda t: make_oracle(derive_key("ggsp", seed, t)),
-        lambda t, oracle: input_draws(oracle.graph, spec, derive_seed("ggsp-in", seed, t)),
+        lambda t, oracle: input_draws(oracle.graph, guiding, derive_seed("ggsp-in", seed, t)),
         inputs_per_trial,
     ):
         rngs = [random.Random(derive_seed("ggsp-alg", seed, t)) for t in ts]

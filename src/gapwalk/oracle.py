@@ -28,34 +28,28 @@ in one `forward_array` call of a `KeyedColumns` map, where each element runs
 under its own trial's subkeys.  The trial loop (`explorer.drive`) hands it, at
 each step, the neighbours that every live trial's next query will answer with
 and its memo lacks.  Guiding inputs are labeled the same way: `input_draws`
-draws a trial's inputs as canonical indices (a configured single-fixed-root
-label passes through as a `Label`), and `OracleWindow.label_inputs` labels a
-whole window's missing inputs in one batch.  `input_sampler` is the same
-stream labeled one input at a time.  The labels, and the number of labels
-mapped, are those the trials would map one by one.
+draws a trial's inputs as canonical indices, and `OracleWindow.label_inputs`
+labels a whole window's missing inputs in one batch.  The labels, and the
+number of labels mapped, are those the trials would map one by one.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import math
 import random
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from . import expander_gen, spectral
+from . import spectral
 from ._util import InputError, derive_seed
 from .graph_model import (
     ExpanderVertex,
-    GraphParams,
+    InvalidVertexError,
     IsolatedVertex,
     MainGraph,
-    Schedule,
     TreeGraph,
     Vertex,
 )
@@ -75,7 +69,7 @@ _ROUND_BYTES = tuple(bytes([r]) for r in range(ROUNDS))
 
 
 class LabelSpaceError(ValueError):
-    """Label space too small for the non-isolated vertex set, or too large to index."""
+    """The label space is too small for the non-isolated vertex set, or too large to index."""
 
 
 class RevealSealedError(RuntimeError):
@@ -162,18 +156,6 @@ class FeistelPermutation:
             wl, wr = wr, wl
         return (left << np.uint64(wr)) | right
 
-    def inverse_array(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=np.uint64)
-        wl, wr = self.left_bits, self.right_bits
-        left, right = y >> np.uint64(wr), y & np.uint64((1 << wr) - 1)
-        for sk in self.round_keys[::-1]:
-            wl, wr = wr, wl
-            new_left = _mix64_array(sk ^ left)
-            new_left ^= right
-            new_left &= np.uint64((1 << wl) - 1)
-            left, right = new_left, left
-        return (left << np.uint64(wr)) | right
-
 
 class KeyedColumns(FeistelPermutation):
     """Array paths only: element i of the input runs under its own key, whose
@@ -256,6 +238,8 @@ class LabeledOracle:
 
     def label_of(self, v: Vertex) -> int:
         if isinstance(v, IsolatedVertex):
+            if not 0 <= v.index < self.padding_count:
+                raise InvalidVertexError(f"isolated index {v.index} out of range")
             return self._label(self.num_nonisolated + v.index)
         return self._label(self.graph.index_of(v))
 
@@ -291,28 +275,6 @@ class LabeledOracle:
             answer = tuple(sorted([have[j] if j in have else label_of(j) for j in neighbors]))
             self._answers[label] = answer
         return answer
-
-    # -- persistence ---------------------------------------------------------
-
-    def descriptor(self, expander_file: Optional[str] = None) -> dict:
-        g = self.graph
-        desc = {
-            "label_bits": self.label_bits,
-            "key": self.key.hex(),
-            "padding_ratio": self.padding_ratio,
-        }
-        if isinstance(g, TreeGraph):
-            desc["kind"] = "tree"
-            desc["degrees"] = list(g.schedule.degrees)
-            desc["depths"] = list(g.schedule.depths)
-            desc["level"] = g.k
-        else:
-            desc["kind"] = "main"
-            desc["degrees"] = list(g.params.degrees)
-            desc["depths"] = list(g.params.depths)
-            desc["girth_floor"] = g.params.girth_floor
-            desc["expander_file"] = expander_file
-        return desc
 
 
 # Below this many labels a batch maps each label with the scalar `forward`: one
@@ -351,134 +313,53 @@ class OracleWindow:
     def label_inputs(self, draws: Sequence[Sequence[int]]) -> list[list[int]]:
         """Each oracle's drawn inputs (`input_draws`) as labels: the canonical
         indices that its memo lacks, across all rows, are labeled in one
-        `label` call; a `Label` passes through unchanged."""
+        `label` call."""
         rows, wanted = [], []
         for row, (oracle, drawn) in enumerate(zip(self.oracles, draws)):
             have = oracle._label_at
-            missing = dict.fromkeys(x for x in drawn if type(x) is not Label and x not in have)
+            missing = dict.fromkeys(x for x in drawn if x not in have)
             rows.extend([row] * len(missing))
             wanted.extend(missing)
         self.label(rows, wanted)
         return [
-            [int(x) if type(x) is Label else oracle._label_at[x] for x in drawn]
+            [oracle._label_at[x] for x in drawn]
             for oracle, drawn in zip(self.oracles, draws)
         ]
 
 
-def save_descriptor(oracle: LabeledOracle, path, expander_file: Optional[str] = None):
-    with open(path, "w") as fh:
-        json.dump(oracle.descriptor(expander_file), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_oracle(path) -> LabeledOracle:
-    """Rebuild an oracle bit-exactly from its descriptor file."""
-    path = Path(path)
-    with open(path) as fh:
-        desc = json.load(fh)
-    key = bytes.fromhex(desc["key"])
-    if desc["kind"] == "tree":
-        graph = TreeGraph(
-            Schedule(tuple(desc["degrees"]), tuple(desc["depths"])), desc["level"]
-        )
-    else:
-        expander = expander_gen.load(path.parent / desc["expander_file"])
-        params = GraphParams.scaled(
-            tuple(desc["degrees"]),
-            tuple(desc["depths"]),
-            expander_size=expander.N,
-            girth_floor=desc.get("girth_floor", 3),
-            padding_ratio=desc["padding_ratio"],
-        )
-        graph = MainGraph(params, expander)
-    return LabeledOracle(
-        graph, key, padding_ratio=desc["padding_ratio"], label_bits=desc["label_bits"]
-    )
-
-
 # ---------------------------------------------------------------------------
-# guiding-state input samplers
+# guiding-state inputs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GuidingSpec:
-    """Input distribution handed to experiment algorithms.
+def input_draws(graph: Union[MainGraph, TreeGraph], kind: str, seed: int) -> Iterator[int]:
+    """Deterministic i.i.d. stream of a guiding kind's inputs as canonical
+    indices; no labeling key enters.  Kinds: "exact-ground-state" (the
+    squared-amplitude distribution), "expander-uniform" and
+    "single-fixed-root" (the tree's root, or core vertex 0); any other kind
+    is an InputError at the first draw."""
+    rng = random.Random(derive_seed("guiding", seed, kind))
 
-    kinds: "exact-ground-state" (the squared-amplitude distribution),
-    "expander-uniform", "single-fixed-root" (constant root label), and
-    "mixture" with (weight, GuidingSpec) components.
-    """
-
-    kind: str
-    root: Optional[int] = None
-    components: tuple = ()
-
-    def __post_init__(self):
-        kinds = {"exact-ground-state", "expander-uniform", "single-fixed-root", "mixture"}
-        if not isinstance(self.kind, str) or self.kind not in kinds:
-            raise InputError(f"unknown guiding kind {self.kind!r}")
-        if self.kind == "mixture":
-            if not self.components:
-                raise InputError("mixture needs components")
-            total = sum(w for w, _ in self.components)
-            if not math.isclose(total, 1.0, rel_tol=1e-9):
-                raise InputError(f"mixture weights sum to {total}, expected 1")
-            if any(w < 0 for w, _ in self.components):
-                raise InputError("mixture weights must be non-negative")
-
-
-class Label(int):
-    """An input drawn as a label, not a canonical index (a configured
-    single-fixed-root): labeling passes it through unchanged."""
-
-
-def input_draws(graph: Union[MainGraph, TreeGraph], spec: GuidingSpec, seed: int) -> Iterator[int]:
-    """Deterministic i.i.d. stream of a guiding spec's inputs as canonical
-    indices (a configured fixed root as a `Label`); no labeling key enters."""
-    rng = random.Random(derive_seed("guiding", seed, spec.kind))
-
-    if spec.kind == "single-fixed-root":
-        if spec.root is not None:
-            fixed = Label(spec.root)
-        elif isinstance(graph, TreeGraph):
+    if kind == "single-fixed-root":
+        if isinstance(graph, TreeGraph):
             fixed = graph.index_of(graph.root)
         else:
             fixed = graph.index_of(ExpanderVertex(0))
         while True:
             yield fixed
 
-    elif spec.kind == "expander-uniform":
+    elif kind == "expander-uniform":
         if not isinstance(graph, MainGraph):
             raise ValueError("expander-uniform guiding needs a main-graph oracle")
         n_e = graph.expander.N
         while True:
             yield rng.randrange(n_e)  # an expander vertex's index is its core index
 
-    elif spec.kind == "exact-ground-state":
+    elif kind == "exact-ground-state":
         if not isinstance(graph, MainGraph):
             raise ValueError("ground-state guiding needs a main-graph oracle")
         sample, index_of = spectral.sampler_for_instance(graph).sample, graph.index_of
         while True:
             yield index_of(sample(rng))
 
-    else:  # mixture
-        subs = [
-            (w, input_draws(graph, sub, derive_seed(seed, i)))
-            for i, (w, sub) in enumerate(spec.components)
-        ]
-        while True:
-            x = rng.random()
-            for w, stream in subs:
-                if x < w:
-                    yield next(stream)
-                    break
-                x -= w
-            else:
-                yield next(subs[-1][1])
-
-
-def input_sampler(oracle: LabeledOracle, spec: GuidingSpec, seed: int) -> Iterator[int]:
-    """Deterministic i.i.d. label stream for a guiding spec: `input_draws`
-    labeled one at a time under `oracle`."""
-    for x in input_draws(oracle.graph, spec, seed):
-        yield int(x) if type(x) is Label else oracle._label(x)
+    else:
+        raise InputError(f"unknown guiding kind {kind!r}")

@@ -151,22 +151,6 @@ def root_resolvent(schedule: Schedule, k: int, lam: float) -> float:
     return _TreeTables(schedule, k, lam, with_norms=False).root_resolvent()
 
 
-def tree_spectral_radius(schedule: Schedule, k: int) -> float:
-    """Top eigenvalue of the level-k tree, located to relative width 1e-13 by
-    bisection on the validity of the resolvent recursion (valid iff lambda is
-    above the spectrum)."""
-    hi = 2.0 * math.sqrt(schedule.degrees[0] - 1) + 1.0
-    lo = 0.0
-    while hi - lo > 1e-13 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        try:
-            _TreeTables(schedule, k, mid, with_norms=False)
-            hi = mid
-        except SpectrumDomainError:
-            lo = mid
-    return hi
-
-
 @dataclass
 class SpectralSolution:
     """Solved spectral data for a decorated instance."""
@@ -534,9 +518,6 @@ class GroundStateSampler:
             if not moved:
                 # Roundoff at the group edge: treat as a stop.
                 return tuple(hops)
-
-    def sample_many(self, count: int, rng: Optional[random.Random] = None) -> list:
-        return [self.sample(rng) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------

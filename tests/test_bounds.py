@@ -159,11 +159,9 @@ def test_gap_sum_values_and_vacuity():
 # -- loop-weight interval -----------------------------------------------------
 
 def test_alpha_interval_standard_display():
-    lo, hi = bd.standard_alpha_interval(16)
-    assert lo == pytest.approx(16 - 2 * math.sqrt(32), rel=1e-12)
-    assert hi <= 16 + 4
-    for n in (25, 36):
-        lo, hi = bd.standard_alpha_interval(n)
+    for n in (16, 25, 36):  # sqrt(n) copies of sqrt(n)-1 trees of degree <= 2n on an n-regular core
+        root = math.isqrt(n)
+        lo, hi = bd.alpha_interval(float(n), 2.0 * n, float(root), root - 1)
         assert lo == pytest.approx(n - 2 * math.sqrt(2 * n), rel=1e-12)
         assert hi <= n + 4
 

@@ -84,7 +84,7 @@ def test_gen_expander_unreachable_thresholds_exit_2(tmp_path):
 
 
 def test_certify_petersen_fixture(tmp_path):
-    eg.save(eg.petersen(), tmp_path / "petersen.txt")
+    (tmp_path / "petersen.txt").write_text(eg.to_text(eg.petersen()))
     cfg = write_config(
         tmp_path, "c.json",
         {"expander_file": str(tmp_path / "petersen.txt"), "gap_min": 1.5, "girth_min": 5},
@@ -97,7 +97,7 @@ def test_certify_petersen_fixture(tmp_path):
 
 
 def test_certify_rejection_exit_2(tmp_path):
-    eg.save(eg.petersen(), tmp_path / "petersen.txt")
+    (tmp_path / "petersen.txt").write_text(eg.to_text(eg.petersen()))
     cfg = write_config(
         tmp_path, "c.json",
         {"expander_file": str(tmp_path / "petersen.txt"), "gap_min": 1.5, "girth_min": 6},
@@ -471,7 +471,7 @@ def test_file_core_outputs_match_golden_digests(tmp_path, monkeypatch, case):
     cfg, records_sha, trials_sha = FILE_CORE_GOLDEN[case]
     monkeypatch.chdir(tmp_path)
     core, _ = eg.generate_certified(200, 3, gap_min=0.05, girth_min=4, seed=5)
-    eg.save(core, CORE_200)
+    (tmp_path / CORE_200).write_text(eg.to_text(core))
     out = tmp_path / "o"
     argv = [case.split(":")[0], "--config", write_config(tmp_path, "c.json", cfg), "--out", out]
     assert run(argv) == cli.EXIT_OK
@@ -754,6 +754,9 @@ BAD_EDGE = "bad-edge.txt"  # header "4 1 0", then an edge to vertex 7
     ("bounds", {"bounds": [{"name": "recursion", "degrees": [4, 2], "depths": [1, 3],
                             "q_schedule": [math.nan, 2]}]}),
     ("bounds", {"bounds": [{"name": "gap-sum", "delta": math.nan, "gamma": 0.1}]}),
+    # A guiding kind outside the three that input_draws knows.
+    ("explore-graph", dict(GRAPH_CFG, guiding="mixture")),
+    ("ggsp", dict(GGSP_GOLDEN, guiding="mixture")),
 ])
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
     monkeypatch.chdir(tmp_path)
@@ -870,7 +873,7 @@ def test_failed_run_meta_has_status_and_matching_config_hash(tmp_path):
 
 
 def test_every_command_writes_meta_with_status_and_effective_values(tmp_path):
-    eg.save(eg.petersen(), tmp_path / "petersen.txt")
+    (tmp_path / "petersen.txt").write_text(eg.to_text(eg.petersen()))
     graph = {"instance": PETERSEN_INSTANCE, "threshold": 2, "seed": 8}
     # command -> (config, extra argv, expected meta entries)
     cases = {

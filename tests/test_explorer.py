@@ -3,6 +3,7 @@ import math
 import random
 from contextlib import contextmanager
 from functools import lru_cache
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -416,7 +417,7 @@ def test_session_scoring_matches_revealed_classification(
     sealed.seal()
     session = ex.ExplorationSession(sealed, budget, 0, strategy, stop_on_exit=stop_on_exit)
     with pytest.raises(orc.RevealSealedError):
-        session.run(fn, rs, random.Random(0), query_roots)
+        session.start(fn, rs, random.Random(0), query_roots)
     assert session.steps == [] and session.events == [] and sealed.query_count == 0
 
 
@@ -518,7 +519,7 @@ def test_ground_state_outputs_localize_on_petersen(small_instance):
 
     report = ex.ggsp_experiment(
         make,
-        orc.GuidingSpec(kind="single-fixed-root"),
+        "single-fixed-root",
         "ground-state-cheat",
         trials=400,
         inputs_per_trial=1,
@@ -553,3 +554,9 @@ def test_walk_algorithm_runs_within_budget(small_instance):
     assert report.trials == 50
     assert report.mean_queries <= 6
     assert report.budget_failures == 50  # walkers always run to their budget
+
+
+def test_readme_library_quick_start_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from gapwalk import expander_gen as eg, explorer as ex, graph_model as gm, oracle as orc, spectral as sp
-from gapwalk._util import derive_key
+from gapwalk import explorer as ex, graph_model as gm, oracle as orc, spectral as sp
+from gapwalk._util import InputError, derive_key
 from conftest import neighbors, reference_events, schedules
 
 
@@ -30,7 +30,7 @@ def test_feistel_is_a_bijection(bits):
     n = 1 << bits
     images = perm.forward_array(np.arange(n, dtype=np.uint64))
     assert len(np.unique(images)) == n
-    assert (perm.inverse_array(images) == np.arange(n, dtype=np.uint64)).all()
+    assert [perm.inverse(y) for y in images.tolist()] == list(range(n))
 
 
 def test_feistel_scalar_and_vector_paths_agree():
@@ -72,7 +72,6 @@ def test_feistel_scalar_inverts_and_matches_array_path(bits, key, xs):
     ys = [perm.forward(x) for x in xs]
     assert [perm.inverse(y) for y in ys] == xs
     assert perm.forward_array(np.array(xs, dtype=np.uint64)).tolist() == ys
-    assert perm.inverse_array(np.array(ys, dtype=np.uint64)).tolist() == xs
 
 
 @given(
@@ -90,7 +89,6 @@ def test_keyed_columns_match_scalar_forward_per_key(bits, keys, data):
     columns = orc.KeyedColumns(bits, np.stack([p.round_keys for p in perms], axis=1)[:, rows])
     ys = columns.forward_array(xs)
     assert ys.tolist() == [perms[r].forward(x) for r, x in pairs]
-    assert columns.inverse_array(ys).tolist() == xs.tolist()
 
 
 @given(
@@ -219,7 +217,7 @@ def test_cached_classification_matches_revealed_vertex(small_instance, data, key
         label = data.draw(st.integers(0, o.num_labels - 1))
         plan += (label,) + o.query(label)
     session = ex.ExplorationSession(o, len(plan), 0, "scripted")
-    session.run(ex.scripted(plan), [], random.Random(0), query_roots=False)
+    ex.drive([session.start(ex.scripted(plan), [], random.Random(0), query_roots=False)])
     expected = [ev for step, y in enumerate(plan) for ev in reference_events(small_instance, o.reveal(y), step)]
     assert session.events == expected
 
@@ -271,6 +269,15 @@ def test_reveal_isolated_labels(main_oracle):
     assert main_oracle.reveal(iso) == gm.IsolatedVertex(0)
 
 
+def test_label_of_refuses_isolated_index_out_of_range(small_instance):
+    o = orc.LabeledOracle(small_instance, b"k" * 16, padding_ratio=0.25)
+    for i in (-1, o.padding_count, 10**6):
+        with pytest.raises(gm.InvalidVertexError):
+            o.label_of(gm.IsolatedVertex(i))
+    last = gm.IsolatedVertex(o.padding_count - 1)
+    assert o.reveal(o.label_of(last)) == last
+
+
 def test_reveal_histogram_matches_padding(main_oracle):
     rng = random.Random(5)
     n = 20_000
@@ -309,54 +316,29 @@ def test_strategy_receives_only_roots_rng_and_label_count(main_oracle):
     assert trial.output == x and trial.query_count == 1
 
 
-# -- persistence --------------------------------------------------------------
-
-def test_descriptor_round_trip_tree(tmp_path, tree_oracle):
-    path = tmp_path / "oracle.json"
-    orc.save_descriptor(tree_oracle, path)
-    loaded = orc.load_oracle(path)
-    for i in range(tree_oracle.graph.num_nonisolated):
-        x = tree_oracle.label_of(tree_oracle.graph.vertex_at(i))
-        assert loaded.query(x) == tree_oracle.query(x)
-
-
-def test_descriptor_round_trip_main(tmp_path, small_instance):
-    o = orc.LabeledOracle(small_instance, derive_key("desc"), padding_ratio=2.0 ** -5)
-    eg.save(small_instance.expander, tmp_path / "core.txt")
-    orc.save_descriptor(o, tmp_path / "oracle.json", expander_file="core.txt")
-    loaded = orc.load_oracle(tmp_path / "oracle.json")
-    rng = random.Random(2)
-    for _ in range(100):
-        x = rng.randrange(o.num_labels)
-        assert loaded.query(x) == o.query(x)
-
-
 # -- guiding samplers ---------------------------------------------------------
 
-def test_input_sampler_determinism(main_oracle):
-    spec = orc.GuidingSpec(kind="expander-uniform")
-    a = list(itertools.islice(orc.input_sampler(main_oracle, spec, seed=4), 20))
-    b = list(itertools.islice(orc.input_sampler(main_oracle, spec, seed=4), 20))
+def test_input_sampler_determinism(small_instance):
+    a = list(itertools.islice(orc.input_draws(small_instance, "expander-uniform", seed=4), 20))
+    b = list(itertools.islice(orc.input_draws(small_instance, "expander-uniform", seed=4), 20))
     assert a == b
 
 
-def test_single_fixed_root_constant(main_oracle):
-    spec = orc.GuidingSpec(kind="single-fixed-root", root=123)
-    stream = orc.input_sampler(main_oracle, spec, seed=0)
-    assert [next(stream) for _ in range(5)] == [123] * 5
+def test_single_fixed_root_constant(small_instance):
+    stream = orc.input_draws(small_instance, "single-fixed-root", seed=0)
+    assert [next(stream) for _ in range(5)] == [small_instance.index_of(gm.ExpanderVertex(0))] * 5
 
 
-def test_ground_state_sampler_fidelity_is_one(main_oracle, small_instance, small_materialized):
+def test_ground_state_sampler_fidelity_is_one(small_instance, small_materialized):
     # Empirical distribution of the exact-ground-state stream converges to the
     # squared-amplitude distribution.
     sol = sp.solve_for_instance(small_instance)
     exact = sp.exact_distribution(sol, small_materialized)
-    spec = orc.GuidingSpec(kind="exact-ground-state")
-    stream = orc.input_sampler(main_oracle, spec, seed=8)
+    stream = orc.input_draws(small_instance, "exact-ground-state", seed=8)
     n = 60_000
     counts = {}
     for _ in range(n):
-        v = main_oracle.reveal(next(stream))
+        v = small_instance.vertex_at(next(stream))
         counts[v] = counts.get(v, 0) + 1
     emp = np.array([counts.get(v, 0) / n for v in small_materialized.vertices])
     tv = 0.5 * np.abs(emp - exact).sum()
@@ -377,21 +359,7 @@ def test_expander_uniform_fidelity_equals_norm_ratio(small_instance, small_mater
     assert fid == pytest.approx(split.ratio, rel=1e-10)
 
 
-def test_mixture_weights_validated():
-    with pytest.raises(ValueError):
-        orc.GuidingSpec(kind="mixture", components=((0.5, orc.GuidingSpec("expander-uniform")),))
-    with pytest.raises(ValueError):
-        orc.GuidingSpec(kind="nonsense")
-
-
-def test_mixture_stream_draws_from_components(main_oracle):
-    spec = orc.GuidingSpec(
-        kind="mixture",
-        components=(
-            (0.5, orc.GuidingSpec(kind="single-fixed-root", root=7)),
-            (0.5, orc.GuidingSpec(kind="single-fixed-root", root=9)),
-        ),
-    )
-    stream = orc.input_sampler(main_oracle, spec, seed=3)
-    values = {next(stream) for _ in range(200)}
-    assert values == {7, 9}
+def test_unknown_guiding_kind_refused(small_instance):
+    for kind in ("mixture", "nonsense", [1]):
+        with pytest.raises(InputError):
+            next(orc.input_draws(small_instance, kind, seed=0))
