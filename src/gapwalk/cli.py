@@ -47,6 +47,7 @@ failure, 3 query-budget exhaustion.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import csv
 import dataclasses
 import functools
@@ -59,7 +60,6 @@ import random
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -373,7 +373,7 @@ def build_expander(section: dict, run: Run):
             gap_min=_number("expander.generate.gap_min", gen.get("gap_min", 0.0)),
             girth_min=_number("expander.generate.girth_min", gen.get("girth_min", 3)),
             seed=_integer("expander.generate.seed", gen.get("seed", run.seed)),
-            max_attempts=_integer("expander.generate.max_attempts", gen.get("max_attempts", 50)),
+            max_attempts=_integer("expander.generate.max_attempts", gen.get("max_attempts", 50), low=1),
         )
         run.write("expander.certificate.json", json_text(dataclasses.asdict(cert)))
         run.write("expander.txt", expander_gen.to_text(graph))
@@ -601,7 +601,8 @@ def cmd_explore_tree(run: Run) -> int:
         (sched.degrees, sched.depths, level, budget, run.seed, padding, pending[i : i + size])
         for i in range(0, len(pending), size)
     ]
-    pool = ProcessPoolExecutor(run.threads) if run.threads > 1 else None
+    # Looked up here: only a pooled run imports multiprocessing.
+    pool = concurrent.futures.ProcessPoolExecutor(run.threads) if run.threads > 1 else None
     try:
         for rows in (pool.map if pool else map)(exit_window, jobs):
             with open(trials_path, "a") as fh:

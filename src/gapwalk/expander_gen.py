@@ -1,13 +1,12 @@
 """Sampling and certification of regular graphs serving as the core: uniform
-configuration-model sampling with whole-graph rejection, girth via per-vertex
-BFS, and top-two adjacency eigenvalues (`graph_model.top_eigenpairs`)."""
+configuration-model sampling with whole-graph rejection over a pinned shuffle,
+exact girth by ball-limited BFS, and top-two adjacency eigenvalues."""
 
 from __future__ import annotations
 
 import math
 import random
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,7 +39,9 @@ class RegularGraph:
     def from_edges(cls, N: int, d: int, edges, seed: int, uniform: bool = True) -> "RegularGraph":
         """The graph of an edge list (an array or list of vertex pairs in
         [0, N)), built and checked in whole-array steps: InputError unless
-        every vertex has d neighbours, none of them itself and none twice."""
+        every vertex has d neighbours, none of them itself and none twice, and N >= 2."""
+        if N < 2:
+            raise InputError(f"a core needs at least 2 vertices, got N={N}")
         ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         ends = np.concatenate([ends, ends[:, ::-1]])
         ends = ends[np.argsort(ends[:, 0] * N + ends[:, 1])]
@@ -59,7 +60,7 @@ class RegularGraph:
                     yield (u, v)
 
     def is_connected(self) -> bool:
-        return self.N == 0 or -1 not in bfs_distances(self.adjacency, 0)
+        return len(bfs_distances(self.adjacency, 0)) == self.N
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,23 @@ class ExpanderCertificate:
     uniform: bool = True
 
 
+def _shuffle(x: list, rng: random.Random) -> None:
+    """`rng.shuffle(x)` as CPython draws it (Fisher-Yates over `getrandbits`),
+    at half the cost and pinned: Python keeps only `random()` reproducible
+    across versions, so a core's seed rests on the Mersenne Twister alone."""
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def _pairing_attempt(N: int, d: int, rng: random.Random) -> Optional[set]:
     """One uniform stub pairing; None if it produced a loop or multi-edge."""
-    stubs = [u for u in range(N) for _ in range(d)]
-    rng.shuffle(stubs)
+    stubs = np.repeat(np.arange(N), d).tolist()
+    _shuffle(stubs, rng)
     edges = set()
     it = iter(stubs)
     for u, v in zip(it, it):
@@ -95,8 +109,8 @@ def _switching_repair(N: int, d: int, rng: random.Random, max_steps: int = 200_0
 
     Not exactly uniform over simple d-regular graphs; callers flag the result.
     """
-    stubs = [u for u in range(N) for _ in range(d)]
-    rng.shuffle(stubs)
+    stubs = np.repeat(np.arange(N), d).tolist()
+    _shuffle(stubs, rng)
     pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
     edge_count: dict = {}
 
@@ -158,27 +172,27 @@ def sample_regular_graph(
 
 
 def girth(graph: RegularGraph) -> float:
-    """Length of the shortest cycle via BFS from every vertex; inf for forests."""
+    """Length of the shortest cycle; inf for forests.  From each vertex, the BFS
+    ball of radius (best - 1) // 2, all a shorter cycle through it reaches: an
+    edge inside distance layer d closes a cycle of length 2d + 1, a vertex with
+    two neighbours in layer d - 1 one of 2d (Itai and Rodeh, SIAM J. Comput. 7,
+    1978).  3, the least a simple graph has, ends the search."""
     best = math.inf
     adj = graph.adjacency
     for src in range(graph.N):
-        dist = [-1] * graph.N
-        parent = [-1] * graph.N
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] >= best:
-                break
+        dist = bfs_distances(adj, src, radius=None if best == math.inf else (best - 1) // 2)
+        for u, du in dist.items():
+            below = 0
             for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    cycle = dist[u] + dist[w] + 1
-                    if cycle < best:
-                        best = cycle
+                dw = dist.get(w)
+                if dw == du:
+                    best = min(best, 2 * du + 1)
+                elif dw == du - 1:
+                    below += 1
+            if below > 1:
+                best = min(best, 2 * du)
+        if best == 3:
+            break
     return best
 
 

@@ -18,7 +18,6 @@ materialized unless `materialize` is called explicitly.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Union
@@ -614,7 +613,7 @@ class MainGraph:
             return 0
         anchors = {a for a, _ in placed}
         dist = bfs_distances(self.expander.adjacency, anchor, anchors)
-        reached = [dist[a] for a in anchors if dist[a] >= 0]
+        reached = [dist[a] for a in anchors if a in dist]
         if not reached:
             raise InvalidVertexError("no anchor of the set is reachable on the expander")
         return 1 + min(reached)
@@ -707,26 +706,29 @@ def materialize(graph: Instance) -> MaterializedGraph:
     return MaterializedGraph(vertices, index, adjacency)
 
 
-def bfs_distances(adjacency: list, source: int, stop=frozenset()) -> list[int]:
-    """Plain BFS hop distances on an adjacency-list graph; -1 for unreachable.
+def bfs_distances(adjacency: list, source: int, stop=frozenset(), radius=None) -> dict:
+    """Plain BFS hop distances on an adjacency-list graph: {vertex: distance}
+    over the vertices reached, so a search costs the ball it reaches.
 
     The search ends at the first vertex of `stop` it reaches (the source
     included).  BFS reaches vertices in nondecreasing distance, so that vertex
-    is the nearest of `stop` and the only one with a distance; the vertices
-    not reached by then also read -1."""
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
+    is the nearest of `stop` and the only one of `stop` with a distance.  With
+    a `radius`, it reaches no vertex farther than that."""
+    dist = {source: 0}
     if source in stop:
         return dist
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                if w in stop:
-                    return dist
-                queue.append(w)
+    layer, d = [source], 0
+    while layer and (radius is None or d < radius):
+        d += 1
+        next_layer = []
+        for u in layer:
+            for w in adjacency[u]:
+                if w not in dist:
+                    dist[w] = d
+                    if w in stop:
+                        return dist
+                    next_layer.append(w)
+        layer = next_layer
     return dist
 
 
@@ -749,7 +751,9 @@ def top_eigenpairs(adjacency) -> tuple[float, float, np.ndarray, float, float]:
     n = len(adjacency)
     a = adjacency_matrix(adjacency)
     if n <= DENSE_EIG_LIMIT:
-        vals, vecs = scipy.linalg.eigh(a.toarray(), subset_by_index=[n - 2, n - 1])
+        # Fortran order lets LAPACK overwrite the one dense copy in place.
+        vals, vecs = scipy.linalg.eigh(a.toarray(order="F"), subset_by_index=[n - 2, n - 1],
+                                       overwrite_a=True, check_finite=False)
     else:
         vals, vecs = scipy.sparse.linalg.eigsh(a, k=2, which="LA", tol=1e-14, maxiter=10000)
         order = np.argsort(vals)

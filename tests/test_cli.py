@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -158,7 +159,7 @@ def test_explore_tree_pool_splits_a_small_run_across_workers(tmp_path, monkeypat
         def shutdown(self, cancel_futures):
             pass
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     assert run(["explore-tree", "--config", cfg, "--out", tmp_path / "three",
                 "--threads", 3]) == cli.EXIT_OK
     assert windows == [4, 4, 2]
@@ -466,6 +467,33 @@ FILE_CORE_GOLDEN = {
 }
 
 
+# gen-expander's own outputs.  At seed 4 the girth-5 config rejects nine
+# candidates on girth, six of them with a triangle, before the tenth certifies.
+GEN_EXPANDER_GOLDEN = {
+    "girth-5": (
+        {"N": 100, "d": 3, "girth_min": 5}, 4,
+        "58e88c1069c7cc834b1016eec4655727efefb2ba4373ade4400d9074c20bd7fc",
+        "16822dbb724688722a884be1b3878401f748e17dcd2fdc125f8670af8a0604d5",
+    ),
+    "quartic": (
+        {"N": 60, "d": 4, "gap_min": 0.5}, 3,
+        "d302f20654e61fc3c0b6c8e13b9e143d2800460fabe4fa229b4b6f88a7954e78",
+        "30868a48b99475a6eda5a9399eec07ac67bf204668c08d2a553a41fb9667793a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GEN_EXPANDER_GOLDEN))
+def test_gen_expander_outputs_match_golden_digests(tmp_path, case):
+    cfg, seed, core_sha, cert_sha = GEN_EXPANDER_GOLDEN[case]
+    out = tmp_path / "o"
+    argv = ["gen-expander", "--config", write_config(tmp_path, "c.json", {"expander": cfg}),
+            "--out", out, "--seed", seed]
+    assert run(argv) == cli.EXIT_OK
+    for name, expected in (("expander.txt", core_sha), ("expander.certificate.json", cert_sha)):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
+
+
 @pytest.mark.parametrize("case", sorted(FILE_CORE_GOLDEN))
 def test_file_core_outputs_match_golden_digests(tmp_path, monkeypatch, case):
     cfg, records_sha, trials_sha = FILE_CORE_GOLDEN[case]
@@ -682,6 +710,8 @@ CUSTOM_INSTANCE = {"mode": "custom", "lambda_e": 1.0, "expander_size": 2,
     ("spectrum", {"instance": dict(CUSTOM_INSTANCE, trees=[{"degrees": [2], "depths": [0], "copies": "x"}])}),
     ("spectrum", {"instance": dict(CUSTOM_INSTANCE, trees=[{"degrees": [2], "depths": [0], "copies": 0}])}),
     ("spectrum", {"instance": dict(CUSTOM_INSTANCE, expander_size=0)}),
+    ("gen-expander", {"expander": {"N": 20, "d": 3, "max_attempts": 0}}),
+    ("gen-expander", {"expander": {"N": 20, "d": 3, "max_attempts": -3}}),
 ])
 def test_bad_config_integer_is_config_error(tmp_path, capsys, command, cfg):
     out = tmp_path / "o"
@@ -693,6 +723,7 @@ def test_bad_config_integer_is_config_error(tmp_path, capsys, command, cfg):
 
 NOT_REGULAR = "not-regular.txt"  # header "4 3 0" over two edges
 BAD_EDGE = "bad-edge.txt"  # header "4 1 0", then an edge to vertex 7
+ONE_VERTEX, NO_VERTEX = "one-vertex.txt", "no-vertex.txt"  # "1 0 0" and "0 0 0"
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -757,11 +788,19 @@ BAD_EDGE = "bad-edge.txt"  # header "4 1 0", then an edge to vertex 7
     # A guiding kind outside the three that input_draws knows.
     ("explore-graph", dict(GRAPH_CFG, guiding="mixture")),
     ("ggsp", dict(GGSP_GOLDEN, guiding="mixture")),
+    # A core of fewer than two vertices, generated, complete or read from a file.
+    ("gen-expander", {"expander": {"N": 1, "d": 0}}),
+    ("gen-expander", {"expander": {"complete": 1}}),
+    ("gen-expander", {"expander": {"complete": 0}}),
+    ("certify", {"expander_file": ONE_VERTEX}),
+    ("certify", {"expander_file": NO_VERTEX}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
     monkeypatch.chdir(tmp_path)
     (tmp_path / NOT_REGULAR).write_text("4 3 0\n0 1\n2 3\n")
     (tmp_path / BAD_EDGE).write_text("4 1 0\n0 1\n2 7\n")
+    (tmp_path / ONE_VERTEX).write_text("1 0 0\n")
+    (tmp_path / NO_VERTEX).write_text("0 0 0\n")
     out = tmp_path / "o"
     path = write_config(tmp_path, "c.json", cfg)
     assert run([command, "--config", path, "--out", out]) == cli.EXIT_USAGE

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gapwalk import expander_gen as eg, graph_model as gm
 from gapwalk._util import InputError
@@ -37,12 +39,25 @@ def test_sampling_rejects_odd_stub_count():
 
 
 def test_switching_fallback_flags_nonuniform():
-    # d^2/N large enough that plain rejection is likely to stall.
+    # d^2/N large enough that plain rejection stalls: the repair path runs.
     g = eg.sample_regular_graph(12, 9, seed=1, max_rejections=1)
     assert {len(nbrs) for nbrs in g.adjacency} == {9}
-    # Either the single pairing attempt got lucky or the repair path ran.
-    if not g.uniform:
-        assert eg.certify_expander(g, 0, 3) is not None
+    assert not g.uniform
+    assert eg.certify_expander(g, 0, 3) is not None
+    # The repaired core, pinned.
+    assert hashlib.sha256(eg.to_text(g).encode()).hexdigest() == (
+        "8abf413b83f33470ec57859a41827ac0aac75e663f070e4bb283cd156dbeb495")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 901, 2**40 + 3])
+def test_shuffle_draws_as_random_shuffle(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in [*range(51), 6000]:
+        x, y = list(range(n)), list(range(n))
+        eg._shuffle(x, ours)
+        theirs.shuffle(y)
+        assert x == y
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_girth_examples():
@@ -86,6 +101,42 @@ def _girth_by_cycle_enumeration(adjacency):
 def test_girth_matches_exhaustive_enumeration(seed):
     g = eg.sample_regular_graph(14, 3, seed)
     assert eg.girth(g) == _girth_by_cycle_enumeration(g.adjacency)
+
+
+def _cycle(n):
+    return [sorted(((u - 1) % n, (u + 1) % n)) for u in range(n)]
+
+
+@st.composite
+def _small_graph(draw):
+    """An adjacency list: a regular graph (a cycle C_3..C_9, or a sampled
+    d-regular graph, d = 2..5), or a forest."""
+    kind = draw(st.sampled_from(["cycle", "regular", "forest"]))
+    if kind == "cycle":
+        return _cycle(draw(st.integers(3, 9)))
+    if kind == "regular":
+        d = draw(st.integers(2, 5))
+        n = draw(st.integers(d + 1, 12).filter(lambda n: n * d % 2 == 0))
+        return [list(nbrs) for nbrs in eg.sample_regular_graph(n, d, draw(st.integers(0, 999))).adjacency]
+    n = draw(st.integers(1, 12))
+    adjacency = [[] for _ in range(n)]
+    for v in range(1, n):  # a parent among the earlier vertices, or none
+        parent = draw(st.integers(-1, v - 1))
+        if parent >= 0:
+            adjacency[v].append(parent)
+            adjacency[parent].append(v)
+    return adjacency
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=_small_graph(), second=st.none() | _small_graph())
+@example(first=_cycle(5), second=_cycle(4))  # an odd cycle first shrinks the
+@example(first=_cycle(9), second=_cycle(8))  # ball to just reach the even one
+def test_girth_matches_enumeration_on_unions(first, second):
+    """One graph, or the disjoint union of two."""
+    adjacency = first + [[v + len(first) for v in nbrs] for nbrs in second or []]
+    graph = eg.RegularGraph(len(adjacency), 0, tuple(map(tuple, adjacency)), seed=0)
+    assert eg.girth(graph) == _girth_by_cycle_enumeration(adjacency)
 
 
 def test_spectral_gap_cycle_and_petersen():
@@ -138,7 +189,7 @@ def test_serialization_round_trip_and_determinism(tmp_path):
 
 
 @settings(max_examples=60, deadline=None)
-@given(N=st.integers(1, 40), d=st.integers(0, 4), seed=st.integers(0, 2**32))
+@given(N=st.integers(2, 40), d=st.integers(0, 4), seed=st.integers(0, 2**32))
 def test_text_round_trip_over_generated_cores(N, d, seed):
     assume(d < N and N * d % 2 == 0)
     g = eg.sample_regular_graph(N, d, seed)

@@ -6,6 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 from hypothesis import assume, given, strategies as st
 
 from gapwalk import expander_gen, graph_model as gm
@@ -473,6 +474,35 @@ def test_expander_distance_to_set_is_min_of_pairwise(name, data):
         graph.expander_distance_to_set(indices + [isolated], at)
     with pytest.raises(gm.InvalidVertexError):
         graph.expander_distance_to_set(indices, isolated)
+
+
+@given(data=st.data())
+def test_bfs_distances_match_shortest_path(data):
+    """Every distance reported is scipy's; without a stop in reach, the result
+    is the whole ball; with one, it holds exactly one stop vertex, the nearest,
+    and every vertex nearer than it."""
+    n = data.draw(st.integers(1, 25))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {(min(e), max(e)) for e in data.draw(st.lists(pairs, max_size=3 * n)) if e[0] != e[1]}
+    adjacency = [sorted({v for e in edges if u in e for v in e} - {u}) for u in range(n)]
+    source = data.draw(st.integers(0, n - 1))
+    stop = frozenset(data.draw(st.lists(st.integers(0, n - 1), max_size=4)))
+    if data.draw(st.booleans()):
+        stop |= {source}
+    radius = data.draw(st.none() | st.integers(0, 6))
+    truth = scipy.sparse.csgraph.shortest_path(
+        gm.adjacency_matrix(adjacency), unweighted=True, indices=source)
+    dist = gm.bfs_distances(adjacency, source, stop, radius)
+    assert all(truth[v] == d for v, d in dist.items())
+    ball = {v for v in range(n) if truth[v] <= (n if radius is None else radius)}  # inf: unreached
+    if source in stop:
+        assert dist == {source: 0}
+    elif not stop & ball:
+        assert set(dist) == ball
+    else:
+        hit, = stop & set(dist)
+        assert dist[hit] == min(truth[v] for v in stop)
+        assert {v for v in ball if truth[v] < dist[hit]} <= set(dist) <= ball
 
 
 def test_expander_distance_to_set_on_a_disconnected_core():
