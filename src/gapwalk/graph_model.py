@@ -23,9 +23,6 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from ._util import InputError
 
@@ -732,8 +729,12 @@ def bfs_distances(adjacency: list, source: int, stop=frozenset(), radius=None) -
     return dist
 
 
-def adjacency_matrix(adjacency) -> scipy.sparse.csr_matrix:
+def adjacency_matrix(adjacency) -> "scipy.sparse.csr_matrix":
     """Sparse 0/1 adjacency matrix of an adjacency-list graph."""
+    # Imported here, not at module level, where it would be most of the
+    # time `import gapwalk.cli` takes.
+    import scipy.sparse
+
     rows = [u for u, nbrs in enumerate(adjacency) for _ in nbrs]
     cols = [v for nbrs in adjacency for v in nbrs]
     n = len(adjacency)
@@ -748,6 +749,9 @@ def top_eigenpairs(adjacency) -> tuple[float, float, np.ndarray, float, float]:
     of an adjacency-list graph with at least two vertices, the top eigenvector,
     and each pair's residual |A v - lambda v| / |v|.  Dense `eigh` up to
     DENSE_EIG_LIMIT vertices, Lanczos above."""
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     n = len(adjacency)
     a = adjacency_matrix(adjacency)
     if n <= DENSE_EIG_LIMIT:

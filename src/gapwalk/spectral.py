@@ -71,6 +71,27 @@ class AttachedTree:
         return 2.0 * math.sqrt(self.schedule.degrees[0] - 1)
 
 
+class _Column:
+    """One table column over depths 0..depth, stored as its computed deep run.
+
+    The recursions run from the leaf depth up and reach a bitwise fixed point;
+    from there every shallower depth repeats the same float (exact, not a
+    truncation), so only the run up to that point is kept.  `run[i]` is the
+    value at depth `depth - i`, and `run[-1]` the value at every shallower depth.
+    """
+
+    __slots__ = ("depth", "run")
+
+    def __init__(self, depth: int, run: list):
+        self.depth = depth
+        self.run = run
+
+    def __getitem__(self, p: int) -> float:
+        i = self.depth - p
+        run = self.run
+        return run[i] if i < len(run) else run[-1]
+
+
 class _TreeTables:
     """Per-(segment level, depth) resolvent and squared-norm tables at fixed lambda.
 
@@ -79,9 +100,10 @@ class _TreeTables:
     log_S[j][p]: log of the squared norm of that subtree's eigenvector slice,
                  normalized to 1 at its own root.
 
-    The depth recursions converge geometrically; once two consecutive values
-    agree bitwise every shallower depth repeats the same float, so the loop
-    fills and stops early (exact, not a truncation).
+    Level j reads only lower levels, so one table at level k holds the root
+    resolvent of every level up to k.  Each column is a `_Column`: the depth
+    recursions stop at their fixed point, so a table costs the depths before
+    convergence, not the segment depths.
     """
 
     def __init__(self, schedule: Schedule, k: int, lam: float, with_norms: bool = True):
@@ -90,9 +112,9 @@ class _TreeTables:
         self.schedule = schedule
         self.k = k
         self.lam = lam
-        self.m: dict[int, list[float]] = {}
-        self.log_m: dict[int, list[float]] = {}
-        self.log_S: dict[int, list[float]] = {}
+        self.m: dict[int, _Column] = {}
+        self.log_m: dict[int, _Column] = {}
+        self.log_S: dict[int, _Column] = {}
         for j in range(1, k + 1):
             self._fill_level(j, with_norms)
 
@@ -103,44 +125,38 @@ class _TreeTables:
         dec_sum = sum(
             sched.decoration_count(i) * self.m[i][0] for i in sched.decoration_levels(j)
         )
-        arr = [0.0] * (depth + 1)
-        arr[depth] = 1.0 / lam
-        prev = arr[depth]
-        for p in range(depth - 1, -1, -1):
+        prev = 1.0 / lam
+        run = [prev]
+        for _ in range(depth):
             den = lam - dec_sum - b * prev
             if den <= 0.0:
                 raise SpectrumDomainError(
                     f"lambda={lam} inside the spectrum of the level-{j} segment"
                 )
             cur = 1.0 / den
-            arr[p] = cur
             if cur == prev:
-                for q in range(p - 1, -1, -1):
-                    arr[q] = cur
                 break
+            run.append(cur)
             prev = cur
-        self.m[j] = arr
-        self.log_m[j] = [math.log(x) for x in arr]
+        self.m[j] = _Column(depth, run)
         if not with_norms:
             return
+        log_m = self.log_m[j] = _Column(depth, [math.log(x) for x in run])
         log_dec_S = logsumexp(
             math.log(sched.decoration_count(i)) + 2.0 * self.log_m[i][0] + self.log_S[i][0]
             for i in sched.decoration_levels(j)
         )
         log_b = math.log(b) if b > 0 else NEG_INF
-        sarr = [0.0] * (depth + 1)
-        prev_s = 0.0
-        prev_m = self.log_m[j][depth]
+        prev_s, prev_m = 0.0, log_m[depth]
+        srun = [prev_s]
         for p in range(depth - 1, -1, -1):
             cur = logsumexp([0.0, log_b + 2.0 * prev_m + prev_s, log_dec_S])
-            sarr[p] = cur
-            if cur == prev_s and self.log_m[j][p] == prev_m:
-                for q in range(p - 1, -1, -1):
-                    sarr[q] = cur
+            m_here = log_m[p]
+            if cur == prev_s and m_here == prev_m:
                 break
-            prev_s = cur
-            prev_m = self.log_m[j][p]
-        self.log_S[j] = sarr
+            srun.append(cur)
+            prev_s, prev_m = cur, m_here
+        self.log_S[j] = _Column(depth, srun)
 
     def root_resolvent(self) -> float:
         return self.m[self.k][0]
@@ -164,17 +180,16 @@ class SpectralSolution:
     expander_size: Optional[int] = None
 
     def __post_init__(self):
-        self._tables: dict = {}
-        for tree in self.trees:
-            key = (tree.schedule, tree.level)
-            if key not in self._tables:
-                self._tables[key] = _TreeTables(tree.schedule, tree.level, self.top_eigenvalue)
+        self._tables = {
+            schedule: _TreeTables(schedule, k, self.top_eigenvalue)
+            for schedule, k in _deepest_levels(self.trees).items()
+        }
         self._level_index = {}
         for idx, tree in enumerate(self.trees):
             self._level_index.setdefault(tree.level, idx)
 
     def tables_for(self, tree: AttachedTree) -> _TreeTables:
-        return self._tables[(tree.schedule, tree.level)]
+        return self._tables[tree.schedule]
 
     def root_resolvent(self, tree_index: int) -> float:
         tree = self.trees[tree_index]
@@ -274,14 +289,23 @@ def norm_decomposition(solution: SpectralSolution, expander_size: Optional[int] 
 # fixed-point solver
 # ---------------------------------------------------------------------------
 
-def _tree_mass_sum(trees: Sequence[AttachedTree], beta: float, lam: float) -> float:
-    total = 0.0
-    cache: dict = {}
+def _deepest_levels(trees: Sequence[AttachedTree]) -> dict:
+    """Each schedule's deepest attached level: one table at that level holds
+    the root resolvent of every attached tree of the schedule."""
+    deepest: dict = {}
     for tree in trees:
-        key = (tree.schedule, tree.level)
-        if key not in cache:
-            cache[key] = root_resolvent(tree.schedule, tree.level, lam)
-        total += beta * tree.copies * cache[key]
+        deepest[tree.schedule] = max(tree.level, deepest.get(tree.schedule, 0))
+    return deepest
+
+
+def _tree_mass_sum(trees: Sequence[AttachedTree], beta: float, lam: float) -> float:
+    tables = {
+        schedule: _TreeTables(schedule, k, lam, with_norms=False)
+        for schedule, k in _deepest_levels(trees).items()
+    }
+    total = 0.0
+    for tree in trees:
+        total += beta * tree.copies * tables[tree.schedule].m[tree.level][0]
     return total
 
 
@@ -434,10 +458,14 @@ def sampler_for_instance(graph: MainGraph) -> "GroundStateSampler":
 class GroundStateSampler:
     """Draws i.i.d. vertices from the squared-amplitude distribution.
 
-    The anchor marginal is uniform by construction; within an anchor the walk
-    descends class by class, stopping at a node with probability 1/S(node) and
-    entering a child subtree with probability m_child^2 * S_child / S(node).
-    Telescoping makes the draw exact.
+    The anchor marginal is uniform by construction: `getrandbits(k)` with
+    k = (n - 1).bit_length(), redrawn at or above n.  For n not a power of two
+    that is `randrange(n)`'s own stream; for the standard family's n = 2^K it
+    reads K bits once where `randrange` reads K + 1 and rejects half the time.
+
+    Within an anchor the walk descends class by class, stopping at a node with
+    probability 1/S(node) and entering a child subtree with probability
+    m_child^2 * S_child / S(node).  Telescoping makes the draw exact.
     """
 
     def __init__(self, solution: SpectralSolution, expander_size: Optional[int] = None, seed: int = 0):
@@ -446,6 +474,7 @@ class GroundStateSampler:
         if n_e is None:
             raise ValueError("expander_size required")
         self.expander_size = n_e
+        self._anchor_bits = (n_e - 1).bit_length()
         self.seed = seed
         # Anchor-level weights: stop weight 1, one group per attached tree family.
         self._groups = []
@@ -469,7 +498,9 @@ class GroundStateSampler:
 
     def sample(self, rng: Optional[random.Random] = None) -> Vertex:
         rng = rng or self._rng
-        anchor = rng.randrange(self.expander_size)
+        anchor = rng.getrandbits(self._anchor_bits)
+        while anchor >= self.expander_size:
+            anchor = rng.getrandbits(self._anchor_bits)
         x = rng.random() * self._anchor_total
         if x < 1.0:
             return ExpanderVertex(anchor)

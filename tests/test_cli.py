@@ -3,6 +3,9 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +37,15 @@ def test_invalid_schedule_is_usage_error(tmp_path):
                       "expander": {"petersen": True}}},
     )
     assert run(["spectrum", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_USAGE
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is most of the package's import time; only the dense eigensolves
+    and adjacency matrices load it, when they first run."""
+    code = "import sys, gapwalk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):
@@ -481,6 +493,41 @@ GEN_EXPANDER_GOLDEN = {
         "30868a48b99475a6eda5a9399eec07ac67bf204668c08d2a553a41fb9667793a",
     ),
 }
+
+
+# SHA-256 of (spectrum.json, records.jsonl): every solver step and the norm
+# split, to the last bit of each printed float.
+SPECTRUM_GOLDEN = {
+    "standard-16": (
+        {"mode": "standard", "n": 16},
+        "93349e4f8693f88d3c7528e31107f5bccceddb58305dec963ecddbf61744249f",
+        "d9ae94275f99b1e90d406fdfe506ecc75f22a96a33debfafc70794cf3727bcc1",
+    ),
+    "standard-36": (
+        {"mode": "standard", "n": 36},
+        "2970eade824ef5ba850b08952e8d8ab435adade82958fee8962778a1d09cead3",
+        "dee467a27d93b9816f70d886df60405bb31022a77f4e3d6a37e4bfa2c641ad23",
+    ),
+    # Two levels of one schedule at different copy counts, on a base
+    # eigenvalue below the trees' norm bound.
+    "custom-trees": (
+        {"mode": "custom", "lambda_e": 3.0, "expander_size": 10,
+         "trees": [{"degrees": [4, 3], "depths": [1, 2], "level": 1, "copies": 1},
+                   {"degrees": [4, 3], "depths": [1, 2], "level": 2, "copies": 3}]},
+        "59c6725c39f5efd6214b46de0eb3e3bd76da201ef8ee0b672b9077e096f47537",
+        "5e02a18e8a6ef8587fb8cdd88573c691e22f353fed0be4bb98753bfce6d346fd",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPECTRUM_GOLDEN))
+def test_spectrum_outputs_match_golden_digests(tmp_path, case):
+    instance, spectrum_sha, records_sha = SPECTRUM_GOLDEN[case]
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "c.json", {"instance": instance})
+    assert run(["spectrum", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    for name, expected in (("spectrum.json", spectrum_sha), ("records.jsonl", records_sha)):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
 
 
 @pytest.mark.parametrize("case", sorted(GEN_EXPANDER_GOLDEN))

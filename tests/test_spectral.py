@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gapwalk import expander_gen as eg, graph_model as gm, spectral as sp
+from gapwalk._util import logsumexp
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -46,6 +47,33 @@ def test_resolvent_matches_dense_inverse_on_decorated_tree():
             a[u, v] = 1.0
     dense = np.linalg.inv(lam * np.eye(mat.n) - a)[0, 0]
     assert sp.root_resolvent(sched, 3, lam) == pytest.approx(dense, rel=1e-12)
+
+
+def test_tables_match_full_depth_recursion():
+    """Every column reads, at every depth, the bits of the plain recursion run
+    over the whole segment, while storing only the depths before its fixed
+    point."""
+    sched = gm.Schedule((5, 4, 3), (3, 40, 400))
+    lam = 6.0
+    tables = sp._TreeTables(sched, 3, lam)
+    for j in (1, 2, 3):
+        depth, b = sched.depth(j), sched.branching(j)
+        levels = sched.decoration_levels(j)
+        dec_sum = sum(sched.decoration_count(i) * tables.m[i][0] for i in levels)
+        m = [1.0 / lam] * (depth + 1)
+        for p in range(depth - 1, -1, -1):
+            m[p] = 1.0 / (lam - dec_sum - b * m[p + 1])
+        log_m = [math.log(x) for x in m]
+        log_dec_S = logsumexp(
+            math.log(sched.decoration_count(i)) + 2.0 * tables.log_m[i][0] + tables.log_S[i][0]
+            for i in levels
+        )
+        log_S = [0.0] * (depth + 1)
+        for p in range(depth - 1, -1, -1):
+            log_S[p] = logsumexp([0.0, math.log(b) + 2.0 * log_m[p + 1] + log_S[p + 1], log_dec_S])
+        for column, full in ((tables.m[j], m), (tables.log_m[j], log_m), (tables.log_S[j], log_S)):
+            assert [column[p] for p in range(depth + 1)] == full
+    assert len(tables.m[3].run) < 40 and len(tables.log_S[3].run) < 40
 
 
 def test_resolvent_domain_error_inside_spectrum():
@@ -189,6 +217,26 @@ def test_norm_split_matches_dense(small_instance, small_solution, small_material
     assert split.ratio == pytest.approx(dense_ratio, rel=1e-10)
 
 
+@pytest.mark.parametrize("root", range(4, 17))
+def test_standard_family_closed_form(root):
+    """On the standard family (n = root^2) every attached tree's root
+    resolvent is m = 1/(n - 1), and lambda_1 = n + sqrt(n)/(sqrt(n) + 1).
+
+    The segments are deep enough to sit at the depth recursion's fixed point.
+    There every internal vertex of a level-j segment has d_j - 1 core children
+    and sum_{i<j} (d_i - d_{i+1}) = d_1 - d_j decoration roots, d_1 - 1
+    subtrees in all, each with the same root resolvent m; so
+    1/m = lambda - (d_1 - 1) m.  A core vertex carries root - 1 attached
+    levels of root = d_k - d_{k+1} copies each, n - sqrt(n) roots in all, so
+    lambda = n + (n - sqrt(n)) m.  With d_1 = 2n - sqrt(n), alpha = 1/m = n - 1
+    solves both: lambda = n + (n - sqrt(n))/(n - 1) = n + sqrt(n)/(sqrt(n) + 1).
+    """
+    n = root * root
+    sol = sp.solve_for_params(gm.GraphParams.standard(n))
+    assert sol.top_eigenvalue == pytest.approx(n + root / (root + 1), rel=1e-12)
+    assert list(sol.loop_weights) == pytest.approx([n - 1] * (root - 1), rel=1e-12)
+
+
 def test_standard_grid_loop_weights_and_norm_trend():
     for n in (16, 25):
         params = gm.GraphParams.standard(n)
@@ -241,17 +289,42 @@ def test_sampler_beta_zero_uniform_over_base():
         assert abs(c - 1000) <= 4 * math.sqrt(1000)
 
 
-def test_sampler_anchor_marginal_uniform(small_solution):
-    sampler = sp.GroundStateSampler(small_solution, seed=5)
-    n = 40_000
+def _assert_anchors_uniform(sampler, size, n=40_000):
     anchors = Counter()
     for _ in range(n):
         v = sampler.sample()
         anchors[v.index if isinstance(v, gm.ExpanderVertex) else v.anchor] += 1
-    p = 1 / 10
+    assert set(anchors) == set(range(size))
+    p = 1 / size
     sigma = math.sqrt(p * (1 - p) * n)
-    for u in range(10):
+    for u in range(size):
         assert abs(anchors[u] - n * p) <= 4 * sigma
+
+
+def test_sampler_anchor_marginal_uniform(small_solution):
+    _assert_anchors_uniform(sp.GroundStateSampler(small_solution, seed=5), 10)
+
+
+def test_sampler_anchor_marginal_uniform_on_power_of_two():
+    """n = 16 takes the path where `randrange(n)` would read one bit more
+    than the anchor draw."""
+    sched = gm.Schedule((4, 3), (1, 2))
+    sol = sp.solve_top_eigenvalue(3.0, [sp.AttachedTree(sched, 2, 1)], expander_size=16)
+    _assert_anchors_uniform(sp.GroundStateSampler(sol, seed=5), 16)
+
+
+@pytest.mark.parametrize("size", [3, 10, 2000])
+def test_sampler_anchor_stream_is_randrange_off_powers_of_two(size):
+    sampler = sp.GroundStateSampler(sp.solve_top_eigenvalue(2.0, [], expander_size=size))
+    mine, ref = random.Random(17), random.Random(17)
+    for _ in range(500):
+        assert sampler.sample(mine).index == ref.randrange(size)
+        ref.random()  # the draw's stop-or-descend uniform
+
+
+def test_sampler_single_anchor():
+    sampler = sp.GroundStateSampler(sp.solve_top_eigenvalue(2.0, [], expander_size=1), seed=2)
+    assert {sampler.sample().index for _ in range(20)} == {0}
 
 
 def test_sampler_total_variation_against_exact(small_instance, small_solution, small_materialized):
