@@ -1,4 +1,5 @@
-"""Shared helpers: the input error type, stable log-domain sums, binomial statistics, seed derivation."""
+"""Shared helpers: the input error type, stable log-domain sums, binomial
+statistics, seed derivation and the pinned index draw."""
 
 from __future__ import annotations
 
@@ -83,3 +84,16 @@ def derive_seed(*parts) -> int:
 def derive_key(*parts) -> bytes:
     """Deterministic 128-bit key from labeled parts."""
     return _digest(parts, b"\x01")[:16]
+
+
+def below(getrandbits, n: int) -> int:
+    """A uniform index in range(n), drawn as CPython's `randrange(n)` draws it
+    today: `getrandbits(n.bit_length())`, redrawn while at least n.  Pinned
+    here, since Python keeps only `random()` reproducible across versions."""
+    if n < 1:
+        raise ValueError(f"no index below {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r

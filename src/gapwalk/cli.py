@@ -68,7 +68,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import expander_gen, explorer, graph_model, oracle as oracle_mod, spectral
-from ._util import InputError, derive_key, derive_seed
+from ._util import InputError, below, derive_key, derive_seed
 
 OUT_ENV_VAR = "GAPWALK_OUT"
 
@@ -657,7 +657,7 @@ def cmd_explore_graph(run: Run) -> int:
         run.meta["completed_trials"] = report.trials
         print(f"query limit {query_limit} exhausted after {report.trials} trials", file=sys.stderr)
         return EXIT_BUDGET
-    run.write("trials.jsonl", jsonl(report.trial_rows))
+    run.write("trials.jsonl", "".join(report.trial_lines))
     stats = report.localization
     lb = bounds_mod.localization_bound(
         roots_count, params.expander_degree, threshold, graph.expander.N
@@ -688,7 +688,7 @@ def cmd_ggsp(run: Run) -> int:
         threshold,
         run.seed,
     )
-    run.write("trials.jsonl", jsonl(report.trial_rows))
+    run.write("trials.jsonl", "".join(report.trial_lines))
     lb = bounds_mod.localization_bound(
         t_inputs, params.expander_degree, threshold, graph.expander.N
     )
@@ -820,7 +820,7 @@ def run_verification_suite(seed: int = 0, planted_defect: bool = False) -> list:
     bad_roundtrip = 0
     bad_symmetry = 0
     for _ in range(100):
-        v = mat.vertices[rng.randrange(mat.n)]
+        v = mat.vertices[below(rng.getrandbits, mat.n)]
         label = orc.label_of(v)
         if orc.reveal(label) != v:
             bad_roundtrip += 1

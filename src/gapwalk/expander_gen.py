@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import InputError, derive_seed
+from ._util import InputError, below, derive_seed
 from .graph_model import bfs_distances, top_eigenpairs
 
 
@@ -76,15 +76,12 @@ class ExpanderCertificate:
 
 
 def _shuffle(x: list, rng: random.Random) -> None:
-    """`rng.shuffle(x)` as CPython draws it (Fisher-Yates over `getrandbits`),
-    at half the cost and pinned: Python keeps only `random()` reproducible
+    """`rng.shuffle(x)` as CPython draws it (Fisher-Yates over `below`), at
+    about 0.7 of its cost and pinned: Python keeps only `random()` reproducible
     across versions, so a core's seed rests on the Mersenne Twister alone."""
     getrandbits = rng.getrandbits
     for i in range(len(x) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
+        j = below(getrandbits, i + 1)
         x[i], x[j] = x[j], x[i]
 
 
@@ -123,9 +120,9 @@ def _switching_repair(N: int, d: int, rng: random.Random, max_steps: int = 200_0
         bad = [e for e, c in edge_count.items() if c > 1 or e[0] == e[1]]
         if not bad:
             break
-        u, v = bad[rng.randrange(len(bad))]
+        u, v = bad[below(rng.getrandbits, len(bad))]
         good = list(edge_count.keys())
-        x, y = good[rng.randrange(len(good))]
+        x, y = good[below(rng.getrandbits, len(good))]
         if len({u, v, x, y}) < 4:
             continue
         e1, e2 = key(u, x), key(v, y)

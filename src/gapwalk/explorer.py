@@ -35,21 +35,25 @@ one session.  Sessions share only caches whose values the keys fix (the
 graph's, a trial's oracle memo), so each record is the one it would be alone.
 
 Steps and events are kept raw, as plain tuples and (kind, step, IndexInfo),
-and built into `Step`s and dicts only when `steps`, `events` or `to_record` is
-read: a window holds its sessions' records alive together, and plain tuples
-of numbers cost the garbage collector nothing once it has seen them.  Scoring
-reads the trusted side, so a session refuses to arm on a sealed oracle.
+and steps are built into `Step`s only when `steps` is read: a window holds its
+sessions' records alive together, and plain tuples of numbers cost the garbage
+collector nothing once it has seen them.  `explore_graph_experiment` and
+`ggsp_experiment` write each trials.jsonl line as text straight from those raw
+records and the trial's scores (`TrialLines`), so a report carries finished
+lines, which the collector does not track, and no row dicts.  Scoring reads
+the trusted side, so a session refuses to arm on a sealed oracle.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Optional, Sequence, Union
 
 from . import spectral
-from ._util import InputError, binomial_stderr, derive_key, derive_seed, wilson_interval
+from ._util import InputError, below, binomial_stderr, derive_key, derive_seed, wilson_interval
 from .graph_model import IndexInfo, MainGraph, Schedule, TreeGraph
 from .oracle import LabeledOracle, OracleWindow, RevealSealedError, input_draws
 
@@ -104,7 +108,7 @@ class ExplorationSession:
         self.stop_on_exit = stop_on_exit
         self._steps: list[tuple] = []  # (label, answer_size, fresh, is_root); see `steps`
         self.answers: list[tuple] = []  # full answers, kept in memory for audits
-        self._events: list[tuple] = []  # (kind, step, IndexInfo or None); see `events`
+        self._events: list[tuple] = []  # (kind, step, IndexInfo or None); see `TrialLines`
         self.roots: list[int] = []
         self.root_answers: dict[int, tuple] = {}
         self.halted = "done"
@@ -119,36 +123,6 @@ class ExplorationSession:
     def steps(self) -> list[Step]:
         """The counted queries in order."""
         return [Step(*step) for step in self._steps]
-
-    @property
-    def events(self) -> list[dict]:
-        """Scored events in query order: an isolated hit, a leaf (its level,
-        and the reprs of its decoration copy and tree), and an exit leaf after
-        each level-0 leaf."""
-        text = {}  # id(IndexInfo) -> its reprs, made once however often a walk revisits it
-        for _, _, info in self._events:
-            if info is not None and id(info) not in text:
-                text[id(info)] = {"decoration": repr(info.decoration), "tree": repr(info.tree)}
-        return [
-            {"kind": kind, "step": step} if info is None else
-            {"kind": kind, "step": step, "level": info.leaf_level, **text[id(info)]}
-            for kind, step, info in self._events
-        ]
-
-    def to_record(self) -> dict:
-        """The run as a JSON-ready dict; its steps and answers stay in memory
-        (`steps`, `answers`), which keeps trials.jsonl rows compact."""
-        return {
-            "schema": self.SCHEMA,
-            "roots": list(self.roots),
-            "events": self.events,
-            "query_count": self.query_count,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "budget": self.budget,
-            "halted": self.halted,
-            "output": self.output,
-        }
 
     def start(self, strategy: Callable, roots: Sequence[int], rng: random.Random, query_roots: bool) -> "ExplorationSession":
         """Arm the run for `drive`: the roots' counted queries first when
@@ -279,33 +253,33 @@ def drive(sessions: Sequence[ExplorationSession], window: Optional[OracleWindow]
 # ---------------------------------------------------------------------------
 
 def uniform_walk(roots, rng, num_labels):
-    cur = roots[0]
+    cur, bits = roots[0], rng.getrandbits
     answer = yield Root(cur)
     while answer:
-        cur = answer[rng.randrange(len(answer))]
+        cur = answer[below(bits, len(answer))]
         answer = yield cur
     return cur
 
 
 def non_backtracking_walk(roots, rng, num_labels):
-    cur = roots[0]
+    cur, bits = roots[0], rng.getrandbits
     prev = None
     answer = yield Root(cur)
     while answer:
         options = [x for x in answer if x != prev] or answer
         prev = cur
-        cur = options[rng.randrange(len(options))]
+        cur = options[below(bits, len(options))]
         answer = yield cur
     return cur
 
 
 def greedy_unvisited(roots, rng, num_labels):
-    cur = roots[0]
+    cur, bits = roots[0], rng.getrandbits
     queried = set(roots)
     answer = yield Root(cur)
     while answer:
         options = [x for x in answer if x not in queried] or answer
-        cur = options[rng.randrange(len(options))]
+        cur = options[below(bits, len(options))]
         queried.add(cur)
         answer = yield cur
     return cur
@@ -319,9 +293,9 @@ def frontier_bfs_random(roots, rng, num_labels):
             if x not in seen:
                 seen.add(x)
                 frontier.append(x)
-    last = roots[0]
+    last, bits = roots[0], rng.getrandbits
     while frontier:
-        i = rng.randrange(len(frontier))
+        i = below(bits, len(frontier))
         frontier[i], frontier[-1] = frontier[-1], frontier[i]
         last = frontier.pop()
         for x in (yield last):
@@ -335,7 +309,7 @@ def random_probe(roots, rng, num_labels):
     """Probes fresh uniformly random labels until the budget is spent; declared,
     so audits count the non-isolated hits instead of flagging violations."""
     while True:
-        yield Fresh(rng.randrange(num_labels))
+        yield Fresh(below(rng.getrandbits, num_labels))
 
 
 def scripted(plan: Sequence[int]):
@@ -588,13 +562,72 @@ def score_localization(
     return LocalizationScore(dist, dist >= threshold, threshold)
 
 
+# `json.dumps(value, sort_keys=True, separators=(",", ":"))`, without building
+# an encoder per call.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _json(value) -> str:
+    """`value` as `_dumps` writes it; None, bools and ints directly."""
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    return str(value) if type(value) is int else _dumps(value)
+
+
+class TrialLines:
+    """The one writer of explore-graph and ggsp trials.jsonl lines: the bytes
+    `_dumps` writes for each trial's row, as text straight from a session's
+    raw record and the trial's scores, with no row dict built or kept.  An
+    event's text is made once per run and its step spliced in: a leaf's text
+    is fixed by its tree, level and decoration copy, which sibling leaves share."""
+
+    def __init__(self):
+        # a bare event's kind, or a leaf's (tree, leaf_level, decoration) ->
+        # the event's text before and after its step
+        self._event_text = {}
+
+    def _events(self, session: ExplorationSession) -> str:
+        cache, parts = self._event_text, []
+        for kind, step, info in session._events:
+            key = kind if info is None else info[1:]
+            text = cache.get(key)
+            if text is None:
+                text = cache[key] = (f'{{"kind":{_dumps(kind)},"step":', "}") if info is None else (
+                    f'{{"decoration":{_dumps(repr(info.decoration))},"kind":{_dumps(kind)},'
+                    f'"level":{info.leaf_level},"step":', f',"tree":{_dumps(repr(info.tree))}}}')
+            parts.append(f"{text[0]}{step}{text[1]}")
+        return f"[{','.join(parts)}]"
+
+    def graph(self, t: int, session: ExplorationSession, audit_ok: bool, score: LocalizationScore) -> str:
+        """An explore-graph row: the session's record (no steps or answers)
+        with the trial's index, audit and localization score."""
+        s = session
+        return (
+            f'{{"audit_ok":{_json(audit_ok)},"budget":{_json(s.budget)},"distance":{_json(score.distance)},'
+            f'"events":{self._events(s)},"halted":{_json(s.halted)},"localized":{_json(score.success)},'
+            f'"output":{_json(s.output)},"query_count":{s.query_count},"roots":{_json(s.roots)},'
+            f'"schema":{s.SCHEMA},"seed":{_json(s.seed)},"strategy":{_json(s.strategy)},"trial":{_json(t)}}}\n'
+        )
+
+    @staticmethod
+    def ggsp(t: int, seed: int, strategy: str, budget: int, inputs: list, output: Optional[int],
+             query_count: int, exhausted: bool, score: LocalizationScore) -> str:
+        """A ggsp row: the trial's inputs, output, query count, budget flag and score."""
+        return (
+            f'{{"budget":{_json(budget)},"budget_exhausted":{_json(exhausted)},"distance":{_json(score.distance)},'
+            f'"inputs":{_json(inputs)},"localized":{_json(score.success)},"output":{_json(output)},'
+            f'"query_count":{_json(query_count)},"schema":{ExplorationSession.SCHEMA},"seed":{_json(seed)},'
+            f'"strategy":{_json(strategy)},"trial":{_json(t)}}}\n'
+        )
+
+
 @dataclass(frozen=True)
 class GraphReport:
     strategy: str
     trials: int  # trials run; fewer than asked when the query limit stopped the run
     localization: EventStats
     audits_ok: int
-    trial_rows: tuple = ()  # schema-versioned per-trial records, without their steps
+    trial_lines: tuple = ()  # trials.jsonl lines (`TrialLines.graph`), one per trial run
 
 
 def explore_graph_experiment(
@@ -615,11 +648,11 @@ def explore_graph_experiment(
     the report then holds trials 0..t-1."""
     name, fn = resolve_strategy(strategy)
     successes = audits_ok = total_queries = 0
-    rows = []
+    writer, lines = TrialLines(), []
 
     def report(completed: int) -> GraphReport:
         stats = EventStats.from_counts(successes, completed)
-        return GraphReport(name, completed, stats, audits_ok, tuple(rows))
+        return GraphReport(name, completed, stats, audits_ok, tuple(lines))
 
     for ts, window, oracles, roots in _windows(
         range(trials),
@@ -641,9 +674,7 @@ def explore_graph_experiment(
             audits_ok += audit.ok
             score = score_localization(session.oracle, labels, session.output, threshold)
             successes += score.success
-            row = session.to_record()
-            row.update(trial=t, audit_ok=audit.ok, localized=score.success, distance=score.distance)
-            rows.append(row)
+            lines.append(writer.graph(t, session, audit.ok, score))
     return report(trials)
 
 
@@ -658,7 +689,7 @@ def echo_first_input(inputs, rng, num_labels):
 
 def echo_random_input(inputs, rng, num_labels):
     yield from ()
-    return inputs[rng.randrange(len(inputs))]
+    return inputs[below(rng.getrandbits, len(inputs))]
 
 
 def ground_state_cheat(oracle: LabeledOracle, inputs, rng):
@@ -693,7 +724,7 @@ class GgspReport:
     localization: EventStats
     mean_queries: float
     budget_failures: int
-    trial_rows: tuple = ()  # schema-versioned per-trial records
+    trial_lines: tuple = ()  # trials.jsonl lines (`TrialLines.ggsp`), one per trial
 
 
 def ggsp_experiment(
@@ -714,7 +745,7 @@ def ggsp_experiment(
     successes = 0
     total_queries = 0
     budget_failures = 0
-    rows = []
+    lines = []
     for ts, window, oracles, inputs in _windows(
         range(trials),
         lambda t: make_oracle(derive_key("ggsp", seed, t)),
@@ -736,21 +767,7 @@ def ggsp_experiment(
             total_queries += queries
             score = score_localization(oracle, x, output, threshold)
             successes += score.success
-            rows.append(
-                {
-                    "schema": ExplorationSession.SCHEMA,
-                    "trial": t,
-                    "seed": seed,
-                    "strategy": name,
-                    "budget": budget,
-                    "inputs": x,
-                    "output": output,
-                    "query_count": queries,
-                    "budget_exhausted": exhausted,
-                    "localized": score.success,
-                    "distance": score.distance,
-                }
-            )
+            lines.append(TrialLines.ggsp(t, seed, name, budget, x, output, queries, exhausted, score))
     return GgspReport(
         algorithm=name,
         trials=trials,
@@ -760,5 +777,5 @@ def ggsp_experiment(
         localization=EventStats.from_counts(successes, trials),
         mean_queries=total_queries / trials if trials else 0.0,
         budget_failures=budget_failures,
-        trial_rows=tuple(rows),
+        trial_lines=tuple(lines),
     )

@@ -38,12 +38,12 @@ class ScheduleError(InputError):
     """Invalid degree/depth schedule or parameters."""
 
 
-class InvalidAddressError(ValueError):
-    """A tree address that does not denote a node of the requested tree."""
-
-
 class InvalidVertexError(ValueError):
     """A vertex that does not belong to the instance."""
+
+
+class InvalidAddressError(InvalidVertexError):
+    """A tree address that does not denote a node of the requested tree."""
 
 
 class SizeCapError(RuntimeError):
@@ -641,7 +641,8 @@ class MainGraph:
                 if k == v.level:
                     return base + (off - 1) + v.copy * size + self._rankers[k].rank(v.address)
             raise InvalidVertexError(f"no block for level {v.level}")
-        raise InvalidVertexError("isolated vertices are not enumerated")
+        isolated = isinstance(v, IsolatedVertex)
+        raise InvalidVertexError("isolated vertices are not enumerated" if isolated else f"{v!r} is not a vertex")
 
     def vertex_at(self, index: int) -> Vertex:
         self._require_ranking()

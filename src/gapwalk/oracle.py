@@ -44,7 +44,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from . import spectral
-from ._util import InputError, derive_seed
+from ._util import InputError, below, derive_seed
 from .graph_model import (
     ExpanderVertex,
     InvalidVertexError,
@@ -352,7 +352,7 @@ def input_draws(graph: Union[MainGraph, TreeGraph], kind: str, seed: int) -> Ite
             raise ValueError("expander-uniform guiding needs a main-graph oracle")
         n_e = graph.expander.N
         while True:
-            yield rng.randrange(n_e)  # an expander vertex's index is its core index
+            yield below(rng.getrandbits, n_e)  # an expander vertex's index is its core index
 
     elif kind == "exact-ground-state":
         if not isinstance(graph, MainGraph):

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._util import NEG_INF, InputError, log1p_from_log, logsumexp
+from ._util import NEG_INF, InputError, below, log1p_from_log, logsumexp
 from .graph_model import (
     CORE,
     DECOR,
@@ -460,8 +460,8 @@ class GroundStateSampler:
 
     The anchor marginal is uniform by construction: `getrandbits(k)` with
     k = (n - 1).bit_length(), redrawn at or above n.  For n not a power of two
-    that is `randrange(n)`'s own stream; for the standard family's n = 2^K it
-    reads K bits once where `randrange` reads K + 1 and rejects half the time.
+    that is `below(n)`'s own stream; for the standard family's n = 2^K it
+    reads K bits once where `below` reads K + 1 and rejects half the time.
 
     Within an anchor the walk descends class by class, stopping at a node with
     probability 1/S(node) and entering a child subtree with probability
@@ -507,7 +507,7 @@ class GroundStateSampler:
         x -= 1.0
         for idx, tree, copies, weight in self._groups:
             if x < weight:
-                copy = rng.randrange(copies)
+                copy = below(rng.getrandbits, copies)
                 address = self._descend(tree, rng)
                 return TreeVertex(anchor, tree.level, copy, address)
             x -= weight
@@ -532,7 +532,7 @@ class GroundStateSampler:
                 2.0 * tables.log_m[seg][depth + 1] + tables.log_S[seg][depth + 1]
             )
             if x < core_w:
-                hops.append((CORE, rng.randrange(b)))
+                hops.append((CORE, below(rng.getrandbits, b)))
                 depth += 1
                 continue
             x -= core_w
@@ -541,7 +541,7 @@ class GroundStateSampler:
                 c = sched.decoration_count(lvl)
                 w = c * math.exp(2.0 * tables.log_m[lvl][0] + tables.log_S[lvl][0])
                 if x < w:
-                    hops.append((DECOR, lvl, rng.randrange(c)))
+                    hops.append((DECOR, lvl, below(rng.getrandbits, c)))
                     seg, depth = lvl, 0
                     moved = True
                     break

@@ -116,6 +116,37 @@ def reference_events(graph, vertex, step) -> list:
     return [leaf] + ([{"kind": "exit_leaf", "step": step}] if info["level"] == 0 else [])
 
 
+# -- the trial-record reference encoder ----------------------------------------
+# The program writes trials.jsonl lines as text (`explorer.TrialLines`).  These
+# build a session's record as the dict those lines must encode.
+
+def events(session) -> list:
+    """Scored events in query order: an isolated hit, a leaf (its level, and
+    the reprs of its decoration copy and tree), and an exit leaf after each
+    level-0 leaf."""
+    return [
+        {"kind": kind, "step": step} if info is None else
+        {"kind": kind, "step": step, "level": info.leaf_level,
+         "decoration": repr(info.decoration), "tree": repr(info.tree)}
+        for kind, step, info in session._events
+    ]
+
+
+def record(session) -> dict:
+    """A session's explore-graph row without the trial's own fields."""
+    return {
+        "schema": session.SCHEMA,
+        "roots": list(session.roots),
+        "events": events(session),
+        "query_count": session.query_count,
+        "seed": session.seed,
+        "strategy": session.strategy,
+        "budget": session.budget,
+        "halted": session.halted,
+        "output": session.output,
+    }
+
+
 @pytest.fixture(scope="session")
 def petersen():
     return expander_gen.petersen()

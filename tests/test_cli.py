@@ -463,6 +463,9 @@ GOLDEN = {
 
 CORE_200 = "core-200.txt"  # a certified 200-vertex cubic core, read as a file core
 FILE_CORE_INSTANCE = dict(PETERSEN_INSTANCE, expander={"file": CORE_200})
+BENCH_SHAPE = {"instance": {"mode": "scaled", "degrees": [5, 4, 3], "depths": [1, 2, 3],
+                            "expander": {"file": CORE_200}},
+               "guiding": "exact-ground-state", "oracle": {"padding_ratio": 2 ** -8}, "seed": 8}
 # The same contract on a `{"file": ...}` core; the path is relative (the test
 # runs in its own directory), so the config hash does not depend on it.
 FILE_CORE_GOLDEN = {
@@ -475,6 +478,18 @@ FILE_CORE_GOLDEN = {
         dict(GGSP_GOLDEN, algorithm="echo-first-input", instance=FILE_CORE_INSTANCE, trials=40),
         "3bd547aa30b71b35f79d06dc49f03f1823aa8ba0cd8f554c3d83e26a034709f3",
         "9f36522fee20609b172210c90982d0cccefa30022301bd9bad149b0520f68075",
+    ),
+    # The guided-localization benchmark's shapes on the 200-vertex core:
+    # three-level trees, so rows carry leaf events of levels 0-2.
+    "explore-graph:bench-shape": (
+        dict(BENCH_SHAPE, strategy="greedy-unvisited", roots=1, budget=64, trials=130),
+        "3f17aaefbc8e09332c70b6e347ae85e5dd3b22356ed5cf02978da4f86013397d",
+        "fd2ef0cc778a8648dfdabdae2bb7889554432d74b57e2ef4f6c119275b2f9f13",
+    ),
+    "ggsp:bench-shape": (
+        dict(BENCH_SHAPE, algorithm="echo-first-input", t=4, budget=32, trials=300),
+        "e2de109af40f33e4e783780ab981049516cadf9ac9cc43b2143194c2f37e9d09",
+        "076b4960ad33856bbb508e734ddc1440c16ed80e20596fe5f23a4059bcf6c9cd",
     ),
 }
 
@@ -520,6 +535,12 @@ SPECTRUM_GOLDEN = {
 }
 
 
+def assert_canonical_lines(path):
+    """Every line is the compact, key-sorted `json.dumps` of what it reads back as."""
+    for line in path.read_text().splitlines():
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")), line
+
+
 @pytest.mark.parametrize("case", sorted(SPECTRUM_GOLDEN))
 def test_spectrum_outputs_match_golden_digests(tmp_path, case):
     instance, spectrum_sha, records_sha = SPECTRUM_GOLDEN[case]
@@ -552,6 +573,7 @@ def test_file_core_outputs_match_golden_digests(tmp_path, monkeypatch, case):
     assert run(argv) == cli.EXIT_OK
     for name, expected in (("records.jsonl", records_sha), ("trials.jsonl", trials_sha)):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
+        assert_canonical_lines(out / name)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -566,6 +588,7 @@ def test_outputs_match_golden_digests(tmp_path, case):
     assert run(argv) == cli.EXIT_OK
     for name, expected in (("records.jsonl", records_sha), ("trials.jsonl", trials_sha)):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
+        assert_canonical_lines(out / name)
 
 
 def test_explore_graph_query_limit_inside_a_window(tmp_path, capsys):

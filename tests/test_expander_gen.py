@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gapwalk import expander_gen as eg, graph_model as gm
-from gapwalk._util import InputError
+from gapwalk._util import InputError, below
 
 CYCLE8 = eg.RegularGraph.from_edges(8, 2, [(i, (i + 1) % 8) for i in range(8)], seed=0)
 
@@ -58,6 +58,17 @@ def test_shuffle_draws_as_random_shuffle(seed):
         theirs.shuffle(y)
         assert x == y
         assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 901, 2**40 + 3])
+def test_below_draws_as_randrange(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in [*range(1, 1025), 3**39, 2**61 - 1, 2**61, 2**61 + 1, 2**62 - 5, 2**62]:
+        assert below(ours.getrandbits, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            below(ours.getrandbits, n)
 
 
 def test_girth_examples():

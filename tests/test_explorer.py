@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -17,7 +18,7 @@ from gapwalk import (
     oracle as orc,
 )
 from gapwalk._util import derive_key, derive_seed
-from conftest import classify_vertex, reference_events, schedules
+from conftest import classify_vertex, events, record, reference_events, schedules
 
 
 def make_tree_oracle(degrees, depths, k, key_tag="t"):
@@ -33,7 +34,7 @@ def test_budget_one_root_only():
     assert tr.query_count == 1
     assert len(tr.steps) == 1 and tr.steps[0].is_root
     assert tr.halted == "budget"
-    assert all(ev["step"] == 0 for ev in tr.events)
+    assert all(ev["step"] == 0 for ev in events(tr))
 
 
 def test_greedy_reaches_end_of_bare_path():
@@ -81,15 +82,15 @@ def test_transcripts_reproducible():
     root = o.label_of(graph.root)
     a = ex.run_exploration(o, [root], "uniform-walk", budget=20, seed=11)
     b = ex.run_exploration(o, [root], "uniform-walk", budget=20, seed=11)
-    assert (a.to_record(), a.steps) == (b.to_record(), b.steps)
+    assert (record(a), a.steps) == (record(b), b.steps)
     c = ex.run_exploration(o, [root], "uniform-walk", budget=20, seed=12)
-    assert (a.to_record(), a.steps) != (c.to_record(), c.steps)
+    assert (record(a), a.steps) != (record(c), c.steps)
 
 
 def test_transcript_record_is_json_serializable():
     graph, o = make_tree_oracle((4, 3), (1, 2), 2, "ser")
     tr = ex.run_exploration(o, [o.label_of(graph.root)], "frontier-bfs-random", budget=8, seed=2)
-    rec = json.loads(json.dumps(tr.to_record()))
+    rec = json.loads(ex.TrialLines().graph(0, tr, True, ex.LocalizationScore(None, False, 2)))
     assert rec["query_count"] == tr.query_count
     assert rec["strategy"] == "frontier-bfs-random"
 
@@ -124,7 +125,7 @@ def test_leaf_events_carry_levels_and_decorations():
     for j in range(1, len(level1_leaf.address) + 1):
         labels.append(o.label_of(gm.TreeVertex(0, 2, 0, level1_leaf.address[:j])))
     tr = ex.run_exploration(o, [o.label_of(graph.root)], ex.scripted(labels), budget=10, seed=0)
-    leaf_events = [ev for ev in tr.events if ev["kind"] == "leaf"]
+    leaf_events = [ev for ev in events(tr) if ev["kind"] == "leaf"]
     assert leaf_events and leaf_events[-1]["level"] == 1
     assert "('d', 1," in leaf_events[-1]["decoration"]
 
@@ -144,7 +145,7 @@ def test_exit_event_fires_and_stops():
         o, [o.label_of(graph.root)], ex.scripted(labels), budget=10, seed=0, stop_on_exit=True
     )
     assert tr.halted == "exit"
-    assert any(ev["kind"] == "exit_leaf" for ev in tr.events)
+    assert any(ev["kind"] == "exit_leaf" for ev in events(tr))
 
 
 # -- component audit ----------------------------------------------------------
@@ -290,8 +291,8 @@ def test_sessions_sharing_an_oracle_record_what_separate_oracles_do(monkeypatch,
     shared = [armed(oracle, s, t) for t, s in enumerate(strategies)]
     assert 2 * len(separate[0].answers[0]) >= orc.ARRAY_MIN_LABELS  # the root's answer
     ex.drive(shared)
-    assert [(s.to_record(), s.steps, s.answers) for s in shared] == [
-        (s.to_record(), s.steps, s.answers) for s in separate
+    assert [(record(s), s.steps, s.answers) for s in shared] == [
+        (record(s), s.steps, s.answers) for s in separate
     ]
     assert oracle.query_count == sum(s.query_count for s in shared)
     assert len(mapped) == len(oracle._label_at)  # walks query only labels already mapped
@@ -325,8 +326,8 @@ def test_drive_window_matches_lone_runs(small_instance, strategy, seed, trials, 
     together = [armed(t) for t in range(trials)]
     for w in range(0, trials, window):
         ex.drive(together[w : w + window])
-    assert [(s.to_record(), s.steps, s.answers) for s in together] == [
-        (s.to_record(), s.steps, s.answers) for s in lone
+    assert [(record(s), s.steps, s.answers) for s in together] == [
+        (record(s), s.steps, s.answers) for s in lone
     ]
     assert all(s.oracle.query_count == s.query_count for s in together)
 
@@ -347,9 +348,9 @@ def _reference_session(oracle, fn, roots, rng, budget, stop_on_exit, query_roots
         record["answers"].append(answer)
         if is_root:
             root_answers[label] = answer
-        events = reference_events(oracle.graph, oracle.reveal(label), step)
-        record["events"] += events
-        if stop_on_exit and events and events[-1]["kind"] == "exit_leaf":
+        scored = reference_events(oracle.graph, oracle.reveal(label), step)
+        record["events"] += scored
+        if stop_on_exit and scored and scored[-1]["kind"] == "exit_leaf":
             record["halted"] = "exit"
             return None
         return answer
@@ -408,7 +409,7 @@ def test_session_scoring_matches_revealed_classification(
         references.append(_reference_session(ref_oracle, fn, rs, random.Random(t), budget, stop_on_exit, query_roots))
     ex.drive(sessions)
     for session, ref in zip(sessions, references):
-        got = {"steps": session.steps, "answers": session.answers, "events": session.events,
+        got = {"steps": session.steps, "answers": session.answers, "events": events(session),
                "halted": session.halted, "output": session.output}
         assert got == ref
 
@@ -418,7 +419,7 @@ def test_session_scoring_matches_revealed_classification(
     session = ex.ExplorationSession(sealed, budget, 0, strategy, stop_on_exit=stop_on_exit)
     with pytest.raises(orc.RevealSealedError):
         session.start(fn, rs, random.Random(0), query_roots)
-    assert session.steps == [] and session.events == [] and sealed.query_count == 0
+    assert session.steps == [] and events(session) == [] and sealed.query_count == 0
 
 
 def _exact_nb_exit_probability(degrees, depths, k, budget):
@@ -554,6 +555,90 @@ def test_walk_algorithm_runs_within_budget(small_instance):
     assert report.trials == 50
     assert report.mean_queries <= 6
     assert report.budget_failures == 50  # walkers always run to their budget
+
+
+# -- trials.jsonl lines -------------------------------------------------------
+
+def _dumps(row) -> str:
+    return json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _drawn(oracle, guiding, seed, count):
+    """A trial's inputs as labels, drawn as `_windows` draws them."""
+    draws = orc.input_draws(oracle.graph, guiding, seed)
+    return [oracle._label(i) for i in itertools.islice(draws, count)]
+
+
+_LINE_CASES = dict(
+    trials=st.integers(1, 6),
+    count=st.integers(1, 3),
+    budget=st.integers(1, 12),
+    threshold=st.integers(0, 3),
+    guiding=st.sampled_from(["exact-ground-state", "expander-uniform"]),
+    seed=st.integers(0, 1 << 32),
+)
+
+
+@given(strategy=st.sampled_from(sorted(ex.STRATEGIES)), **_LINE_CASES)
+def test_explore_graph_lines_encode_the_lone_records(
+    small_instance, strategy, trials, count, budget, threshold, guiding, seed
+):
+    """Each explore-graph line is `json.dumps` of the reference record of its
+    trial run alone, plus the trial's fields.  `random-probe` hits isolated
+    labels (padding ratio 1/2); walks reach exit leaves."""
+    def make(key):
+        return orc.LabeledOracle(small_instance, key, padding_ratio=0.5)
+
+    report = ex.explore_graph_experiment(make, guiding, strategy, count, budget, threshold, seed, trials)
+    for t, line in enumerate(report.trial_lines):
+        oracle = make(derive_key("oracle", derive_seed(seed, "oracle", t)))
+        roots = _drawn(oracle, guiding, derive_seed(seed, t), count)
+        session = ex.ExplorationSession(oracle, budget, derive_seed(seed, "run", t), strategy)
+        rng = random.Random(derive_seed("strategy", session.seed))
+        ex.drive([session.start(ex.STRATEGIES[strategy], roots, rng, query_roots=True)])
+        score = ex.score_localization(oracle, roots, session.output, threshold)
+        row = dict(record(session), trial=t, audit_ok=ex.component_audit(session).ok,
+                   localized=score.success, distance=score.distance)
+        assert line == _dumps(row)
+
+
+@given(algorithm=st.sampled_from(sorted(ex.ALGORITHMS)), **_LINE_CASES)
+def test_ggsp_lines_encode_the_lone_rows(small_instance, algorithm, trials, count, budget, threshold, guiding, seed):
+    """Each ggsp line is `json.dumps` of its trial's row, run alone: a
+    `walk-from-input` output is None, `ground-state-cheat` makes no query."""
+    def make(key):
+        return orc.LabeledOracle(small_instance, key, padding_ratio=0.5)
+
+    report = ex.ggsp_experiment(make, guiding, algorithm, trials, count, budget, threshold, seed)
+    fn = ex.ALGORITHMS[algorithm]
+    for t, line in enumerate(report.trial_lines):
+        oracle = make(derive_key("ggsp", seed, t))
+        inputs = _drawn(oracle, guiding, derive_seed("ggsp-in", seed, t), count)
+        rng = random.Random(derive_seed("ggsp-alg", seed, t))
+        if getattr(fn, "requires_trust", False):
+            output, queries, exhausted = fn(oracle, inputs, rng), 0, False
+        else:
+            session = ex.ExplorationSession(oracle, budget, seed, algorithm)
+            ex.drive([session.start(fn, inputs, rng, query_roots=False)])
+            output, queries, exhausted = session.output, session.query_count, session.halted == "budget"
+        score = ex.score_localization(oracle, inputs, output, threshold)
+        row = {"schema": ex.ExplorationSession.SCHEMA, "trial": t, "seed": seed, "strategy": algorithm,
+               "budget": budget, "inputs": inputs, "output": output, "query_count": queries,
+               "budget_exhausted": exhausted, "localized": score.success, "distance": score.distance}
+        assert line == _dumps(row)
+
+
+@given(values=st.lists(st.none() | st.booleans() | st.integers(-(1 << 70), 1 << 70) | st.text()
+                       | st.lists(st.integers()) | st.floats(allow_nan=False), min_size=4, max_size=4))
+def test_trial_line_values_encode_as_json_dumps(values):
+    """Values the program never writes (strings with escapes, floats, nested
+    lists) still encode as `json.dumps` does."""
+    strategy, output, inputs, seed = values
+    score = ex.LocalizationScore(None, False, 2)
+    line = ex.TrialLines.ggsp(0, seed, strategy, 1, inputs, output, 0, False, score)
+    row = {"schema": 1, "trial": 0, "seed": seed, "strategy": strategy, "budget": 1, "inputs": inputs,
+           "output": output, "query_count": 0, "budget_exhausted": False, "localized": False, "distance": None}
+    assert line == _dumps(row)
 
 
 def test_readme_library_quick_start_runs_as_written():

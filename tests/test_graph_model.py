@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse.csgraph
 from hypothesis import assume, given, strategies as st
 
-from gapwalk import expander_gen, graph_model as gm
+from gapwalk import expander_gen, graph_model as gm, oracle as orc
 from conftest import (
     NodeClass,
     build_decorated_tree_topdown,
@@ -243,6 +243,88 @@ def test_index_of_refuses_malformed_hops(address):
     graph = gm.MainGraph(params, expander_gen.complete_graph(4))
     with pytest.raises(gm.InvalidAddressError):
         graph.index_of(gm.TreeVertex(0, 1, 0, address))
+
+
+def _is_vertex_of(graph, v) -> bool:
+    """Whether `v` is a non-isolated vertex of `graph`, by the address-walk reference."""
+    if isinstance(v, gm.ExpanderVertex):
+        return isinstance(graph, gm.MainGraph) and 0 <= v.index < graph.expander.N
+    if not isinstance(v, gm.TreeVertex):
+        return False
+    if isinstance(graph, gm.TreeGraph):
+        placed = v[:3] == (0, graph.k, 0)
+    else:
+        placed = (0 <= v.anchor < graph.expander.N and v.level in graph.params.attached_levels()
+                  and 0 <= v.copy < graph.schedule.decoration_count(v.level))
+    well_formed = all(hop[:1] == ("c",) and len(hop) == 2 or hop[:1] == ("d",) and len(hop) == 3
+                      for hop in v.address)
+    if not (placed and well_formed):
+        return False
+    try:
+        classify_address(graph.schedule, v.level, v.address)
+    except gm.InvalidAddressError:
+        return False
+    return True
+
+
+_SMALL = st.integers(-2, 12) | st.sampled_from([10**6, -(10**6)])
+_HOPS = (st.tuples(st.just("c"), _SMALL) | st.tuples(st.just("d"), _SMALL, _SMALL)
+         | st.sampled_from([("x", 0), ("c",), ("c", 0, 1), ("d", 1), ()]))
+_VERTICES = (
+    st.builds(gm.ExpanderVertex, _SMALL)
+    | st.builds(gm.TreeVertex, _SMALL, st.integers(-1, 4), _SMALL, st.lists(_HOPS, max_size=4).map(tuple))
+    | st.builds(gm.IsolatedVertex, _SMALL)
+    | st.sampled_from(["x", 5, None, (0,), (0, 1, 0, ())])
+)
+
+
+def _vertices_near(graph):
+    """Arbitrary vertex-like values, the graph's own vertices, and its tree
+    vertices one hop deeper (a child, or a hop below a leaf or out of range)."""
+    own = st.integers(0, graph.num_nonisolated - 1).map(graph.vertex_at)
+    deeper = st.tuples(own.filter(lambda v: isinstance(v, gm.TreeVertex)), _HOPS).map(
+        lambda p: p[0]._replace(address=p[0].address + (p[1],)))
+    return _VERTICES | own | deeper
+
+
+@given(data=st.data())
+def test_every_vertex_entry_refuses_what_is_outside_the_instance(small_instance, data):
+    """`index_of`, `vertex_at`, `index_info`, `expander_distance_to_set` and
+    `LabeledOracle.label_of` accept exactly the instance's vertices and
+    indices (round trip) and refuse anything else with InvalidVertexError."""
+    tree = gm.TreeGraph(gm.Schedule((4, 3), (1, 2)), 2)
+    for graph in (small_instance, tree):
+        v = data.draw(_vertices_near(graph))
+        if _is_vertex_of(graph, v):
+            assert graph.vertex_at(graph.index_of(v)) == v
+        else:
+            with pytest.raises(gm.InvalidVertexError):
+                graph.index_of(v)
+        n = graph.num_nonisolated
+        i = data.draw(st.integers(-3, n + 3) | st.sampled_from([-(1 << 60), 1 << 60]))
+        if 0 <= i < n:
+            assert graph.index_of(graph.vertex_at(i)) == i and graph.index_info(i).neighbors
+        else:
+            for entry in (graph.vertex_at, graph.index_info):
+                with pytest.raises(gm.InvalidVertexError):
+                    entry(i)
+    n = small_instance.num_nonisolated
+    indices = st.integers(-2, n + 2)
+    us, at = data.draw(st.lists(indices, min_size=1, max_size=3)), data.draw(indices)
+    if all(0 <= i < n for i in us + [at]):
+        assert small_instance.expander_distance_to_set(us, at) >= 0
+    else:
+        with pytest.raises(gm.InvalidVertexError):
+            small_instance.expander_distance_to_set(us, at)
+    oracle = orc.LabeledOracle(small_instance, b"g" * 16, padding_ratio=0.25)
+    v = data.draw(_vertices_near(small_instance))
+    if _is_vertex_of(small_instance, v) or (
+        isinstance(v, gm.IsolatedVertex) and 0 <= v.index < oracle.padding_count
+    ):
+        assert oracle.reveal(oracle.label_of(v)) == v
+    else:
+        with pytest.raises(gm.InvalidVertexError):
+            oracle.label_of(v)
 
 
 # -- neighbors ----------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import assume, given, strategies as st
 
 from gapwalk import explorer as ex, graph_model as gm, oracle as orc, spectral as sp
 from gapwalk._util import InputError, derive_key
-from conftest import neighbors, reference_events, schedules
+from conftest import events, neighbors, reference_events, schedules
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +219,7 @@ def test_cached_classification_matches_revealed_vertex(small_instance, data, key
     session = ex.ExplorationSession(o, len(plan), 0, "scripted")
     ex.drive([session.start(ex.scripted(plan), [], random.Random(0), query_roots=False)])
     expected = [ev for step, y in enumerate(plan) for ev in reference_events(small_instance, o.reveal(y), step)]
-    assert session.events == expected
+    assert events(session) == expected
 
 
 def test_sealed_oracle_refuses_scoring(tree_oracle):
