@@ -13,32 +13,33 @@ into its output directory:
 records.jsonl and trials.jsonl contain no timestamps, so identical config plus
 seed reproduces them byte for byte.
 
-One `Run` owns the output directory.  It resolves --out, the seed and the
-command's counts (--trials, --budget, or their config keys) and thread count
-once.  A count below 1 is a config error, and so is a non-integer count or
-config-only integer (t, roots, threshold, level, w, query_limit), a
-non-number among the instance's and the core's values, or any value the
-library refuses (an InputError).  Starting a run deletes
-the files the command writes, then writes config.resolved.json and a
-meta.json with status "running", so a failed rerun leaves none of an earlier
-run's results.  Result files are written to a temporary name and renamed into
-place.  meta.json is rewritten on every exit with the status of the exit
-code.  A run that fails before it starts (no config, no --out, a bad count,
-a resume mismatch) leaves the directory untouched.  expander.txt and
-expander.certificate.json are cleared only by gen-expander, because other
-commands may read a core from there.  A core read from a file must be
-connected.  `report` only reads a run: it rewrites summary.csv and nothing else.
+CONFIG_KEYS holds every config key: the commands that read it, its kind,
+default and limits.  One `Run` owns the output directory.  It refuses a key
+outside its command's rows, then resolves --out, the seed, the thread count
+and the command's counts (--trials, --budget, or their config keys) once;
+every other key is read through `Run.get` where the command uses it.  A value
+of the wrong kind or past its row's limits is a config error, as is any value
+the library refuses (an InputError).  Starting a run deletes the files the
+command writes, then writes config.resolved.json and a meta.json with status
+"running", so a failed rerun leaves none of an earlier run's results.  Result
+files are written to a temporary name and renamed into place; meta.json is
+rewritten on every exit with the status of the exit code.  A run that fails
+before it starts (no config, no --out, an unknown key, a bad count, a resume
+mismatch) leaves the directory untouched.  Only gen-expander clears
+expander.txt and expander.certificate.json, since other commands may read a
+core from there; a core read from a file must be connected.  `report` only
+reads a run: it rewrites summary.csv and nothing else.
 
-explore-tree lists its pending (strategy, trial) pairs in row order, strategy
-by strategy, and maps one window function, in order, over that list cut into
-windows of explorer.EXIT_WINDOW pairs (a window may span strategies), smaller
-when there are too few pairs to keep every worker busy: builtin map with
---threads 1, one process pool per run otherwise (no other command uses
---threads).  It appends each window's rows to trials.jsonl as they arrive, so
-an interruption loses only the windows in flight, and resumes from the rows it
-finds.  Its meta.json carries a resume key, stored before the first row is
-appended: the hash of the config without trials, threads and out, plus the
-effective seed and budget.  Resuming rows under a different key exits 1.
+explore-tree maps one window function, in order, over its pending (strategy,
+trial) pairs in row order, cut into windows of explorer.EXIT_WINDOW pairs
+(smaller where that would leave a worker idle; a window may span strategies):
+builtin map with --threads 1, otherwise one process pool per run of at most
+one worker per CPU (no other command uses --threads).  It appends each
+window's rows to trials.jsonl as they arrive, so an interruption loses only
+the windows in flight, and resumes from the rows it finds.  Its meta.json
+carries a resume key, stored before the first row is appended: the hash of
+the config without trials, threads and out, plus the effective seed and
+budget.  Resuming rows under a different key exits 1.
 
 Exit codes: 0 success, 1 usage/config error, 2 certification or verification
 failure, 3 query-budget exhaustion.
@@ -98,15 +99,161 @@ class ArgumentParser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config keys
 # ---------------------------------------------------------------------------
+
+ALL = ("gen-expander", "certify", "spectrum", "sample-ground", "explore-tree", "explore-graph",
+       "ggsp", "bounds", "verify-small", "report")
+INSTANCE = ("spectrum", "sample-ground", "explore-graph", "ggsp")
+GRAPH = ("explore-graph", "ggsp")
+COUNTED = ("explore-tree",) + GRAPH
+CORE = ("gen-expander",)
+INT_MAX = 2**63 - 1
+INT_ANY = (-INT_MAX - 1, INT_MAX)
+REQUIRED = ...
+
+# path: (commands that read it, kind, default[, limits]).  A path steps into
+# an object with "." and into every entry of a list of objects with "[].".
+# Kinds: int, number (finite), str, bool, choice; ints, numbers and strs
+# (lists of those); object, and objects (a list of objects).  The limits are
+# an int's (or an ints entry's) [low, high] and a choice's values.  A default
+# of None is worked out where the key is read, or means "none"; a dict holds
+# one default per command.  Where a key's legal set depends on the mode or the
+# bound name, the row takes the union.  JSON null reads as a key left out.
+CONFIG_KEYS = {
+    "seed": (ALL, "int", 0, INT_ANY),
+    "threads": (ALL, "int", 1, (1, INT_MAX)),
+    "out": (ALL, "str", None),
+    "trials": (COUNTED, "int", {"explore-tree": 1000, "explore-graph": 100, "ggsp": 200}, (1, INT_MAX)),
+    "budget": (COUNTED, "int", {"explore-tree": 16, "explore-graph": 64, "ggsp": 32}, (1, INT_MAX)),
+    "count": (("sample-ground",), "int", 1000, (1, INT_MAX)),
+    # gen-expander: a fixture core, or one generated when N is given
+    "expander": (CORE, "object", REQUIRED),
+    "expander.petersen": (CORE, "bool", False),
+    "expander.complete": (CORE, "int", None, (2, INT_MAX)),
+    "expander.file": (CORE, "str", None),
+    "expander.N": (CORE, "int", None, (2, INT_MAX)),
+    "expander.d": (CORE, "int", REQUIRED, (1, INT_MAX)),
+    "expander.gap_min": (CORE, "number", 0.0),
+    "expander.girth_min": (CORE, "number", 3.0),
+    "expander.seed": (CORE, "int", None, INT_ANY),
+    "expander.max_attempts": (CORE, "int", 50, (1, INT_MAX)),
+    # certify
+    "expander_file": (("certify",), "str", REQUIRED),
+    "gap_min": (("certify",), "number", 0.0),
+    "girth_min": (("certify",), "number", 3.0),
+    # the instance: standard (n), scaled (a schedule and a core) or, for
+    # spectrum only, custom (a base eigenvalue and attached tree families)
+    "instance": (INSTANCE, "object", REQUIRED),
+    "instance.mode": (INSTANCE, "choice", "scaled", ("standard", "scaled", "custom")),
+    "instance.n": (INSTANCE, "int", REQUIRED, (1, 1024)),  # core size 2^(21 n^2 log2(n)^2), held exactly
+    "instance.degrees": (INSTANCE, "ints", REQUIRED, (1, INT_MAX)),
+    "instance.depths": (INSTANCE, "ints", REQUIRED, (0, INT_MAX)),
+    "instance.girth_floor": (INSTANCE, "int", 3, (0, INT_MAX)),
+    "instance.padding_ratio": (INSTANCE, "number", 2.0 ** -20),
+    "instance.expander": (INSTANCE, "object", REQUIRED),
+    "instance.expander.petersen": (INSTANCE, "bool", False),
+    "instance.expander.complete": (INSTANCE, "int", None, (2, INT_MAX)),
+    "instance.expander.file": (INSTANCE, "str", None),
+    "instance.expander.generate": (INSTANCE, "object", None),
+    "instance.expander.generate.N": (INSTANCE, "int", None, (2, INT_MAX)),
+    "instance.expander.generate.d": (INSTANCE, "int", REQUIRED, (1, INT_MAX)),
+    "instance.expander.generate.gap_min": (INSTANCE, "number", 0.0),
+    "instance.expander.generate.girth_min": (INSTANCE, "number", 3.0),
+    "instance.expander.generate.seed": (INSTANCE, "int", None, INT_ANY),
+    "instance.expander.generate.max_attempts": (INSTANCE, "int", 50, (1, INT_MAX)),
+    "instance.lambda_e": (("spectrum",), "number", REQUIRED),
+    "instance.beta": (("spectrum",), "number", 1.0),
+    "instance.expander_size": (("spectrum",), "int", 1, (1, INT_MAX)),
+    "instance.trees": (("spectrum",), "objects", REQUIRED),
+    "instance.trees[].degrees": (("spectrum",), "ints", REQUIRED, (1, INT_MAX)),
+    "instance.trees[].depths": (("spectrum",), "ints", REQUIRED, (0, INT_MAX)),
+    "instance.trees[].level": (("spectrum",), "int", None, (1, INT_MAX)),
+    "instance.trees[].copies": (("spectrum",), "int", 1, (1, INT_MAX)),
+    # explore-tree
+    "schedule": (("explore-tree",), "object", REQUIRED),
+    "schedule.degrees": (("explore-tree",), "ints", REQUIRED, (1, INT_MAX)),
+    "schedule.depths": (("explore-tree",), "ints", REQUIRED, (0, INT_MAX)),
+    "level": (("explore-tree",), "int", None, (1, INT_MAX)),
+    "strategies": (("explore-tree",), "strs", None),
+    "strategy": (("explore-tree", "explore-graph"), "str", "greedy-unvisited"),
+    "w": (("explore-tree",), "int", 2, (1, INT_MAX)),
+    "padding_ratio": (("explore-tree",), "number", 0.25),
+    "q_schedule": (("explore-tree",), "numbers", None),
+    # explore-graph and ggsp
+    "guiding": (GRAPH, "str", {"explore-graph": "expander-uniform", "ggsp": "exact-ground-state"}),
+    "threshold": (GRAPH, "int", None, (0, INT_MAX)),
+    "roots": (("explore-graph",), "int", 1, (1, INT_MAX)),
+    "query_limit": (("explore-graph",), "int", None, (0, INT_MAX)),
+    "algorithm": (("ggsp",), "str", "echo-first-input"),
+    "t": (("ggsp",), "int", 4, (1, INT_MAX)),
+    "oracle": (GRAPH, "object", None),
+    "oracle.padding_ratio": (GRAPH, "number", None),
+    "oracle.label_bits": (GRAPH, "int", None, (1, INT_MAX)),
+    "oracle.key": (GRAPH, "str", None),
+    # bounds: each entry names its bound and gives that bound's arguments
+    "bounds": (("bounds",), "objects", REQUIRED),
+    "bounds[].name": (("bounds",), "str", REQUIRED),
+    "bounds[].d_k": (("bounds",), "int", REQUIRED, INT_ANY),
+    "bounds[].d_km1": (("bounds",), "int", REQUIRED, INT_ANY),
+    "bounds[].l_k": (("bounds",), "int", REQUIRED, INT_ANY),
+    "bounds[].l_km1": (("bounds",), "int", REQUIRED, INT_ANY),
+    "bounds[].w": (("bounds",), "int", 2, INT_ANY),
+    "bounds[].degrees": (("bounds",), "ints", REQUIRED, (1, INT_MAX)),
+    "bounds[].depths": (("bounds",), "ints", REQUIRED, (0, INT_MAX)),
+    "bounds[].q_schedule": (("bounds",), "numbers", REQUIRED),
+    "bounds[].n": (("bounds",), "int", REQUIRED, INT_ANY),
+    "bounds[].k": (("bounds",), "int", REQUIRED, INT_ANY),
+    "bounds[].u_size": (("bounds",), "int", REQUIRED, INT_ANY),
+    "bounds[].degree": (("bounds",), "int", REQUIRED, INT_ANY),
+    "bounds[].g": (("bounds",), "int", REQUIRED, INT_ANY),
+    "bounds[].n_e": (("bounds",), "int", REQUIRED, INT_ANY),
+    "bounds[].fidelity": (("bounds",), "number", REQUIRED),
+    "bounds[].tv": (("bounds",), "number", REQUIRED),
+    "bounds[].delta": (("bounds",), "number", REQUIRED),
+    "bounds[].gamma": (("bounds",), "number", REQUIRED),
+    "bounds[].lambda_e": (("bounds",), "number", REQUIRED),
+    "bounds[].max_degree": (("bounds",), "number", REQUIRED),
+    "bounds[].beta": (("bounds",), "number", REQUIRED),
+    "bounds[].tree_count": (("bounds",), "int", REQUIRED, INT_ANY),
+    # verify-small and report
+    "planted_defect": (("verify-small",), "bool", False),
+    "dir": (("report",), "str", None),
+}
+
+_TYPES = {"str": str, "bool": bool, "object": dict}
+
+
+def typed(path: str, value, name=None, kind=None):
+    """`value` as the kind of `path`'s CONFIG_KEYS row; anything else, or an
+    int outside the row's limits, is a UsageError naming `name` (or `path`)."""
+    _, row_kind, _, *limits = CONFIG_KEYS[path]
+    name, kind = name or path, kind or row_kind
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind in ("ints", "numbers", "strs", "objects") and isinstance(value, list):
+        return [typed(path, v, name, kind[:-1]) for v in value]
+    if kind == "int" and number and (isinstance(value, int) or value.is_integer()):
+        value, (low, high) = int(value), limits[0]
+        if not low <= value <= high:
+            raise UsageError(f"{name} must be at {'least' if value < low else 'most'} "
+                             f"{low if value < low else high}, got {value}")
+        return value
+    if kind == "number" and number and abs(value) <= sys.float_info.max:  # finite, and no float overflow
+        return float(value)
+    if kind == "choice" and isinstance(value, str) and value in limits[0]:
+        return value
+    if isinstance(value, _TYPES.get(kind, ())):
+        return value
+    raise UsageError(f"{name} must be {'one of ' + ', '.join(limits[0]) if kind == 'choice' else kind}, "
+                     f"got {value!r}")
+
 
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}")
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
@@ -117,48 +264,6 @@ def load_config(path) -> dict:
 def config_hash(cfg: dict) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def resolve_out(args, cfg: dict) -> Path:
-    out = args.out or cfg.get("out") or os.environ.get(OUT_ENV_VAR)
-    if not out:
-        raise UsageError(
-            f"no output directory: pass --out, set 'out' in the config, or set ${OUT_ENV_VAR}"
-        )
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _number(name: str, value) -> float:
-    """`value` as a float; a non-number, NaN included, is a UsageError."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if math.isnan(number):
-        raise UsageError(f"{name} must be a number, got {value!r}")
-    return number
-
-
-def _numbers(name: str, values) -> list:
-    """`values` as a list of floats; anything else is a UsageError."""
-    if not isinstance(values, list):
-        raise UsageError(f"{name} must be a list of numbers, got {values!r}")
-    return [_number(name, v) for v in values]
-
-
-def _integer(name: str, value, low=None) -> int:
-    """`value` as an int; a non-integer, or a value below `low`, is a UsageError."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or isinstance(value, float) and value != number:
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-    if low is not None and number < low:
-        raise UsageError(f"{name} must be at least {low}, got {number}")
-    return number
 
 
 def json_text(obj, sort_keys=True) -> str:
@@ -223,7 +328,7 @@ def _now() -> str:
 class Command:
     fn: Callable[["Run"], int]
     results: tuple = ()   # files the command writes; deleted when a run starts
-    counts: dict = field(default_factory=dict)  # "trials"/"budget" -> (config key, default)
+    counts: dict = field(default_factory=dict)  # "trials"/"budget" -> its config key
     resumes: bool = False  # appends to trials.jsonl, guarded by a resume key
     reader: bool = False  # only reads a run: never starts one, writes no meta.json
 
@@ -242,26 +347,55 @@ class Run:
     """One subcommand's run in its --out directory (see the module docstring)."""
 
     def __init__(self, name: str, args, cfg: dict):
-        self.command = COMMANDS[name]
-        self.cfg = cfg
-        self.out = resolve_out(args, cfg)
-        self.seed = _integer("seed", cfg.get("seed", 0) if args.seed is None else args.seed)
-        threads = cfg.get("threads", 1) if args.threads is None else args.threads
-        self.threads = _integer("threads (--threads)", threads, low=1)
+        self.name, self.command, self.cfg = name, COMMANDS[name], cfg
+        self.check_keys(cfg)
+        out = args.out or self.get("out") or os.environ.get(OUT_ENV_VAR)
+        if not out:
+            raise UsageError(f"no output directory: pass --out, set 'out' in the config or set ${OUT_ENV_VAR}")
+        self.out = Path(out)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot make the output directory {out}: {exc.strerror}") from None
+        self.seed = self.get("seed") if args.seed is None else typed("seed", args.seed)
+        self.threads = self.get("threads") if args.threads is None else typed("threads", args.threads)
         self.meta = {"command": name, "config_hash": config_hash(cfg), "seed": self.seed}
-        for flag, (key, default) in self.command.counts.items():
+        for flag, key in self.command.counts.items():
             value = getattr(args, flag)
-            self.meta[flag] = _integer(
-                f"{key} (--{flag})", cfg.get(key, default) if value is None else value, low=1
-            )
-        self.trials = self.meta.get("trials")
-        self.budget = self.meta.get("budget")
-        self.records = []
-        self.started = False
+            self.meta[flag] = self.get(key) if value is None else typed(key, value, f"{key} (--{flag})")
+        self.trials, self.budget = self.meta.get("trials"), self.meta.get("budget")
+        self.records, self.started = [], False
 
-    def integer(self, key: str, default, low=None) -> int:
-        """A config-only integer, checked like the counts."""
-        return _integer(key, self.cfg.get(key, default), low)
+    def check_keys(self, obj: dict, prefix: str = ""):
+        """Refuse a key of `obj` (at `prefix`) that no CONFIG_KEYS row gives this command."""
+        for key, value in obj.items():
+            path = prefix + key
+            commands, kind, *_ = CONFIG_KEYS.get(path, ((), None))
+            if self.name not in commands or "." in key:
+                raise UsageError(f"unknown config key '{path}' for {self.name}")
+            if kind == "object" and isinstance(value, dict):
+                self.check_keys(value, path + ".")
+            elif kind == "objects" and isinstance(value, list):
+                for entry in value:
+                    if isinstance(entry, dict):
+                        self.check_keys(entry, path + "[].")
+
+    def get(self, path: str, entry: dict = None, default=None):
+        """The config value at `path`, read as its CONFIG_KEYS row says.  `entry`
+        is the list entry that holds it, for a path through a list of objects;
+        `default` stands in for a row default of None.  A required key that is
+        missing is a UsageError."""
+        parent, _, key = path.rpartition(".")
+        holder = entry if entry is not None else self.get(parent) if parent else self.cfg
+        value = None if holder is None else holder.get(key)
+        if value is not None:
+            return typed(path, value)
+        fallback = CONFIG_KEYS[path][2]
+        if isinstance(fallback, dict):
+            fallback = fallback[self.name]
+        if fallback is REQUIRED:
+            raise UsageError(f"missing '{path}' in the config")
+        return default if fallback is None else fallback
 
     def start(self):
         """Claim --out: check a resumed file's key, delete the command's earlier
@@ -320,111 +454,65 @@ class Run:
 # instance construction
 # ---------------------------------------------------------------------------
 
-def _require(cfg: dict, key: str, context: str):
-    if not isinstance(cfg, dict):
-        raise UsageError(f"{context} must be a JSON object, got {cfg!r}")
-    if key not in cfg:
-        raise UsageError(f"missing '{key}' in {context}")
-    return cfg[key]
+def build_schedule(run: Run, at: str, entry: dict = None) -> graph_model.Schedule:
+    """The schedule of the degrees and depths at config path `at`."""
+    return graph_model.Schedule(*(tuple(run.get(f"{at}.{k}", entry)) for k in ("degrees", "depths")))
 
 
-def _list(cfg: dict, key: str, context: str) -> list:
-    """The JSON list under `key`."""
-    values = _require(cfg, key, context)
-    if not isinstance(values, list):
-        raise UsageError(f"'{key}' in {context} must be a list, got {values!r}")
-    return values
-
-
-def _section(cfg: dict, key: str, context: str, required: bool = True) -> dict:
-    """The JSON object under `key` ({} when it is optional and absent)."""
-    section = _require(cfg, key, context) if required else cfg.get(key, {})
-    if not isinstance(section, dict):
-        raise UsageError(f"'{key}' in {context} must be a JSON object, got {section!r}")
-    return section
-
-
-def build_schedule(section: dict) -> graph_model.Schedule:
-    lists = []
-    for key in ("degrees", "depths"):
-        values = _require(section, key, "schedule")
-        if not isinstance(values, list):
-            raise UsageError(f"schedule {key} must be a list of integers, got {values!r}")
-        lists.append(tuple(_integer(f"schedule {key}", v) for v in values))
-    return graph_model.Schedule(*lists)
-
-
-def build_expander(section: dict, run: Run):
-    """(graph, certificate or None); a generated core is written to --out."""
-    if section.get("petersen"):
+def build_expander(run: Run, at: str, gen: str):
+    """(graph, certificate or None) of the core section at `at`: a fixture, or
+    a core generated from the section at `gen` when it gives N, written to --out."""
+    if run.get(f"{at}.petersen"):
         return expander_gen.petersen(), None
-    if "complete" in section:
-        return expander_gen.complete_graph(_integer("expander.complete", section["complete"])), None
-    if "file" in section:
-        graph = expander_gen.load(section["file"])
+    if (n := run.get(f"{at}.complete")) is not None:
+        return expander_gen.complete_graph(n), None
+    if (path := run.get(f"{at}.file")) is not None:
+        graph = expander_gen.load(path)
         if not graph.is_connected():
-            raise UsageError(f"expander file {section['file']} is not connected")
+            raise UsageError(f"expander file {path} is not connected")
         return graph, None
-    if "generate" in section:
-        gen = _section(section, "generate", "expander")
-        graph, cert = expander_gen.generate_certified(
-            N=_integer("expander.generate.N", _require(gen, "N", "expander.generate")),
-            d=_integer("expander.generate.d", _require(gen, "d", "expander.generate")),
-            gap_min=_number("expander.generate.gap_min", gen.get("gap_min", 0.0)),
-            girth_min=_number("expander.generate.girth_min", gen.get("girth_min", 3)),
-            seed=_integer("expander.generate.seed", gen.get("seed", run.seed)),
-            max_attempts=_integer("expander.generate.max_attempts", gen.get("max_attempts", 50), low=1),
-        )
-        run.write("expander.certificate.json", json_text(dataclasses.asdict(cert)))
-        run.write("expander.txt", expander_gen.to_text(graph))
-        return graph, cert
-    raise UsageError(
-        "expander section needs one of: petersen, complete, file, generate"
+    if run.get(f"{gen}.N") is None:
+        raise UsageError(f"{at} needs one of: petersen, complete, file, {gen}.N")
+    graph, cert = expander_gen.generate_certified(
+        **{k: run.get(f"{gen}.{k}") for k in ("N", "d", "gap_min", "girth_min", "max_attempts")},
+        seed=run.get(f"{gen}.seed", default=run.seed),
     )
+    run.write("expander.certificate.json", json_text(dataclasses.asdict(cert)))
+    run.write("expander.txt", expander_gen.to_text(graph))
+    return graph, cert
 
 
 def build_instance(run: Run):
     """(params, graph-or-None).  Standard-mode instances return params only
     (their cores are far too large to build)."""
-    section = _section(run.cfg, "instance", "config")
-    mode = section.get("mode", "scaled")
+    mode = run.get("instance.mode")
     if mode == "standard":
-        params = graph_model.GraphParams.standard(_integer("instance.n", _require(section, "n", "instance")))
-        return params, None
-    sched = build_schedule(section)
-    expander, _ = build_expander(_section(section, "expander", "instance"), run)
+        return graph_model.GraphParams.standard(run.get("instance.n")), None
+    if mode == "custom":
+        raise UsageError("a custom instance is read only by spectrum")
+    sched = build_schedule(run, "instance")
+    expander, _ = build_expander(run, "instance.expander", "instance.expander.generate")
     params = graph_model.GraphParams.scaled(
-        sched.degrees,
-        sched.depths,
-        expander_size=expander.N,
-        girth_floor=_integer("instance.girth_floor", section.get("girth_floor", 3)),
-        padding_ratio=_number("instance.padding_ratio", section.get("padding_ratio", 2.0 ** -20)),
+        sched.degrees, sched.depths, expander_size=expander.N,
+        girth_floor=run.get("instance.girth_floor"), padding_ratio=run.get("instance.padding_ratio"),
     )
     return params, graph_model.MainGraph(params, expander)
 
 
-def build_main_graph(run: Run, name: str):
+def build_main_graph(run: Run):
     params, graph = build_instance(run)
     if graph is None:
-        raise UsageError(f"{name} needs a scaled (materializable) instance")
+        raise UsageError(f"{run.name} needs a scaled (materializable) instance")
     return params, graph
 
 
-def oracle_maker(graph, cfg: dict):
+def oracle_maker(graph, run: Run):
     """key -> oracle over `graph` with the config's padding ratio and label
     width; a configured `oracle.key` (32 hex digits) replaces every trial's key."""
-    section = _section(cfg, "oracle", "config", required=False)
-    ratio, bits = section.get("padding_ratio"), section.get("label_bits")
-    build = functools.partial(
-        oracle_mod.LabeledOracle,
-        graph,
-        padding_ratio=None if ratio is None else _number("oracle.padding_ratio", ratio),
-        label_bits=None if bits is None else _integer("oracle.label_bits", bits, low=1),
-    )
-    key_hex = section.get("key")
-    if key_hex is not None and (
-        not isinstance(key_hex, str) or not re.fullmatch(r"[0-9a-fA-F]{32}", key_hex)
-    ):
+    build = functools.partial(oracle_mod.LabeledOracle, graph, padding_ratio=run.get("oracle.padding_ratio"),
+                              label_bits=run.get("oracle.label_bits"))
+    key_hex = run.get("oracle.key")
+    if key_hex is not None and not re.fullmatch(r"[0-9a-fA-F]{32}", key_hex):
         raise UsageError(f"oracle.key must be 32 hex digits, got {key_hex!r}")
     try:
         build(bytes(16))  # a label width the instance cannot use exits before any trial
@@ -440,13 +528,10 @@ def oracle_maker(graph, cfg: dict):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def certify(run: Run, graph, section: dict, name: str) -> int:
-    """Certify `graph` against the section's gap_min and girth_min and write
-    the certificate to `name`."""
-    cert = expander_gen.certify_expander(
-        graph, gap_min=_number("gap_min", section.get("gap_min", 0.0)),
-        girth_min=_number("girth_min", section.get("girth_min", 3)),
-    )
+def certify(run: Run, graph, prefix: str, name: str) -> int:
+    """Certify `graph` against the config's `{prefix}gap_min` and
+    `{prefix}girth_min` and write the certificate to `name`."""
+    cert = expander_gen.certify_expander(graph, run.get(f"{prefix}gap_min"), run.get(f"{prefix}girth_min"))
     if cert is None:
         print("certification rejected", file=sys.stderr)
         return EXIT_CERTIFICATION
@@ -457,13 +542,12 @@ def certify(run: Run, graph, section: dict, name: str) -> int:
 
 @command("gen-expander", results=("expander.txt", "expander.certificate.json"))
 def cmd_gen_expander(run: Run) -> int:
-    section = _section(run.cfg, "expander", "config")
-    graph, cert = build_expander({"generate": section} if "N" in section else section, run)
+    graph, cert = build_expander(run, "expander", "expander")
     if cert is not None:
         print(f"accepted: girth={cert.girth} gap={cert.gap:.6f} attempts={cert.attempts}")
         return EXIT_OK
     # Fixture sources certify on demand; the graph is written once accepted.
-    code = certify(run, graph, section, "expander.certificate.json")
+    code = certify(run, graph, "expander.", "expander.certificate.json")
     if code == EXIT_OK:
         run.write("expander.txt", expander_gen.to_text(graph))
     return code
@@ -471,45 +555,33 @@ def cmd_gen_expander(run: Run) -> int:
 
 @command("certify", results=("certificate.json",))
 def cmd_certify(run: Run) -> int:
-    graph = expander_gen.load(_require(run.cfg, "expander_file", "config"))
-    return certify(run, graph, run.cfg, "certificate.json")
+    return certify(run, expander_gen.load(run.get("expander_file")), "", "certificate.json")
+
+
+def attached_tree(run: Run, entry: dict) -> spectral.AttachedTree:
+    sched = build_schedule(run, "instance.trees[]", entry)
+    return spectral.AttachedTree(sched, run.get("instance.trees[].level", entry, sched.levels),
+                                 run.get("instance.trees[].copies", entry))
 
 
 @command("spectrum", results=("spectrum.json",) + RECORDS)
 def cmd_spectrum(run: Run) -> int:
-    section = _section(run.cfg, "instance", "config")
-    if section.get("mode") == "custom":
+    if run.get("instance.mode") == "custom":
         # An explicitly described decorated graph: a base eigenvalue plus
         # arbitrary attached-tree families (covers degenerate fixtures like a
         # single edge with one pendant vertex per endpoint).
-        trees = [
-            spectral.AttachedTree(
-                build_schedule(t),
-                _integer("instance.trees.level", t.get("level", len(t["degrees"]))),
-                _integer("instance.trees.copies", t.get("copies", 1), low=1),
-            )
-            for t in _list(section, "trees", "instance")
-        ]
         solution = spectral.solve_top_eigenvalue(
-            _number("instance.lambda_e", _require(section, "lambda_e", "instance")),
-            trees,
-            beta=_number("instance.beta", section.get("beta", 1.0)),
-            expander_size=_integer("instance.expander_size", section.get("expander_size", 1), low=1),
+            run.get("instance.lambda_e"), [attached_tree(run, t) for t in run.get("instance.trees")],
+            beta=run.get("instance.beta"), expander_size=run.get("instance.expander_size"),
         )
     else:
         params, graph = build_instance(run)
-        solution = spectral.solve_for_params(
-            params, expander_size=graph.expander.N if graph else None
-        )
+        solution = spectral.solve_for_params(params, expander_size=graph.expander.N if graph else None)
     split = spectral.norm_decomposition(solution)
-    # Stable key order: insertion order is the contract.
-    report = {
-        "lambda_g": solution.top_eigenvalue,
-        "lambda_e": solution.base_eigenvalue,
-        "alpha": list(solution.loop_weights),
-        "norm_ratio": split.ratio,
-        "one_minus_ratio": split.one_minus_ratio,
-        "residual": solution.residual,
+    report = {  # stable key order: insertion order is the contract
+        "lambda_g": solution.top_eigenvalue, "lambda_e": solution.base_eigenvalue,
+        "alpha": list(solution.loop_weights), "norm_ratio": split.ratio,
+        "one_minus_ratio": split.one_minus_ratio, "residual": solution.residual,
         "iterations": solution.iterations,
     }
     run.write("spectrum.json", json_text(report, sort_keys=False))
@@ -518,14 +590,11 @@ def cmd_spectrum(run: Run) -> int:
     return EXIT_OK
 
 
-@command("sample-ground", results=("samples.jsonl",) + RECORDS, counts={"trials": ("count", 1000)})
+@command("sample-ground", results=("samples.jsonl",) + RECORDS, counts={"trials": "count"})
 def cmd_sample_ground(run: Run) -> int:
     count = run.trials
     params, graph = build_instance(run)
-    if graph is None:
-        solution = spectral.solve_for_params(params)
-    else:
-        solution = spectral.solve_for_instance(graph)
+    solution = spectral.solve_for_params(params) if graph is None else spectral.solve_for_instance(graph)
     sampler = spectral.GroundStateSampler(solution, seed=derive_seed("sample", run.seed))
     # Standard-family anchors are ~86,000-bit integers at n=16: written in hex.
     anchor = int if graph is not None else hex
@@ -535,24 +604,14 @@ def cmd_sample_ground(run: Run) -> int:
         if isinstance(v, graph_model.ExpanderVertex):
             rows.append({"i": i, "kind": "expander", "anchor": anchor(v.index)})
         else:
-            rows.append(
-                {
-                    "i": i,
-                    "kind": "tree",
-                    "anchor": anchor(v.anchor),
-                    "level": v.level,
-                    "copy": v.copy,
-                    "depth": len(v.address),
-                }
-            )
+            rows.append({"i": i, "kind": "tree", "anchor": anchor(v.anchor), "level": v.level,
+                         "copy": v.copy, "depth": len(v.address)})
     run.write("samples.jsonl", jsonl(rows))
     expander_fraction = sum(1 for r in rows if r["kind"] == "expander") / count
     run.record(
-        "expander_mass_fraction",
-        expander_fraction,
+        "expander_mass_fraction", expander_fraction,
         math.sqrt(max(expander_fraction * (1 - expander_fraction), 1e-12) / count),
-        spectral.norm_decomposition(solution).ratio,
-        ["bound-is-exact-expectation"],
+        spectral.norm_decomposition(solution).ratio, ["bound-is-exact-expectation"],
     )
     print(f"wrote {count} samples; expander mass fraction {expander_fraction:.4f}")
     return EXIT_OK
@@ -570,23 +629,17 @@ def exit_window(job: tuple) -> list:
     return explorer.exit_trials(exit_tree(degrees, depths, level), pairs, budget, seed, padding)
 
 
-@command("explore-tree", counts={"trials": ("trials", 1000), "budget": ("budget", 16)},
-         resumes=True)
+@command("explore-tree", counts={"trials": "trials", "budget": "budget"}, resumes=True)
 def cmd_explore_tree(run: Run) -> int:
-    cfg, budget, trials = run.cfg, run.budget, run.trials
-    sched = build_schedule(_require(cfg, "schedule", "config"))
-    level = run.integer("level", sched.levels)
-    strategies = cfg.get("strategies")
-    if strategies is None:
-        strategies = [cfg.get("strategy", "greedy-unvisited")]
-    if not (isinstance(strategies, list) and strategies and all(isinstance(s, str) for s in strategies)
-            and len(set(strategies)) == len(strategies)):
+    budget, trials = run.budget, run.trials
+    sched = build_schedule(run, "schedule")
+    level = run.get("level", default=sched.levels)
+    strategies = run.get("strategies", default=[run.get("strategy")])
+    if not strategies or len(set(strategies)) < len(strategies):
         raise UsageError(f"strategies must be a list of distinct strategy names, got {strategies!r}")
-    w = run.integer("w", 2, low=1)
-    padding = _number("padding_ratio", cfg.get("padding_ratio", 0.25))
-    q_schedule = _numbers("q_schedule", cfg["q_schedule"]) if cfg.get("q_schedule") else [
-        max(1.0, budget / (w ** (level - k))) for k in range(1, level + 1)
-    ]
+    w = run.get("w")
+    padding = run.get("padding_ratio")
+    q_schedule = run.get("q_schedule") or [max(1.0, budget / (w ** (level - k))) for k in range(1, level + 1)]
 
     tree = exit_tree(sched.degrees, sched.depths, level)  # a bad level or width exits 1 before any trial
     if 0 < padding <= 1 and math.log2(tree.num_nonisolated / padding) > oracle_mod.MAX_LABEL_BITS:
@@ -595,14 +648,15 @@ def cmd_explore_tree(run: Run) -> int:
     all_rows = read_trial_rows(trials_path)
     done = {(row["strategy"], row["trial"]) for row in all_rows}
     pending = [(s, t) for s in strategies for t in range(trials) if (s, t) not in done]
-    # Windows of EXIT_WINDOW trials, smaller where that would leave a worker idle.
-    size = max(1, min(explorer.EXIT_WINDOW, math.ceil(len(pending) / run.threads)))
-    jobs = [
-        (sched.degrees, sched.depths, level, budget, run.seed, padding, pending[i : i + size])
-        for i in range(0, len(pending), size)
-    ]
+    # A pool of at most one worker per CPU: a fork pool starts all its workers
+    # at once.  Windows of EXIT_WINDOW trials, smaller where that would leave a
+    # worker idle.
+    workers = min(run.threads, os.cpu_count() or 1)
+    size = max(1, min(explorer.EXIT_WINDOW, math.ceil(len(pending) / workers)))
+    jobs = [(sched.degrees, sched.depths, level, budget, run.seed, padding, pending[i : i + size])
+            for i in range(0, len(pending), size)]
     # Looked up here: only a pooled run imports multiprocessing.
-    pool = concurrent.futures.ProcessPoolExecutor(run.threads) if run.threads > 1 else None
+    pool = concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else None
     try:
         for rows in (pool.map if pool else map)(exit_window, jobs):
             with open(trials_path, "a") as fh:
@@ -613,10 +667,8 @@ def cmd_explore_tree(run: Run) -> int:
             pool.shutdown(cancel_futures=True)
         exit_tree.cache_clear()  # hold no tree after the run
 
-    rec_reports = bounds_mod.recursion_bound(
-        graph_model.Schedule(sched.degrees[:level], sched.depths[:level]), q_schedule, w
-    )
-    bound_rep = rec_reports[level - 1]
+    bound_rep = bounds_mod.recursion_bound(
+        graph_model.Schedule(sched.degrees[:level], sched.depths[:level]), q_schedule, w)[level - 1]
     for strategy in strategies:
         rows = [r for r in all_rows if r["strategy"] == strategy and r["trial"] < trials]
         stats = explorer.EventStats.from_counts(sum(r["exit"] for r in rows), len(rows))
@@ -625,33 +677,20 @@ def cmd_explore_tree(run: Run) -> int:
             bound_rep.flags, bound_log2=bound_rep.log2_value,
         )
     for rec in run.records:
-        print(
-            f"{rec['metric']}: p_hat={rec['value']:.5f} +/- {rec['stderr']:.5f} "
-            f"bound={rec['bound']:.5g} flags={rec['flags']}"
-        )
+        print(f"{rec['metric']}: p_hat={rec['value']:.5f} +/- {rec['stderr']:.5f} "
+              f"bound={rec['bound']:.5g} flags={rec['flags']}")
     return EXIT_OK
 
 
 @command("explore-graph", results=("trials.jsonl",) + RECORDS,
-         counts={"trials": ("trials", 100), "budget": ("budget", 64)})
+         counts={"trials": "trials", "budget": "budget"})
 def cmd_explore_graph(run: Run) -> int:
-    cfg, trials = run.cfg, run.trials
-    params, graph = build_main_graph(run, "explore-graph")
-    threshold = run.integer("threshold", max(2, params.girth_floor // 2))
-    roots_count = run.integer("roots", 1, low=1)
-    query_limit = cfg.get("query_limit")
-    if query_limit is not None:
-        query_limit = run.integer("query_limit", None, low=0)
+    trials, roots_count, query_limit = run.trials, run.get("roots"), run.get("query_limit")
+    params, graph = build_main_graph(run)
+    threshold = run.get("threshold", default=max(2, params.girth_floor // 2))
     report = explorer.explore_graph_experiment(
-        oracle_maker(graph, cfg),
-        cfg.get("guiding", "expander-uniform"),
-        cfg.get("strategy", "greedy-unvisited"),
-        roots_count,
-        run.budget,
-        threshold,
-        run.seed,
-        trials,
-        query_limit,
+        oracle_maker(graph, run), run.get("guiding"), run.get("strategy"), roots_count, run.budget,
+        threshold, run.seed, trials, query_limit,
     )
     if report.trials < trials:
         run.meta["completed_trials"] = report.trials
@@ -659,9 +698,7 @@ def cmd_explore_graph(run: Run) -> int:
         return EXIT_BUDGET
     run.write("trials.jsonl", "".join(report.trial_lines))
     stats = report.localization
-    lb = bounds_mod.localization_bound(
-        roots_count, params.expander_degree, threshold, graph.expander.N
-    )
+    lb = bounds_mod.localization_bound(roots_count, params.expander_degree, threshold, graph.expander.N)
     run.record(
         f"localization_rate[{report.strategy}]", stats.p_hat, stats.stderr, lb.value,
         lb.flags + ("bound-is-sampler-floor",),
@@ -671,82 +708,49 @@ def cmd_explore_graph(run: Run) -> int:
     return EXIT_OK
 
 
-@command("ggsp", results=("trials.jsonl",) + RECORDS,
-         counts={"trials": ("trials", 200), "budget": ("budget", 32)})
+@command("ggsp", results=("trials.jsonl",) + RECORDS, counts={"trials": "trials", "budget": "budget"})
 def cmd_ggsp(run: Run) -> int:
-    cfg = run.cfg
-    params, graph = build_main_graph(run, "ggsp")
-    t_inputs = run.integer("t", 4, low=1)
-    threshold = run.integer("threshold", max(2, params.girth_floor // 2))
+    t_inputs, (params, graph) = run.get("t"), build_main_graph(run)
+    threshold = run.get("threshold", default=max(2, params.girth_floor // 2))
     report = explorer.ggsp_experiment(
-        oracle_maker(graph, cfg),
-        cfg.get("guiding", "exact-ground-state"),
-        cfg.get("algorithm", "echo-first-input"),
-        run.trials,
-        t_inputs,
-        run.budget,
-        threshold,
-        run.seed,
+        oracle_maker(graph, run), run.get("guiding"), run.get("algorithm"), run.trials, t_inputs,
+        run.budget, threshold, run.seed,
     )
     run.write("trials.jsonl", "".join(report.trial_lines))
-    lb = bounds_mod.localization_bound(
-        t_inputs, params.expander_degree, threshold, graph.expander.N
-    )
-    run.record(
-        f"localization_rate[{report.algorithm}]", report.localization.p_hat,
-        report.localization.stderr, lb.value, lb.flags,
-    )
+    lb = bounds_mod.localization_bound(t_inputs, params.expander_degree, threshold, graph.expander.N)
+    stats = report.localization
+    run.record(f"localization_rate[{report.algorithm}]", stats.p_hat, stats.stderr, lb.value, lb.flags)
     run.record("budget_failures", report.budget_failures)
-    print(
-        f"{report.algorithm}: localization {report.localization.p_hat:.4f} "
-        f"(bound floor {lb.value:.4f}), budget failures {report.budget_failures}"
-    )
+    print(f"{report.algorithm}: localization {stats.p_hat:.4f} "
+          f"(bound floor {lb.value:.4f}), budget failures {report.budget_failures}")
     return EXIT_OK
 
 
-def _entry_integers(e: dict, *keys) -> list:
-    return [_integer(f"bounds entry {k}", e[k]) for k in keys]
+def _recursion(degrees, depths, q_schedule, w):
+    return bounds_mod.recursion_bound(graph_model.Schedule(tuple(degrees), tuple(depths)), q_schedule, w)[-1]
 
 
-def _entry_numbers(e: dict, *keys) -> list:
-    return [_number(f"bounds entry {k}", e[k]) for k in keys]
-
-
-def _entry_w(e: dict) -> int:
-    return _integer("bounds entry w", e.get("w", 2))
-
-
-# bounds-entry name -> the BoundReport it asks for; arguments are entry keys,
-# read as integers or numbers.
+# bounds-entry name -> (the function of the BoundReport it asks for, the
+# entry keys it takes, in order).
 BOUNDS = {
-    "avoidance": lambda e: bounds_mod.avoidance_bound(
-        *_entry_integers(e, "d_k", "d_km1", "l_k", "l_km1"), _entry_w(e)
-    ),
-    "recursion": lambda e: bounds_mod.recursion_bound(
-        build_schedule(e), _numbers("bounds entry q_schedule", e["q_schedule"]), _entry_w(e)
-    )[-1],
-    "closed-form": lambda e: bounds_mod.closed_form_exit_bound(*_entry_integers(e, "n", "k")),
-    "localization": lambda e: bounds_mod.localization_bound(
-        *_entry_integers(e, "u_size", "degree", "g", "n_e")
-    ),
-    "tv-budget": lambda e: bounds_mod.tv_budget_report(*_entry_numbers(e, "fidelity", "tv")),
-    "gap-sum": lambda e: bounds_mod.gap_sum_bound(*_entry_numbers(e, "delta", "gamma")),
-    "alpha": lambda e: bounds_mod.alpha_bounds(
-        *_entry_numbers(e, "lambda_e", "max_degree", "beta"), *_entry_integers(e, "tree_count")
-    ),
+    "avoidance": (bounds_mod.avoidance_bound, ("d_k", "d_km1", "l_k", "l_km1", "w")),
+    "recursion": (_recursion, ("degrees", "depths", "q_schedule", "w")),
+    "closed-form": (bounds_mod.closed_form_exit_bound, ("n", "k")),
+    "localization": (bounds_mod.localization_bound, ("u_size", "degree", "g", "n_e")),
+    "tv-budget": (bounds_mod.tv_budget_report, ("fidelity", "tv")),
+    "gap-sum": (bounds_mod.gap_sum_bound, ("delta", "gamma")),
+    "alpha": (bounds_mod.alpha_bounds, ("lambda_e", "max_degree", "beta", "tree_count")),
 }
 
 
 @command("bounds")
 def cmd_bounds(run: Run) -> int:
-    for entry in _list(run.cfg, "bounds", "config"):
-        name = _require(entry, "name", "bounds entry")
-        if not isinstance(name, str) or name not in BOUNDS:
+    for entry in run.get("bounds"):
+        name = run.get("bounds[].name", entry)
+        if name not in BOUNDS:
             raise UsageError(f"unknown bound name {name!r}")
-        try:
-            rep = BOUNDS[name](entry)
-        except KeyError as exc:
-            raise UsageError(f"missing {exc} in bounds entry {name!r}") from None
+        fn, keys = BOUNDS[name]
+        rep = fn(*(run.get(f"bounds[].{k}", entry) for k in keys))
         run.record(rep.name, rep.value, bound=rep.value, flags=rep.flags, bound_log2=rep.log2_value)
     for rec in run.records:
         print(f"{rec['metric']}: {rec['value']:.6g} (log2={rec['bound_log2']}) {rec['flags']}")
@@ -755,7 +759,7 @@ def cmd_bounds(run: Run) -> int:
 
 @command("verify-small")
 def cmd_verify_small(run: Run) -> int:
-    checks = run_verification_suite(seed=run.seed, planted_defect=bool(run.cfg.get("planted_defect", False)))
+    checks = run_verification_suite(seed=run.seed, planted_defect=run.get("planted_defect"))
     for c in checks:
         run.record(c["name"], c["measured"], bound=c["threshold"], flags=[] if c["passed"] else ["FAILED"])
         print(
@@ -771,9 +775,8 @@ def run_verification_suite(seed: int = 0, planted_defect: bool = False) -> list:
 
     def check(name, measured, threshold, higher_is_bad=True):
         passed = measured <= threshold if higher_is_bad else measured >= threshold
-        checks.append(
-            {"name": name, "measured": float(measured), "threshold": float(threshold), "passed": bool(passed)}
-        )
+        checks.append({"name": name, "measured": float(measured), "threshold": float(threshold),
+                       "passed": bool(passed)})
 
     core = expander_gen.petersen()
     params = graph_model.GraphParams.scaled((5, 4, 3), (1, 2, 3), expander_size=10)
@@ -781,11 +784,7 @@ def run_verification_suite(seed: int = 0, planted_defect: bool = False) -> list:
     check("degree-identity", 0.0 if graph.degree_identity() else 1.0, 0.5)
 
     mat = graph_model.materialize(graph)
-    dual_bad = 0
-    for i, nbrs in enumerate(mat.adjacency):
-        for j in nbrs:
-            if i not in mat.adjacency[j]:
-                dual_bad += 1
+    dual_bad = sum(i not in mat.adjacency[j] for i, nbrs in enumerate(mat.adjacency) for j in nbrs)
     check("neighbor-duality-violations", dual_bad, 0.5)
 
     solution = spectral.solve_for_instance(graph)
@@ -841,7 +840,7 @@ def run_verification_suite(seed: int = 0, planted_defect: bool = False) -> list:
 
 @command("report", results=(), reader=True)
 def cmd_report(run: Run) -> int:
-    src = Path(run.cfg.get("dir") or run.out)
+    src = Path(run.get("dir") or run.out)
     records = read_jsonl(src / "records.jsonl")
     if not records:
         raise UsageError(f"no records.jsonl under {src}")
@@ -877,7 +876,7 @@ def main(argv=None) -> int:
             run.start()
         code = run.command.fn(run)
         run.write_records()
-    except (InputError, FileNotFoundError) as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     except expander_gen.GenerationError as exc:

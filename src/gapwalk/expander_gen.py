@@ -293,5 +293,11 @@ def from_text(text: str) -> RegularGraph:
 
 
 def load(path) -> RegularGraph:
-    with open(path) as fh:
-        return from_text(fh.read())
+    """The core in the text file at `path`; a path that cannot be read as a
+    file (missing, a directory) is an InputError."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read core file {path}: {exc.strerror}") from None
+    return from_text(text)

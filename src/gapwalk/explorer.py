@@ -8,8 +8,8 @@ one counted query marked `is_root` on first use) or a `Fresh` label (a
 declared, counted probe); a strategy never holds the oracle or the graph.
 
 Every strategy run (exit trial, explore-graph trial, ggsp trial) is one
-`ExplorationSession`: it owns the budget (no query once `len(steps)` reaches
-it), records every query and answer, scores the vertex behind each query from
+`ExplorationSession`: it owns the budget (no query once its query count
+reaches it), records every query and answer, scores the vertex behind each query from
 its `IndexInfo` (isolated hit, leaf level, which decoration copy a leaf belongs
 to), stops the generator when the budget is spent or the watched exit fires,
 and is the record `run_exploration` returns.  Scoring never leaks back into
@@ -34,10 +34,9 @@ run this way and emit rows in trial order; `run_exploration` is `drive` over
 one session.  Sessions share only caches whose values the keys fix (the
 graph's, a trial's oracle memo), so each record is the one it would be alone.
 
-Steps and events are kept raw, as plain tuples and (kind, step, IndexInfo),
-and steps are built into `Step`s only when `steps` is read: a window holds its
-sessions' records alive together, and plain tuples of numbers cost the garbage
-collector nothing once it has seen them.  `explore_graph_experiment` and
+Steps and events are kept raw, as plain tuples and (kind, step, IndexInfo): a
+window holds its sessions' records alive together, and plain tuples of numbers
+cost the garbage collector nothing once it has seen them.  `explore_graph_experiment` and
 `ggsp_experiment` write each trials.jsonl line as text straight from those raw
 records and the trial's scores (`TrialLines`), so a report carries finished
 lines, which the collector does not track, and no row dicts.  Scoring reads
@@ -60,14 +59,6 @@ from .oracle import LabeledOracle, OracleWindow, RevealSealedError, input_draws
 
 class UnknownStrategyError(InputError):
     pass
-
-
-@dataclass
-class Step:
-    label: int
-    answer_size: int
-    fresh: bool = False
-    is_root: bool = False
 
 
 class Root(int):
@@ -106,7 +97,7 @@ class ExplorationSession:
         self.seed = seed
         self.strategy = strategy
         self.stop_on_exit = stop_on_exit
-        self._steps: list[tuple] = []  # (label, answer_size, fresh, is_root); see `steps`
+        self._steps: list[tuple] = []  # (label, answer_size, fresh, is_root) per counted query
         self.answers: list[tuple] = []  # full answers, kept in memory for audits
         self._events: list[tuple] = []  # (kind, step, IndexInfo or None); see `TrialLines`
         self.roots: list[int] = []
@@ -118,11 +109,6 @@ class ExplorationSession:
     @property
     def query_count(self) -> int:
         return len(self._steps)
-
-    @property
-    def steps(self) -> list[Step]:
-        """The counted queries in order."""
-        return [Step(*step) for step in self._steps]
 
     def start(self, strategy: Callable, roots: Sequence[int], rng: random.Random, query_roots: bool) -> "ExplorationSession":
         """Arm the run for `drive`: the roots' counted queries first when

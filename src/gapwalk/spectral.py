@@ -49,8 +49,8 @@ class SpectrumDomainError(ValueError):
     """Resolvent evaluated at or below the tree spectrum (nonpositive denominator)."""
 
 
-class SolverError(RuntimeError):
-    """Fixed-point bracketing or bisection failure."""
+class SolverError(InputError):
+    """Fixed-point bracketing or bisection failure: no spectrum for these inputs."""
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,7 @@ def norm_decomposition(solution: SpectralSolution, expander_size: Optional[int] 
     if n_e is None:
         raise ValueError("expander_size required (solution is not instance-bound)")
     log_core = math.log(n_e)
-    log_x = solution.log_tree_mass() if solution.trees else NEG_INF
+    log_x = solution.log_tree_mass() if solution.trees and solution.beta else NEG_INF  # beta 0: no tree mass
     log_total = log_core + log1p_from_log(log_x)
     if log_x == NEG_INF:
         ratio, one_minus = 1.0, 0.0

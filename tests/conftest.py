@@ -1,3 +1,5 @@
+import concurrent.futures
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -120,6 +122,19 @@ def reference_events(graph, vertex, step) -> list:
 # The program writes trials.jsonl lines as text (`explorer.TrialLines`).  These
 # build a session's record as the dict those lines must encode.
 
+@dataclass
+class Step:
+    label: int
+    answer_size: int
+    fresh: bool = False
+    is_root: bool = False
+
+
+def steps(session) -> list:
+    """A session's counted queries in order."""
+    return [Step(*step) for step in session._steps]
+
+
 def events(session) -> list:
     """Scored events in query order: an isolated hit, a leaf (its level, and
     the reprs of its decoration copy and tree), and an exit leaf after each
@@ -145,6 +160,32 @@ def record(session) -> dict:
         "halted": session.halted,
         "output": session.output,
     }
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records each pool's worker count and
+    its windows' sizes, and runs the windows in this process."""
+
+    workers, windows = [], []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def map(self, fn, jobs):
+        jobs = list(jobs)
+        self.windows.extend(len(job[-1]) for job in jobs)
+        return map(fn, jobs)
+
+    def shutdown(self, cancel_futures):
+        pass
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "workers", [])
+    monkeypatch.setattr(InProcessPool, "windows", [])
+    return InProcessPool
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -28,6 +27,19 @@ def test_missing_config_is_usage_error(tmp_path, capsys):
     code = run(["spectrum", "--config", tmp_path / "nope.json", "--out", tmp_path / "o"])
     assert code == cli.EXIT_USAGE
     assert "config" in capsys.readouterr().err
+
+
+def test_config_path_of_a_directory_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["spectrum", "--config", tmp_path, "--out", out]) == cli.EXIT_USAGE
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_below_a_file_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "p.json", {"instance": {"mode": "standard", "n": 16}})
+    assert run(["spectrum", "--config", cfg, "--out", cfg / "o"]) == cli.EXIT_USAGE
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_invalid_schedule_is_usage_error(tmp_path):
@@ -154,29 +166,31 @@ def test_explore_tree_threads_do_not_change_results(tmp_path):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
-def test_explore_tree_pool_splits_a_small_run_across_workers(tmp_path, monkeypatch):
+def test_explore_tree_pool_splits_a_small_run_across_workers(tmp_path, monkeypatch, in_process_pool):
     cfg = write_config(tmp_path, "t.json", dict(TREE_CFG, strategies=["uniform-walk"], trials=10))
     assert run(["explore-tree", "--config", cfg, "--out", tmp_path / "one"]) == cli.EXIT_OK
-    windows = []
-
-    class Pool:  # runs the windows in process and records their sizes
-        def __init__(self, workers):
-            assert workers == 3
-
-        def map(self, fn, jobs):
-            jobs = list(jobs)
-            windows.extend(len(job[-1]) for job in jobs)
-            return map(fn, jobs)
-
-        def shutdown(self, cancel_futures):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert run(["explore-tree", "--config", cfg, "--out", tmp_path / "three",
                 "--threads", 3]) == cli.EXIT_OK
-    assert windows == [4, 4, 2]
+    assert (in_process_pool.workers, in_process_pool.windows) == ([3], [4, 4, 2])
     for name in ("records.jsonl", "trials.jsonl"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "three" / name).read_bytes()
+
+
+@pytest.mark.parametrize("cpus, workers, windows", [(2, 2, [5, 5]), (None, 1, [])])
+def test_explore_tree_pool_has_at_most_one_worker_per_cpu(tmp_path, monkeypatch, in_process_pool,
+                                                          cpus, workers, windows):
+    """A fork pool starts all its workers at the first submit: --threads
+    100000 must not ask for 100,000 processes."""
+    cfg = write_config(tmp_path, "t.json", dict(TREE_CFG, strategies=["uniform-walk"], trials=10))
+    assert run(["explore-tree", "--config", cfg, "--out", tmp_path / "one"]) == cli.EXIT_OK
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert run(["explore-tree", "--config", cfg, "--out", tmp_path / "many",
+                "--threads", 100000]) == cli.EXIT_OK
+    assert in_process_pool.workers == ([workers] if workers > 1 else [])
+    assert in_process_pool.windows == windows
+    for name in ("records.jsonl", "trials.jsonl"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes()
 
 
 def test_ggsp_writes_per_trial_records(tmp_path):
@@ -864,6 +878,20 @@ ONE_VERTEX, NO_VERTEX = "one-vertex.txt", "no-vertex.txt"  # "1 0 0" and "0 0 0"
     ("gen-expander", {"expander": {"complete": 0}}),
     ("certify", {"expander_file": ONE_VERTEX}),
     ("certify", {"expander_file": NO_VERTEX}),
+    # A standard family whose exact core size would not fit in memory.
+    ("spectrum", {"instance": {"mode": "standard", "n": 10**10}}),
+    # A core path that names a directory.
+    ("certify", {"expander_file": "."}),
+    ("spectrum", {"instance": dict(PETERSEN_INSTANCE, expander={"file": "."})}),
+    # A base eigenvalue whose fixed point cannot be bracketed, or that is not finite.
+    ("spectrum", {"instance": dict(CUSTOM_INSTANCE, lambda_e=1e308)}),
+    ("spectrum", {"instance": dict(CUSTOM_INSTANCE, lambda_e=math.inf)}),
+    # Integers past 2**63 - 1, and numbers past the largest float.
+    ("gen-expander", {"expander": {"N": 20, "d": 3, "seed": 2**300}}),
+    ("ggsp", dict(GGSP_GOLDEN, t=2**70)),
+    ("explore-graph", dict(GRAPH_CFG, roots=2**70)),
+    ("bounds", {"bounds": [{"name": "avoidance", "d_k": 2, "d_km1": 4, "l_k": 2**2000, "l_km1": 1}]}),
+    ("bounds", {"bounds": [{"name": "tv-budget", "fidelity": 2**2000, "tv": 0.1}]}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
     monkeypatch.chdir(tmp_path)
@@ -879,6 +907,28 @@ def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command
         assert not any(out.iterdir())
     else:
         assert json.loads((out / "meta.json").read_text())["status"] == "config-error"
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("explore-tree", dict(TREE_CFG, seed=2**300)),
+    ("explore-tree", dict(TREE_CFG, strateg="uniform-walk")),  # a misspelt key
+    ("explore-graph", dict(GRAPH_CFG, t=2)),  # a key of another command
+    ("ggsp", dict(GGSP_GOLDEN, instance=dict(PETERSEN_INSTANCE, expander={"petersen": True, "N": 10}))),
+    ("report", {"dir": 5}),
+    ("report", {"dir.x": "a"}),
+])
+def test_config_refused_before_the_run_leaves_out_untouched(tmp_path, capsys, command, cfg):
+    """An unknown key, or a seed or directory of the wrong kind, exits 1
+    before the run starts: --out keeps an earlier run's files as they were."""
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "records.jsonl").write_text("an earlier run's row\n")
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run([command, "--config", path, "--out", out]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == ["records.jsonl"]
+    assert (out / "records.jsonl").read_text() == "an earlier run's row\n"
 
 
 def test_explore_tree_interruption_keeps_appended_windows(tmp_path, monkeypatch):
@@ -926,7 +976,8 @@ def test_disconnected_file_core_is_config_error(tmp_path, capsys, command):
     core = tmp_path / "two-k4.txt"
     core.write_text("8 3 0\n" + "".join(f"{u} {v}\n" for u, v in edges))
     instance = dict(PETERSEN_INSTANCE, expander={"file": str(core)})
-    path = write_config(tmp_path, "c.json", dict(GGSP_GOLDEN, trials=5, roots=2, instance=instance))
+    cfg = {"explore-graph": GRAPH_GOLDEN, "ggsp": GGSP_GOLDEN}[command]  # each its own keys
+    path = write_config(tmp_path, "c.json", dict(cfg, trials=5, instance=instance))
     out = tmp_path / "o"
     assert run([command, "--config", path, "--out", out]) == cli.EXIT_USAGE
     assert "config error:" in capsys.readouterr().err

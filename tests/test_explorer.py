@@ -18,7 +18,7 @@ from gapwalk import (
     oracle as orc,
 )
 from gapwalk._util import derive_key, derive_seed
-from conftest import classify_vertex, events, record, reference_events, schedules
+from conftest import Step, classify_vertex, events, record, reference_events, schedules, steps
 
 
 def make_tree_oracle(degrees, depths, k, key_tag="t"):
@@ -32,7 +32,7 @@ def test_budget_one_root_only():
     graph, o = make_tree_oracle((4, 3), (1, 2), 2)
     tr = ex.run_exploration(o, [o.label_of(graph.root)], "uniform-walk", budget=1, seed=0)
     assert tr.query_count == 1
-    assert len(tr.steps) == 1 and tr.steps[0].is_root
+    assert len(steps(tr)) == 1 and steps(tr)[0].is_root
     assert tr.halted == "budget"
     assert all(ev["step"] == 0 for ev in events(tr))
 
@@ -63,7 +63,7 @@ def test_far_end_seen_one_query_earlier():
     graph, o = make_tree_oracle((2,), (length,), 1, "path2")
     far = o.label_of(graph.vertex_at(graph.num_nonisolated - 1))
     tr = ex.run_exploration(o, [o.label_of(graph.root)], "greedy-unvisited", budget=length, seed=1)
-    assert far not in {s.label for s in tr.steps}
+    assert far not in {s.label for s in steps(tr)}
     assert any(far in ans for ans in tr.answers)
 
 
@@ -73,7 +73,7 @@ def test_budget_law_and_query_accounting():
         before = o.query_count
         tr = ex.run_exploration(o, [o.label_of(graph.root)], strategy, budget=12, seed=3)
         assert tr.query_count <= 12
-        assert tr.query_count == len(tr.steps)
+        assert tr.query_count == len(steps(tr))
         assert o.query_count - before == tr.query_count
 
 
@@ -82,9 +82,9 @@ def test_transcripts_reproducible():
     root = o.label_of(graph.root)
     a = ex.run_exploration(o, [root], "uniform-walk", budget=20, seed=11)
     b = ex.run_exploration(o, [root], "uniform-walk", budget=20, seed=11)
-    assert (record(a), a.steps) == (record(b), b.steps)
+    assert (record(a), steps(a)) == (record(b), steps(b))
     c = ex.run_exploration(o, [root], "uniform-walk", budget=20, seed=12)
-    assert (record(a), a.steps) != (record(c), c.steps)
+    assert (record(a), steps(a)) != (record(c), steps(c))
 
 
 def test_transcript_record_is_json_serializable():
@@ -291,8 +291,8 @@ def test_sessions_sharing_an_oracle_record_what_separate_oracles_do(monkeypatch,
     shared = [armed(oracle, s, t) for t, s in enumerate(strategies)]
     assert 2 * len(separate[0].answers[0]) >= orc.ARRAY_MIN_LABELS  # the root's answer
     ex.drive(shared)
-    assert [(record(s), s.steps, s.answers) for s in shared] == [
-        (record(s), s.steps, s.answers) for s in separate
+    assert [(record(s), steps(s), s.answers) for s in shared] == [
+        (record(s), steps(s), s.answers) for s in separate
     ]
     assert oracle.query_count == sum(s.query_count for s in shared)
     assert len(mapped) == len(oracle._label_at)  # walks query only labels already mapped
@@ -326,8 +326,8 @@ def test_drive_window_matches_lone_runs(small_instance, strategy, seed, trials, 
     together = [armed(t) for t in range(trials)]
     for w in range(0, trials, window):
         ex.drive(together[w : w + window])
-    assert [(record(s), s.steps, s.answers) for s in together] == [
-        (record(s), s.steps, s.answers) for s in lone
+    assert [(record(s), steps(s), s.answers) for s in together] == [
+        (record(s), steps(s), s.answers) for s in lone
     ]
     assert all(s.oracle.query_count == s.query_count for s in together)
 
@@ -344,7 +344,7 @@ def _reference_session(oracle, fn, roots, rng, budget, stop_on_exit, query_roots
             record["halted"] = "budget"
             return None
         answer = oracle.query(label)
-        record["steps"].append(ex.Step(label, len(answer), fresh=fresh, is_root=is_root))
+        record["steps"].append(Step(label, len(answer), fresh=fresh, is_root=is_root))
         record["answers"].append(answer)
         if is_root:
             root_answers[label] = answer
@@ -409,7 +409,7 @@ def test_session_scoring_matches_revealed_classification(
         references.append(_reference_session(ref_oracle, fn, rs, random.Random(t), budget, stop_on_exit, query_roots))
     ex.drive(sessions)
     for session, ref in zip(sessions, references):
-        got = {"steps": session.steps, "answers": session.answers, "events": events(session),
+        got = {"steps": steps(session), "answers": session.answers, "events": events(session),
                "halted": session.halted, "output": session.output}
         assert got == ref
 
@@ -419,7 +419,7 @@ def test_session_scoring_matches_revealed_classification(
     session = ex.ExplorationSession(sealed, budget, 0, strategy, stop_on_exit=stop_on_exit)
     with pytest.raises(orc.RevealSealedError):
         session.start(fn, rs, random.Random(0), query_roots)
-    assert session.steps == [] and events(session) == [] and sealed.query_count == 0
+    assert steps(session) == [] and events(session) == [] and sealed.query_count == 0
 
 
 def _exact_nb_exit_probability(degrees, depths, k, budget):
