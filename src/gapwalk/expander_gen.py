@@ -4,6 +4,7 @@ exact girth by ball-limited BFS, and top-two adjacency eigenvalues."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import re
@@ -123,10 +124,10 @@ def _switching_repair(N: int, d: int, rng: random.Random, max_steps: int = 200_0
         u, v = bad[below(rng.getrandbits, len(bad))]
         good = list(edge_count.keys())
         x, y = good[below(rng.getrandbits, len(good))]
-        if len({u, v, x, y}) < 4:
-            continue
         e1, e2 = key(u, x), key(v, y)
-        if e1 in edge_count or e2 in edge_count:
+        # No swap may make a loop or a multi-edge.  A loop (u, u) swaps into
+        # (u, x), (u, y), and a loop drawn as (x, y) into (u, x), (v, x).
+        if u == x or v == y or e1 == e2 or e1 in edge_count or e2 in edge_count:
             continue
 
         def remove(e):
@@ -153,12 +154,15 @@ def sample_regular_graph(
     whole-graph rejection; deterministic given the seed.
 
     When rejection stalls (large d^2/N), falls back to edge-switching repair
-    and marks the graph non-uniform.
+    and marks the graph non-uniform.  K_N, the one (N-1)-regular graph, is
+    returned without a draw, since rejection and switching can both stall on it.
     """
     if (N * d) % 2 != 0:
         raise InputError(f"N*d must be even, got N={N}, d={d}")
     if not 0 <= d < N:
         raise InputError(f"need 0 <= d < N, got N={N}, d={d}")
+    if d == N - 1:
+        return dataclasses.replace(complete_graph(N), seed=seed)
     rng = random.Random(derive_seed("regular-graph", N, d, seed))
     for attempt in range(max_rejections):
         edges = _pairing_attempt(N, d, rng)

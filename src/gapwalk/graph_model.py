@@ -46,8 +46,9 @@ class InvalidAddressError(InvalidVertexError):
     """A tree address that does not denote a node of the requested tree."""
 
 
-class SizeCapError(RuntimeError):
-    """Instance too large for the requested dense / label-indexed operation."""
+class SizeCapError(InputError):
+    """Instance too large for the requested dense / label-indexed operation;
+    the CLI reports it as a config error."""
 
 
 # ---------------------------------------------------------------------------
@@ -742,14 +743,18 @@ def adjacency_matrix(adjacency) -> "scipy.sparse.csr_matrix":
     return scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 
 
-DENSE_EIG_LIMIT = 4096
+# Where Lanczos overtakes dense `eigh` on random cubic graphs (CHANGES.md has
+# the measured table).
+DENSE_EIG_LIMIT = 400
 
 
 def top_eigenpairs(adjacency) -> tuple[float, float, np.ndarray, float, float]:
     """(lambda1, lambda2, v1, r1, r2): the two largest adjacency eigenvalues
     of an adjacency-list graph with at least two vertices, the top eigenvector,
     and each pair's residual |A v - lambda v| / |v|.  Dense `eigh` up to
-    DENSE_EIG_LIMIT vertices, Lanczos above."""
+    DENSE_EIG_LIMIT vertices, Lanczos (`eigsh`) above.  Lanczos draws its start
+    and restart vectors from a fixed seed, so either path gives the same bits
+    on every call and in every process under one BLAS kernel."""
     import scipy.linalg
     import scipy.sparse.linalg
 
@@ -760,7 +765,7 @@ def top_eigenpairs(adjacency) -> tuple[float, float, np.ndarray, float, float]:
         vals, vecs = scipy.linalg.eigh(a.toarray(order="F"), subset_by_index=[n - 2, n - 1],
                                        overwrite_a=True, check_finite=False)
     else:
-        vals, vecs = scipy.sparse.linalg.eigsh(a, k=2, which="LA", tol=1e-14, maxiter=10000)
+        vals, vecs = scipy.sparse.linalg.eigsh(a, k=2, which="LA", tol=1e-14, maxiter=10000, rng=0)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     lam2, lam1 = float(vals[0]), float(vals[1])

@@ -566,8 +566,10 @@ class DenseEig:
 def dense_top_eigenpair(adjacency: Union[list, MaterializedGraph]) -> DenseEig:
     """Top two eigenvalues and the top eigenvector of an adjacency-list graph.
 
-    The one top-eigenpair routine (`graph_model.top_eigenpairs`: dense up to
-    DENSE_EIG_LIMIT vertices, Lanczos above); refuses more than REFERENCE_CAP
+    The brute-force reference the recursion is checked against, through the
+    one top-eigenpair routine `graph_model.top_eigenpairs`: dense `eigh` up to
+    DENSE_EIG_LIMIT vertices and seeded Lanczos above, so a larger reference
+    is not dense, but is as reproducible.  Refuses more than REFERENCE_CAP
     vertices.
     """
     if isinstance(adjacency, MaterializedGraph):

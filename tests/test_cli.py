@@ -90,13 +90,18 @@ def test_resolved_config_and_meta_written(tmp_path):
 # -- gen-expander / certify ---------------------------------------------------
 
 def test_gen_expander_deterministic_bytes(tmp_path):
-    cfg = write_config(
-        tmp_path, "g.json",
-        {"expander": {"N": 60, "d": 3, "gap_min": 0.05, "girth_min": 4, "seed": 7}},
-    )
-    assert run(["gen-expander", "--config", cfg, "--out", tmp_path / "a"]) == cli.EXIT_OK
-    assert run(["gen-expander", "--config", cfg, "--out", tmp_path / "b"]) == cli.EXIT_OK
-    assert (tmp_path / "a" / "expander.txt").read_bytes() == (tmp_path / "b" / "expander.txt").read_bytes()
+    """Two runs write the same core and certificate bytes, from a dense
+    certification (N=60) and from a Lanczos one (N=1000)."""
+    for n in (60, 1000):
+        cfg = write_config(
+            tmp_path, f"g{n}.json",
+            {"expander": {"N": n, "d": 3, "gap_min": 0.05, "girth_min": 4, "seed": 7}},
+        )
+        outs = [tmp_path / f"{n}-{side}" for side in "ab"]
+        for out in outs:
+            assert run(["gen-expander", "--config", cfg, "--out", out]) == cli.EXIT_OK
+        for name in ("expander.txt", "expander.certificate.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (n, name)
 
 
 def test_gen_expander_unreachable_thresholds_exit_2(tmp_path):
@@ -892,6 +897,11 @@ ONE_VERTEX, NO_VERTEX = "one-vertex.txt", "no-vertex.txt"  # "1 0 0" and "0 0 0"
     ("explore-graph", dict(GRAPH_CFG, roots=2**70)),
     ("bounds", {"bounds": [{"name": "avoidance", "d_k": 2, "d_km1": 4, "l_k": 2**2000, "l_km1": 1}]}),
     ("bounds", {"bounds": [{"name": "tv-budget", "fidelity": 2**2000, "tv": 0.1}]}),
+    # A vertex count past the ranking cap 2^50.
+    ("explore-tree", dict(TREE_CFG, schedule={"degrees": [9, 5], "depths": [12, 14]})),
+    ("explore-tree", dict(TREE_CFG, schedule={"degrees": [28], "depths": [2560]}, level=1)),
+    ("explore-graph", dict(GRAPH_CFG, instance=dict(PETERSEN_INSTANCE, degrees=[25, 16, 3], depths=[4, 8, 12],
+                                                    padding_ratio=1.0), oracle={"padding_ratio": 1.0})),
 ])
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
     monkeypatch.chdir(tmp_path)

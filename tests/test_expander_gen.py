@@ -49,6 +49,22 @@ def test_switching_fallback_flags_nonuniform():
         "8abf413b83f33470ec57859a41827ac0aac75e663f070e4bb283cd156dbeb495")
 
 
+@pytest.mark.parametrize("N, d, seed", [(12, 9, 2), (10, 4, 1), (12, 5, 0)])
+def test_switching_fallback_repairs_loops(N, d, seed):
+    """Each of these pairings, drawn after one rejection, has a loop, which
+    swaps out like a multi-edge."""
+    g = eg.sample_regular_graph(N, d, seed, max_rejections=1)
+    assert {len(nbrs) for nbrs in g.adjacency} == {d}
+    assert not g.uniform
+
+
+def test_complete_core_is_sampled_without_a_draw():
+    # At seed 7 both rejection and switching stalled on K_6.
+    g = eg.sample_regular_graph(6, 5, seed=7)
+    assert g.adjacency == eg.complete_graph(6).adjacency
+    assert g.seed == 7 and g.uniform
+
+
 @pytest.mark.parametrize("seed", [0, 1, 901, 2**40 + 3])
 def test_shuffle_draws_as_random_shuffle(seed):
     ours, theirs = random.Random(seed), random.Random(seed)
@@ -172,6 +188,53 @@ def test_eigen_residuals_reported_small():
     cert = eg.certify_expander(eg.petersen(), gap_min=1.5, girth_min=5)
     assert cert is not None
     assert cert.residual1 <= 1e-6 and cert.residual2 <= 1e-6
+
+
+def test_lanczos_eigenpairs_are_bit_identical_per_call():
+    """Above DENSE_EIG_LIMIT the Lanczos start and restart vectors come from a
+    fixed seed, not from the operating system's entropy."""
+    adjacency = eg.sample_regular_graph(5000, 3, 7).adjacency
+    assert len(adjacency) > gm.DENSE_EIG_LIMIT
+    calls = []
+    for _ in range(3):
+        lam1, lam2, _, r1, r2 = gm.top_eigenpairs(adjacency)
+        calls.append(tuple(x.hex() for x in (lam1, lam2, r1, r2)))
+    assert len(set(calls)) == 1
+
+
+def _disjoint_union(*adjacencies):
+    out = []
+    for adjacency in adjacencies:
+        offset = len(out)
+        out += [[v + offset for v in nbrs] for nbrs in adjacency]
+    return out
+
+
+def _just_above_dense_limit(case):
+    n = gm.DENSE_EIG_LIMIT + 1
+    if case.startswith("regular-"):
+        d = int(case[-1])
+        return eg.sample_regular_graph(n + n * d % 2, d, 1).adjacency
+    return {
+        "complete": lambda: eg.complete_graph(n).adjacency,  # lambda2 = -1, n - 1 times
+        "two-cubic": lambda: _disjoint_union(*(eg.sample_regular_graph((n + 3) // 4 * 2, 3, seed).adjacency
+                                               for seed in (1, 2))),  # lambda1 twice
+        "cycle": lambda: _cycle(n),  # lambda2 twice
+        "60-petersen": lambda: _disjoint_union(*[eg.petersen().adjacency] * 60),  # lambda1 60 times
+    }[case]()
+
+
+@pytest.mark.parametrize("case", ["regular-3", "regular-4", "regular-5", "regular-6", "complete",
+                                  "two-cubic", "cycle", "60-petersen"])
+def test_lanczos_eigenpairs_match_dense(case):
+    """A Lanczos certificate reports the lambda1 and lambda2 that a dense
+    solve would, repeated eigenvalues included."""
+    adjacency = _just_above_dense_limit(case)
+    assert len(adjacency) > gm.DENSE_EIG_LIMIT
+    lam1, lam2, _, r1, r2 = gm.top_eigenpairs(adjacency)
+    dense = np.linalg.eigvalsh(gm.adjacency_matrix(adjacency).toarray())
+    assert abs(lam1 - dense[-1]) <= 1e-10 and abs(lam2 - dense[-2]) <= 1e-10
+    assert r1 <= 1e-10 and r2 <= 1e-10
 
 
 def test_certify_thresholds():
