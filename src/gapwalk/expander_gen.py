@@ -1,10 +1,19 @@
 """Sampling and certification of regular graphs serving as the core: uniform
 configuration-model sampling with whole-graph rejection over a pinned shuffle,
-exact girth by ball-limited BFS, and top-two adjacency eigenvalues."""
+exact girth by a whole-array search over non-backtracking walks, and top-two
+adjacency eigenvalues.
+
+The shuffle draws CPython's `random.shuffle` stream in fixed-width runs: every
+bound in [2^(k-1), 2^k) takes `getrandbits(k)`, redrawn while too large.  A
+pairing attempt checks each pair as soon as the shuffle has made it final and
+stops at the first loop or repeated edge, but still makes every remaining draw,
+so the next attempt starts from the same generator state.  A core is refused
+before anything is allocated when its stub count exceeds MAX_CORE_STUBS."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 import re
@@ -15,6 +24,20 @@ import numpy as np
 
 from ._util import InputError, below, derive_seed
 from .graph_model import bfs_distances, top_eigenpairs
+
+
+# The most stubs (N*d, or N*(N-1) for K_N) a core may have: 2^24 is about
+# 600 MB of Python ints in the stub list and the adjacency tuples.
+MAX_CORE_STUBS = 1 << 24
+
+# The most walk endpoints one whole-array step of `girth` holds, unless a
+# single source has more.
+GIRTH_STEP_ENDPOINTS = 1 << 16
+
+
+def _check_stubs(n: int, d: int) -> None:
+    if n * d > MAX_CORE_STUBS:
+        raise InputError(f"a core of N={n}, d={d} has {n * d} stubs, more than {MAX_CORE_STUBS}")
 
 
 class GenerationError(RuntimeError):
@@ -39,8 +62,9 @@ class RegularGraph:
     @classmethod
     def from_edges(cls, N: int, d: int, edges, seed: int, uniform: bool = True) -> "RegularGraph":
         """The graph of an edge list (an array or list of vertex pairs in
-        [0, N)), built and checked in whole-array steps: InputError unless
-        every vertex has d neighbours, none of them itself and none twice, and N >= 2."""
+        [0, N), or a flat list of their ends), built and checked in
+        whole-array steps: InputError unless every vertex has d neighbours,
+        none of them itself and none twice, and N >= 2."""
         if N < 2:
             raise InputError(f"a core needs at least 2 vertices, got N={N}")
         ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -76,30 +100,65 @@ class ExpanderCertificate:
     uniform: bool = True
 
 
+def _runs(i: int):
+    """Fisher-Yates steps i, i - 1, ..., 1 as runs (k, steps): the steps whose
+    bounds (step + 1) share the bit length k, so each draws `getrandbits(k)`."""
+    while i > 0:
+        k = (i + 1).bit_length()
+        lo = (1 << (k - 1)) - 1
+        yield k, range(i, lo - 1, -1)
+        i = lo - 1
+
+
 def _shuffle(x: list, rng: random.Random) -> None:
     """`rng.shuffle(x)` as CPython draws it (Fisher-Yates over `below`), at
-    about 0.7 of its cost and pinned: Python keeps only `random()` reproducible
+    about half its cost and pinned: Python keeps only `random()` reproducible
     across versions, so a core's seed rests on the Mersenne Twister alone."""
     getrandbits = rng.getrandbits
-    for i in range(len(x) - 1, 0, -1):
-        j = below(getrandbits, i + 1)
-        x[i], x[j] = x[j], x[i]
+    for k, steps in _runs(len(x) - 1):
+        for i in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
 
 
-def _pairing_attempt(N: int, d: int, rng: random.Random) -> Optional[set]:
-    """One uniform stub pairing; None if it produced a loop or multi-edge."""
-    stubs = np.repeat(np.arange(N), d).tolist()
-    _shuffle(stubs, rng)
-    edges = set()
-    it = iter(stubs)
-    for u, v in zip(it, it):
-        if u == v:
+def _skip_draws(getrandbits, i: int) -> None:
+    """The draws `_shuffle` makes for its steps i, i - 1, ..., 1, without the swaps."""
+    for k, steps in _runs(i):
+        for step in steps:
+            while getrandbits(k) > step:
+                pass
+
+
+def _pairing_attempt(x: list, N: int, rng: random.Random) -> Optional[list]:
+    """One uniform pairing of the stubs `x` (vertices in [0, N), each d times),
+    shuffled in place: `x`, whose consecutive stubs are the edges, or None if
+    it has a loop or a multi-edge.  The stubs are shuffled as `_shuffle` does,
+    which makes positions final from the tail, so each pair is checked once
+    final.  The first bad pair stops the swaps and checks, not the draws: the
+    generator ends where a whole shuffle would leave it."""
+    getrandbits = rng.getrandbits
+    seen = set()
+    for k, steps in _runs(len(x) - 1):
+        for i in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+            if i & 1:
+                continue
+            u, v = x[i], x[i + 1]  # final: an edge
+            e = u * N + v if u < v else v * N + u
+            if u == v or e in seen:
+                _skip_draws(getrandbits, i - 1)
+                return None
+            seen.add(e)
+    if x:  # the first pair, final after the last step
+        u, v = x[0], x[1]
+        if u == v or (u * N + v if u < v else v * N + u) in seen:
             return None
-        e = (u, v) if u < v else (v, u)
-        if e in edges:
-            return None
-        edges.add(e)
-    return edges
+    return x
 
 
 def _switching_repair(N: int, d: int, rng: random.Random, max_steps: int = 200_000) -> set:
@@ -161,39 +220,64 @@ def sample_regular_graph(
         raise InputError(f"N*d must be even, got N={N}, d={d}")
     if not 0 <= d < N:
         raise InputError(f"need 0 <= d < N, got N={N}, d={d}")
+    _check_stubs(N, d)
     if d == N - 1:
         return dataclasses.replace(complete_graph(N), seed=seed)
     rng = random.Random(derive_seed("regular-graph", N, d, seed))
+    stubs = np.repeat(np.arange(N), d).tolist()
     for attempt in range(max_rejections):
-        edges = _pairing_attempt(N, d, rng)
-        if edges is not None:
-            return RegularGraph.from_edges(N, d, list(edges), seed)
+        pairing = _pairing_attempt(stubs.copy(), N, rng)
+        if pairing is not None:
+            return RegularGraph.from_edges(N, d, pairing, seed)
     edges = _switching_repair(N, d, rng)
     return RegularGraph.from_edges(N, d, list(edges), seed, uniform=False)
 
 
 def girth(graph: RegularGraph) -> float:
-    """Length of the shortest cycle; inf for forests.  From each vertex, the BFS
-    ball of radius (best - 1) // 2, all a shorter cycle through it reaches: an
-    edge inside distance layer d closes a cycle of length 2d + 1, a vertex with
-    two neighbours in layer d - 1 one of 2d (Itai and Rodeh, SIAM J. Comput. 7,
-    1978).  3, the least a simple graph has, ends the search."""
-    best = math.inf
+    """Length of the shortest cycle; inf for forests.  One whole-array search
+    from every source at once, radius by radius, over the endpoints of
+    non-backtracking walks: two equal radius-r endpoints of one source close a
+    2r-cycle, and an edge between two radius-r endpoints of one source closes
+    a (2r+1)-cycle.  Until one closes, each source's walks are its BFS tree, so
+    the first radius to close a cycle gives the girth; a forest runs out of
+    endpoints.  Sources go in chunks, halved while a step would hold more than
+    GIRTH_STEP_ENDPOINTS endpoints."""
     adj = graph.adjacency
-    for src in range(graph.N):
-        dist = bfs_distances(adj, src, radius=None if best == math.inf else (best - 1) // 2)
-        for u, du in dist.items():
-            below = 0
-            for w in adj[u]:
-                dw = dist.get(w)
-                if dw == du:
-                    best = min(best, 2 * du + 1)
-                elif dw == du - 1:
-                    below += 1
-            if below > 1:
-                best = min(best, 2 * du)
-        if best == 3:
-            break
+    n = len(adj)
+    deg = np.fromiter(map(len, adj), np.int64, n)
+    start = np.zeros(n + 1, np.int64)
+    np.cumsum(deg, out=start[1:])
+    flat = np.fromiter(itertools.chain.from_iterable(adj), np.int64, start[-1])
+    best = math.inf
+    sources = np.arange(n)
+    # A chunk: its source range, and per endpoint its source, vertex and the
+    # vertex before it (-1 at radius 0), grouped by source; the sorted
+    # endpoint keys source * n + vertex; the radius.
+    chunks = [(0, n, sources, sources, np.full(n, -1), sources * n + sources, 0)]
+    while chunks and best > 3:
+        lo, hi, src, cur, prev, keys, r = chunks.pop()
+        while len(cur) and 2 * r + 1 < best:
+            counts = deg[cur]
+            total = int(counts.sum())
+            if total > GIRTH_STEP_ENDPOINTS and hi - lo > 1:
+                mid = (lo + hi) // 2
+                cut = int(np.searchsorted(src, mid))
+                chunks.append((mid, hi, src[cut:], cur[cut:], prev[cut:], keys[cut:], r))
+                hi, src, cur, prev, keys = mid, src[:cut], cur[:cut], prev[:cut], keys[:cut]
+                continue
+            ends = np.cumsum(counts)
+            nxt = flat[np.arange(total) + np.repeat(start[cur] - ends + counts, counts)]
+            forward = nxt != np.repeat(prev, counts)
+            src, prev, cur = np.repeat(src, counts)[forward], np.repeat(cur, counts)[forward], nxt[forward]
+            nkeys = np.sort(src * n + cur)
+            if (keys[np.minimum(np.searchsorted(keys, nkeys), len(keys) - 1)] == nkeys).any():
+                best = 2 * r + 1
+                break
+            r += 1
+            if 2 * r < best and (nkeys[1:] == nkeys[:-1]).any():
+                best = 2 * r
+                break
+            keys = nkeys
     return best
 
 
@@ -203,10 +287,8 @@ def certify_expander(
     """Certificate if the graph meets the gap and girth thresholds, else None."""
     if gap_min < 0 or girth_min < 0:
         raise InputError("thresholds must be non-negative")
-    if not graph.is_connected():
-        return None
-    g = girth(graph)
-    if g < girth_min:
+    g = girth(graph)  # first: about 3 in 4 cubic candidates hold a triangle
+    if g < girth_min or not graph.is_connected():
         return None
     lam1, lam2, _, r1, r2 = top_eigenpairs(graph.adjacency)
     gap = lam1 - lam2
@@ -255,6 +337,7 @@ def petersen() -> RegularGraph:
 
 
 def complete_graph(n: int) -> RegularGraph:
+    _check_stubs(n, n - 1)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return RegularGraph.from_edges(n, n - 1, edges, seed=0)
 

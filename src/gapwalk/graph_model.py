@@ -705,19 +705,18 @@ def materialize(graph: Instance) -> MaterializedGraph:
     return MaterializedGraph(vertices, index, adjacency)
 
 
-def bfs_distances(adjacency: list, source: int, stop=frozenset(), radius=None) -> dict:
+def bfs_distances(adjacency: list, source: int, stop=frozenset()) -> dict:
     """Plain BFS hop distances on an adjacency-list graph: {vertex: distance}
     over the vertices reached, so a search costs the ball it reaches.
 
     The search ends at the first vertex of `stop` it reaches (the source
     included).  BFS reaches vertices in nondecreasing distance, so that vertex
-    is the nearest of `stop` and the only one of `stop` with a distance.  With
-    a `radius`, it reaches no vertex farther than that."""
+    is the nearest of `stop` and the only one of `stop` with a distance."""
     dist = {source: 0}
     if source in stop:
         return dist
     layer, d = [source], 0
-    while layer and (radius is None or d < radius):
+    while layer:
         d += 1
         next_layer = []
         for u in layer:

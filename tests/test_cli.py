@@ -920,6 +920,28 @@ def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command
 
 
 @pytest.mark.parametrize("command, cfg", [
+    ("gen-expander", {"expander": {"complete": 10**6}}),
+    ("gen-expander", {"expander": {"N": 10**9, "d": 3}}),
+    ("explore-graph", dict(GRAPH_CFG, instance=dict(GRAPH_CFG["instance"],
+                                                    expander={"generate": {"N": 10**9, "d": 3}}))),
+])
+def test_core_past_the_stub_cap_is_config_error(tmp_path, command, cfg):
+    """A core with more than MAX_CORE_STUBS stubs exits 1 before its stubs or
+    edges are allocated.  The child runs with its address space capped at
+    1 GiB, so a run that allocates them fails there, not on the machine."""
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from gapwalk import cli; sys.exit(cli.main(sys.argv[1:]))")
+    out = tmp_path / "o"
+    argv = [command, "--config", str(write_config(tmp_path, "c.json", cfg)), "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == cli.EXIT_USAGE
+    assert "config error:" in done.stderr and "stubs" in done.stderr
+    assert json.loads((out / "meta.json").read_text())["status"] == "config-error"
+
+
+@pytest.mark.parametrize("command, cfg", [
     ("explore-tree", dict(TREE_CFG, seed=2**300)),
     ("explore-tree", dict(TREE_CFG, strateg="uniform-walk")),  # a misspelt key
     ("explore-graph", dict(GRAPH_CFG, t=2)),  # a key of another command

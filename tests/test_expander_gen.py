@@ -1,7 +1,13 @@
 import hashlib
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -76,6 +82,32 @@ def test_shuffle_draws_as_random_shuffle(seed):
         assert ours.getstate() == theirs.getstate()
 
 
+def _pairing_by_shuffle(N, d, rng):
+    """The reference attempt: the whole `random.shuffle`, then every pair."""
+    stubs = np.repeat(np.arange(N), d).tolist()
+    rng.shuffle(stubs)
+    edges = set()
+    for u, v in zip(stubs[::2], stubs[1::2]):
+        if u == v or (min(u, v), max(u, v)) in edges:
+            return None
+        edges.add((min(u, v), max(u, v)))
+    return edges
+
+
+@pytest.mark.parametrize("N, d", [(2000, 3), (100, 3), (60, 4), (12, 5), (2, 1)])
+def test_pairing_attempt_matches_shuffle_then_check(N, d):
+    """Stopping at the first bad pair gives the reference's edges, or None,
+    and leaves the generator where the whole shuffle would: the next attempt
+    draws the same stream."""
+    for seed in range(8):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            stubs = eg._pairing_attempt(np.repeat(np.arange(N), d).tolist(), N, ours)
+            edges = None if stubs is None else {(min(e), max(e)) for e in zip(stubs[::2], stubs[1::2])}
+            assert edges == _pairing_by_shuffle(N, d, theirs)
+            assert ours.getstate() == theirs.getstate()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 901, 2**40 + 3])
 def test_below_draws_as_randrange(seed):
     ours, theirs = random.Random(seed), random.Random(seed)
@@ -122,6 +154,59 @@ def _girth_by_cycle_enumeration(adjacency):
     for s in range(n):
         dfs(s, s, {s}, 1)
     return best
+
+
+def _girth_by_bfs(adjacency):
+    """The per-source reference: from each vertex, the BFS ball of radius
+    (best - 1) // 2 for the shortest cycle found so far; an edge inside
+    distance layer d closes a cycle of length 2d + 1, a vertex with two
+    neighbours in layer d - 1 one of 2d (Itai and Rodeh, SIAM J. Comput. 7,
+    1978)."""
+    best = math.inf
+    for src in range(len(adjacency)):
+        dist, layer, d = {src: 0}, [src], 0
+        while layer and (best == math.inf or d < (best - 1) // 2):
+            d += 1
+            next_layer = []
+            for u in layer:
+                for w in adjacency[u]:
+                    if w not in dist:
+                        dist[w] = d
+                        next_layer.append(w)
+            layer = next_layer
+        for u, du in dist.items():
+            below = 0
+            for w in adjacency[u]:
+                dw = dist.get(w)
+                if dw == du:
+                    best = min(best, 2 * du + 1)
+                elif dw == du - 1:
+                    below += 1
+            if below > 1:
+                best = min(best, 2 * du)
+    return best
+
+
+# Sampled cubic and quartic cores; (2000, 3) at seeds 0, 6 and 4 has girth 3,
+# 4 and 5.
+GIRTH_CORES = [(20, 3, 1), (100, 3, 2), (2000, 3, 0), (2000, 3, 6), (2000, 3, 4),
+               (60, 4, 0), (400, 4, 3)]
+
+
+def test_girth_matches_bfs_reference_across_chunks():
+    """The whole-array girth agrees with the per-source BFS, also when its
+    sources go in many small chunks, with the shortest cycle in a late one."""
+    cores = [eg.sample_regular_graph(N, d, seed).adjacency for N, d, seed in GIRTH_CORES]
+    cores.append(_disjoint_union(cores[4], _cycle(4)))
+    girths = []
+    for adjacency in cores:
+        graph = eg.RegularGraph(len(adjacency), 0, tuple(map(tuple, adjacency)), seed=0)
+        expected = _girth_by_bfs(adjacency)
+        assert eg.girth(graph) == expected
+        with mock.patch.object(eg, "GIRTH_STEP_ENDPOINTS", 50):
+            assert eg.girth(graph) == expected
+        girths.append(expected)
+    assert set(girths) == {3, 4, 5}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -235,6 +320,41 @@ def test_lanczos_eigenpairs_match_dense(case):
     dense = np.linalg.eigvalsh(gm.adjacency_matrix(adjacency).toarray())
     assert abs(lam1 - dense[-1]) <= 1e-10 and abs(lam2 - dense[-2]) <= 1e-10
     assert r1 <= 1e-10 and r2 <= 1e-10
+
+
+# The benchmark's core (N=2000, d=3, gap >= 0.05, girth >= 4), above
+# DENSE_EIG_LIMIT: the SHA-256 of its text and the certificate's girth,
+# attempts and uniform flag.  Seed 3 rejects five candidates first.
+LARGE_CORES = {
+    1: ("4692d663ebaa395849652064a774db996aec9252ce628a5452ae6bba2694e7d0", 4, 1, True),
+    3: ("49ed308b9d8b3090a93fff20aa66e93f0c794dedf82ebf96e4b7bc84d512a725", 5, 6, True),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LARGE_CORES))
+def test_core_above_dense_limit_is_pinned(seed):
+    """Its text and integer fields by bytes; its eigenvalues, which come from
+    LAPACK's and BLAS's last bits, against a dense solve."""
+    core, cert = eg.generate_certified(2000, 3, gap_min=0.05, girth_min=4, seed=seed)
+    assert core.N > gm.DENSE_EIG_LIMIT
+    text_sha = hashlib.sha256(eg.to_text(core).encode()).hexdigest()
+    assert (text_sha, cert.girth, cert.attempts, cert.uniform) == LARGE_CORES[seed]
+    dense = np.linalg.eigvalsh(gm.adjacency_matrix(core.adjacency).toarray())
+    assert abs(cert.lambda1 - dense[-1]) <= 1e-10 and abs(cert.lambda2 - dense[-2]) <= 1e-10
+
+
+def test_core_above_dense_limit_is_the_same_under_a_second_blas_kernel():
+    """OPENBLAS_CORETYPE, set for the child process only, makes OpenBLAS run
+    its Haswell kernels, not the ones it picks on an AVX-512 CPU; the core and
+    its integer fields hold."""
+    code = ("import hashlib, json; from gapwalk import expander_gen as eg; "
+            "core, cert = eg.generate_certified(2000, 3, gap_min=0.05, girth_min=4, seed=3); "
+            "print(json.dumps([hashlib.sha256(eg.to_text(core).encode()).hexdigest(), "
+            "cert.girth, cert.attempts, cert.uniform]))")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=str(Path(eg.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=300)
+    assert tuple(json.loads(done.stdout)) == LARGE_CORES[3]
 
 
 def test_certify_thresholds():

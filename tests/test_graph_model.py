@@ -571,12 +571,11 @@ def test_bfs_distances_match_shortest_path(data):
     stop = frozenset(data.draw(st.lists(st.integers(0, n - 1), max_size=4)))
     if data.draw(st.booleans()):
         stop |= {source}
-    radius = data.draw(st.none() | st.integers(0, 6))
     truth = scipy.sparse.csgraph.shortest_path(
         gm.adjacency_matrix(adjacency), unweighted=True, indices=source)
-    dist = gm.bfs_distances(adjacency, source, stop, radius)
+    dist = gm.bfs_distances(adjacency, source, stop)
     assert all(truth[v] == d for v, d in dist.items())
-    ball = {v for v in range(n) if truth[v] <= (n if radius is None else radius)}  # inf: unreached
+    ball = {v for v in range(n) if truth[v] <= n}  # inf: unreached
     if source in stop:
         assert dist == {source: 0}
     elif not stop & ball:
