@@ -110,6 +110,11 @@ COUNTED = ("explore-tree",) + GRAPH
 CORE = ("gen-expander",)
 INT_MAX = 2**63 - 1
 INT_ANY = (-INT_MAX - 1, INT_MAX)
+# A trial's guiding inputs or roots, and sample-ground's samples, are all held
+# in memory at once: past these caps a run exits 1 instead of ending in a
+# MemoryError.
+MAX_INPUTS = 1 << 12
+MAX_SAMPLES = 1 << 20
 REQUIRED = ...
 
 # path: (commands that read it, kind, default[, limits]).  A path steps into
@@ -126,7 +131,7 @@ CONFIG_KEYS = {
     "out": (ALL, "str", None),
     "trials": (COUNTED, "int", {"explore-tree": 1000, "explore-graph": 100, "ggsp": 200}, (1, INT_MAX)),
     "budget": (COUNTED, "int", {"explore-tree": 16, "explore-graph": 64, "ggsp": 32}, (1, INT_MAX)),
-    "count": (("sample-ground",), "int", 1000, (1, INT_MAX)),
+    "count": (("sample-ground",), "int", 1000, (1, MAX_SAMPLES)),
     # gen-expander: a fixture core, or one generated when N is given
     "expander": (CORE, "object", REQUIRED),
     "expander.petersen": (CORE, "bool", False),
@@ -183,10 +188,10 @@ CONFIG_KEYS = {
     # explore-graph and ggsp
     "guiding": (GRAPH, "str", {"explore-graph": "expander-uniform", "ggsp": "exact-ground-state"}),
     "threshold": (GRAPH, "int", None, (0, INT_MAX)),
-    "roots": (("explore-graph",), "int", 1, (1, INT_MAX)),
+    "roots": (("explore-graph",), "int", 1, (1, MAX_INPUTS)),
     "query_limit": (("explore-graph",), "int", None, (0, INT_MAX)),
     "algorithm": (("ggsp",), "str", "echo-first-input"),
-    "t": (("ggsp",), "int", 4, (1, INT_MAX)),
+    "t": (("ggsp",), "int", 4, (1, MAX_INPUTS)),
     "oracle": (GRAPH, "object", None),
     "oracle.padding_ratio": (GRAPH, "number", None),
     "oracle.label_bits": (GRAPH, "int", None, (1, INT_MAX)),
@@ -642,7 +647,7 @@ def cmd_explore_tree(run: Run) -> int:
     q_schedule = run.get("q_schedule") or [max(1.0, budget / (w ** (level - k))) for k in range(1, level + 1)]
 
     tree = exit_tree(sched.degrees, sched.depths, level)  # a bad level or width exits 1 before any trial
-    if 0 < padding <= 1 and math.log2(tree.num_nonisolated / padding) > oracle_mod.MAX_LABEL_BITS:
+    if 0 < padding <= 1 and oracle_mod.label_width(tree.num_nonisolated, padding) > oracle_mod.MAX_LABEL_BITS:
         raise UsageError(f"padding_ratio {padding} needs more than {oracle_mod.MAX_LABEL_BITS} label bits")
     trials_path = run.out / "trials.jsonl"
     all_rows = read_trial_rows(trials_path)

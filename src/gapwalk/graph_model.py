@@ -11,8 +11,11 @@ non-leaf, non-isolated vertex of the assembled graph has degree d_1.
 Adjacency comes from one place, the index walk (`index_info`): a walk from the
 root to a canonical index that yields that vertex's neighbour indices.  Every
 experiment reads it, and so does `materialize`, so the dense checks cover the
-same adjacency.  Everything here is pure and immutable; no vertex set is ever
-materialized unless `materialize` is called explicitly.
+same adjacency.  Vertex counts, indices and ranks are exact integers of any
+width: every subtree size comes from one closed form (`_Sizes`), so neither
+counting nor ranking has a size cap.  Everything here is pure and immutable;
+no vertex set is ever materialized unless `materialize` is called explicitly,
+and it refuses more than MATERIALIZE_CAP vertices.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 from ._util import InputError
 
 MATERIALIZE_CAP = 200_000
-RANKING_CAP = 1 << 50
 INDEX_CACHE_CAP = 1 << 20  # entries per per-index cache of one instance
 
 CORE = "c"
@@ -47,8 +49,8 @@ class InvalidAddressError(InvalidVertexError):
 
 
 class SizeCapError(InputError):
-    """Instance too large for the requested dense / label-indexed operation;
-    the CLI reports it as a config error."""
+    """Instance past the cap of `materialize` or of the dense spectral
+    reference; the CLI reports it as a config error."""
 
 
 # ---------------------------------------------------------------------------
@@ -272,189 +274,151 @@ def decoration_hop(level: int, slot: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact counting (arbitrary precision)
+# exact counting and canonical ranking (preorder; children in canonical order)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _core_counts(degrees: tuple, depths: tuple, j: int) -> tuple[int, int]:
-    """(internal vertex count, leaf count) of a bare level-j perfect tree."""
-    b = degrees[j - 1] - 1
-    depth = depths[j - 1]
-    if b == 1:
-        return depth, 1
-    return (b ** depth - 1) // (b - 1), b ** depth
+class _Sizes:
+    """Subtree sizes of one schedule's decorated trees, in closed form.
 
+    A level-j segment whose root lies h hops above its leaves holds
+    S(h) = c + b S(h - 1) vertices, S(0) = 1, where b = d_j - 1 and c is 1
+    plus the vertices of one internal vertex's decoration trees; so
+    S(h) = b^h + c (b^h - 1) / (b - 1), or 1 + c h when b = 1.  Only each
+    level's whole-tree size is kept: a walk steps down to a core child with
+    S(h - 1) = (S(h) - c) // b, and a node is a leaf exactly when its subtree
+    size is 1."""
 
-@lru_cache(maxsize=None)
-def _tree_count(degrees: tuple, depths: tuple, k: int) -> int:
-    internal, leaves = _core_counts(degrees, depths, k)
-    per_internal = sum(
-        (degrees[i - 1] - degrees[i]) * _tree_count(degrees, depths, i)
-        for i in range(1, k)
-    )
-    return internal + leaves + internal * per_internal
-
-
-def count_tree_vertices(schedule: Schedule, k: int) -> int:
-    """Exact vertex count of the fully decorated level-k tree."""
-    schedule._check_level(k)
-    return _tree_count(schedule.degrees, schedule.depths, k)
-
-
-# ---------------------------------------------------------------------------
-# canonical ranking of tree nodes (preorder; children in canonical order)
-# ---------------------------------------------------------------------------
-
-class _SubtreeSizes:
-    """Subtree sizes per (segment level, depth), plus child-block offsets."""
-
-    def __init__(self, schedule: Schedule, k: int):
+    def __init__(self, schedule: Schedule):
         self.schedule = schedule
-        self.k = k
-        self.sizes: dict[int, list[int]] = {}
-        dec_totals: dict[int, int] = {}
-        for j in range(1, k + 1):
-            dec_total = sum(
-                schedule.decoration_count(i) * self.sizes[i][0]
-                for i in schedule.decoration_levels(j)
-            )
-            dec_totals[j] = dec_total
-            depth_j = schedule.depth(j)
-            b = schedule.branching(j)
-            arr = [0] * (depth_j + 1)
-            arr[depth_j] = 1
-            for p in range(depth_j - 1, -1, -1):
-                arr[p] = 1 + b * arr[p + 1] + dec_total
-            self.sizes[j] = arr
-        # Offsets of descending-level decoration blocks after the core blocks.
-        self.dec_offsets: dict[int, dict[int, int]] = {}
-        for j in range(1, k + 1):
-            offs, acc = {}, 0
+        self.total = [None]  # per level: vertices of the decorated tree
+        self.c = [None]  # per level: 1 + one internal vertex's decoration vertices
+        # per level: {decoration level: (copy size, block size, offset after
+        # the core children)}, in canonical (descending-level) order
+        self.blocks = [None]
+        for j in range(1, schedule.levels + 1):
+            blocks, acc = {}, 0
             for lvl in schedule.decoration_levels(j):
-                offs[lvl] = acc
-                acc += schedule.decoration_count(lvl) * self.sizes[lvl][0]
-            self.dec_offsets[j] = offs
+                size = self.total[lvl]
+                block = schedule.decoration_count(lvl) * size
+                blocks[lvl] = (size, block, acc)
+                acc += block
+            b, h, c = schedule.branching(j), schedule.depth(j), 1 + acc
+            power = b ** h
+            self.total.append(1 + c * h if b == 1 else power + c * (power - 1) // (b - 1))
+            self.c.append(c)
+            self.blocks.append(blocks)
 
-    def total(self) -> int:
-        return self.sizes[self.k][0]
-
-    def rank(self, address: tuple) -> int:
-        sched = self.schedule
-        depth_of, branching_of = sched._depth_of, sched._branching_of
-        decoration_count_of = sched._decoration_count_of
-        seg, depth, r = self.k, 0, 0
+    def rank(self, k: int, address: tuple) -> int:
+        branching_of = self.schedule._branching_of
+        decoration_count_of = self.schedule._decoration_count_of
+        seg, size, r = k, self.total[k], 0
         for hop in address:
-            if depth >= depth_of[seg]:
+            if size == 1:
                 raise InvalidAddressError(f"hop below a leaf in {address!r}")
-            child_size = self.sizes[seg][depth + 1]
             r += 1
             if len(hop) == 2 and hop[0] == CORE:
                 t = hop[1]
                 if not 0 <= t < branching_of[seg]:
                     raise InvalidAddressError(f"core child {t} out of range")
-                r += t * child_size
-                depth += 1
+                size = (size - self.c[seg]) // branching_of[seg]
+                r += t * size
             elif len(hop) == 3 and hop[0] == DECOR:
                 _, lvl, slot = hop
                 if not 1 <= lvl < seg or not 0 <= slot < decoration_count_of[lvl]:
                     raise InvalidAddressError(f"bad decoration hop {hop!r}")
-                r += branching_of[seg] * child_size
-                r += self.dec_offsets[seg][lvl] + slot * self.sizes[lvl][0]
-                seg, depth = lvl, 0
+                lsize, _, offset = self.blocks[seg][lvl]
+                r += size - self.c[seg] + offset + slot * lsize
+                seg, size = lvl, lsize
             else:
                 raise InvalidAddressError(f"unknown hop {hop!r}")
         return r
 
-    def unrank(self, r: int) -> tuple:
-        if not 0 <= r < self.total():
+    def unrank(self, k: int, r: int) -> tuple:
+        if not 0 <= r < self.total[k]:
             raise InvalidAddressError(f"rank {r} out of range")
-        sched = self.schedule
-        branching_of, decoration_levels_of = sched._branching_of, sched._decoration_levels_of
-        decoration_count_of = sched._decoration_count_of
-        seg, depth = self.k, 0
+        branching_of = self.schedule._branching_of
+        seg, size = k, self.total[k]
         hops = []
         while r > 0:
             r -= 1
-            child_size = self.sizes[seg][depth + 1]
-            core_block = branching_of[seg] * child_size
+            core_block = size - self.c[seg]
             if r < core_block:
-                t, r = divmod(r, child_size)
+                size = core_block // branching_of[seg]
+                t, r = divmod(r, size)
                 hops.append(core_hop(t))
-                depth += 1
                 continue
             r -= core_block
-            for lvl in decoration_levels_of[seg]:
-                block = decoration_count_of[lvl] * self.sizes[lvl][0]
+            for lvl, (lsize, block, _) in self.blocks[seg].items():
                 if r < block:
-                    slot, r = divmod(r, self.sizes[lvl][0])
+                    slot, r = divmod(r, lsize)
                     hops.append(decoration_hop(lvl, slot))
-                    seg, depth = lvl, 0
+                    seg, size = lvl, lsize
                     break
                 r -= block
             else:
                 raise InvalidAddressError("rank walk escaped decoration blocks")
         return tuple(hops)
 
-    def walk(self, r: int, offset: int, up: Optional[int]) -> tuple[tuple, Optional[int], Optional[tuple]]:
-        """One walk from the root to the node at rank r, with no address built:
-        (its neighbours' ranks plus `offset`: the parent, or `up` at the root
-        when given, then the children in canonical order; its leaf level, k
-        minus the level of the leaf's segment, or None for an internal node;
-        the address prefix up to its first decoration hop, for leaves only).
-        The caller checks that r is in range."""
-        sched, sizes = self.schedule, self.sizes
-        branching_of, decoration_levels_of = sched._branching_of, sched._decoration_levels_of
-        decoration_count_of = sched._decoration_count_of
-        seg, depth, pos, parent = self.k, 0, 0, up
+    def walk(self, k: int, r: int, offset: int, up: Optional[int]) -> tuple[tuple, Optional[int], Optional[tuple]]:
+        """One walk from the root of the level-k tree to the node at rank r,
+        with no address built: (its neighbours' ranks plus `offset`: the
+        parent, or `up` at the root when given, then the children in canonical
+        order; its leaf level, k minus the level of the leaf's segment, or None
+        for an internal node; the address prefix up to its first decoration
+        hop, for leaves only).  The caller checks that r is in range."""
+        branching_of, c_of, blocks_of = self.schedule._branching_of, self.c, self.blocks
+        seg, size, pos, parent = k, self.total[k], 0, up
         core_path, first_decoration = [], None
         while pos != r:
             parent = pos + offset
             rest = r - pos - 1
-            child_size = sizes[seg][depth + 1]
-            core_block = branching_of[seg] * child_size
+            core_block = size - c_of[seg]
             if rest < core_block:
-                t = rest // child_size
-                pos += 1 + t * child_size
-                depth += 1
+                size = core_block // branching_of[seg]
+                t = rest // size
+                pos += 1 + t * size
                 if first_decoration is None:
                     core_path.append(t)
                 continue
             rest -= core_block
             pos += 1 + core_block
-            for lvl in decoration_levels_of[seg]:
-                size = sizes[lvl][0]
-                block = decoration_count_of[lvl] * size
+            for lvl, (lsize, block, _) in blocks_of[seg].items():
                 if rest < block:
-                    slot = rest // size
-                    pos += slot * size
+                    slot = rest // lsize
+                    pos += slot * lsize
                     if first_decoration is None:
                         first_decoration = decoration_hop(lvl, slot)
-                    seg, depth = lvl, 0
+                    seg, size = lvl, lsize
                     break
                 rest -= block
                 pos += block
             else:
                 raise InvalidAddressError("rank walk escaped decoration blocks")
         neighbors = [] if parent is None else [parent]
-        if depth == sched._depth_of[seg]:
+        if size == 1:
             prefix = None
             if first_decoration is not None:
                 prefix = tuple(core_hop(t) for t in core_path) + (first_decoration,)
-            return tuple(neighbors), self.k - seg, prefix
-        child_size = sizes[seg][depth + 1]
+            return tuple(neighbors), k - seg, prefix
+        core_block = size - c_of[seg]
         first = r + 1 + offset
-        neighbors.extend(range(first, first + branching_of[seg] * child_size, child_size))
-        first += branching_of[seg] * child_size
-        for lvl in decoration_levels_of[seg]:
-            size = sizes[lvl][0]
-            neighbors.extend(range(first, first + decoration_count_of[lvl] * size, size))
-            first += decoration_count_of[lvl] * size
+        neighbors.extend(range(first, first + core_block, core_block // branching_of[seg]))
+        first += core_block
+        for lsize, block, _ in blocks_of[seg].values():
+            neighbors.extend(range(first, first + block, lsize))
+            first += block
         return tuple(neighbors), None, None
 
 
 @lru_cache(maxsize=None)
-def _sizes_for(degrees: tuple, depths: tuple, k: int) -> _SubtreeSizes:
-    return _SubtreeSizes(Schedule(degrees, depths), k)
+def _sizes_for(schedule: Schedule) -> _Sizes:
+    return _Sizes(schedule)
+
+
+def count_tree_vertices(schedule: Schedule, k: int) -> int:
+    """Exact vertex count of the fully decorated level-k tree."""
+    schedule._check_level(k)
+    return _sizes_for(schedule).total[k]
 
 
 # ---------------------------------------------------------------------------
@@ -499,19 +463,14 @@ class TreeGraph:
         if self.schedule.depth(1) < 1:
             raise ScheduleError("tree instances require depths >= 1")
         self.k = k
-        self.num_nonisolated = count_tree_vertices(self.schedule, k)
-        if self.num_nonisolated > RANKING_CAP:
-            raise SizeCapError(
-                f"tree with a ~{self.num_nonisolated.bit_length()}-bit vertex count "
-                f"exceeds the ranking cap 2^{RANKING_CAP.bit_length() - 1}"
-            )
-        self._sizes = _sizes_for(self.schedule.degrees, self.schedule.depths, k)
+        self._sizes = _sizes_for(self.schedule)
+        self.num_nonisolated = self._sizes.total[k]
         self._info_cache: dict[int, IndexInfo] = {}
 
     index_info = _index_info
 
     def _walk(self, index: int) -> IndexInfo:
-        neighbors, leaf, decoration = self._sizes.walk(index, 0, None)
+        neighbors, leaf, decoration = self._sizes.walk(self.k, index, 0, None)
         return IndexInfo(neighbors, (0, self.k, 0), leaf, decoration)
 
     @property
@@ -521,10 +480,10 @@ class TreeGraph:
     def index_of(self, v: TreeVertex) -> int:
         if not (isinstance(v, TreeVertex) and v[:3] == (0, self.k, 0)):
             raise InvalidVertexError(f"{v!r} is not a vertex of this tree")
-        return self._sizes.rank(v.address)
+        return self._sizes.rank(self.k, v.address)
 
     def vertex_at(self, index: int) -> TreeVertex:
-        return TreeVertex(0, self.k, 0, self._sizes.unrank(index))
+        return TreeVertex(0, self.k, 0, self._sizes.unrank(self.k, index))
 
 
 class MainGraph:
@@ -550,35 +509,26 @@ class MainGraph:
         self._attach = [
             (k, self.schedule.decoration_count(k)) for k in params.attached_levels()
         ]
-        self._tree_sizes = {
-            k: count_tree_vertices(self.schedule, k) for k, _ in self._attach
-        }
-        self.per_anchor = 1 + sum(c * self._tree_sizes[k] for k, c in self._attach)
-        self.num_nonisolated = expander.N * self.per_anchor
-        self._rankers = {}
-        if self.num_nonisolated <= RANKING_CAP:
-            self._rankers = {
-                k: _sizes_for(self.schedule.degrees, self.schedule.depths, k)
-                for k, _ in self._attach
-            }
+        self._sizes = _sizes_for(self.schedule)
         # Cumulative offsets of (level, copy) tree blocks within one anchor block.
         self._block_offsets = []
         acc = 1
         for k, c in self._attach:
-            self._block_offsets.append((k, c, acc, self._tree_sizes[k]))
-            acc += c * self._tree_sizes[k]
+            self._block_offsets.append((k, c, acc, self._sizes.total[k]))
+            acc += c * self._sizes.total[k]
+        self.per_anchor = acc
+        self.num_nonisolated = expander.N * self.per_anchor
         self._info_cache: dict[int, IndexInfo] = {}
 
     index_info = _index_info
 
     def _walk(self, index: int) -> IndexInfo:
-        self._require_ranking()
         if index < self.expander.N:
             first = self.expander.N + index * (self.per_anchor - 1)
             roots = [first + off - 1 + j * size for _, c, off, size in self._block_offsets for j in range(c)]
             return IndexInfo(tuple(self.expander.adjacency[index]) + tuple(roots), None, None, None)
         anchor, k, copy, inner = self._tree_block(index)
-        neighbors, leaf, decoration = self._rankers[k].walk(inner, index - inner, anchor)
+        neighbors, leaf, decoration = self._sizes.walk(k, inner, index - inner, anchor)
         return IndexInfo(neighbors, (anchor, k, copy), leaf, decoration)
 
     # -- structure ---------------------------------------------------------
@@ -633,26 +583,24 @@ class MainGraph:
                 raise InvalidVertexError(f"expander index {v.index} out of range")
             return v.index
         if isinstance(v, TreeVertex):
-            self._require_ranking()
             self._check_tree_vertex(v)
             base = self.expander.N + v.anchor * (self.per_anchor - 1)
             # Anchor blocks hold only tree vertices; the anchor itself is indexed
             # in the expander range, hence per_anchor - 1 per block.
             for k, c, off, size in self._block_offsets:
                 if k == v.level:
-                    return base + (off - 1) + v.copy * size + self._rankers[k].rank(v.address)
+                    return base + (off - 1) + v.copy * size + self._sizes.rank(k, v.address)
             raise InvalidVertexError(f"no block for level {v.level}")
         isolated = isinstance(v, IsolatedVertex)
         raise InvalidVertexError("isolated vertices are not enumerated" if isolated else f"{v!r} is not a vertex")
 
     def vertex_at(self, index: int) -> Vertex:
-        self._require_ranking()
         if not 0 <= index < self.num_nonisolated:
             raise InvalidVertexError(f"index {index} out of range")
         if index < self.expander.N:
             return ExpanderVertex(index)
         anchor, k, copy, inner = self._tree_block(index)
-        return TreeVertex(anchor, k, copy, self._rankers[k].unrank(inner))
+        return TreeVertex(anchor, k, copy, self._sizes.unrank(k, inner))
 
     def _tree_block(self, index: int) -> tuple[int, int, int, int]:
         """(anchor, level, copy, rank within the tree) of a tree vertex's index."""
@@ -663,13 +611,6 @@ class MainGraph:
                 copy, inner = divmod(r - off, size)
                 return anchor, k, copy, inner
         raise InvalidVertexError("index walk escaped anchor block")
-
-    def _require_ranking(self):
-        if self.num_nonisolated > RANKING_CAP:
-            raise SizeCapError(
-                f"instance with a ~{self.num_nonisolated.bit_length()}-bit vertex "
-                f"count exceeds the ranking cap 2^{RANKING_CAP.bit_length() - 1}"
-            )
 
 
 Instance = Union[TreeGraph, MainGraph]
@@ -698,7 +639,9 @@ def materialize(graph: Instance) -> MaterializedGraph:
     order; the adjacency is the index walk's, the one every trial reads."""
     n = graph.num_nonisolated
     if n > MATERIALIZE_CAP:
-        raise SizeCapError(f"{n} vertices exceeds materialization cap {MATERIALIZE_CAP}")
+        # A count of thousands of digits cannot be printed: give its bit length.
+        raise SizeCapError(f"a {n.bit_length()}-bit vertex count exceeds the materialization "
+                           f"cap {MATERIALIZE_CAP}")
     vertices = [graph.vertex_at(i) for i in range(n)]
     index = {v: i for i, v in enumerate(vertices)}
     adjacency = [sorted(graph.index_info(i).neighbors) for i in range(n)]

@@ -68,6 +68,12 @@ ROUNDS = 8
 _ROUND_BYTES = tuple(bytes([r]) for r in range(ROUNDS))
 
 
+def label_width(n: int, padding_ratio: float) -> int:
+    """Default label bits for n non-isolated vertices: ceil(log2(n / padding_ratio)),
+    at least 1, taken as two logarithms since n may be past the largest float."""
+    return max(1, math.ceil(math.log2(n) - math.log2(padding_ratio)))
+
+
 class LabelSpaceError(ValueError):
     """The label space is too small for the non-isolated vertex set, or too large to index."""
 
@@ -201,10 +207,10 @@ class LabeledOracle:
         self.padding_ratio = padding_ratio
         n = graph.num_nonisolated
         if label_bits is None:
-            label_bits = max(1, math.ceil(math.log2(n / padding_ratio)))
+            label_bits = label_width(n, padding_ratio)
         if (1 << label_bits) < n:
             raise LabelSpaceError(
-                f"2^{label_bits} labels cannot host {n} non-isolated vertices"
+                f"2^{label_bits} labels cannot host a {n.bit_length()}-bit count of non-isolated vertices"
             )
         self.label_bits = label_bits
         self.num_labels = 1 << label_bits

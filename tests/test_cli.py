@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gapwalk import cli, expander_gen as eg, explorer as ex
+from gapwalk import cli, expander_gen as eg, explorer as ex, graph_model as gm
 
 
 def write_config(tmp_path, name, cfg):
@@ -343,7 +343,7 @@ def test_explore_graph_query_limit_exit_3(tmp_path):
     ("ggsp", {"algorithm": "walk-from-input", "trials": 5, "t": 2, "budget": 6, "threshold": 2}),
 ])
 def test_one_level_instance_runs(tmp_path, command, extra):
-    """A core with no attached trees is far below the ranking cap."""
+    """A core with no attached trees: every vertex is a core vertex."""
     cfg = write_config(tmp_path, "c.json", dict(
         extra, seed=8, guiding="exact-ground-state",
         instance={"mode": "scaled", "degrees": [3], "depths": [2], "expander": {"petersen": True},
@@ -771,6 +771,8 @@ def test_count_below_one_is_config_error(tmp_path, capsys, command, cfg, argv):
 GRAPH_CFG = dict(GOLDEN["explore-graph"][0], trials=2)
 CUSTOM_INSTANCE = {"mode": "custom", "lambda_e": 1.0, "expander_size": 2,
                    "trees": [{"degrees": [2], "depths": [0], "copies": 1}]}
+# A valid instance with a ~12,000-bit vertex count.
+HUGE_INSTANCE = dict(PETERSEN_INSTANCE, degrees=[28, 3], depths=[2560, 2561])
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -897,11 +899,15 @@ ONE_VERTEX, NO_VERTEX = "one-vertex.txt", "no-vertex.txt"  # "1 0 0" and "0 0 0"
     ("explore-graph", dict(GRAPH_CFG, roots=2**70)),
     ("bounds", {"bounds": [{"name": "avoidance", "d_k": 2, "d_km1": 4, "l_k": 2**2000, "l_km1": 1}]}),
     ("bounds", {"bounds": [{"name": "tv-budget", "fidelity": 2**2000, "tv": 0.1}]}),
-    # A vertex count past the ranking cap 2^50.
+    # A tree or main graph whose labels need more than MAX_LABEL_BITS: a ~65-bit
+    # count, and ~12,000-bit counts, past the largest float.
     ("explore-tree", dict(TREE_CFG, schedule={"degrees": [9, 5], "depths": [12, 14]})),
     ("explore-tree", dict(TREE_CFG, schedule={"degrees": [28], "depths": [2560]}, level=1)),
-    ("explore-graph", dict(GRAPH_CFG, instance=dict(PETERSEN_INSTANCE, degrees=[25, 16, 3], depths=[4, 8, 12],
-                                                    padding_ratio=1.0), oracle={"padding_ratio": 1.0})),
+    ("explore-graph", dict(GRAPH_CFG, instance=HUGE_INSTANCE)),
+    ("ggsp", dict(GGSP_GOLDEN, instance=HUGE_INSTANCE)),
+    # More inputs or roots per trial, or samples, than the key table allows.
+    ("ggsp", dict(GGSP_GOLDEN, t=cli.MAX_INPUTS + 1)),
+    ("explore-graph", dict(GRAPH_CFG, roots=cli.MAX_INPUTS + 1)),
 ])
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
     monkeypatch.chdir(tmp_path)
@@ -927,8 +933,16 @@ def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command
 ])
 def test_core_past_the_stub_cap_is_config_error(tmp_path, command, cfg):
     """A core with more than MAX_CORE_STUBS stubs exits 1 before its stubs or
-    edges are allocated.  The child runs with its address space capped at
-    1 GiB, so a run that allocates them fails there, not on the machine."""
+    edges are allocated."""
+    out, stderr = run_in_one_gib(tmp_path, command, cfg)
+    assert "config error:" in stderr and "stubs" in stderr
+    assert json.loads((out / "meta.json").read_text())["status"] == "config-error"
+
+
+def run_in_one_gib(tmp_path, command, cfg):
+    """(--out, stderr) of a child run with its address space capped at 1 GiB,
+    so a run that allocates what it should refuse fails there, not on the
+    machine; the run must exit 1."""
     code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
             "from gapwalk import cli; sys.exit(cli.main(sys.argv[1:]))")
     out = tmp_path / "o"
@@ -936,9 +950,35 @@ def test_core_past_the_stub_cap_is_config_error(tmp_path, command, cfg):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
                           timeout=120)
-    assert done.returncode == cli.EXIT_USAGE
-    assert "config error:" in done.stderr and "stubs" in done.stderr
-    assert json.loads((out / "meta.json").read_text())["status"] == "config-error"
+    assert done.returncode == cli.EXIT_USAGE, done.stderr
+    return out, done.stderr
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("ggsp", dict(GGSP_GOLDEN, t=10**9)),
+    ("explore-graph", dict(GRAPH_CFG, roots=10**9)),
+    ("sample-ground", {"instance": PETERSEN_INSTANCE, "count": 10**9}),
+    ("sample-ground", {"instance": PETERSEN_INSTANCE, "count": cli.MAX_SAMPLES + 1}),
+])
+def test_draws_past_their_cap_are_config_errors(tmp_path, command, cfg):
+    """More guiding inputs or roots per trial, or ground-state samples, than
+    the key table allows exits 1 before any is drawn."""
+    _, stderr = run_in_one_gib(tmp_path, command, cfg)
+    assert "config error:" in stderr and "must be at most" in stderr
+
+
+def test_explore_graph_runs_past_two_to_the_fifty(tmp_path):
+    """A ~57-bit vertex count still fits a 62-bit label: the run ranks its
+    vertices exactly and writes every trial."""
+    degrees, depths = [25, 16, 3], [4, 8, 12]
+    graph = gm.MainGraph(gm.GraphParams.scaled(degrees, depths, expander_size=10), eg.petersen())
+    assert 50 < graph.num_nonisolated.bit_length() <= 62
+    instance = dict(PETERSEN_INSTANCE, degrees=degrees, depths=depths, padding_ratio=1.0)
+    cfg = write_config(tmp_path, "c.json", dict(GRAPH_CFG, instance=instance, oracle={"padding_ratio": 1.0}))
+    out = tmp_path / "o"
+    assert run(["explore-graph", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    assert len((out / "trials.jsonl").read_text().splitlines()) == GRAPH_CFG["trials"]
+    assert json.loads((out / "meta.json").read_text())["status"] == "ok"
 
 
 @pytest.mark.parametrize("command, cfg", [

@@ -79,8 +79,11 @@ def test_readme_example_configs_load_under_the_table():
 
 PETERSEN_INSTANCE = {"mode": "scaled", "degrees": [4, 3], "depths": [1, 2],
                      "expander": {"petersen": True}, "padding_ratio": 0.0625}
+# A valid schedule whose ~12,000-bit vertex count is past the largest float.
+HUGE_INSTANCE = dict(PETERSEN_INSTANCE, degrees=[28, 3], depths=[2560, 2561])
 # Each command's smallest valid configs: a Petersen core and one or two trials.
-# Where the keys read depend on a mode, there is one config per mode.
+# Where the keys read depend on a mode, there is one config per mode.  The
+# oracle commands also take one huge instance.
 BASES = {
     "gen-expander": [{"expander": {"petersen": True}},
                      {"expander": {"N": 10, "d": 3, "seed": 1}}],
@@ -92,10 +95,10 @@ BASES = {
     "sample-ground": [{"instance": PETERSEN_INSTANCE, "count": 2}],
     "explore-tree": [{"schedule": {"degrees": [4, 3], "depths": [1, 2]}, "trials": 2, "budget": 4,
                       "strategies": ["uniform-walk"]}],
-    "explore-graph": [{"instance": PETERSEN_INSTANCE, "trials": 1, "budget": 4,
-                       "oracle": {"key": "0" * 32}}],
-    "ggsp": [{"instance": PETERSEN_INSTANCE, "trials": 1, "budget": 4, "t": 2,
-              "oracle": {"key": "0" * 32}}],
+    "explore-graph": [{"instance": instance, "trials": 1, "budget": 4, "oracle": {"key": "0" * 32}}
+                      for instance in (PETERSEN_INSTANCE, HUGE_INSTANCE)],
+    "ggsp": [{"instance": instance, "trials": 1, "budget": 4, "t": 2, "oracle": {"key": "0" * 32}}
+             for instance in (PETERSEN_INSTANCE, HUGE_INSTANCE)],
     "bounds": [{"bounds": [
         {"name": "avoidance", "d_k": 2, "d_km1": 4, "l_k": 4, "l_km1": 1},
         {"name": "recursion", "degrees": [4, 3], "depths": [1, 2], "q_schedule": [1, 4]},

@@ -2,12 +2,13 @@ import dataclasses
 import functools
 import math
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 import scipy.sparse.csgraph
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from gapwalk import expander_gen, graph_model as gm, oracle as orc
 from conftest import (
@@ -177,6 +178,53 @@ def test_count_matches_materialization(degrees, depths, k):
     tree = gm.TreeGraph(sched, k)
     mat = gm.materialize(tree)
     assert mat.n == gm.count_tree_vertices(sched, k)
+
+
+def _sizes_by_recurrence(schedule):
+    """{level: subtree size at each depth} by the recurrence S(depth) = 1,
+    S(p) = 1 + b S(p + 1) + the decoration trees' vertices: the reference
+    that `graph_model`'s closed form is checked against."""
+    sizes = {}
+    for j in range(1, schedule.levels + 1):
+        decorations = sum(schedule.decoration_count(i) * sizes[i][0] for i in schedule.decoration_levels(j))
+        arr = [1] * (schedule.depth(j) + 1)
+        for p in range(schedule.depth(j) - 1, -1, -1):
+            arr[p] = 1 + schedule.branching(j) * arr[p + 1] + decorations
+        sizes[j] = arr
+    return sizes
+
+
+@given(schedules(max_levels=5, max_degree=40, max_depth=30))
+@example(gm.Schedule((2,), (7,)))  # branching 1 at the only level
+@example(gm.Schedule((5, 3, 2), (1, 4, 9)))  # branching 1 under decorations
+def test_closed_form_sizes_match_the_recurrence(schedule):
+    """The vertex count, and every step of the index walk down the root's
+    first core children (rank p at depth p), read the recurrence's sizes."""
+    for j, arr in _sizes_by_recurrence(schedule).items():
+        assert gm.count_tree_vertices(schedule, j) == arr[0]
+        tree, b = gm.TreeGraph(schedule, j), schedule.branching(j)
+        for p in range(schedule.depth(j)):
+            children = tree.index_info(p).neighbors[p > 0:][:b]
+            assert children == tuple(range(p + 1, p + 1 + b * arr[p + 1], arr[p + 1]))
+        assert tree.index_info(schedule.depth(j)).leaf_level == 0
+
+
+def test_standard_tree_builds_without_per_depth_tables():
+    """The standard n=36 level-6 tree: a ~1.3-million-bit vertex count and
+    leaves up to 67,002 hops deep.  Sizes per depth would take gigabytes; the
+    build, a walk of the root and rank/unrank of its 65 children stay small."""
+    gm._sizes_for.cache_clear()
+    tracemalloc.start()
+    try:
+        tree = gm.TreeGraph(gm.GraphParams.standard(36), 6)
+        children = tree.index_info(0).neighbors
+        assert len(children) == 65 and tree.num_nonisolated.bit_length() > 1_000_000
+        for i in children:
+            assert tree.index_of(tree.vertex_at(i)) == i
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20  # the 65 child indices alone are ~10 MB
 
 
 def test_standard_count_within_stated_ceiling():
@@ -609,9 +657,9 @@ def test_expander_anchor(small_instance):
 
 
 def test_materialize_cap():
-    params = gm.GraphParams.standard(16)
+    tree = gm.TreeGraph(gm.GraphParams.standard(16), 4)  # a ~108,000-bit count builds
     with pytest.raises(gm.SizeCapError):
-        gm.TreeGraph(params, 4)
+        gm.materialize(tree)
 
 
 def test_materialize_refuses_above_its_cap_before_building(monkeypatch):
