@@ -110,9 +110,9 @@ COUNTED = ("explore-tree",) + GRAPH
 CORE = ("gen-expander",)
 INT_MAX = 2**63 - 1
 INT_ANY = (-INT_MAX - 1, INT_MAX)
-# A trial's guiding inputs or roots, and sample-ground's samples, are all held
-# in memory at once: past these caps a run exits 1 instead of ending in a
-# MemoryError.
+# A trial's guiding inputs or roots are all held in memory at once: past
+# MAX_INPUTS a run exits 1 instead of ending in a MemoryError.  sample-ground
+# writes each sample as it is drawn; MAX_SAMPLES bounds its run and its file.
 MAX_INPUTS = 1 << 12
 MAX_SAMPLES = 1 << 20
 REQUIRED = ...
@@ -434,9 +434,12 @@ class Run:
         self.meta.update(status=STATUS.get(code, "aborted"), finished=_now())
         self.write("meta.json", json_text(self.meta))
 
-    def write(self, name: str, text: str):
+    def write(self, name: str, text):
+        """Write `text`, one str or an iterable of strs, to `name` in one
+        rename; an iterable is written as it is produced."""
         tmp = self.out / f".{name}.tmp"
-        tmp.write_text(text, newline="")
+        with open(tmp, "w", newline="") as fh:
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, self.out / name)
 
     def record(self, metric: str, value, stderr=0.0, bound=None, flags=(), **extra):
@@ -514,15 +517,19 @@ def build_main_graph(run: Run):
 def oracle_maker(graph, run: Run):
     """key -> oracle over `graph` with the config's padding ratio and label
     width; a configured `oracle.key` (32 hex digits) replaces every trial's key."""
+    label_bits = run.get("oracle.label_bits")
     build = functools.partial(oracle_mod.LabeledOracle, graph, padding_ratio=run.get("oracle.padding_ratio"),
-                              label_bits=run.get("oracle.label_bits"))
+                              label_bits=label_bits)
     key_hex = run.get("oracle.key")
     if key_hex is not None and not re.fullmatch(r"[0-9a-fA-F]{32}", key_hex):
         raise UsageError(f"oracle.key must be 32 hex digits, got {key_hex!r}")
     try:
         build(bytes(16))  # a label width the instance cannot use exits before any trial
     except oracle_mod.LabelSpaceError as exc:
-        raise UsageError(f"oracle.label_bits: {exc}") from None
+        if label_bits is not None:
+            raise UsageError(f"oracle.label_bits: {exc}") from None
+        raise UsageError(f"the instance's {graph.num_nonisolated.bit_length()}-bit vertex count needs more than "
+                         f"{oracle_mod.MAX_LABEL_BITS} label bits") from None
     if key_hex is None:
         return build
     key = bytes.fromhex(key_hex)
@@ -603,16 +610,22 @@ def cmd_sample_ground(run: Run) -> int:
     sampler = spectral.GroundStateSampler(solution, seed=derive_seed("sample", run.seed))
     # Standard-family anchors are ~86,000-bit integers at n=16: written in hex.
     anchor = int if graph is not None else hex
-    rows = []
-    for i in range(count):
-        v = sampler.sample()
-        if isinstance(v, graph_model.ExpanderVertex):
-            rows.append({"i": i, "kind": "expander", "anchor": anchor(v.index)})
-        else:
-            rows.append({"i": i, "kind": "tree", "anchor": anchor(v.anchor), "level": v.level,
-                         "copy": v.copy, "depth": len(v.address)})
-    run.write("samples.jsonl", jsonl(rows))
-    expander_fraction = sum(1 for r in rows if r["kind"] == "expander") / count
+    hits = 0  # expander draws
+
+    def lines():  # one row at a time: memory does not grow with count
+        nonlocal hits
+        for i in range(count):
+            v = sampler.sample()
+            if isinstance(v, graph_model.ExpanderVertex):
+                hits += 1
+                row = {"i": i, "kind": "expander", "anchor": anchor(v.index)}
+            else:
+                row = {"i": i, "kind": "tree", "anchor": anchor(v.anchor), "level": v.level,
+                       "copy": v.copy, "depth": len(v.address)}
+            yield jsonl((row,))
+
+    run.write("samples.jsonl", lines())
+    expander_fraction = hits / count
     run.record(
         "expander_mass_fraction", expander_fraction,
         math.sqrt(max(expander_fraction * (1 - expander_fraction), 1e-12) / count),
@@ -648,7 +661,8 @@ def cmd_explore_tree(run: Run) -> int:
 
     tree = exit_tree(sched.degrees, sched.depths, level)  # a bad level or width exits 1 before any trial
     if 0 < padding <= 1 and oracle_mod.label_width(tree.num_nonisolated, padding) > oracle_mod.MAX_LABEL_BITS:
-        raise UsageError(f"padding_ratio {padding} needs more than {oracle_mod.MAX_LABEL_BITS} label bits")
+        raise UsageError(f"the tree's {tree.num_nonisolated.bit_length()}-bit vertex count at padding_ratio {padding} "
+                         f"needs more than {oracle_mod.MAX_LABEL_BITS} label bits")
     trials_path = run.out / "trials.jsonl"
     all_rows = read_trial_rows(trials_path)
     done = {(row["strategy"], row["trial"]) for row in all_rows}

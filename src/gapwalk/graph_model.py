@@ -286,7 +286,7 @@ class _Sizes:
     S(h) = b^h + c (b^h - 1) / (b - 1), or 1 + c h when b = 1.  Only each
     level's whole-tree size is kept: a walk steps down to a core child with
     S(h - 1) = (S(h) - c) // b, and a node is a leaf exactly when its subtree
-    size is 1."""
+    size is 1.  Levels are filled on demand, lowest first (`upto`)."""
 
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
@@ -295,7 +295,12 @@ class _Sizes:
         # per level: {decoration level: (copy size, block size, offset after
         # the core children)}, in canonical (descending-level) order
         self.blocks = [None]
-        for j in range(1, schedule.levels + 1):
+
+    def upto(self, top: int) -> "_Sizes":
+        """Fill levels up to `top`, and no further: b^h at a level nothing
+        reads can be far too large to build."""
+        schedule = self.schedule
+        for j in range(len(self.total), top + 1):
             blocks, acc = {}, 0
             for lvl in schedule.decoration_levels(j):
                 size = self.total[lvl]
@@ -307,6 +312,7 @@ class _Sizes:
             self.total.append(1 + c * h if b == 1 else power + c * (power - 1) // (b - 1))
             self.c.append(c)
             self.blocks.append(blocks)
+        return self
 
     def rank(self, k: int, address: tuple) -> int:
         branching_of = self.schedule._branching_of
@@ -415,12 +421,6 @@ def _sizes_for(schedule: Schedule) -> _Sizes:
     return _Sizes(schedule)
 
 
-def count_tree_vertices(schedule: Schedule, k: int) -> int:
-    """Exact vertex count of the fully decorated level-k tree."""
-    schedule._check_level(k)
-    return _sizes_for(schedule).total[k]
-
-
 # ---------------------------------------------------------------------------
 # graph instances
 # ---------------------------------------------------------------------------
@@ -463,7 +463,7 @@ class TreeGraph:
         if self.schedule.depth(1) < 1:
             raise ScheduleError("tree instances require depths >= 1")
         self.k = k
-        self._sizes = _sizes_for(self.schedule)
+        self._sizes = _sizes_for(self.schedule).upto(k)
         self.num_nonisolated = self._sizes.total[k]
         self._info_cache: dict[int, IndexInfo] = {}
 
@@ -509,7 +509,7 @@ class MainGraph:
         self._attach = [
             (k, self.schedule.decoration_count(k)) for k in params.attached_levels()
         ]
-        self._sizes = _sizes_for(self.schedule)
+        self._sizes = _sizes_for(self.schedule).upto(params.levels - 1)
         # Cumulative offsets of (level, copy) tree blocks within one anchor block.
         self._block_offsets = []
         acc = 1

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -918,7 +919,10 @@ def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command
     out = tmp_path / "o"
     path = write_config(tmp_path, "c.json", cfg)
     assert run([command, "--config", path, "--out", out]) == cli.EXIT_USAGE
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    if cfg.get("instance") is HUGE_INSTANCE:  # no oracle.label_bits set: the message names the count
+        assert "12181-bit vertex count needs more than 62 label bits" in err and "label_bits" not in err
     if "threads" in cfg:  # read before the run starts: nothing is written
         assert not any(out.iterdir())
     else:
@@ -965,6 +969,21 @@ def test_draws_past_their_cap_are_config_errors(tmp_path, command, cfg):
     the key table allows exits 1 before any is drawn."""
     _, stderr = run_in_one_gib(tmp_path, command, cfg)
     assert "config error:" in stderr and "must be at most" in stderr
+
+
+def test_sample_ground_writes_rows_as_drawn(tmp_path):
+    """Standard-family rows carry ~21 KB anchors; 400 of them make an 8.6 MB
+    file, written while the run's memory peak stays far below it."""
+    cfg = write_config(tmp_path, "c.json", {"instance": {"mode": "standard", "n": 16}, "count": 400})
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        assert run(["sample-ground", "--config", cfg, "--out", out]) == cli.EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (out / "samples.jsonl").stat().st_size
+    assert size > 8 << 20 and peak < 2 << 20
 
 
 def test_explore_graph_runs_past_two_to_the_fifty(tmp_path):

@@ -164,7 +164,7 @@ def test_count_level1_is_geometric_series():
     sched = gm.Schedule((5, 4, 3), (2, 3, 4))
     d1 = 5
     expected = sum((d1 - 1) ** i for i in range(3))  # depth 2
-    assert gm.count_tree_vertices(sched, 1) == expected
+    assert gm.TreeGraph(sched, 1).num_nonisolated == expected
 
 
 @pytest.mark.parametrize("degrees,depths,k", [
@@ -177,7 +177,7 @@ def test_count_matches_materialization(degrees, depths, k):
     sched = gm.Schedule(degrees, depths)
     tree = gm.TreeGraph(sched, k)
     mat = gm.materialize(tree)
-    assert mat.n == gm.count_tree_vertices(sched, k)
+    assert mat.n == tree.num_nonisolated
 
 
 def _sizes_by_recurrence(schedule):
@@ -201,8 +201,8 @@ def test_closed_form_sizes_match_the_recurrence(schedule):
     """The vertex count, and every step of the index walk down the root's
     first core children (rank p at depth p), read the recurrence's sizes."""
     for j, arr in _sizes_by_recurrence(schedule).items():
-        assert gm.count_tree_vertices(schedule, j) == arr[0]
         tree, b = gm.TreeGraph(schedule, j), schedule.branching(j)
+        assert tree.num_nonisolated == arr[0]
         for p in range(schedule.depth(j)):
             children = tree.index_info(p).neighbors[p > 0:][:b]
             assert children == tuple(range(p + 1, p + 1 + b * arr[p + 1], arr[p + 1]))
@@ -227,9 +227,20 @@ def test_standard_tree_builds_without_per_depth_tables():
     assert peak < 32 << 20  # the 65 child indices alone are ~10 MB
 
 
+def test_unread_top_level_is_never_sized(petersen):
+    """A main graph reads levels 1..K-1 and a level-k tree levels 1..k, so a
+    top depth near 2^62 (a 2^62-bit b^h) must not be computed."""
+    gm._sizes_for.cache_clear()
+    params = gm.GraphParams.scaled((4, 3), (1, (1 << 62) - 1), expander_size=10)
+    graph = gm.MainGraph(params, petersen)
+    tree = gm.TreeGraph(params.schedule, 1)
+    assert (graph.num_nonisolated, tree.num_nonisolated) == (10 * (1 + 4), 4)
+    assert len(gm._sizes_for(params.schedule).total) == 2  # levels 0 and 1 only
+
+
 def test_standard_count_within_stated_ceiling():
     params = gm.GraphParams.standard(16)
-    count = gm.count_tree_vertices(params.schedule, 4)
+    count = gm.TreeGraph(params, 4).num_nonisolated
     assert count < 1 << (12 * 16 ** 3 * 16)  # 2^(12 n^3 log2(n)^2)
 
 
@@ -465,8 +476,8 @@ def _check_index_walk(graph, indices):
 @given(schedules(max_degree=5, max_depth=3))
 def test_index_walk_matches_addresses_on_trees(schedule):
     for k in range(1, schedule.levels + 1):
-        assume(gm.count_tree_vertices(schedule, k) <= 3000)
         tree = gm.TreeGraph(schedule, k)
+        assume(tree.num_nonisolated <= 3000)
         _check_index_walk(tree, range(tree.num_nonisolated))
 
 

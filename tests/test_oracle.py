@@ -178,8 +178,9 @@ QUERY_PLANS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1 << 40)), ma
 
 def _small_tree(schedule, data):
     level = data.draw(st.integers(1, schedule.levels))
-    assume(gm.count_tree_vertices(schedule, level) <= 5000)
-    return gm.TreeGraph(schedule, level)
+    graph = gm.TreeGraph(schedule, level)
+    assume(graph.num_nonisolated <= 5000)
+    return graph
 
 
 @given(schedule=schedules(), data=st.data(), plan=QUERY_PLANS, key=st.binary(min_size=16, max_size=16))
