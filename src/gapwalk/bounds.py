@@ -94,13 +94,14 @@ def recursion_bound(
         )
     if any(x < 1 for x in q):
         raise BoundDomainError("budgets must be >= 1")
+    d, l = schedule.degrees, schedule.depths
     reports = []
     chain_sound = True
-    base_log2 = 0.0 if q[0] > schedule.depth(1) else NEG_INF
+    base_log2 = 0.0 if q[0] > l[0] else NEG_INF
     reports.append(
         _prob_report(
             "exit-recursion",
-            {"k": 1, "q": q[0], "w": w, "l_1": schedule.depth(1)},
+            {"k": 1, "q": q[0], "w": w, "l_1": l[0]},
             base_log2,
             flags=("base-case",),
         )
@@ -112,10 +113,7 @@ def recursion_bound(
             chain_sound = False
         if not chain_sound:
             flags.append("unsound-chain")
-        avoid = avoidance_bound(
-            schedule.degree(k), schedule.degree(k - 1),
-            schedule.depth(k), schedule.depth(k - 1), w,
-        )
+        avoid = avoidance_bound(d[k - 1], d[k - 2], l[k - 1], l[k - 2], w)
         log2_val = log2sumexp([avoid.log2_value, math.log2(q[k - 1]) + prev_log2])
         rep = _prob_report(
             "exit-recursion",

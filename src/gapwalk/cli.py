@@ -500,10 +500,8 @@ def build_instance(run: Run):
         raise UsageError("a custom instance is read only by spectrum")
     sched = build_schedule(run, "instance")
     expander, _ = build_expander(run, "instance.expander", "instance.expander.generate")
-    params = graph_model.GraphParams.scaled(
-        sched.degrees, sched.depths, expander_size=expander.N,
-        girth_floor=run.get("instance.girth_floor"), padding_ratio=run.get("instance.padding_ratio"),
-    )
+    params = graph_model.GraphParams(sched, expander.N, run.get("instance.girth_floor"),
+                                     run.get("instance.padding_ratio"))
     return params, graph_model.MainGraph(params, expander)
 
 
@@ -587,8 +585,7 @@ def cmd_spectrum(run: Run) -> int:
             beta=run.get("instance.beta"), expander_size=run.get("instance.expander_size"),
         )
     else:
-        params, graph = build_instance(run)
-        solution = spectral.solve_for_params(params, expander_size=graph.expander.N if graph else None)
+        solution = spectral.solve_for_params(build_instance(run)[0])
     split = spectral.norm_decomposition(solution)
     report = {  # stable key order: insertion order is the contract
         "lambda_g": solution.top_eigenvalue, "lambda_e": solution.base_eigenvalue,
@@ -659,10 +656,13 @@ def cmd_explore_tree(run: Run) -> int:
     padding = run.get("padding_ratio")
     q_schedule = run.get("q_schedule") or [max(1.0, budget / (w ** (level - k))) for k in range(1, level + 1)]
 
-    tree = exit_tree(sched.degrees, sched.depths, level)  # a bad level or width exits 1 before any trial
+    # A bad level, label width, w or q_schedule exits 1 before any trial.
+    tree = exit_tree(sched.degrees, sched.depths, level)
     if 0 < padding <= 1 and oracle_mod.label_width(tree.num_nonisolated, padding) > oracle_mod.MAX_LABEL_BITS:
         raise UsageError(f"the tree's {tree.num_nonisolated.bit_length()}-bit vertex count at padding_ratio {padding} "
                          f"needs more than {oracle_mod.MAX_LABEL_BITS} label bits")
+    bound_rep = bounds_mod.recursion_bound(
+        graph_model.Schedule(sched.degrees[:level], sched.depths[:level]), q_schedule, w)[level - 1]
     trials_path = run.out / "trials.jsonl"
     all_rows = read_trial_rows(trials_path)
     done = {(row["strategy"], row["trial"]) for row in all_rows}
@@ -686,8 +686,6 @@ def cmd_explore_tree(run: Run) -> int:
             pool.shutdown(cancel_futures=True)
         exit_tree.cache_clear()  # hold no tree after the run
 
-    bound_rep = bounds_mod.recursion_bound(
-        graph_model.Schedule(sched.degrees[:level], sched.depths[:level]), q_schedule, w)[level - 1]
     for strategy in strategies:
         rows = [r for r in all_rows if r["strategy"] == strategy and r["trial"] < trials]
         stats = explorer.EventStats.from_counts(sum(r["exit"] for r in rows), len(rows))
@@ -717,7 +715,7 @@ def cmd_explore_graph(run: Run) -> int:
         return EXIT_BUDGET
     run.write("trials.jsonl", "".join(report.trial_lines))
     stats = report.localization
-    lb = bounds_mod.localization_bound(roots_count, params.expander_degree, threshold, graph.expander.N)
+    lb = bounds_mod.localization_bound(roots_count, params.schedule.degrees[-1], threshold, graph.expander.N)
     run.record(
         f"localization_rate[{report.strategy}]", stats.p_hat, stats.stderr, lb.value,
         lb.flags + ("bound-is-sampler-floor",),
@@ -736,7 +734,7 @@ def cmd_ggsp(run: Run) -> int:
         run.budget, threshold, run.seed,
     )
     run.write("trials.jsonl", "".join(report.trial_lines))
-    lb = bounds_mod.localization_bound(t_inputs, params.expander_degree, threshold, graph.expander.N)
+    lb = bounds_mod.localization_bound(t_inputs, params.schedule.degrees[-1], threshold, graph.expander.N)
     stats = report.localization
     run.record(f"localization_rate[{report.algorithm}]", stats.p_hat, stats.stderr, lb.value, lb.flags)
     run.record("budget_failures", report.budget_failures)
@@ -800,9 +798,10 @@ def run_verification_suite(seed: int = 0, planted_defect: bool = False) -> list:
     core = expander_gen.petersen()
     params = graph_model.GraphParams.scaled((5, 4, 3), (1, 2, 3), expander_size=10)
     graph = graph_model.MainGraph(params, core)
-    check("degree-identity", 0.0 if graph.degree_identity() else 1.0, 0.5)
-
     mat = graph_model.materialize(graph)
+    # Every vertex but a leaf has degree d_1.
+    d1 = params.schedule.degrees[0]
+    check("degree-identity", sum(len(nbrs) not in (1, d1) for nbrs in mat.adjacency), 0.5)
     dual_bad = sum(i not in mat.adjacency[j] for i, nbrs in enumerate(mat.adjacency) for j in nbrs)
     check("neighbor-duality-violations", dual_bad, 0.5)
 

@@ -92,13 +92,22 @@ def _exact_sqrt(n: int) -> int:
     return root
 
 
+class Level(NamedTuple):
+    """Level k of a schedule: what each internal vertex of a level-k segment carries."""
+
+    children: int  # core children: d_k - 1
+    depth: int  # l_k, the hops from a segment's root to its leaves
+    decorations: tuple  # (level i, copies d_i - d_{i+1}) for i = k-1 down to 1
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Degree/depth schedule (d_1..d_K, l_1..l_K) defining the tree family.
 
     Degrees strictly decrease with d_K >= 2; depths strictly increase.  A depth
     of 0 (single-vertex core) is allowed only at level 1, for degenerate
-    spectral fixtures; graph instances require depths >= 1.
+    spectral fixtures; graph instances require depths >= 1.  `table` maps each
+    level 1..K to its `Level`; a core vertex carries the decorations of level K.
     """
 
     degrees: tuple[int, ...]
@@ -116,106 +125,48 @@ class Schedule:
             raise ScheduleError(f"depths must strictly increase: {l}")
         if l[0] < 0:
             raise ScheduleError(f"depths must be non-negative: {l}")
-        # Per-level tables indexed by level (entry 0 unused) for the hot paths
-        # (ranking and the index walk).  They are not dataclass fields,
-        # so equality and hashing stay those of (degrees, depths).
-        levels = range(1, len(d) + 1)
-        tables = {
-            "_depth_of": (None,) + l,
-            "_branching_of": (None,) + tuple(x - 1 for x in d),
-            "_decoration_count_of": (None,) + tuple(d[i - 1] - d[i] for i in levels[:-1]) + (None,),
-            "_decoration_levels_of": (None,) + tuple(tuple(range(j - 1, 0, -1)) for j in levels),
-        }
-        for name, table in tables.items():
-            object.__setattr__(self, name, table)
+        # Not a dataclass field, so equality and hashing stay those of
+        # (degrees, depths).
+        table = {}
+        for k in range(1, len(d) + 1):
+            decorations = tuple((i, d[i - 1] - d[i]) for i in range(k - 1, 0, -1))
+            table[k] = Level(d[k - 1] - 1, l[k - 1], decorations)
+        object.__setattr__(self, "table", table)
 
     @property
     def levels(self) -> int:
         return len(self.degrees)
 
-    def degree(self, k: int) -> int:
-        self._check_level(k)
-        return self.degrees[k - 1]
-
-    def depth(self, k: int) -> int:
-        self._check_level(k)
-        return self._depth_of[k]
-
-    def branching(self, k: int) -> int:
-        """Core children per internal vertex of a level-k segment."""
-        self._check_level(k)
-        return self._branching_of[k]
-
-    def decoration_count(self, i: int) -> int:
-        """Pendant level-i tree copies per decorated vertex: d_i - d_{i+1}."""
-        self._check_level(i)
-        if i >= self.levels:
-            raise ScheduleError(f"decoration count undefined at top level {i}")
-        return self._decoration_count_of[i]
-
-    def decoration_levels(self, j: int) -> tuple[int, ...]:
-        """Decoration levels attached to internal level-j vertices, descending."""
-        self._check_level(j)
-        return self._decoration_levels_of[j]
-
-    def _check_level(self, k: int):
-        if not 1 <= k <= self.levels:
+    def check_level(self, k: int):
+        """Refuse a level, read from a config, that the schedule does not have."""
+        if k not in self.table:
             raise ScheduleError(f"level {k} out of range [1, {self.levels}]")
 
 
 @dataclass(frozen=True)
 class GraphParams:
-    """Full parameter set for one instance of the graph family."""
+    """One instance of the graph family: the schedule, plus what it does not
+    say: the core size, the core girth floor and the label padding ratio.  The
+    core degree is d_K, which `MainGraph` checks against the core."""
 
-    degrees: tuple[int, ...]
-    depths: tuple[int, ...]
-    expander_degree: int
+    schedule: Schedule
     expander_size: int
     girth_floor: int
     padding_ratio: float
-    scale_mode: str  # "standard" | "scaled"
-    n: Optional[int] = None
 
     def __post_init__(self):
-        sched = Schedule(self.degrees, self.depths)
-        if self.depths[0] < 1:
+        if self.schedule.depths[0] < 1:
             raise ScheduleError("graph instances require depths >= 1")
-        # Degree identity: d_E + sum_{k<K}(d_k - d_{k+1}) = d_1 forces d_E = d_K.
-        if self.expander_degree != self.degrees[-1]:
-            raise ScheduleError(
-                f"expander degree {self.expander_degree} must equal the last "
-                f"schedule degree {self.degrees[-1]} for degree regularity"
-            )
         if not 0 < self.padding_ratio <= 1:
             raise ScheduleError(f"padding_ratio must lie in (0, 1]: {self.padding_ratio}")
-        if self.scale_mode not in ("standard", "scaled"):
-            raise ScheduleError(f"unknown scale_mode {self.scale_mode!r}")
-        object.__setattr__(self, "_schedule", sched)
-
-    @property
-    def schedule(self) -> Schedule:
-        return self._schedule
-
-    @property
-    def levels(self) -> int:
-        return len(self.degrees)
 
     @classmethod
-    def standard(cls, n: int, padding_ratio: Optional[float] = None) -> "GraphParams":
+    def standard(cls, n: int) -> "GraphParams":
         """Standard-family parameters for perfect-square n."""
-        root = _exact_sqrt(n)
-        degrees = tuple(degree_schedule(n, k) for k in range(1, root + 1))
-        depths = tuple(depth_schedule(n, k) for k in range(1, root + 1))
-        return cls(
-            degrees=degrees,
-            depths=depths,
-            expander_degree=n,
-            expander_size=standard_expander_size(n),
-            girth_floor=standard_girth_floor(n),
-            padding_ratio=padding_ratio if padding_ratio is not None else 2.0 ** -20,
-            scale_mode="standard",
-            n=n,
-        )
+        levels = range(1, _exact_sqrt(n) + 1)
+        degrees = tuple(degree_schedule(n, k) for k in levels)
+        depths = tuple(depth_schedule(n, k) for k in levels)
+        return cls(Schedule(degrees, depths), standard_expander_size(n), standard_girth_floor(n), 2.0 ** -20)
 
     @classmethod
     def scaled(
@@ -226,21 +177,7 @@ class GraphParams:
         girth_floor: int = 3,
         padding_ratio: float = 2.0 ** -20,
     ) -> "GraphParams":
-        degrees = tuple(degrees)
-        depths = tuple(depths)
-        return cls(
-            degrees=degrees,
-            depths=depths,
-            expander_degree=degrees[-1],
-            expander_size=expander_size,
-            girth_floor=girth_floor,
-            padding_ratio=padding_ratio,
-            scale_mode="scaled",
-        )
-
-    def attached_levels(self) -> tuple[int, ...]:
-        """Tree levels attached to each expander vertex: 1..K-1."""
-        return tuple(range(1, self.levels))
+        return cls(Schedule(tuple(degrees), tuple(depths)), expander_size, girth_floor, padding_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +226,7 @@ class _Sizes:
     size is 1.  Levels are filled on demand, lowest first (`upto`)."""
 
     def __init__(self, schedule: Schedule):
-        self.schedule = schedule
+        self.table = schedule.table
         self.total = [None]  # per level: vertices of the decorated tree
         self.c = [None]  # per level: 1 + one internal vertex's decoration vertices
         # per level: {decoration level: (copy size, block size, offset after
@@ -299,15 +236,13 @@ class _Sizes:
     def upto(self, top: int) -> "_Sizes":
         """Fill levels up to `top`, and no further: b^h at a level nothing
         reads can be far too large to build."""
-        schedule = self.schedule
         for j in range(len(self.total), top + 1):
-            blocks, acc = {}, 0
-            for lvl in schedule.decoration_levels(j):
+            level, blocks, acc = self.table[j], {}, 0
+            for lvl, copies in level.decorations:
                 size = self.total[lvl]
-                block = schedule.decoration_count(lvl) * size
-                blocks[lvl] = (size, block, acc)
-                acc += block
-            b, h, c = schedule.branching(j), schedule.depth(j), 1 + acc
+                blocks[lvl] = (size, copies * size, acc)
+                acc += copies * size
+            b, h, c = level.children, level.depth, 1 + acc
             power = b ** h
             self.total.append(1 + c * h if b == 1 else power + c * (power - 1) // (b - 1))
             self.c.append(c)
@@ -315,24 +250,23 @@ class _Sizes:
         return self
 
     def rank(self, k: int, address: tuple) -> int:
-        branching_of = self.schedule._branching_of
-        decoration_count_of = self.schedule._decoration_count_of
-        seg, size, r = k, self.total[k], 0
+        table, seg, size, r = self.table, k, self.total[k], 0
         for hop in address:
             if size == 1:
                 raise InvalidAddressError(f"hop below a leaf in {address!r}")
             r += 1
             if len(hop) == 2 and hop[0] == CORE:
-                t = hop[1]
-                if not 0 <= t < branching_of[seg]:
+                t, b = hop[1], table[seg].children
+                if not 0 <= t < b:
                     raise InvalidAddressError(f"core child {t} out of range")
-                size = (size - self.c[seg]) // branching_of[seg]
+                size = (size - self.c[seg]) // b
                 r += t * size
             elif len(hop) == 3 and hop[0] == DECOR:
                 _, lvl, slot = hop
-                if not 1 <= lvl < seg or not 0 <= slot < decoration_count_of[lvl]:
+                # A level outside 1..seg-1 has no block: no copies.
+                lsize, block, offset = self.blocks[seg].get(lvl, (1, 0, 0))
+                if not 0 <= slot < block // lsize:
                     raise InvalidAddressError(f"bad decoration hop {hop!r}")
-                lsize, _, offset = self.blocks[seg][lvl]
                 r += size - self.c[seg] + offset + slot * lsize
                 seg, size = lvl, lsize
             else:
@@ -342,14 +276,13 @@ class _Sizes:
     def unrank(self, k: int, r: int) -> tuple:
         if not 0 <= r < self.total[k]:
             raise InvalidAddressError(f"rank {r} out of range")
-        branching_of = self.schedule._branching_of
-        seg, size = k, self.total[k]
+        table, seg, size = self.table, k, self.total[k]
         hops = []
         while r > 0:
             r -= 1
             core_block = size - self.c[seg]
             if r < core_block:
-                size = core_block // branching_of[seg]
+                size = core_block // table[seg].children
                 t, r = divmod(r, size)
                 hops.append(core_hop(t))
                 continue
@@ -372,15 +305,16 @@ class _Sizes:
         order; its leaf level, k minus the level of the leaf's segment, or None
         for an internal node; the address prefix up to its first decoration
         hop, for leaves only).  The caller checks that r is in range."""
-        branching_of, c_of, blocks_of = self.schedule._branching_of, self.c, self.blocks
+        table, c_of, blocks_of = self.table, self.c, self.blocks
         seg, size, pos, parent = k, self.total[k], 0, up
+        b, c = table[k].children, c_of[k]  # of the current segment's level
         core_path, first_decoration = [], None
         while pos != r:
             parent = pos + offset
             rest = r - pos - 1
-            core_block = size - c_of[seg]
+            core_block = size - c
             if rest < core_block:
-                size = core_block // branching_of[seg]
+                size = core_block // b
                 t = rest // size
                 pos += 1 + t * size
                 if first_decoration is None:
@@ -395,6 +329,7 @@ class _Sizes:
                     if first_decoration is None:
                         first_decoration = decoration_hop(lvl, slot)
                     seg, size = lvl, lsize
+                    b, c = table[lvl].children, c_of[lvl]
                     break
                 rest -= block
                 pos += block
@@ -406,9 +341,9 @@ class _Sizes:
             if first_decoration is not None:
                 prefix = tuple(core_hop(t) for t in core_path) + (first_decoration,)
             return tuple(neighbors), k - seg, prefix
-        core_block = size - c_of[seg]
+        core_block = size - c
         first = r + 1 + offset
-        neighbors.extend(range(first, first + core_block, core_block // branching_of[seg]))
+        neighbors.extend(range(first, first + core_block, core_block // b))
         first += core_block
         for lsize, block, _ in blocks_of[seg].values():
             neighbors.extend(range(first, first + block, lsize))
@@ -452,18 +387,12 @@ class TreeGraph:
     """A standalone fully decorated level-k tree, rooted; used by tree-exploration
     experiments.  The root has no parent, so its degree is d_1 - 1."""
 
-    def __init__(self, params_or_schedule, k: int):
-        if isinstance(params_or_schedule, GraphParams):
-            self.schedule = params_or_schedule.schedule
-            self.params = params_or_schedule
-        else:
-            self.schedule = params_or_schedule
-            self.params = None
-        self.schedule._check_level(k)
-        if self.schedule.depth(1) < 1:
+    def __init__(self, schedule: Schedule, k: int):
+        schedule.check_level(k)
+        if schedule.depths[0] < 1:
             raise ScheduleError("tree instances require depths >= 1")
-        self.k = k
-        self._sizes = _sizes_for(self.schedule).upto(k)
+        self.schedule, self.k = schedule, k
+        self._sizes = _sizes_for(schedule).upto(k)
         self.num_nonisolated = self._sizes.total[k]
         self._info_cache: dict[int, IndexInfo] = {}
 
@@ -490,26 +419,25 @@ class MainGraph:
     """The assembled instance: expander core plus attached trees at levels 1..K-1.
 
     `expander` must expose `N` (vertex count) and `adjacency` (per-vertex sorted
-    neighbor tuples); its degree must equal params.expander_degree.
+    neighbor tuples); its degree must be d_K.
     """
 
     def __init__(self, params: GraphParams, expander):
         self.params = params
-        self.schedule = params.schedule
+        self.schedule = schedule = params.schedule
         self.expander = expander
         if expander.N != params.expander_size:
             raise ScheduleError(
                 f"expander has {expander.N} vertices, params say {params.expander_size}"
             )
         degs = {len(nbrs) for nbrs in expander.adjacency}
-        if degs != {params.expander_degree}:
-            raise ScheduleError(
-                f"expander degree set {degs} does not match d_E={params.expander_degree}"
-            )
-        self._attach = [
-            (k, self.schedule.decoration_count(k)) for k in params.attached_levels()
-        ]
-        self._sizes = _sizes_for(self.schedule).upto(params.levels - 1)
+        if degs != {schedule.degrees[-1]}:
+            raise ScheduleError(f"expander degree set {degs} does not match d_K={schedule.degrees[-1]}")
+        # A core vertex carries the decorations of an internal level-K vertex,
+        # its d_K core neighbours in place of the d_K - 1 children and parent;
+        # so its degree is d_1.  Blocks are laid out from level 1 up.
+        self._attach = schedule.table[schedule.levels].decorations[::-1]
+        self._sizes = _sizes_for(schedule).upto(schedule.levels - 1)
         # Cumulative offsets of (level, copy) tree blocks within one anchor block.
         self._block_offsets = []
         acc = 1
@@ -532,12 +460,6 @@ class MainGraph:
         return IndexInfo(neighbors, (anchor, k, copy), leaf, decoration)
 
     # -- structure ---------------------------------------------------------
-
-    def degree_identity(self) -> bool:
-        d = self.schedule.degrees
-        return self.params.expander_degree + sum(
-            d[k - 1] - d[k] for k in range(1, len(d))
-        ) == d[0]
 
     def _check_tree_vertex(self, v: TreeVertex):
         if not 0 <= v.anchor < self.expander.N:

@@ -62,7 +62,7 @@ class AttachedTree:
     copies: int = 1
 
     def __post_init__(self):
-        self.schedule._check_level(self.level)
+        self.schedule.check_level(self.level)
         if self.copies < 1:
             raise InputError("copies must be >= 1")
 
@@ -119,12 +119,9 @@ class _TreeTables:
             self._fill_level(j, with_norms)
 
     def _fill_level(self, j: int, with_norms: bool):
-        sched, lam = self.schedule, self.lam
-        b = sched.branching(j)
-        depth = sched.depth(j)
-        dec_sum = sum(
-            sched.decoration_count(i) * self.m[i][0] for i in sched.decoration_levels(j)
-        )
+        lam = self.lam
+        b, depth, decorations = self.schedule.table[j]
+        dec_sum = sum(copies * self.m[i][0] for i, copies in decorations)
         prev = 1.0 / lam
         run = [prev]
         for _ in range(depth):
@@ -143,8 +140,7 @@ class _TreeTables:
             return
         log_m = self.log_m[j] = _Column(depth, [math.log(x) for x in run])
         log_dec_S = logsumexp(
-            math.log(sched.decoration_count(i)) + 2.0 * self.log_m[i][0] + self.log_S[i][0]
-            for i in sched.decoration_levels(j)
+            math.log(copies) + 2.0 * self.log_m[i][0] + self.log_S[i][0] for i, copies in decorations
         )
         log_b = math.log(b) if b > 0 else NEG_INF
         prev_s, prev_m = 0.0, log_m[depth]
@@ -260,17 +256,16 @@ class NormSplit:
     one_minus_ratio: float  # computed directly, precise when tiny
 
 
-def norm_decomposition(solution: SpectralSolution, expander_size: Optional[int] = None) -> NormSplit:
+def norm_decomposition(solution: SpectralSolution) -> NormSplit:
     """Split the squared eigenvector norm into the base-graph part and the total.
 
     The base restriction is the uniform vector on a regular base graph, so its
     squared norm is the base size; the total multiplies by (1 + x) with x the
     per-vertex tree mass.
     """
-    n_e = expander_size if expander_size is not None else solution.expander_size
-    if n_e is None:
+    if solution.expander_size is None:
         raise ValueError("expander_size required (solution is not instance-bound)")
-    log_core = math.log(n_e)
+    log_core = math.log(solution.expander_size)
     log_x = solution.log_tree_mass() if solution.trees and solution.beta else NEG_INF  # beta 0: no tree mass
     log_total = log_core + log1p_from_log(log_x)
     if log_x == NEG_INF:
@@ -419,24 +414,20 @@ def _walk_down_lower(gap, lambda_e: float, start: float) -> float:
     )
 
 
-def solve_for_params(params: GraphParams, expander_size: Optional[int] = None) -> SpectralSolution:
+def solve_for_params(params: GraphParams) -> SpectralSolution:
     """Spectral solution for the assembled family at given parameters, without
-    any materialization; the base eigenvalue is the expander degree."""
+    any materialization; the base eigenvalue is the core degree d_K."""
+    schedule = params.schedule
     trees = tuple(
-        AttachedTree(params.schedule, k, params.schedule.decoration_count(k))
-        for k in params.attached_levels()
+        AttachedTree(schedule, k, copies) for k, copies in schedule.table[schedule.levels].decorations[::-1]
     )
-    return solve_top_eigenvalue(
-        float(params.expander_degree),
-        trees,
-        expander_size=expander_size if expander_size is not None else params.expander_size,
-    )
+    return solve_top_eigenvalue(float(schedule.degrees[-1]), trees, expander_size=params.expander_size)
 
 
 def solve_for_instance(graph: MainGraph) -> SpectralSolution:
     solution = getattr(graph, "_spectral_cache", None)
     if solution is None:
-        solution = solve_for_params(graph.params, expander_size=graph.expander.N)
+        solution = solve_for_params(graph.params)
         graph._spectral_cache = solution
     return solution
 
@@ -446,7 +437,7 @@ def sampler_for_instance(graph: MainGraph) -> "GroundStateSampler":
     solve; callers pass their own rng to every draw, so they share no state."""
     sampler = getattr(graph, "_sampler_cache", None)
     if sampler is None:
-        sampler = GroundStateSampler(solve_for_instance(graph), graph.expander.N)
+        sampler = GroundStateSampler(solve_for_instance(graph))
         graph._sampler_cache = sampler
     return sampler
 
@@ -468,13 +459,12 @@ class GroundStateSampler:
     m_child^2 * S_child / S(node).  Telescoping makes the draw exact.
     """
 
-    def __init__(self, solution: SpectralSolution, expander_size: Optional[int] = None, seed: int = 0):
+    def __init__(self, solution: SpectralSolution, seed: int = 0):
         self.solution = solution
-        n_e = expander_size if expander_size is not None else solution.expander_size
-        if n_e is None:
-            raise ValueError("expander_size required")
-        self.expander_size = n_e
-        self._anchor_bits = (n_e - 1).bit_length()
+        if solution.expander_size is None:
+            raise ValueError("expander_size required (solution is not instance-bound)")
+        self.expander_size = solution.expander_size
+        self._anchor_bits = (self.expander_size - 1).bit_length()
         self.seed = seed
         # Anchor-level weights: stop weight 1, one group per attached tree family.
         self._groups = []
@@ -515,19 +505,19 @@ class GroundStateSampler:
         return self.sample(rng)
 
     def _descend(self, tree: AttachedTree, rng: random.Random) -> tuple:
-        sched = tree.schedule
+        table = tree.schedule.table
         tables = self.solution.tables_for(tree)
         seg, depth = tree.level, 0
         hops = []
         while True:
-            if depth == sched.depth(seg):
+            b, seg_depth, decorations = table[seg]
+            if depth == seg_depth:
                 return tuple(hops)
             s_here = math.exp(tables.log_S[seg][depth])
             x = rng.random() * s_here
             if x < 1.0:
                 return tuple(hops)
             x -= 1.0
-            b = sched.branching(seg)
             core_w = b * math.exp(
                 2.0 * tables.log_m[seg][depth + 1] + tables.log_S[seg][depth + 1]
             )
@@ -537,8 +527,7 @@ class GroundStateSampler:
                 continue
             x -= core_w
             moved = False
-            for lvl in sched.decoration_levels(seg):
-                c = sched.decoration_count(lvl)
+            for lvl, c in decorations:
                 w = c * math.exp(2.0 * tables.log_m[lvl][0] + tables.log_S[lvl][0])
                 if x < w:
                     hops.append((DECOR, lvl, below(rng.getrandbits, c)))

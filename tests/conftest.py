@@ -39,15 +39,16 @@ def classify_address(schedule, k, address) -> NodeClass:
     """Walk an address from the level-k root, validating every hop."""
     seg, depth = k, 0
     for hop in address:
-        if depth >= schedule.depth(seg):
+        level = schedule.table[seg]
+        if depth >= level.depth:
             raise gm.InvalidAddressError(f"hop below a leaf in {address!r}")
         if hop[0] == gm.CORE:
-            if not 0 <= hop[1] < schedule.branching(seg):
+            if not 0 <= hop[1] < level.children:
                 raise gm.InvalidAddressError(f"core child {hop[1]} out of range in {address!r}")
             depth += 1
         elif hop[0] == gm.DECOR:
             _, lvl, slot = hop
-            if not 1 <= lvl < seg or not 0 <= slot < schedule.decoration_count(lvl):
+            if not 0 <= slot < dict(level.decorations).get(lvl, 0):
                 raise gm.InvalidAddressError(f"bad decoration hop {hop!r}")
             seg, depth = lvl, 0
         else:
@@ -59,11 +60,12 @@ def tree_children(schedule, k, address) -> tuple[list, NodeClass]:
     """Children addresses in canonical order (core first, then decorations by
     descending level) plus the node's structural class.  Leaves have no children."""
     node = classify_address(schedule, k, address)
-    if node.depth == schedule.depth(node.segment):
+    level = schedule.table[node.segment]
+    if node.depth == level.depth:
         return [], node
-    children = [address + (gm.core_hop(t),) for t in range(schedule.branching(node.segment))]
-    for lvl in schedule.decoration_levels(node.segment):
-        children += [address + (gm.decoration_hop(lvl, slot),) for slot in range(schedule.decoration_count(lvl))]
+    children = [address + (gm.core_hop(t),) for t in range(level.children)]
+    for lvl, copies in level.decorations:
+        children += [address + (gm.decoration_hop(lvl, slot),) for slot in range(copies)]
     return children, node
 
 
@@ -74,8 +76,9 @@ def neighbors(graph, v) -> list:
         return []
     if isinstance(v, gm.ExpanderVertex):
         out = [gm.ExpanderVertex(w) for w in graph.expander.adjacency[v.index]]
-        for k in graph.params.attached_levels():
-            out += [gm.TreeVertex(v.index, k, j, ()) for j in range(graph.schedule.decoration_count(k))]
+        d = graph.schedule.degrees
+        for k in range(1, len(d)):  # d_k - d_{k+1} copies of each level k < K
+            out += [gm.TreeVertex(v.index, k, j, ()) for j in range(d[k - 1] - d[k])]
         return out
     children, _ = tree_children(graph.schedule, v.level, v.address)
     if v.address:
@@ -92,7 +95,7 @@ def classify_vertex(graph, v) -> dict:
     if isinstance(v, gm.ExpanderVertex):
         return {"kind": "expander"}
     node = classify_address(graph.schedule, v.level, v.address)
-    if node.depth < graph.schedule.depth(node.segment):
+    if node.depth < graph.schedule.table[node.segment].depth:
         return {"kind": "internal"}
     decorations = [i for i, hop in enumerate(v.address) if hop[0] == gm.DECOR]
     return {

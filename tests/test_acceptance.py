@@ -72,7 +72,7 @@ def test_criterion_2_dense_equivalence():
     count = 0
     total_vertices = 0
     for graph in _criterion2_instances():
-        assert graph.params.levels <= 3
+        assert graph.schedule.levels <= 3
         sol = sp.solve_for_instance(graph)
         mat = gm.materialize(graph)
         total_vertices += mat.n
@@ -166,8 +166,7 @@ def test_criterion_5_dominance():
         rec = bd.recursion_bound(sched, q_chain, 2)[level - 1]
         avoid = {
             w: bd.avoidance_bound(
-                sched.degree(level), sched.degree(level - 1),
-                sched.depth(level), sched.depth(level - 1), w,
+                degrees[level - 1], degrees[level - 2], depths[level - 1], depths[level - 2], w,
             )
             for w in (1, 2)
         }

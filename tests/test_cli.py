@@ -734,6 +734,56 @@ def test_verify_small_planted_defect_fails(tmp_path, capsys):
     assert "FAIL  eigen-residual" in text or "FAIL  amplitude-max-relative-error" in text
 
 
+# verify-small --seed 0: every row but its value, plus the values of the exact
+# (counting) rows.  The other rows come from LAPACK or from float sums, whose
+# last bits another BLAS kernel or libm may move, so they are checked against
+# their thresholds only.
+VERIFY_SMALL_ROWS = [
+    ("degree-identity", 0.5, 0.0),
+    ("neighbor-duality-violations", 0.5, 0.0),
+    ("lambda-relative-error", 1e-08, None),
+    ("amplitude-max-relative-error", 1e-08, None),
+    ("expander-marginal-nonuniformity", 1e-08, None),
+    ("eigen-residual", 1e-08, None),
+    ("sampler-tv-distance", 0.05, None),
+    ("oracle-roundtrip-failures", 0.5, 0.0),
+    ("oracle-symmetry-failures", 0.5, 0.0),
+    ("negative-control-detects-perturbation", 1e-08, None),
+]
+
+
+def test_verify_small_records_are_pinned(tmp_path):
+    out = tmp_path / "o"
+    assert run(["verify-small", "--out", out, "--seed", 0]) == cli.EXIT_OK
+    records = [json.loads(l) for l in (out / "records.jsonl").read_text().splitlines()]
+    assert len(records) == len(VERIFY_SMALL_ROWS)
+    for rec, (metric, bound, value) in zip(records, VERIFY_SMALL_ROWS):
+        measured = rec.pop("value")
+        assert rec == {"bound": bound, "config": "44136fa355b3", "experiment": "verify-small",
+                       "flags": [], "metric": metric, "stderr": 0.0}
+        if value is not None:
+            assert measured == value
+        elif metric.startswith("negative-control"):
+            assert measured >= bound
+        else:
+            assert measured <= bound
+
+
+def test_verify_small_degree_row_sees_a_dropped_neighbour(tmp_path, monkeypatch):
+    materialize = cli.graph_model.materialize
+
+    def drop_one(graph):
+        mat = materialize(graph)
+        mat.adjacency[0].pop()  # the core vertex 0 keeps d_1 - 1 neighbours
+        return mat
+
+    monkeypatch.setattr(cli.graph_model, "materialize", drop_one)
+    out = tmp_path / "o"
+    assert run(["verify-small", "--out", out, "--seed", 0]) == cli.EXIT_CERTIFICATION
+    degree_row = json.loads((out / "records.jsonl").read_text().splitlines()[0])
+    assert (degree_row["metric"], degree_row["value"], degree_row["flags"]) == ("degree-identity", 1.0, ["FAILED"])
+
+
 def test_report_reads_records(tmp_path, capsys):
     cfg = write_config(tmp_path, "p.json", {"instance": {"mode": "standard", "n": 16}})
     out = tmp_path / "o"
@@ -909,6 +959,11 @@ ONE_VERTEX, NO_VERTEX = "one-vertex.txt", "no-vertex.txt"  # "1 0 0" and "0 0 0"
     # More inputs or roots per trial, or samples, than the key table allows.
     ("ggsp", dict(GGSP_GOLDEN, t=cli.MAX_INPUTS + 1)),
     ("explore-graph", dict(GRAPH_CFG, roots=cli.MAX_INPUTS + 1)),
+    # A tree level past the schedule.
+    ("explore-tree", dict(TREE_CFG, level=3)),
+    ("spectrum", {"instance": dict(CUSTOM_INSTANCE, trees=[{"degrees": [2], "depths": [0], "level": 2}])}),
+    # A core whose degree is not d_K (the cubic Petersen core under d_K = 4).
+    ("spectrum", {"instance": dict(PETERSEN_INSTANCE, degrees=[5, 4])}),
 ])
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
     monkeypatch.chdir(tmp_path)
@@ -1084,6 +1139,21 @@ def test_explore_tree_resume_with_other_seed_or_budget_exits_1(tmp_path, capsys,
     assert run(["explore-tree", "--config", path, "--out", out, flag, value]) == cli.EXIT_USAGE
     assert "config error:" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("bad", [{"w": 3}, {"q_schedule": [6]}])
+def test_explore_tree_refuses_its_bound_before_any_trial(tmp_path, capsys, bad):
+    """A w or q_schedule that the recursion bound refuses exits 1 with no trial
+    row appended, so the corrected rerun into the same --out is not refused as
+    rows of another config."""
+    out = tmp_path / "o"
+    assert run(["explore-tree", "--config", write_config(tmp_path, "bad.json", dict(TREE_CFG, **bad)),
+                "--out", out]) == cli.EXIT_USAGE
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "trials.jsonl").exists()
+    good = write_config(tmp_path, "good.json", dict(TREE_CFG, w=2))
+    assert run(["explore-tree", "--config", good, "--out", out]) == cli.EXIT_OK
+    assert len((out / "trials.jsonl").read_text().splitlines()) == 2 * TREE_CFG["trials"]
 
 
 def test_explore_tree_resume_key_ignores_trials_and_seed_source(tmp_path):

@@ -50,26 +50,21 @@ def test_schedule_rejects_bad_inputs():
 
 
 @given(schedules(max_levels=6, max_degree=40, max_depth=60, min_depth=0))
-def test_schedule_accessors_follow_their_formulas(schedule):
+def test_schedule_table_follows_its_formulas(schedule):
     d, l = schedule.degrees, schedule.depths
     top = schedule.levels
-    for k in range(1, top + 1):
-        assert schedule.degree(k) == d[k - 1]
-        assert schedule.depth(k) == l[k - 1]
-        assert schedule.branching(k) == d[k - 1] - 1
-        assert schedule.decoration_levels(k) == tuple(range(k - 1, 0, -1))
-        if k < top:
-            assert schedule.decoration_count(k) == d[k - 1] - d[k]
-    with pytest.raises(gm.ScheduleError):
-        schedule.decoration_count(top)
-    accessors = (schedule.degree, schedule.depth, schedule.branching,
-                 schedule.decoration_count, schedule.decoration_levels)
+    assert list(schedule.table) == list(range(1, top + 1))
+    for k, level in schedule.table.items():
+        decorations = tuple((i, d[i - 1] - d[i]) for i in range(k - 1, 0, -1))
+        assert level == gm.Level(children=d[k - 1] - 1, depth=l[k - 1], decorations=decorations)
+    # A core vertex of degree d_K plus the top level's decorations has degree d_1.
+    assert d[-1] + sum(copies for _, copies in schedule.table[top].decorations) == d[0]
+    schedule.check_level(top)
     for bad in (0, -1, top + 1):
-        for accessor in accessors:
-            with pytest.raises(gm.ScheduleError):
-                accessor(bad)
+        with pytest.raises(gm.ScheduleError):
+            schedule.check_level(bad)
     # Equality and hashing stay those of the fields (spectral caches key on
-    # schedules), not of the per-level tables.
+    # schedules), not of the per-level table.
     twin = gm.Schedule(tuple(d), tuple(l))
     assert twin is not schedule
     assert twin == schedule and hash(twin) == hash(schedule)
@@ -79,21 +74,9 @@ def test_schedule_accessors_follow_their_formulas(schedule):
 
 def test_standard_params_consistency():
     params = gm.GraphParams.standard(16)
-    assert params.degrees == (28, 24, 20, 16)
-    assert params.expander_degree == 16
+    assert params.schedule.degrees == (28, 24, 20, 16)
     assert params.girth_floor == 40 * 256 * 4 + 8
     assert params.expander_size == 1 << (21 * 256 * 16)
-    # Degree identity: d_E + sum(d_k - d_{k+1}) = d_1.
-    d = params.degrees
-    assert params.expander_degree + sum(d[i] - d[i + 1] for i in range(len(d) - 1)) == d[0]
-
-
-def test_scaled_params_require_degree_identity():
-    with pytest.raises(gm.ScheduleError):
-        gm.GraphParams(
-            degrees=(5, 4, 3), depths=(1, 2, 3), expander_degree=4,
-            expander_size=10, girth_floor=3, padding_ratio=1.0, scale_mode="scaled",
-        )
 
 
 # -- tree children (the address-walk reference) --------------------------------
@@ -120,7 +103,7 @@ def test_tree_children_leaf_at_core_depth():
     address = tuple(gm.core_hop(0) for _ in range(4))
     children, node = tree_children(sched, 2, address)
     assert children == []
-    assert node.depth == sched.depth(node.segment)  # a leaf
+    assert node.depth == sched.table[node.segment].depth  # a leaf
     assert classify_vertex(gm.TreeGraph(sched, 2), gm.TreeVertex(0, 2, 0, address))["level"] == 0
 
 
@@ -128,7 +111,7 @@ def test_children_canonical_order_core_first_then_descending_levels():
     sched = gm.Schedule((6, 5, 4), (1, 2, 3))
     children, _ = tree_children(sched, 3, ())
     kinds = [(c[-1][0], c[-1][1] if c[-1][0] == gm.DECOR else None) for c in children]
-    n_core = sched.branching(3)
+    n_core = sched.table[3].children
     assert all(k == gm.CORE for k, _ in kinds[:n_core])
     decor_levels = [lvl for k, lvl in kinds[n_core:]]
     assert decor_levels == sorted(decor_levels, reverse=True)
@@ -185,11 +168,11 @@ def _sizes_by_recurrence(schedule):
     S(p) = 1 + b S(p + 1) + the decoration trees' vertices: the reference
     that `graph_model`'s closed form is checked against."""
     sizes = {}
-    for j in range(1, schedule.levels + 1):
-        decorations = sum(schedule.decoration_count(i) * sizes[i][0] for i in schedule.decoration_levels(j))
-        arr = [1] * (schedule.depth(j) + 1)
-        for p in range(schedule.depth(j) - 1, -1, -1):
-            arr[p] = 1 + schedule.branching(j) * arr[p + 1] + decorations
+    for j, (b, depth, decorations) in schedule.table.items():
+        decoration_size = sum(copies * sizes[i][0] for i, copies in decorations)
+        arr = [1] * (depth + 1)
+        for p in range(depth - 1, -1, -1):
+            arr[p] = 1 + b * arr[p + 1] + decoration_size
         sizes[j] = arr
     return sizes
 
@@ -201,12 +184,12 @@ def test_closed_form_sizes_match_the_recurrence(schedule):
     """The vertex count, and every step of the index walk down the root's
     first core children (rank p at depth p), read the recurrence's sizes."""
     for j, arr in _sizes_by_recurrence(schedule).items():
-        tree, b = gm.TreeGraph(schedule, j), schedule.branching(j)
+        tree, (b, depth, _) = gm.TreeGraph(schedule, j), schedule.table[j]
         assert tree.num_nonisolated == arr[0]
-        for p in range(schedule.depth(j)):
+        for p in range(depth):
             children = tree.index_info(p).neighbors[p > 0:][:b]
             assert children == tuple(range(p + 1, p + 1 + b * arr[p + 1], arr[p + 1]))
-        assert tree.index_info(schedule.depth(j)).leaf_level == 0
+        assert tree.index_info(depth).leaf_level == 0
 
 
 def test_standard_tree_builds_without_per_depth_tables():
@@ -216,7 +199,7 @@ def test_standard_tree_builds_without_per_depth_tables():
     gm._sizes_for.cache_clear()
     tracemalloc.start()
     try:
-        tree = gm.TreeGraph(gm.GraphParams.standard(36), 6)
+        tree = gm.TreeGraph(gm.GraphParams.standard(36).schedule, 6)
         children = tree.index_info(0).neighbors
         assert len(children) == 65 and tree.num_nonisolated.bit_length() > 1_000_000
         for i in children:
@@ -240,7 +223,7 @@ def test_unread_top_level_is_never_sized(petersen):
 
 def test_standard_count_within_stated_ceiling():
     params = gm.GraphParams.standard(16)
-    count = gm.TreeGraph(params, 4).num_nonisolated
+    count = gm.TreeGraph(params.schedule, 4).num_nonisolated
     assert count < 1 << (12 * 16 ** 3 * 16)  # 2^(12 n^3 log2(n)^2)
 
 
@@ -313,8 +296,8 @@ def _is_vertex_of(graph, v) -> bool:
     if isinstance(graph, gm.TreeGraph):
         placed = v[:3] == (0, graph.k, 0)
     else:
-        placed = (0 <= v.anchor < graph.expander.N and v.level in graph.params.attached_levels()
-                  and 0 <= v.copy < graph.schedule.decoration_count(v.level))
+        d = graph.schedule.degrees
+        placed = 0 <= v.anchor < graph.expander.N and 1 <= v.level < len(d) and 0 <= v.copy < d[v.level - 1] - d[v.level]
     well_formed = all(hop[:1] == ("c",) and len(hop) == 2 or hop[:1] == ("d",) and len(hop) == 3
                       for hop in v.address)
     if not (placed and well_formed):
@@ -400,7 +383,7 @@ def test_expander_vertex_degree_tree_root_split(small_instance):
 
 
 def test_all_internal_degrees_equal_d1(small_materialized, small_params):
-    d1 = small_params.degrees[0]
+    d1 = small_params.schedule.degrees[0]
     mat = small_materialized
     for i, v in enumerate(mat.vertices):
         deg = mat.degree(i)
@@ -668,7 +651,7 @@ def test_expander_anchor(small_instance):
 
 
 def test_materialize_cap():
-    tree = gm.TreeGraph(gm.GraphParams.standard(16), 4)  # a ~108,000-bit count builds
+    tree = gm.TreeGraph(gm.GraphParams.standard(16).schedule, 4)  # a ~108,000-bit count builds
     with pytest.raises(gm.SizeCapError):
         gm.materialize(tree)
 

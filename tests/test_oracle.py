@@ -154,7 +154,7 @@ def test_isolated_labels_answer_empty(main_oracle):
 
 
 def test_internal_answer_size_is_d1(main_oracle, small_instance, small_materialized):
-    d1 = small_instance.params.degrees[0]
+    d1 = small_instance.schedule.degrees[0]
     for v in small_materialized.vertices[:80]:
         label = main_oracle.label_of(v)
         expected = len(neighbors(small_instance, v))

@@ -57,16 +57,14 @@ def test_tables_match_full_depth_recursion():
     lam = 6.0
     tables = sp._TreeTables(sched, 3, lam)
     for j in (1, 2, 3):
-        depth, b = sched.depth(j), sched.branching(j)
-        levels = sched.decoration_levels(j)
-        dec_sum = sum(sched.decoration_count(i) * tables.m[i][0] for i in levels)
+        b, depth, decorations = sched.table[j]
+        dec_sum = sum(copies * tables.m[i][0] for i, copies in decorations)
         m = [1.0 / lam] * (depth + 1)
         for p in range(depth - 1, -1, -1):
             m[p] = 1.0 / (lam - dec_sum - b * m[p + 1])
         log_m = [math.log(x) for x in m]
         log_dec_S = logsumexp(
-            math.log(sched.decoration_count(i)) + 2.0 * tables.log_m[i][0] + tables.log_S[i][0]
-            for i in levels
+            math.log(copies) + 2.0 * tables.log_m[i][0] + tables.log_S[i][0] for i, copies in decorations
         )
         log_S = [0.0] * (depth + 1)
         for p in range(depth - 1, -1, -1):
@@ -254,24 +252,22 @@ def test_sampler_stop_probabilities_sum_to_one(small_solution):
     sol = small_solution
     for tree in sol.trees:
         tables = sol.tables_for(tree)
-        sched = tree.schedule
         for seg in range(1, tree.level + 1):
-            for depth in range(sched.depth(seg)):
+            b, seg_depth, decorations = tree.schedule.table[seg]
+            for depth in range(seg_depth):
                 s_here = math.exp(tables.log_S[seg][depth])
                 total = 1.0
-                b = sched.branching(seg)
                 total += b * math.exp(
                     2 * tables.log_m[seg][depth + 1] + tables.log_S[seg][depth + 1]
                 )
-                for lvl in sched.decoration_levels(seg):
-                    c = sched.decoration_count(lvl)
+                for lvl, c in decorations:
                     total += c * math.exp(2 * tables.log_m[lvl][0] + tables.log_S[lvl][0])
                 assert total / s_here == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sampler_p4_pendant_frequency():
     sol = p4_solution()
-    sampler = sp.GroundStateSampler(sol, expander_size=2, seed=7)
+    sampler = sp.GroundStateSampler(sol, seed=7)
     n = 100_000
     inner = sum(1 for _ in range(n) if isinstance(sampler.sample(), gm.ExpanderVertex))
     p_inner_each = 1 / (2 + 2 / PHI ** 2)
