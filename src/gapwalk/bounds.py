@@ -10,8 +10,7 @@ results flagged rather than silently clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ._util import NEG_INF, InputError, log2sumexp
 from .graph_model import Schedule, _exact_sqrt
@@ -21,8 +20,7 @@ class BoundDomainError(InputError):
     """Inputs outside the range a bound statement covers."""
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     name: str
     inputs: dict
     value: float                      # linear domain, clamped to [0,1] for probabilities

@@ -50,7 +50,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import dataclasses
 import functools
 import hashlib
 import io
@@ -61,9 +60,9 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -329,11 +328,10 @@ def _now() -> str:
 # the run object
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     fn: Callable[["Run"], int]
     results: tuple = ()   # files the command writes; deleted when a run starts
-    counts: dict = field(default_factory=dict)  # "trials"/"budget" -> its config key
+    counts: Mapping[str, str] = MappingProxyType({})  # "trials"/"budget" -> its config key
     resumes: bool = False  # appends to trials.jsonl, guarded by a resume key
     reader: bool = False  # only reads a run: never starts one, writes no meta.json
 
@@ -485,7 +483,7 @@ def build_expander(run: Run, at: str, gen: str):
         **{k: run.get(f"{gen}.{k}") for k in ("N", "d", "gap_min", "girth_min", "max_attempts")},
         seed=run.get(f"{gen}.seed", default=run.seed),
     )
-    run.write("expander.certificate.json", json_text(dataclasses.asdict(cert)))
+    run.write("expander.certificate.json", json_text(cert._asdict()))
     run.write("expander.txt", expander_gen.to_text(graph))
     return graph, cert
 
@@ -545,7 +543,7 @@ def certify(run: Run, graph, prefix: str, name: str) -> int:
     if cert is None:
         print("certification rejected", file=sys.stderr)
         return EXIT_CERTIFICATION
-    run.write(name, json_text(dataclasses.asdict(cert)))
+    run.write(name, json_text(cert._asdict()))
     print(f"accepted: girth={cert.girth} gap={cert.gap:.6f} attempts={cert.attempts}")
     return EXIT_OK
 

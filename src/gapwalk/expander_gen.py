@@ -12,13 +12,11 @@ before anything is allocated when its stub count exceeds MAX_CORE_STUBS."""
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,8 +46,7 @@ class GenerationError(RuntimeError):
         self.attempts = attempts
 
 
-@dataclass(frozen=True)
-class RegularGraph:
+class RegularGraph(NamedTuple):
     """Simple d-regular graph with per-vertex sorted neighbor tuples; build it
     with `from_edges`, which checks that it is simple and d-regular."""
 
@@ -88,8 +85,7 @@ class RegularGraph:
         return len(bfs_distances(self.adjacency, 0)) == self.N
 
 
-@dataclass(frozen=True)
-class ExpanderCertificate:
+class ExpanderCertificate(NamedTuple):
     girth: float  # inf for forests
     lambda1: float
     lambda2: float
@@ -183,6 +179,10 @@ def _switching_repair(N: int, d: int, rng: random.Random, max_steps: int = 200_0
         u, v = bad[below(rng.getrandbits, len(bad))]
         good = list(edge_count.keys())
         x, y = good[below(rng.getrandbits, len(good))]
+        # Either orientation: with (x, y) always stored as x <= y, the swap
+        # into (u, y), (v, x) would never be proposed, and the chain can stall.
+        if rng.getrandbits(1):
+            x, y = y, x
         e1, e2 = key(u, x), key(v, y)
         # No swap may make a loop or a multi-edge.  A loop (u, u) swaps into
         # (u, x), (u, y), and a loop drawn as (x, y) into (u, x), (v, x).
@@ -222,7 +222,7 @@ def sample_regular_graph(
         raise InputError(f"need 0 <= d < N, got N={N}, d={d}")
     _check_stubs(N, d)
     if d == N - 1:
-        return dataclasses.replace(complete_graph(N), seed=seed)
+        return complete_graph(N)._replace(seed=seed)
     rng = random.Random(derive_seed("regular-graph", N, d, seed))
     stubs = np.repeat(np.arange(N), d).tolist()
     for attempt in range(max_rejections):

@@ -47,9 +47,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import spectral
 from ._util import InputError, below, binomial_stderr, derive_key, derive_seed, wilson_interval
@@ -71,8 +70,7 @@ class Fresh(int):
     counts instead of flagging."""
 
 
-@dataclass(frozen=True)
-class EventStats:
+class EventStats(NamedTuple):
     trials: int
     successes: int
     p_hat: float
@@ -357,8 +355,7 @@ def run_exploration(
 # exit-probability estimation on standalone trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExitEstimate:
+class ExitEstimate(NamedTuple):
     schedule: Schedule
     level: int
     strategy: str
@@ -488,8 +485,7 @@ def _distinct_level1_decorations(session: ExplorationSession) -> int:
 # trial audits and localization scoring
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     ok: bool
     violations: tuple       # step indices of undeclared non-adjacent queries
     fresh_probes: int
@@ -520,8 +516,7 @@ def component_audit(session: ExplorationSession) -> AuditReport:
     )
 
 
-@dataclass(frozen=True)
-class LocalizationScore:
+class LocalizationScore(NamedTuple):
     distance: Optional[int]  # None when the output label is isolated
     success: bool
     threshold: int
@@ -607,8 +602,7 @@ class TrialLines:
         )
 
 
-@dataclass(frozen=True)
-class GraphReport:
+class GraphReport(NamedTuple):
     strategy: str
     trials: int  # trials run; fewer than asked when the query limit stopped the run
     localization: EventStats
@@ -700,8 +694,7 @@ ALGORITHMS: dict[str, Callable] = {
 }
 
 
-@dataclass(frozen=True)
-class GgspReport:
+class GgspReport(NamedTuple):
     algorithm: str
     trials: int
     inputs_per_trial: int

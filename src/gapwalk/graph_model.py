@@ -21,7 +21,6 @@ and it refuses more than MATERIALIZE_CAP vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -100,7 +99,6 @@ class Level(NamedTuple):
     decorations: tuple  # (level i, copies d_i - d_{i+1}) for i = k-1 down to 1
 
 
-@dataclass(frozen=True)
 class Schedule:
     """Degree/depth schedule (d_1..d_K, l_1..l_K) defining the tree family.
 
@@ -108,13 +106,12 @@ class Schedule:
     of 0 (single-vertex core) is allowed only at level 1, for degenerate
     spectral fixtures; graph instances require depths >= 1.  `table` maps each
     level 1..K to its `Level`; a core vertex carries the decorations of level K.
+    Equality and hashing are those of (degrees, depths): spectral caches key
+    on schedules.
     """
 
-    degrees: tuple[int, ...]
-    depths: tuple[int, ...]
-
-    def __post_init__(self):
-        d, l = self.degrees, self.depths
+    def __init__(self, degrees: tuple[int, ...], depths: tuple[int, ...]):
+        d, l = degrees, depths
         if len(d) != len(l) or not d:
             raise ScheduleError("degrees and depths must be equal-length, non-empty")
         if any(d[i] <= d[i + 1] for i in range(len(d) - 1)):
@@ -125,13 +122,22 @@ class Schedule:
             raise ScheduleError(f"depths must strictly increase: {l}")
         if l[0] < 0:
             raise ScheduleError(f"depths must be non-negative: {l}")
-        # Not a dataclass field, so equality and hashing stay those of
-        # (degrees, depths).
-        table = {}
+        self.degrees, self.depths = d, l
+        self.table = {}
         for k in range(1, len(d) + 1):
             decorations = tuple((i, d[i - 1] - d[i]) for i in range(k - 1, 0, -1))
-            table[k] = Level(d[k - 1] - 1, l[k - 1], decorations)
-        object.__setattr__(self, "table", table)
+            self.table[k] = Level(d[k - 1] - 1, l[k - 1], decorations)
+
+    def __eq__(self, other):
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return (self.degrees, self.depths) == (other.degrees, other.depths)
+
+    def __hash__(self):
+        return hash((self.degrees, self.depths))
+
+    def __repr__(self):
+        return f"Schedule(degrees={self.degrees!r}, depths={self.depths!r})"
 
     @property
     def levels(self) -> int:
@@ -143,22 +149,18 @@ class Schedule:
             raise ScheduleError(f"level {k} out of range [1, {self.levels}]")
 
 
-@dataclass(frozen=True)
 class GraphParams:
     """One instance of the graph family: the schedule, plus what it does not
     say: the core size, the core girth floor and the label padding ratio.  The
     core degree is d_K, which `MainGraph` checks against the core."""
 
-    schedule: Schedule
-    expander_size: int
-    girth_floor: int
-    padding_ratio: float
-
-    def __post_init__(self):
-        if self.schedule.depths[0] < 1:
+    def __init__(self, schedule: Schedule, expander_size: int, girth_floor: int, padding_ratio: float):
+        if schedule.depths[0] < 1:
             raise ScheduleError("graph instances require depths >= 1")
-        if not 0 < self.padding_ratio <= 1:
-            raise ScheduleError(f"padding_ratio must lie in (0, 1]: {self.padding_ratio}")
+        if not 0 < padding_ratio <= 1:
+            raise ScheduleError(f"padding_ratio must lie in (0, 1]: {padding_ratio}")
+        self.schedule, self.expander_size = schedule, expander_size
+        self.girth_floor, self.padding_ratio = girth_floor, padding_ratio
 
     @classmethod
     def standard(cls, n: int) -> "GraphParams":
@@ -542,8 +544,7 @@ Instance = Union[TreeGraph, MainGraph]
 # materialization (small instances only)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MaterializedGraph:
+class MaterializedGraph(NamedTuple):
     vertices: list
     index: dict
     adjacency: list  # list[list[int]], sorted

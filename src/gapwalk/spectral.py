@@ -21,8 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,18 +52,14 @@ class SolverError(InputError):
     """Fixed-point bracketing or bisection failure: no spectrum for these inputs."""
 
 
-@dataclass(frozen=True)
 class AttachedTree:
     """One family of identical trees attached to every base vertex."""
 
-    schedule: Schedule
-    level: int
-    copies: int = 1
-
-    def __post_init__(self):
-        self.schedule.check_level(self.level)
-        if self.copies < 1:
+    def __init__(self, schedule: Schedule, level: int, copies: int = 1):
+        schedule.check_level(level)
+        if copies < 1:
             raise InputError("copies must be >= 1")
+        self.schedule, self.level, self.copies = schedule, level, copies
 
     def norm_upper_bound(self) -> float:
         """Safe upper bound on the tree's spectral radius: 2*sqrt(d_1 - 1)."""
@@ -163,19 +158,19 @@ def root_resolvent(schedule: Schedule, k: int, lam: float) -> float:
     return _TreeTables(schedule, k, lam, with_norms=False).root_resolvent()
 
 
-@dataclass
 class SpectralSolution:
     """Solved spectral data for a decorated instance."""
 
-    base_eigenvalue: float
-    beta: float
-    trees: tuple
-    top_eigenvalue: float
-    residual: float
-    iterations: int
-    expander_size: Optional[int] = None
+    def __init__(self, base_eigenvalue: float, beta: float, trees: tuple, top_eigenvalue: float,
+                 residual: float, iterations: int, expander_size: Optional[int] = None):
+        self.base_eigenvalue, self.beta, self.trees = base_eigenvalue, beta, trees
+        self.top_eigenvalue, self.residual, self.iterations = top_eigenvalue, residual, iterations
+        self.expander_size = expander_size
+        self.__post_init__()
 
     def __post_init__(self):
+        """Build the tables at the top eigenvalue; a method of its own, which
+        `bench/tracer.py` times as `spectral.tables`."""
         self._tables = {
             schedule: _TreeTables(schedule, k, self.top_eigenvalue)
             for schedule, k in _deepest_levels(self.trees).items()
@@ -248,8 +243,7 @@ class SpectralSolution:
         return logsumexp(terms)
 
 
-@dataclass(frozen=True)
-class NormSplit:
+class NormSplit(NamedTuple):
     log_core_sq: float
     log_total_sq: float
     ratio: float            # |psi_core|^2 / |psi_total|^2
@@ -544,8 +538,7 @@ class GroundStateSampler:
 # dense reference (brute force oracle for small instances)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DenseEig:
+class DenseEig(NamedTuple):
     lambda1: float
     lambda2: float
     vector: np.ndarray

@@ -52,10 +52,13 @@ def test_invalid_schedule_is_usage_error(tmp_path):
     assert run(["spectrum", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_USAGE
 
 
-def test_cli_import_leaves_scipy_unloaded():
+@pytest.mark.parametrize("package", ["scipy", "dataclasses"])
+def test_cli_import_leaves_unloaded(package):
     """scipy is most of the package's import time; only the dense eigensolves
-    and adjacency matrices load it, when they first run."""
-    code = "import sys, gapwalk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    and adjacency matrices load it, when they first run.  The records are
+    NamedTuples and plain classes, since building a dataclass execs generated
+    code at import."""
+    code = f"import sys, gapwalk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

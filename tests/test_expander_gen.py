@@ -52,7 +52,7 @@ def test_switching_fallback_flags_nonuniform():
     assert eg.certify_expander(g, 0, 3) is not None
     # The repaired core, pinned.
     assert hashlib.sha256(eg.to_text(g).encode()).hexdigest() == (
-        "8abf413b83f33470ec57859a41827ac0aac75e663f070e4bb283cd156dbeb495")
+        "ed0a3505eefa0157b009d971da9e5f3529ca5f0e9395d01f317aa10b8eb7d679")
 
 
 @pytest.mark.parametrize("N, d, seed", [(12, 9, 2), (10, 4, 1), (12, 5, 0)])
@@ -61,6 +61,15 @@ def test_switching_fallback_repairs_loops(N, d, seed):
     swaps out like a multi-edge."""
     g = eg.sample_regular_graph(N, d, seed, max_rejections=1)
     assert {len(nbrs) for nbrs in g.adjacency} == {d}
+    assert not g.uniform
+
+
+@pytest.mark.parametrize("seed", [114, 189, 325, 407, 446, 680, 884])
+def test_switching_fallback_converges_on_dense_cores(seed):
+    """At these seeds rejection stalls on (8, 5); a repair that proposed each
+    partner edge in one orientation only then stalled too."""
+    g = eg.sample_regular_graph(8, 5, seed)
+    assert {len(nbrs) for nbrs in g.adjacency} == {5}
     assert not g.uniform
 
 
@@ -127,12 +136,7 @@ def test_girth_examples():
 
 def test_girth_infinite_for_forest():
     adj = ((1,), (0, 2), (1,))  # path on 3 vertices
-    tree = eg.RegularGraph.__new__(eg.RegularGraph)
-    object.__setattr__(tree, "N", 3)
-    object.__setattr__(tree, "d", 1)
-    object.__setattr__(tree, "adjacency", adj)
-    object.__setattr__(tree, "seed", 0)
-    object.__setattr__(tree, "uniform", True)
+    tree = eg.RegularGraph(3, 1, adj, seed=0)
     assert eg.girth(tree) == math.inf
 
 

@@ -1,5 +1,5 @@
-import dataclasses
 import functools
+import inspect
 import math
 import random
 import tracemalloc
@@ -69,7 +69,24 @@ def test_schedule_table_follows_its_formulas(schedule):
     assert twin is not schedule
     assert twin == schedule and hash(twin) == hash(schedule)
     assert {twin: 1}[schedule] == 1
-    assert [f.name for f in dataclasses.fields(schedule)] == ["degrees", "depths"]
+    assert list(inspect.signature(gm.Schedule).parameters) == ["degrees", "depths"]
+    assert gm.Schedule(tuple(d), tuple(x + 1 for x in l)) != schedule
+
+
+@pytest.mark.parametrize("depths, padding_ratio", [
+    ((0, 1), 2.0 ** -20),  # a level-1 depth of 0: a graph instance needs >= 1
+    ((1, 2), 0.0),
+    ((1, 2), -0.5),
+    ((1, 2), 1.5),
+    ((1, 2), math.nan),
+])
+def test_graph_params_refuse_bad_depth_or_padding(depths, padding_ratio):
+    schedule = gm.Schedule((4, 3), depths)
+    with pytest.raises(gm.ScheduleError):
+        gm.GraphParams(schedule, 10, 3, padding_ratio)
+    with pytest.raises(gm.ScheduleError):
+        gm.GraphParams.scaled((4, 3), depths, 10, padding_ratio=padding_ratio)
+    assert gm.GraphParams(gm.Schedule((4, 3), (1, 2)), 10, 3, 1.0).padding_ratio == 1.0
 
 
 def test_standard_params_consistency():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gapwalk import expander_gen as eg, graph_model as gm, spectral as sp
-from gapwalk._util import logsumexp
+from gapwalk._util import InputError, logsumexp
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -87,6 +87,12 @@ def test_golden_ratio_fixture():
     assert sol.top_eigenvalue == pytest.approx(PHI, abs=1e-9)
     assert sol.residual <= 1e-10 * sol.top_eigenvalue
     assert sol.loop_weights[0] == pytest.approx(PHI, abs=1e-9)
+
+
+@pytest.mark.parametrize("level, copies", [(0, 1), (3, 1), (1, 0), (2, -1)])
+def test_attached_tree_refuses_absent_level_or_no_copies(level, copies):
+    with pytest.raises(InputError):
+        sp.AttachedTree(gm.Schedule((4, 3), (1, 2)), level, copies)
 
 
 def test_beta_zero_returns_base_eigenvalue():
