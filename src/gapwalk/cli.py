@@ -38,8 +38,8 @@ one worker per CPU (no other command uses --threads).  It appends each
 window's rows to trials.jsonl as they arrive, so an interruption loses only
 the windows in flight, and resumes from the rows it finds.  Its meta.json
 carries a resume key, stored before the first row is appended: the hash of
-the config without trials, threads and out, plus the effective seed and
-budget.  Resuming rows under a different key exits 1.
+the config without the keys that command-line flags override (FLAGS), plus
+the effective seed and budget.  Resuming rows under a different key exits 1.
 
 Exit codes: 0 success, 1 usage/config error, 2 certification or verification
 failure, 3 query-budget exhaustion.
@@ -81,8 +81,8 @@ STATUS = {EXIT_OK: "ok", EXIT_USAGE: "config-error", EXIT_CERTIFICATION: "check-
           EXIT_BUDGET: "query-limit"}
 
 RECORDS = ("records.jsonl", "summary.csv")
-# Left out of explore-tree's resume key: they never change a trial row.
-RESUME_FREE = ("trials", "threads", "out")
+# Config keys that a command-line flag of the same name overrides.
+FLAGS = ("seed", "trials", "budget", "threads", "out")
 
 
 class UsageError(InputError):
@@ -115,6 +115,14 @@ INT_ANY = (-INT_MAX - 1, INT_MAX)
 MAX_INPUTS = 1 << 12
 MAX_SAMPLES = 1 << 20
 REQUIRED = ...
+# A core section's rows without their commands: its fixture sources, and the
+# keys of a generated core.  gen-expander reads both under "expander.", the
+# instance its sources under "instance.expander." and the generation keys
+# under "instance.expander.generate.".
+CORE_SOURCE = (("petersen", "bool", False), ("complete", "int", None, (2, INT_MAX)), ("file", "str", None))
+CORE_GENERATE = (("N", "int", None, (2, INT_MAX)), ("d", "int", REQUIRED, (1, INT_MAX)),
+                 ("gap_min", "number", 0.0), ("girth_min", "number", 3.0), ("seed", "int", None, INT_ANY),
+                 ("max_attempts", "int", 50, (1, INT_MAX)))
 
 # path: (commands that read it, kind, default[, limits]).  A path steps into
 # an object with "." and into every entry of a list of objects with "[].".
@@ -133,15 +141,7 @@ CONFIG_KEYS = {
     "count": (("sample-ground",), "int", 1000, (1, MAX_SAMPLES)),
     # gen-expander: a fixture core, or one generated when N is given
     "expander": (CORE, "object", REQUIRED),
-    "expander.petersen": (CORE, "bool", False),
-    "expander.complete": (CORE, "int", None, (2, INT_MAX)),
-    "expander.file": (CORE, "str", None),
-    "expander.N": (CORE, "int", None, (2, INT_MAX)),
-    "expander.d": (CORE, "int", REQUIRED, (1, INT_MAX)),
-    "expander.gap_min": (CORE, "number", 0.0),
-    "expander.girth_min": (CORE, "number", 3.0),
-    "expander.seed": (CORE, "int", None, INT_ANY),
-    "expander.max_attempts": (CORE, "int", 50, (1, INT_MAX)),
+    **{f"expander.{key}": (CORE, *row) for key, *row in CORE_SOURCE + CORE_GENERATE},
     # certify
     "expander_file": (("certify",), "str", REQUIRED),
     "gap_min": (("certify",), "number", 0.0),
@@ -156,16 +156,9 @@ CONFIG_KEYS = {
     "instance.girth_floor": (INSTANCE, "int", 3, (0, INT_MAX)),
     "instance.padding_ratio": (INSTANCE, "number", 2.0 ** -20),
     "instance.expander": (INSTANCE, "object", REQUIRED),
-    "instance.expander.petersen": (INSTANCE, "bool", False),
-    "instance.expander.complete": (INSTANCE, "int", None, (2, INT_MAX)),
-    "instance.expander.file": (INSTANCE, "str", None),
+    **{f"instance.expander.{key}": (INSTANCE, *row) for key, *row in CORE_SOURCE},
     "instance.expander.generate": (INSTANCE, "object", None),
-    "instance.expander.generate.N": (INSTANCE, "int", None, (2, INT_MAX)),
-    "instance.expander.generate.d": (INSTANCE, "int", REQUIRED, (1, INT_MAX)),
-    "instance.expander.generate.gap_min": (INSTANCE, "number", 0.0),
-    "instance.expander.generate.girth_min": (INSTANCE, "number", 3.0),
-    "instance.expander.generate.seed": (INSTANCE, "int", None, INT_ANY),
-    "instance.expander.generate.max_attempts": (INSTANCE, "int", 50, (1, INT_MAX)),
+    **{f"instance.expander.generate.{key}": (INSTANCE, *row) for key, *row in CORE_GENERATE},
     "instance.lambda_e": (("spectrum",), "number", REQUIRED),
     "instance.beta": (("spectrum",), "number", 1.0),
     "instance.expander_size": (("spectrum",), "int", 1, (1, INT_MAX)),
@@ -404,7 +397,7 @@ class Run:
         """Claim --out: check a resumed file's key, delete the command's earlier
         results, write config.resolved.json and a 'running' meta.json."""
         if self.command.resumes:
-            kept = {k: v for k, v in self.cfg.items() if k not in RESUME_FREE}
+            kept = {k: v for k, v in self.cfg.items() if k not in FLAGS}
             key = config_hash(dict(kept, seed=self.seed, budget=self.budget))
             path = self.out / "trials.jsonl"
             if path.exists() and path.stat().st_size and self._earlier_meta().get("resume_key") != key:
@@ -479,10 +472,9 @@ def build_expander(run: Run, at: str, gen: str):
         return graph, None
     if run.get(f"{gen}.N") is None:
         raise UsageError(f"{at} needs one of: petersen, complete, file, {gen}.N")
+    # N is set here, so the run's seed stands in only for an unset core seed.
     graph, cert = expander_gen.generate_certified(
-        **{k: run.get(f"{gen}.{k}") for k in ("N", "d", "gap_min", "girth_min", "max_attempts")},
-        seed=run.get(f"{gen}.seed", default=run.seed),
-    )
+        **{key: run.get(f"{gen}.{key}", default=run.seed) for key, *_ in CORE_GENERATE})
     run.write("expander.certificate.json", json_text(cert._asdict()))
     run.write("expander.txt", expander_gen.to_text(graph))
     return graph, cert
@@ -697,47 +689,40 @@ def cmd_explore_tree(run: Run) -> int:
     return EXIT_OK
 
 
-@command("explore-graph", results=("trials.jsonl",) + RECORDS,
-         counts={"trials": "trials", "budget": "budget"})
-def cmd_explore_graph(run: Run) -> int:
-    trials, roots_count, query_limit = run.trials, run.get("roots"), run.get("query_limit")
+# command -> (its `explorer.Preset`, its algorithm key, its inputs-per-trial
+# key, the rate row's extra flags, its second row's metric and value).
+LOCALIZATION = {
+    "explore-graph": (explorer.EXPLORE_GRAPH, "strategy", "roots", ("bound-is-sampler-floor",),
+                      lambda report: ("audit_pass_rate", report.audits_ok / report.trials, 1.0)),
+    "ggsp": (explorer.GGSP, "algorithm", "t", (),
+             lambda report: ("budget_failures", report.budget_failures, None)),
+}
+
+
+# The inner decorator registers first: explore-graph precedes ggsp in COMMANDS.
+@command("ggsp", results=("trials.jsonl",) + RECORDS, counts={"trials": "trials", "budget": "budget"})
+@command("explore-graph", results=("trials.jsonl",) + RECORDS, counts={"trials": "trials", "budget": "budget"})
+def cmd_localization(run: Run) -> int:
+    preset, algorithm_key, count_key, extra_flags, second_row = LOCALIZATION[run.name]
+    count, query_limit = run.get(count_key), run.get("query_limit")  # None for ggsp, which has no such key
     params, graph = build_main_graph(run)
     threshold = run.get("threshold", default=max(2, params.girth_floor // 2))
-    report = explorer.explore_graph_experiment(
-        oracle_maker(graph, run), run.get("guiding"), run.get("strategy"), roots_count, run.budget,
-        threshold, run.seed, trials, query_limit,
+    report = explorer.localization_experiment(
+        preset, oracle_maker(graph, run), run.get("guiding"), run.get(algorithm_key), count, run.budget,
+        threshold, run.seed, run.trials, query_limit,
     )
-    if report.trials < trials:
+    if report.trials < run.trials:
         run.meta["completed_trials"] = report.trials
         print(f"query limit {query_limit} exhausted after {report.trials} trials", file=sys.stderr)
         return EXIT_BUDGET
-    run.write("trials.jsonl", "".join(report.trial_lines))
+    run.write("trials.jsonl", report.lines)
     stats = report.localization
-    lb = bounds_mod.localization_bound(roots_count, params.schedule.degrees[-1], threshold, graph.expander.N)
-    run.record(
-        f"localization_rate[{report.strategy}]", stats.p_hat, stats.stderr, lb.value,
-        lb.flags + ("bound-is-sampler-floor",),
-    )
-    run.record("audit_pass_rate", report.audits_ok / trials, bound=1.0)
-    print(f"localization rate {stats.p_hat:.4f}; audit pass rate {report.audits_ok / trials:.4f}")
-    return EXIT_OK
-
-
-@command("ggsp", results=("trials.jsonl",) + RECORDS, counts={"trials": "trials", "budget": "budget"})
-def cmd_ggsp(run: Run) -> int:
-    t_inputs, (params, graph) = run.get("t"), build_main_graph(run)
-    threshold = run.get("threshold", default=max(2, params.girth_floor // 2))
-    report = explorer.ggsp_experiment(
-        oracle_maker(graph, run), run.get("guiding"), run.get("algorithm"), run.trials, t_inputs,
-        run.budget, threshold, run.seed,
-    )
-    run.write("trials.jsonl", "".join(report.trial_lines))
-    lb = bounds_mod.localization_bound(t_inputs, params.schedule.degrees[-1], threshold, graph.expander.N)
-    stats = report.localization
-    run.record(f"localization_rate[{report.algorithm}]", stats.p_hat, stats.stderr, lb.value, lb.flags)
-    run.record("budget_failures", report.budget_failures)
-    print(f"{report.algorithm}: localization {stats.p_hat:.4f} "
-          f"(bound floor {lb.value:.4f}), budget failures {report.budget_failures}")
+    lb = bounds_mod.localization_bound(count, params.schedule.degrees[-1], threshold, graph.expander.N)
+    run.record(f"localization_rate[{report.strategy}]", stats.p_hat, stats.stderr, lb.value, lb.flags + extra_flags)
+    metric, value, bound = second_row(report)
+    run.record(metric, value, bound=bound)
+    print(f"{report.strategy}: localization rate {stats.p_hat:.4f} (bound floor {lb.value:.4f}); "
+          f"{metric} {value:.4g}")
     return EXIT_OK
 
 
@@ -876,9 +861,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", type=Path)
-    for flag in ("seed", "trials", "budget", "threads"):
-        parser.add_argument(f"--{flag}", type=int)
-    parser.add_argument("--out", type=Path)
+    for flag in FLAGS:
+        parser.add_argument(f"--{flag}", type=Path if flag == "out" else int)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

@@ -7,13 +7,13 @@ is a plain label (one counted query), a `Root` (the root's recorded answer, or
 one counted query marked `is_root` on first use) or a `Fresh` label (a
 declared, counted probe); a strategy never holds the oracle or the graph.
 
-Every strategy run (exit trial, explore-graph trial, ggsp trial) is one
+Every strategy run (exit trial, localization trial) is one
 `ExplorationSession`: it owns the budget (no query once its query count
-reaches it), records every query and answer, scores the vertex behind each query from
-its `IndexInfo` (isolated hit, leaf level, which decoration copy a leaf belongs
-to), stops the generator when the budget is spent or the watched exit fires,
-and is the record `run_exploration` returns.  Scoring never leaks back into
-the strategy.
+reaches it), records every query and answer, scores the vertex behind each
+query from its `IndexInfo` (isolated hit, leaf level, which decoration copy a
+leaf belongs to), stops the generator when the budget is spent or the watched
+exit fires, and is the record `run_exploration` returns.  Scoring never leaks
+back into the strategy.
 
 Every trial runs through one loop, `drive`: it runs a list of sessions in
 lockstep, a lone session as a window of one.  At each step it resolves every
@@ -27,17 +27,23 @@ Every experiment runs its trials through one windowing, `_windows`: windows
 of EXIT_WINDOW trials, each with one oracle built per distinct trial, each
 trial's roots or inputs drawn as canonical indices (`oracle.input_draws`) and
 the window's missing labels mapped in one batch, then its sessions armed and
-driven together.  `exit_trials` (over one shared tree, its windows cut from
-(strategy, trial) pairs, so one window may run several strategies of a trial,
-which share its oracle), `explore_graph_experiment` and `ggsp_experiment` all
-run this way and emit rows in trial order; `run_exploration` is `drive` over
-one session.  Sessions share only caches whose values the keys fix (the
-graph's, a trial's oracle memo), so each record is the one it would be alone.
+driven together.  There are two experiments.  `exit_trials` runs over one
+shared tree, its windows cut from (strategy, trial) pairs, so one window may
+run several strategies of a trial, which share its oracle.
+`localization_experiment` draws guided inputs per trial, runs an algorithm
+from them and scores how far its output lands; `explore-graph` and `ggsp` are
+its two presets (`Preset`: registry, seed derivations, whether roots are
+queried first, row writer).  The reference `ground-state-cheat` is a session
+like any other: a generator that makes no query, with the oracle's trusted
+side bound in when it is armed.  Both emit rows in trial order;
+`run_exploration` is `drive` over one session.  Sessions share only caches
+whose values the keys fix (the graph's, a trial's oracle memo), so each
+record is the one it would be alone.
 
 Steps and events are kept raw, as plain tuples and (kind, step, IndexInfo): a
 window holds its sessions' records alive together, and plain tuples of numbers
-cost the garbage collector nothing once it has seen them.  `explore_graph_experiment` and
-`ggsp_experiment` write each trials.jsonl line as text straight from those raw
+cost the garbage collector nothing once it has seen them.  The localization
+experiment writes each trials.jsonl line as text straight from those raw
 records and the trial's scores (`TrialLines`), so a report carries finished
 lines, which the collector does not track, and no row dicts.  Scoring reads
 the trusted side, so a session refuses to arm on a sealed oracle.
@@ -45,6 +51,7 @@ the trusted side, so a session refuses to arm on a sealed oracle.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from itertools import islice
@@ -579,7 +586,8 @@ class TrialLines:
             parts.append(f"{text[0]}{step}{text[1]}")
         return f"[{','.join(parts)}]"
 
-    def graph(self, t: int, session: ExplorationSession, audit_ok: bool, score: LocalizationScore) -> str:
+    def graph(self, t: int, session: ExplorationSession, inputs: list, audit_ok: bool,
+              score: LocalizationScore) -> str:
         """An explore-graph row: the session's record (no steps or answers)
         with the trial's index, audit and localization score."""
         s = session
@@ -590,76 +598,21 @@ class TrialLines:
             f'"schema":{s.SCHEMA},"seed":{_json(s.seed)},"strategy":{_json(s.strategy)},"trial":{_json(t)}}}\n'
         )
 
-    @staticmethod
-    def ggsp(t: int, seed: int, strategy: str, budget: int, inputs: list, output: Optional[int],
-             query_count: int, exhausted: bool, score: LocalizationScore) -> str:
-        """A ggsp row: the trial's inputs, output, query count, budget flag and score."""
+    def ggsp(self, t: int, session: ExplorationSession, inputs: list, audit_ok: bool,
+             score: LocalizationScore) -> str:
+        """A ggsp row: the trial's inputs, the session's output, query count
+        and budget flag, and the trial's score."""
+        s = session
         return (
-            f'{{"budget":{_json(budget)},"budget_exhausted":{_json(exhausted)},"distance":{_json(score.distance)},'
-            f'"inputs":{_json(inputs)},"localized":{_json(score.success)},"output":{_json(output)},'
-            f'"query_count":{_json(query_count)},"schema":{ExplorationSession.SCHEMA},"seed":{_json(seed)},'
-            f'"strategy":{_json(strategy)},"trial":{_json(t)}}}\n'
+            f'{{"budget":{_json(s.budget)},"budget_exhausted":{_json(s.halted == "budget")},'
+            f'"distance":{_json(score.distance)},"inputs":{_json(inputs)},"localized":{_json(score.success)},'
+            f'"output":{_json(s.output)},"query_count":{s.query_count},"schema":{s.SCHEMA},'
+            f'"seed":{_json(s.seed)},"strategy":{_json(s.strategy)},"trial":{_json(t)}}}\n'
         )
 
 
-class GraphReport(NamedTuple):
-    strategy: str
-    trials: int  # trials run; fewer than asked when the query limit stopped the run
-    localization: EventStats
-    audits_ok: int
-    trial_lines: tuple = ()  # trials.jsonl lines (`TrialLines.graph`), one per trial run
-
-
-def explore_graph_experiment(
-    make_oracle: Callable[[bytes], LabeledOracle],
-    guiding: str,
-    strategy: Union[str, Callable],
-    roots_per_trial: int,
-    budget: int,
-    threshold: int,
-    seed: int,
-    trials: int,
-    query_limit: Optional[int] = None,
-) -> GraphReport:
-    """Per trial: draw `roots_per_trial` guiding roots under a fresh key, run
-    the strategy from them (roots queried first, counted), audit its
-    transcript and score its output's expander distance from the roots.  Trial
-    t runs only while the queries of trials 0..t-1 stay below `query_limit`;
-    the report then holds trials 0..t-1."""
-    name, fn = resolve_strategy(strategy)
-    successes = audits_ok = total_queries = 0
-    writer, lines = TrialLines(), []
-
-    def report(completed: int) -> GraphReport:
-        stats = EventStats.from_counts(successes, completed)
-        return GraphReport(name, completed, stats, audits_ok, tuple(lines))
-
-    for ts, window, oracles, roots in _windows(
-        range(trials),
-        lambda t: make_oracle(derive_key("oracle", derive_seed(seed, "oracle", t))),
-        lambda t, oracle: input_draws(oracle.graph, guiding, derive_seed(seed, t)),
-        roots_per_trial,
-    ):
-        sessions = []
-        for t, oracle, labels in zip(ts, oracles, roots):
-            session = ExplorationSession(oracle, budget, derive_seed(seed, "run", t), name)
-            rng = random.Random(derive_seed("strategy", session.seed))
-            sessions.append(session.start(fn, labels, rng, query_roots=True))
-        drive(sessions, window)
-        for t, session, labels in zip(ts, sessions, roots):
-            if query_limit is not None and total_queries >= query_limit:
-                return report(t)
-            total_queries += session.query_count
-            audit = component_audit(session)
-            audits_ok += audit.ok
-            score = score_localization(session.oracle, labels, session.output, threshold)
-            successes += score.success
-            lines.append(writer.graph(t, session, audit.ok, score))
-    return report(trials)
-
-
 # ---------------------------------------------------------------------------
-# end-to-end guided-output experiment
+# the localization experiment and its two presets
 # ---------------------------------------------------------------------------
 
 def echo_first_input(inputs, rng, num_labels):
@@ -672,16 +625,28 @@ def echo_random_input(inputs, rng, num_labels):
     return inputs[below(rng.getrandbits, len(inputs))]
 
 
-def ground_state_cheat(oracle: LabeledOracle, inputs, rng):
-    """Reference algorithm that samples the exact ground state through the
-    trusted side, ignoring its inputs; the upper-bound comparator.  The
-    sampler (and its solve) is built once per graph."""
+def ground_state_cheat(oracle: LabeledOracle, inputs, rng, num_labels):
+    """Reference algorithm, the upper-bound comparator: it makes no query and
+    outputs the label of an exact ground-state draw, read through the oracle's
+    trusted side (bound in by `arm`), ignoring its inputs.  The sampler (and
+    its solve) is built once per graph."""
+    yield from ()
     return oracle.label_of(spectral.sampler_for_instance(oracle.graph).sample(rng))
 
 
-ground_state_cheat.requires_trust = True
+# Algorithms that read the oracle's trusted side: `arm` binds the oracle in.
+TRUSTED = frozenset({ground_state_cheat})
 
 
+def arm(fn: Callable, oracle: LabeledOracle) -> Callable:
+    """`fn` as a strategy generator on `oracle`: with the oracle as its first
+    argument when it is TRUSTED, else as it is."""
+    return functools.partial(fn, oracle) if fn in TRUSTED else fn
+
+
+# The ggsp preset's registry: algorithms that echo an input, walk from the
+# first, explore from all inputs as roots (STRATEGIES), or read the trusted
+# side (the cheat, armed as a session that makes no query).
 ALGORITHMS: dict[str, Callable] = {
     "echo-first-input": echo_first_input,
     "echo-random-input": echo_random_input,
@@ -694,67 +659,95 @@ ALGORITHMS: dict[str, Callable] = {
 }
 
 
-class GgspReport(NamedTuple):
-    algorithm: str
-    trials: int
-    inputs_per_trial: int
-    budget: int
-    threshold: int
+class Preset(NamedTuple):
+    """What a localization command fixes of `localization_experiment`: its
+    algorithm registry, whether a trial's inputs are queried (counted) as
+    roots before the algorithm runs, trial t's oracle key, input seed,
+    session seed and strategy-RNG seed as functions of (run seed, t), and
+    its row writer (a `TrialLines` method)."""
+    registry: dict
+    query_roots: bool
+    oracle_key: Callable
+    input_seed: Callable
+    session_seed: Callable
+    rng_seed: Callable
+    line: Callable
+
+
+EXPLORE_GRAPH = Preset(
+    STRATEGIES, True,
+    lambda seed, t: derive_key("oracle", derive_seed(seed, "oracle", t)),
+    derive_seed,
+    lambda seed, t: derive_seed(seed, "run", t),
+    lambda seed, t: derive_seed("strategy", derive_seed(seed, "run", t)),
+    TrialLines.graph,
+)
+GGSP = Preset(
+    ALGORITHMS, False,
+    lambda seed, t: derive_key("ggsp", seed, t),
+    lambda seed, t: derive_seed("ggsp-in", seed, t),
+    lambda seed, t: seed,
+    lambda seed, t: derive_seed("ggsp-alg", seed, t),
+    TrialLines.ggsp,
+)
+
+
+class LocalizationReport(NamedTuple):
+    strategy: str
+    trials: int  # trials run; fewer than asked when the query limit stopped the run
     localization: EventStats
-    mean_queries: float
+    audits_ok: int
     budget_failures: int
-    trial_lines: tuple = ()  # trials.jsonl lines (`TrialLines.ggsp`), one per trial
+    lines: list  # trials.jsonl lines (`Preset.line`), one per trial run
 
 
-def ggsp_experiment(
+def localization_experiment(
+    preset: Preset,
     make_oracle: Callable[[bytes], LabeledOracle],
     guiding: str,
     algorithm: Union[str, Callable],
-    trials: int,
     inputs_per_trial: int,
     budget: int,
     threshold: int,
     seed: int,
-) -> GgspReport:
-    """Per-trial: draw guiding inputs, run the algorithm under a budget, score
-    the output's expander distance from the inputs.  `make_oracle` builds the
-    oracle for a key, so fresh-key trials model averaging over labelings."""
-    name, fn = resolve_strategy(algorithm, ALGORITHMS)
-    trusted = getattr(fn, "requires_trust", False)
-    successes = 0
-    total_queries = 0
-    budget_failures = 0
-    lines = []
-    for ts, window, oracles, inputs in _windows(
+    trials: int,
+    query_limit: Optional[int] = None,
+) -> LocalizationReport:
+    """Per trial, as `preset` derives it: draw `inputs_per_trial` guiding
+    inputs under the trial's oracle key, run the algorithm from them under
+    the budget, audit its transcript and score its output's expander
+    distance from the inputs.  `make_oracle` builds the oracle for a key, so
+    fresh-key trials model averaging over labelings.  Trial t runs only
+    while the queries of trials 0..t-1 stay below `query_limit`; the report
+    then holds trials 0..t-1."""
+    name, fn = resolve_strategy(algorithm, preset.registry)
+    successes = audits_ok = budget_failures = queries = 0
+    writer, lines = TrialLines(), []
+
+    def report(completed: int) -> LocalizationReport:
+        stats = EventStats.from_counts(successes, completed)
+        return LocalizationReport(name, completed, stats, audits_ok, budget_failures, lines)
+
+    for ts, window, oracles, draws in _windows(
         range(trials),
-        lambda t: make_oracle(derive_key("ggsp", seed, t)),
-        lambda t, oracle: input_draws(oracle.graph, guiding, derive_seed("ggsp-in", seed, t)),
+        lambda t: make_oracle(preset.oracle_key(seed, t)),
+        lambda t, oracle: input_draws(oracle.graph, guiding, preset.input_seed(seed, t)),
         inputs_per_trial,
     ):
-        rngs = [random.Random(derive_seed("ggsp-alg", seed, t)) for t in ts]
-        if trusted:
-            runs = [(fn(o, x, rng), 0, False) for o, x, rng in zip(oracles, inputs, rngs)]
-        else:
-            sessions = [
-                ExplorationSession(o, budget, seed, name).start(fn, x, rng, query_roots=False)
-                for o, x, rng in zip(oracles, inputs, rngs)
-            ]
-            drive(sessions, window)
-            runs = [(s.output, s.query_count, s.halted == "budget") for s in sessions]
-        for t, oracle, x, (output, queries, exhausted) in zip(ts, oracles, inputs, runs):
-            budget_failures += exhausted
-            total_queries += queries
-            score = score_localization(oracle, x, output, threshold)
+        sessions = []
+        for t, oracle, inputs in zip(ts, oracles, draws):
+            session = ExplorationSession(oracle, budget, preset.session_seed(seed, t), name)
+            rng = random.Random(preset.rng_seed(seed, t))
+            sessions.append(session.start(arm(fn, oracle), inputs, rng, preset.query_roots))
+        drive(sessions, window)
+        for t, session, inputs in zip(ts, sessions, draws):
+            if query_limit is not None and queries >= query_limit:
+                return report(t)
+            queries += session.query_count
+            audit_ok = component_audit(session).ok
+            score = score_localization(session.oracle, inputs, session.output, threshold)
             successes += score.success
-            lines.append(TrialLines.ggsp(t, seed, name, budget, x, output, queries, exhausted, score))
-    return GgspReport(
-        algorithm=name,
-        trials=trials,
-        inputs_per_trial=inputs_per_trial,
-        budget=budget,
-        threshold=threshold,
-        localization=EventStats.from_counts(successes, trials),
-        mean_queries=total_queries / trials if trials else 0.0,
-        budget_failures=budget_failures,
-        trial_lines=tuple(lines),
-    )
+            audits_ok += audit_ok
+            budget_failures += session.halted == "budget"
+            lines.append(preset.line(writer, t, session, inputs, audit_ok, score))
+    return report(trials)

@@ -224,8 +224,8 @@ def test_criterion_6_localization():
     def make(key):
         return orc.LabeledOracle(graph, key, padding_ratio=2.0 ** -8)
 
-    echo = ex.ggsp_experiment(
-        make, "exact-ground-state", "echo-first-input",
+    echo = ex.localization_experiment(
+        ex.GGSP, make, "exact-ground-state", "echo-first-input",
         trials=300, inputs_per_trial=3, budget=8, threshold=threshold, seed=63,
     )
     echo_fail = 1.0 - echo.localization.p_hat

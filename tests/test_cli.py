@@ -1171,6 +1171,16 @@ def test_explore_tree_resume_key_ignores_trials_and_seed_source(tmp_path):
     assert len(rows) == 2 * 20
 
 
+def test_explore_tree_resume_key_is_pinned(tmp_path):
+    """The resume key explore-tree stores for TREE_WINDOWS at seed 12 (it
+    leaves out --trials): a key stored by an earlier version stays valid."""
+    path = write_config(tmp_path, "c.json", TREE_WINDOWS)
+    out = tmp_path / "o"
+    assert run(["explore-tree", "--config", path, "--out", out, "--trials", 1]) == cli.EXIT_OK
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["resume_key"] == "168a20d8ceccea69ebcefaa31a1fa00343e057d993cbfad306af0d7e4dd91dca"
+
+
 def _spectrum_rerun_fails(tmp_path):
     out = tmp_path / "o"
     good = write_config(tmp_path, "good.json", {"instance": {"mode": "standard", "n": 16}})

@@ -90,7 +90,7 @@ def test_transcripts_reproducible():
 def test_transcript_record_is_json_serializable():
     graph, o = make_tree_oracle((4, 3), (1, 2), 2, "ser")
     tr = ex.run_exploration(o, [o.label_of(graph.root)], "frontier-bfs-random", budget=8, seed=2)
-    rec = json.loads(ex.TrialLines().graph(0, tr, True, ex.LocalizationScore(None, False, 2)))
+    rec = json.loads(ex.TrialLines().graph(0, tr, tr.roots, True, ex.LocalizationScore(None, False, 2)))
     assert rec["query_count"] == tr.query_count
     assert rec["strategy"] == "frontier-bfs-random"
 
@@ -518,7 +518,8 @@ def test_ground_state_outputs_localize_on_petersen(small_instance):
     def make(key):
         return orc.LabeledOracle(small_instance, key, padding_ratio=2.0 ** -4)
 
-    report = ex.ggsp_experiment(
+    report = ex.localization_experiment(
+        ex.GGSP,
         make,
         "single-fixed-root",
         "ground-state-cheat",
@@ -537,8 +538,8 @@ def test_echo_algorithm_fails_localization(small_instance):
     def make(key):
         return orc.LabeledOracle(small_instance, key, padding_ratio=2.0 ** -4)
 
-    report = ex.ggsp_experiment(
-        make, "exact-ground-state", "echo-first-input",
+    report = ex.localization_experiment(
+        ex.GGSP, make, "exact-ground-state", "echo-first-input",
         trials=300, inputs_per_trial=3, budget=4, threshold=2, seed=23,
     )
     assert 1.0 - report.localization.p_hat >= 0.99
@@ -548,12 +549,12 @@ def test_walk_algorithm_runs_within_budget(small_instance):
     def make(key):
         return orc.LabeledOracle(small_instance, key, padding_ratio=2.0 ** -4)
 
-    report = ex.ggsp_experiment(
-        make, "expander-uniform", "walk-from-input",
+    report = ex.localization_experiment(
+        ex.GGSP, make, "expander-uniform", "walk-from-input",
         trials=50, inputs_per_trial=2, budget=6, threshold=3, seed=29,
     )
     assert report.trials == 50
-    assert report.mean_queries <= 6
+    assert max(json.loads(line)["query_count"] for line in report.lines) <= 6
     assert report.budget_failures == 50  # walkers always run to their budget
 
 
@@ -589,8 +590,9 @@ def test_explore_graph_lines_encode_the_lone_records(
     def make(key):
         return orc.LabeledOracle(small_instance, key, padding_ratio=0.5)
 
-    report = ex.explore_graph_experiment(make, guiding, strategy, count, budget, threshold, seed, trials)
-    for t, line in enumerate(report.trial_lines):
+    report = ex.localization_experiment(ex.EXPLORE_GRAPH, make, guiding, strategy, count, budget, threshold,
+                                        seed, trials)
+    for t, line in enumerate(report.lines):
         oracle = make(derive_key("oracle", derive_seed(seed, "oracle", t)))
         roots = _drawn(oracle, guiding, derive_seed(seed, t), count)
         session = ex.ExplorationSession(oracle, budget, derive_seed(seed, "run", t), strategy)
@@ -604,28 +606,44 @@ def test_explore_graph_lines_encode_the_lone_records(
 
 @given(algorithm=st.sampled_from(sorted(ex.ALGORITHMS)), **_LINE_CASES)
 def test_ggsp_lines_encode_the_lone_rows(small_instance, algorithm, trials, count, budget, threshold, guiding, seed):
-    """Each ggsp line is `json.dumps` of its trial's row, run alone: a
-    `walk-from-input` output is None, `ground-state-cheat` makes no query."""
+    """Each ggsp line is `json.dumps` of its trial's row, each algorithm run
+    alone through one session: a `walk-from-input` output is None,
+    `ground-state-cheat` makes no query."""
     def make(key):
         return orc.LabeledOracle(small_instance, key, padding_ratio=0.5)
 
-    report = ex.ggsp_experiment(make, guiding, algorithm, trials, count, budget, threshold, seed)
+    report = ex.localization_experiment(ex.GGSP, make, guiding, algorithm, count, budget, threshold, seed, trials)
     fn = ex.ALGORITHMS[algorithm]
-    for t, line in enumerate(report.trial_lines):
+    for t, line in enumerate(report.lines):
         oracle = make(derive_key("ggsp", seed, t))
         inputs = _drawn(oracle, guiding, derive_seed("ggsp-in", seed, t), count)
         rng = random.Random(derive_seed("ggsp-alg", seed, t))
-        if getattr(fn, "requires_trust", False):
-            output, queries, exhausted = fn(oracle, inputs, rng), 0, False
-        else:
-            session = ex.ExplorationSession(oracle, budget, seed, algorithm)
-            ex.drive([session.start(fn, inputs, rng, query_roots=False)])
-            output, queries, exhausted = session.output, session.query_count, session.halted == "budget"
-        score = ex.score_localization(oracle, inputs, output, threshold)
+        session = ex.ExplorationSession(oracle, budget, seed, algorithm)
+        ex.drive([session.start(ex.arm(fn, oracle), inputs, rng, query_roots=False)])
+        if algorithm == "ground-state-cheat":
+            assert session.query_count == 0 and session.output is not None
+        score = ex.score_localization(oracle, inputs, session.output, threshold)
         row = {"schema": ex.ExplorationSession.SCHEMA, "trial": t, "seed": seed, "strategy": algorithm,
-               "budget": budget, "inputs": inputs, "output": output, "query_count": queries,
-               "budget_exhausted": exhausted, "localized": score.success, "distance": score.distance}
+               "budget": budget, "inputs": inputs, "output": session.output, "query_count": session.query_count,
+               "budget_exhausted": session.halted == "budget", "localized": score.success,
+               "distance": score.distance}
         assert line == _dumps(row)
+
+
+def test_ground_state_cheat_refuses_a_sealed_oracle_before_it_samples(small_params, petersen):
+    """The cheat reads the trusted side only through its session, which
+    refuses to arm on a sealed oracle: no ground-state sampler is built."""
+    graph = gm.MainGraph(small_params, petersen)
+
+    def make(key):
+        oracle = orc.LabeledOracle(graph, key, padding_ratio=2.0 ** -4)
+        oracle.seal()
+        return oracle
+
+    with pytest.raises(orc.RevealSealedError):
+        ex.localization_experiment(ex.GGSP, make, "expander-uniform", "ground-state-cheat",
+                                   inputs_per_trial=1, budget=4, threshold=2, seed=5, trials=3)
+    assert getattr(graph, "_sampler_cache", None) is None
 
 
 @given(values=st.lists(st.none() | st.booleans() | st.integers(-(1 << 70), 1 << 70) | st.text()
@@ -635,7 +653,9 @@ def test_trial_line_values_encode_as_json_dumps(values):
     lists) still encode as `json.dumps` does."""
     strategy, output, inputs, seed = values
     score = ex.LocalizationScore(None, False, 2)
-    line = ex.TrialLines.ggsp(0, seed, strategy, 1, inputs, output, 0, False, score)
+    session = ex.ExplorationSession(None, 1, seed, strategy)
+    session.output = output
+    line = ex.TrialLines().ggsp(0, session, inputs, True, score)
     row = {"schema": 1, "trial": 0, "seed": seed, "strategy": strategy, "budget": 1, "inputs": inputs,
            "output": output, "query_count": 0, "budget_exhausted": False, "localized": False, "distance": None}
     assert line == _dumps(row)
