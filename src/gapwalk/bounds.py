@@ -150,24 +150,10 @@ def localization_bound(u_size: int, degree: int, g: int, n_e: int) -> BoundRepor
     if u_size < 1 or degree < 1 or g < 0 or n_e < 1:
         raise BoundDomainError("inputs must be positive (g may be 0)")
     loss_log2 = math.log2(u_size) + g * math.log2(degree) - math.log2(n_e)
-    if loss_log2 >= 0.0:
-        return BoundReport(
-            "localization",
-            {"u_size": u_size, "degree": degree, "g": g, "n_e": n_e},
-            0.0,
-            log2_value=None,
-            vacuous=True,
-            flags=("vacuous",),
-        )
-    value = -math.expm1(loss_log2 * math.log(2.0))  # 1 - 2^loss, precise near 1
-    return BoundReport(
-        "localization",
-        {"u_size": u_size, "degree": degree, "g": g, "n_e": n_e},
-        value,
-        log2_value=None,
-        vacuous=False,
-        flags=(),
-    )
+    vacuous = loss_log2 >= 0.0
+    value = 0.0 if vacuous else -math.expm1(loss_log2 * math.log(2.0))  # 1 - 2^loss, precise near 1
+    return BoundReport("localization", {"u_size": u_size, "degree": degree, "g": g, "n_e": n_e}, value,
+                       vacuous=vacuous, flags=("vacuous",) if vacuous else ())
 
 
 def tv_budget(fidelity: float, tv: float) -> tuple[float, float]:

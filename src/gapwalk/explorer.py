@@ -15,30 +15,30 @@ leaf belongs to), stops the generator when the budget is spent or the watched
 exit fires, and is the record `run_exploration` returns.  Scoring never leaks
 back into the strategy.
 
-Every trial runs through one loop, `drive`: it runs a list of sessions in
-lockstep, a lone session as a window of one.  At each step it resolves every
-live session's pending label once, to its index (the oracle's memo) and that
-vertex's `IndexInfo` (the graph's per-index walk cache, so a vertex is walked
-to once per graph, not once per query), labels the neighbours that the
-oracles' memos lack in one `OracleWindow` batch, and hands each session its
-`IndexInfo`: the session makes its counted query with those neighbours,
-records the step, scores it from the same record and advances its generator.
-Every experiment runs its trials through one windowing, `_windows`: windows
-of EXIT_WINDOW trials, each with one oracle built per distinct trial, each
-trial's roots or inputs drawn as canonical indices (`oracle.input_draws`) and
-the window's missing labels mapped in one batch, then its sessions armed and
-driven together.  There are two experiments.  `exit_trials` runs over one
-shared tree, its windows cut from (strategy, trial) pairs, so one window may
-run several strategies of a trial, which share its oracle.
-`localization_experiment` draws guided inputs per trial, runs an algorithm
-from them and scores how far its output lands; `explore-graph` and `ggsp` are
-its two presets (`Preset`: registry, seed derivations, whether roots are
-queried first, row writer).  The reference `ground-state-cheat` is a session
-like any other: a generator that makes no query, with the oracle's trusted
-side bound in when it is armed.  Both emit rows in trial order;
-`run_exploration` is `drive` over one session.  Sessions share only caches
-whose values the keys fix (the graph's, a trial's oracle memo), so each
-record is the one it would be alone.
+Every trial of every command runs through one generator, `run_trials`, under
+one of three presets (`Preset`: registry, seed derivations, whether roots are
+queried first, whether a run stops at the exit event, row writer).  It cuts
+(algorithm, trial) pairs into windows of EXIT_WINDOW, builds one oracle per
+distinct trial in a window, draws each trial's inputs as canonical indices
+(`oracle.input_draws`), labels the window's missing inputs in one batch, arms
+one session per pair and drives them together, and yields each pair's
+session in order.  `EXIT_TREE` runs strategies from the root of one shared
+tree to the exit event (`exit_trials`, one row dict per pair); a window may
+run several strategies of a trial, which share its oracle.  `EXPLORE_GRAPH`
+and `GGSP` draw guided inputs per trial, run an algorithm from them, and
+`localization_experiment` audits and scores how far its output lands.  The
+reference `ground-state-cheat` is a session like any other: a generator that
+makes no query, with the oracle's trusted side bound in when it is armed.
+
+The window's step loop is `drive`: at each step `OracleWindow.resolve`
+resolves every live session's pending label once, to its index (the oracle's
+memo) and its vertex's `IndexInfo` (the graph's per-index walk cache, so a
+vertex is walked to once per graph, not once per query), and labels the
+neighbours the memos lack in one batch; each session makes its counted query
+with those neighbours, records the step, scores it from the same record and
+advances its generator.  `run_exploration` is `drive` over one session.
+Sessions share only caches whose values the keys fix (the graph's, a trial's
+oracle memo), so each record is the one it would be alone.
 
 Steps and events are kept raw, as plain tuples and (kind, step, IndexInfo): a
 window holds its sessions' records alive together, and plain tuples of numbers
@@ -55,7 +55,7 @@ import functools
 import json
 import random
 from itertools import islice
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import spectral
 from ._util import InputError, below, binomial_stderr, derive_key, derive_seed, wilson_interval
@@ -197,46 +197,26 @@ class ExplorationSession:
 
 
 def drive(sessions: Sequence[ExplorationSession], window: Optional[OracleWindow] = None) -> None:
-    """The one trial loop: run armed sessions (`ExplorationSession.start`)
+    """The step loop of a window: run armed sessions (`ExplorationSession.start`)
     in lockstep to their ends; a lone session is a window of one.  At each
-    step it resolves every live session's pending label once: its index from
-    the oracle's memo, then the vertex's `IndexInfo` from the graph's walk
-    cache.  It labels each neighbour (oracle, index) that the memos lack once,
-    in one `OracleWindow.label` call (the memo holds a miss as None until
-    then), except for a label its oracle has answered before, whose query
-    returns the memoized answer.  It hands each session its `IndexInfo`
-    (`ExplorationSession.answer`), which queries, records and scores from
-    it.  Each session keeps its own budget, generator and `random.Random`,
-    so its record is the one it would have run to alone; sessions of one
-    trial may share its oracle, whose `query_count` is then their sum.
-    `window` holds their distinct oracles (built here when not given)."""
+    step `window.resolve` hands every live session its pending query's
+    `IndexInfo`, which it queries, records and scores from
+    (`ExplorationSession.answer`).  Each session keeps its own budget,
+    generator and `random.Random`, so its record is the one it would have run
+    to alone; sessions of one trial may share its oracle, whose `query_count`
+    is then their sum.  `window` holds their distinct oracles (built here
+    when not given)."""
     live = [s for s in sessions if s.pending is not None]
     if not live:
         return
     window = window or OracleWindow(dict.fromkeys(s.oracle for s in sessions))
     row_of = {oracle: row for row, oracle in enumerate(window.oracles)}
-    live = [(row_of[s.oracle], s) for s in live]
+    rows = [row_of[s.oracle] for s in live]
     while live:
-        rows, wanted, infos = [], [], []
-        for row, s in live:
-            oracle = s.oracle
-            label = s.pending[0]
-            index = oracle._index(label)
-            info = None
-            if index < oracle.num_nonisolated:
-                info = oracle.graph.index_info(index)
-                if label not in oracle._answers:  # else its query reads the memo
-                    have = oracle._label_at
-                    for j in info.neighbors:
-                        if j not in have:
-                            have[j] = None
-                            rows.append(row)
-                            wanted.append(j)
-            infos.append(info)
-        window.label(rows, wanted)
-        for (_, s), info in zip(live, infos):
+        for s, info in zip(live, window.resolve(rows, [s.pending[0] for s in live])):
             s.answer(info)
-        live = [(row, s) for row, s in live if s.pending is not None]
+        rows = [row for row, s in zip(rows, live) if s.pending is not None]
+        live = [s for s in live if s.pending is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +356,7 @@ class ExitEstimate(NamedTuple):
 RESTRICTED_W = (1, 2)
 
 
-# Trials run in lockstep windows of this many (`exit_trials`): enough for one
+# Trials run in lockstep windows of this many (`run_trials`): enough for one
 # `forward_array` call per step to label a few hundred neighbours (its fixed
 # cost is that of about 15 scalar labels), few enough that a window's sessions
 # stay small in memory.
@@ -391,61 +371,21 @@ def exit_trials(
     padding_ratio: float,
 ) -> list[dict]:
     """Run the exit trials `pairs`, each a (strategy, trial), on a standalone
-    tree: each from the root under its trial's labeling key, running its own
-    strategy and stopping at the exit event, in lockstep windows of
-    EXIT_WINDOW pairs (`drive`), which may mix strategies and share a trial's
-    key, seeds and oracle among its sessions; one row per pair (exit flag,
-    distinct level-1 decorations, queries), in the pairs' order."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    resolved = {strategy: resolve_strategy(strategy) for strategy, _ in pairs}
-    root = (graph.index_of(graph.root),)
-    rows = []
-    for window_pairs, window, oracles, roots in _windows(
-        list(pairs),
-        lambda t: LabeledOracle(graph, derive_key("exit-trial", seed, t), padding_ratio=padding_ratio),
-        lambda t, oracle: root,
-        1,
-        trial_of=lambda pair: pair[1],
-    ):
-        seeds = {t: derive_seed(seed, t) for t in {t for _, t in window_pairs}}
-        rng_seeds = {t: derive_seed("strategy", trial_seed) for t, trial_seed in seeds.items()}
-        sessions = []
-        for (strategy, t), orc, labels in zip(window_pairs, oracles, roots):
-            name, fn = resolved[strategy]
-            session = ExplorationSession(orc, budget, seeds[t], name, stop_on_exit=True)
-            sessions.append(session.start(fn, labels, random.Random(rng_seeds[t]), query_roots=True))
-        drive(sessions, window)
-        for (_, t), session in zip(window_pairs, sessions):
-            rows.append(
-                {
-                    "trial": t,
-                    "strategy": session.strategy,
-                    "exit": int(session.halted == "exit"),
-                    "distinct_decorations": _distinct_level1_decorations(session),
-                    "queries": session.query_count,
-                }
-            )
-    return rows
-
-
-def _windows(items: Sequence, oracle_of: Callable, draws_of: Callable, count: int, trial_of=None):
-    """The one windowing of trials: `items` in windows of EXIT_WINDOW, each
-    yielded as (its items, an `OracleWindow` of one `oracle_of(t)` per
-    distinct trial t among them, each item's oracle, each item's inputs as
-    labels).  An item is its own trial unless `trial_of` names it, and the
-    items of one trial share its oracle and inputs.  Trial t's inputs are
-    the first `count` draws of `draws_of(t, oracle)`, canonical indices
-    (`input_draws`); the window's misses are labeled in one batch."""
-    for w in range(0, len(items), EXIT_WINDOW):
-        chunk = items[w : w + EXIT_WINDOW]
-        keys = list(map(trial_of, chunk)) if trial_of else chunk
-        ts = list(dict.fromkeys(keys))
-        window = OracleWindow([oracle_of(t) for t in ts])
-        draws = [list(islice(draws_of(t, o), count)) for t, o in zip(ts, window.oracles)]
-        setup = dict(zip(ts, zip(window.oracles, window.label_inputs(draws))))
-        oracles, inputs = zip(*(setup[t] for t in keys))
-        yield chunk, window, oracles, inputs
+    tree (`run_trials` under `EXIT_TREE`): each from the root under its
+    trial's labeling key, running its own strategy and stopping at the exit
+    event; one row per pair (exit flag, distinct level-1 decorations,
+    queries), in the pairs' order."""
+    make_oracle = functools.partial(LabeledOracle, graph, padding_ratio=padding_ratio)
+    return [
+        {
+            "trial": t,
+            "strategy": session.strategy,
+            "exit": int(session.halted == "exit"),
+            "distinct_decorations": _distinct_level1_decorations(session),
+            "queries": session.query_count,
+        }
+        for t, session, _ in run_trials(EXIT_TREE, pairs, make_oracle, "single-fixed-root", 1, budget, seed)
+    ]
 
 
 def estimate_exit_probability(
@@ -533,17 +473,16 @@ def score_localization(
     oracle: LabeledOracle, root_labels: Sequence[int], output_label: Optional[int], threshold: int
 ) -> LocalizationScore:
     """Expander-vertex path distance from the root set to the output vertex,
-    from each label's canonical index (the oracle's memo) and index arithmetic
+    from each label's canonical index (`LabeledOracle.indices_of`) and index arithmetic
     (`MainGraph.expander_distance_to_set`): no vertex is revealed or
     unranked.  A sealed oracle refuses; isolated or missing outputs fail."""
     graph = oracle.graph
     if not isinstance(graph, MainGraph):
         raise ValueError("localization scoring needs a main-graph oracle")
-    if oracle.sealed:
-        raise RevealSealedError("scoring reads the trusted side, which is sealed on this oracle")
     n = oracle.num_nonisolated
-    out = n if output_label is None else oracle._index(output_label)
-    roots = [i for i in map(oracle._index, root_labels) if i < n] if out < n else []
+    roots = oracle.indices_of(root_labels)  # a sealed oracle refuses
+    out = n if output_label is None else oracle.indices_of((output_label,))[0]
+    roots = [i for i in roots if i < n] if out < n else []
     if not roots:
         return LocalizationScore(None, False, threshold)
     dist = graph.expander_distance_to_set(roots, out)
@@ -612,7 +551,7 @@ class TrialLines:
 
 
 # ---------------------------------------------------------------------------
-# the localization experiment and its two presets
+# the trial generator, its three presets and the localization experiment
 # ---------------------------------------------------------------------------
 
 def echo_first_input(inputs, rng, num_labels):
@@ -660,36 +599,90 @@ ALGORITHMS: dict[str, Callable] = {
 
 
 class Preset(NamedTuple):
-    """What a localization command fixes of `localization_experiment`: its
-    algorithm registry, whether a trial's inputs are queried (counted) as
-    roots before the algorithm runs, trial t's oracle key, input seed,
-    session seed and strategy-RNG seed as functions of (run seed, t), and
-    its row writer (a `TrialLines` method)."""
+    """What a trial command fixes of `run_trials`: its algorithm registry,
+    whether a trial's inputs are queried (counted) as roots before the
+    algorithm runs, whether a run stops at the exit event, trial t's oracle
+    key, input seed and session seed as functions of (run seed, t), its
+    strategy-RNG seed as a function of (run seed, t, session seed), and its
+    trials.jsonl row writer (a `TrialLines` method; None for explore-tree,
+    whose rows are dicts that `cli` appends and resumes)."""
     registry: dict
     query_roots: bool
+    stop_on_exit: bool
     oracle_key: Callable
     input_seed: Callable
     session_seed: Callable
     rng_seed: Callable
-    line: Callable
+    line: Optional[Callable]
 
 
+EXIT_TREE = Preset(
+    STRATEGIES, True, True,
+    lambda seed, t: derive_key("exit-trial", seed, t),
+    lambda seed, t: seed,  # unread: the tree's root is the only input
+    derive_seed,
+    lambda seed, t, session_seed: derive_seed("strategy", session_seed),
+    None,
+)
 EXPLORE_GRAPH = Preset(
-    STRATEGIES, True,
+    STRATEGIES, True, False,
     lambda seed, t: derive_key("oracle", derive_seed(seed, "oracle", t)),
     derive_seed,
     lambda seed, t: derive_seed(seed, "run", t),
-    lambda seed, t: derive_seed("strategy", derive_seed(seed, "run", t)),
+    lambda seed, t, session_seed: derive_seed("strategy", session_seed),
     TrialLines.graph,
 )
 GGSP = Preset(
-    ALGORITHMS, False,
+    ALGORITHMS, False, False,
     lambda seed, t: derive_key("ggsp", seed, t),
     lambda seed, t: derive_seed("ggsp-in", seed, t),
     lambda seed, t: seed,
-    lambda seed, t: derive_seed("ggsp-alg", seed, t),
+    lambda seed, t, session_seed: derive_seed("ggsp-alg", seed, t),
     TrialLines.ggsp,
 )
+
+
+def run_trials(
+    preset: Preset,
+    pairs: Sequence[tuple],
+    make_oracle: Callable[[bytes], LabeledOracle],
+    guiding: str,
+    count: int,
+    budget: int,
+    seed: int,
+) -> Iterator[tuple]:
+    """The one trial loop: yield (t, session, inputs) for each (algorithm,
+    trial t) of `pairs`, in order, each session run to its end under
+    `preset`.  Per window of EXIT_WINDOW pairs it builds one oracle per
+    distinct trial (`make_oracle` of its key) and draws that trial's first
+    `count` inputs (`input_draws` of `guiding`) and its seeds once, labels
+    the window's missing inputs in one batch, then arms one session per pair
+    and drives them together (`drive`).  The pairs of one trial share its
+    oracle, inputs and seeds, so a window may run several algorithms of a
+    trial on one oracle."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    pairs = list(pairs)
+    resolved = {algorithm: resolve_strategy(algorithm, preset.registry) for algorithm, _ in pairs}
+    for w in range(0, len(pairs), EXIT_WINDOW):
+        chunk = pairs[w : w + EXIT_WINDOW]
+        ts = list(dict.fromkeys(t for _, t in chunk))
+        window = OracleWindow([make_oracle(preset.oracle_key(seed, t)) for t in ts])
+        draws = [list(islice(input_draws(oracle.graph, guiding, preset.input_seed(seed, t)), count))
+                 for t, oracle in zip(ts, window.oracles)]
+        trial = {}
+        for t, oracle, inputs in zip(ts, window.oracles, window.label_inputs(draws)):
+            session_seed = preset.session_seed(seed, t)
+            trial[t] = (oracle, inputs, session_seed, preset.rng_seed(seed, t, session_seed))
+        sessions = []
+        for algorithm, t in chunk:
+            name, fn = resolved[algorithm]
+            oracle, inputs, session_seed, rng_seed = trial[t]
+            session = ExplorationSession(oracle, budget, session_seed, name, preset.stop_on_exit)
+            sessions.append(session.start(arm(fn, oracle), inputs, random.Random(rng_seed), preset.query_roots))
+        drive(sessions, window)
+        for (_, t), session in zip(chunk, sessions):
+            yield t, session, trial[t][1]
 
 
 class LocalizationReport(NamedTuple):
@@ -720,7 +713,7 @@ def localization_experiment(
     fresh-key trials model averaging over labelings.  Trial t runs only
     while the queries of trials 0..t-1 stay below `query_limit`; the report
     then holds trials 0..t-1."""
-    name, fn = resolve_strategy(algorithm, preset.registry)
+    name = resolve_strategy(algorithm, preset.registry)[0]
     successes = audits_ok = budget_failures = queries = 0
     writer, lines = TrialLines(), []
 
@@ -728,26 +721,15 @@ def localization_experiment(
         stats = EventStats.from_counts(successes, completed)
         return LocalizationReport(name, completed, stats, audits_ok, budget_failures, lines)
 
-    for ts, window, oracles, draws in _windows(
-        range(trials),
-        lambda t: make_oracle(preset.oracle_key(seed, t)),
-        lambda t, oracle: input_draws(oracle.graph, guiding, preset.input_seed(seed, t)),
-        inputs_per_trial,
-    ):
-        sessions = []
-        for t, oracle, inputs in zip(ts, oracles, draws):
-            session = ExplorationSession(oracle, budget, preset.session_seed(seed, t), name)
-            rng = random.Random(preset.rng_seed(seed, t))
-            sessions.append(session.start(arm(fn, oracle), inputs, rng, preset.query_roots))
-        drive(sessions, window)
-        for t, session, inputs in zip(ts, sessions, draws):
-            if query_limit is not None and queries >= query_limit:
-                return report(t)
-            queries += session.query_count
-            audit_ok = component_audit(session).ok
-            score = score_localization(session.oracle, inputs, session.output, threshold)
-            successes += score.success
-            audits_ok += audit_ok
-            budget_failures += session.halted == "budget"
-            lines.append(preset.line(writer, t, session, inputs, audit_ok, score))
+    pairs = [(algorithm, t) for t in range(trials)]
+    for t, session, inputs in run_trials(preset, pairs, make_oracle, guiding, inputs_per_trial, budget, seed):
+        if query_limit is not None and queries >= query_limit:
+            return report(t)
+        queries += session.query_count
+        audit_ok = component_audit(session).ok
+        score = score_localization(session.oracle, inputs, session.output, threshold)
+        successes += score.success
+        audits_ok += audit_ok
+        budget_failures += session.halted == "budget"
+        lines.append(preset.line(writer, t, session, inputs, audit_ok, score))
     return report(trials)

@@ -7,30 +7,29 @@ explorers to grow connected components from their given roots.  Exploration
 strategies never hold a `LabeledOracle`: they are generators that yield labels
 and receive answers, and the trial that drives them
 (`explorer.ExplorationSession`) makes every query here and owns the query
-budget.  Vertex identities come back out only through `reveal` on the trusted
-object, and through the memo that the trial reads to score each query.
+budget.  Vertex identities come back out only through the trusted side:
+`reveal`, and `indices_of`, which localization scoring reads.
 
 The trusted object memoizes every index <-> label pair it has mapped, both
 ways, so a label runs through the Feistel map at most once per oracle, that is
 once per trial: a walk queries labels that came out of earlier answers, and the
-parent of a vertex appears in each of its answers.  `query`, `label_of` and
-`reveal` all read the memo first, and so does localization scoring.  The trial
-loop resolves each query's label once, from the memo, to its index and the
-graph's per-index walk record (`IndexInfo`); `query` (counted) builds the
-answer from the neighbour indices it is handed and memoizes it per label, so
-a label asked again (walks revisit vertices) gets the same tuple with no
-labeling or sort.  The trial scores the query from the same record.  The
-memos are private to the oracle; strategies gain nothing from them.  A sealed
-oracle refuses `reveal` and scoring, and a trial refuses to arm on it.
+parent of a vertex appears in each of its answers.  `query` (counted) builds
+the answer from the neighbour indices it is handed and memoizes it per label,
+so a label asked again (walks revisit vertices) gets the same tuple with no
+labeling or sort.  The memos are private to this module; strategies gain
+nothing from them.  A sealed oracle refuses `reveal` and `indices_of`, and a
+trial refuses to arm on it.
 
-An `OracleWindow` fills the memos of many oracles of one label width at once,
-in one `forward_array` call of a `KeyedColumns` map, where each element runs
-under its own trial's subkeys.  The trial loop (`explorer.drive`) hands it, at
-each step, the neighbours that every live trial's next query will answer with
-and its memo lacks.  Guiding inputs are labeled the same way: `input_draws`
-draws a trial's inputs as canonical indices, and `OracleWindow.label_inputs`
-labels a whole window's missing inputs in one batch.  The labels, and the
-number of labels mapped, are those the trials would map one by one.
+An `OracleWindow` holds the oracles of one window of trials, of one label
+width.  At each step of the trial loop (`explorer.drive`), `resolve` maps
+every live trial's pending label, from the memo, to its index and the graph's
+per-index walk record (`IndexInfo`), which the trial queries and scores from,
+and labels the neighbours that the memos lack in one `forward_array` call of
+a `KeyedColumns` map, each element under its own trial's subkeys.  Guiding
+inputs are labeled the same way: `input_draws` draws a trial's inputs as
+canonical indices, and `label_inputs` labels a whole window's missing inputs
+in one batch.  The labels, and the number of labels mapped, are those the
+trials would map one by one.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import numpy as np
 from . import spectral
 from ._util import InputError, below, derive_seed
 from .graph_model import (
-    ExpanderVertex,
+    IndexInfo,
     InvalidVertexError,
     IsolatedVertex,
     MainGraph,
@@ -79,7 +78,7 @@ class LabelSpaceError(ValueError):
 
 
 class RevealSealedError(RuntimeError):
-    """reveal() called on an oracle whose trusted side has been sealed."""
+    """`reveal` or `indices_of` called on an oracle whose trusted side has been sealed."""
 
 
 class FeistelPermutation:
@@ -249,17 +248,22 @@ class LabeledOracle:
             return self._label(self.num_nonisolated + v.index)
         return self._label(self.graph.index_of(v))
 
+    def indices_of(self, labels: Sequence[int]) -> list[int]:
+        """Canonical indices of `labels` (the memo first); trusted post-hoc
+        scoring only."""
+        if self.sealed:
+            raise RevealSealedError("the trusted side is sealed on this oracle")
+        return [self._index(label) for label in labels]
+
     def reveal(self, label: int) -> Vertex:
         """Invert the labeling; trusted post-hoc scoring only."""
-        if self.sealed:
-            raise RevealSealedError("reveal() is sealed on this oracle")
-        idx = self._index(label)
+        idx = self.indices_of((label,))[0]
         if idx >= self.num_nonisolated:
             return IsolatedVertex(idx - self.num_nonisolated)
         return self.graph.vertex_at(idx)
 
     def seal(self):
-        """Permanently disable reveal(); queries keep working."""
+        """Permanently disable the trusted side (`reveal`, `indices_of`); queries keep working."""
         self.sealed = True
 
     # -- query side ----------------------------------------------------------
@@ -302,6 +306,31 @@ class OracleWindow:
         self.bits = widths.pop()
         self._round_keys = np.array([o.perm.subkeys for o in self.oracles], dtype=np.uint64).T
 
+    def resolve(self, rows: Sequence[int], labels: Sequence[int]) -> list[Optional[IndexInfo]]:
+        """One step of the trial loop: each pending query `labels[i]` on oracle
+        `rows[i]` resolved once, to its index (the memo) and that vertex's
+        `IndexInfo` (the graph's walk cache; None when isolated).  Each
+        neighbour (oracle, index) that the memos lack is labeled once, in one
+        `label` call (the memo holds a miss as None until then), except for a
+        label its oracle has answered before, whose query reads its answer."""
+        oracles, wanted_rows, wanted, infos = self.oracles, [], [], []
+        for row, label in zip(rows, labels):
+            oracle = oracles[row]
+            index = oracle._index(label)
+            info = None
+            if index < oracle.num_nonisolated:
+                info = oracle.graph.index_info(index)
+                if label not in oracle._answers:
+                    have = oracle._label_at
+                    for j in info.neighbors:
+                        if j not in have:
+                            have[j] = None
+                            wanted_rows.append(row)
+                            wanted.append(j)
+            infos.append(info)
+        self.label(wanted_rows, wanted)
+        return infos
+
     def label(self, rows: Sequence[int], indices: Sequence[int]) -> None:
         """Memoize the label of `indices[i]` in oracle `rows[i]`; each pair must
         be missing from its memo, or held there as None, and appear once."""
@@ -343,20 +372,14 @@ def input_draws(graph: Union[MainGraph, TreeGraph], kind: str, seed: int) -> Ite
     squared-amplitude distribution), "expander-uniform" and
     "single-fixed-root" (the tree's root, or core vertex 0); any other kind
     is an InputError at the first draw."""
-    rng = random.Random(derive_seed("guiding", seed, kind))
-
     if kind == "single-fixed-root":
-        if isinstance(graph, TreeGraph):
-            fixed = graph.index_of(graph.root)
-        else:
-            fixed = graph.index_of(ExpanderVertex(0))
         while True:
-            yield fixed
+            yield 0  # ranks are preorder, and a core vertex's index is its core index
 
     elif kind == "expander-uniform":
         if not isinstance(graph, MainGraph):
             raise ValueError("expander-uniform guiding needs a main-graph oracle")
-        n_e = graph.expander.N
+        n_e, rng = graph.expander.N, random.Random(derive_seed("guiding", seed, kind))
         while True:
             yield below(rng.getrandbits, n_e)  # an expander vertex's index is its core index
 
@@ -364,6 +387,7 @@ def input_draws(graph: Union[MainGraph, TreeGraph], kind: str, seed: int) -> Ite
         if not isinstance(graph, MainGraph):
             raise ValueError("ground-state guiding needs a main-graph oracle")
         sample, index_of = spectral.sampler_for_instance(graph).sample, graph.index_of
+        rng = random.Random(derive_seed("guiding", seed, kind))
         while True:
             yield index_of(sample(rng))
 

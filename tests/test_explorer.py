@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -260,6 +261,51 @@ def test_exit_window_builds_one_oracle_per_trial(k, n):
         rows = ex.exit_trials(gm.TreeGraph(gm.Schedule((4, 3), (1, 2)), 2), pairs, 8, 3, 0.25)
     assert [(r["strategy"], r["trial"]) for r in rows] == pairs
     assert len(built) == n
+
+
+@pytest.mark.parametrize("preset, guiding, count, algorithms", [
+    (ex.EXIT_TREE, "single-fixed-root", 1, ex.EXPLORATION_STRATEGIES[:3]),
+    (ex.EXPLORE_GRAPH, "expander-uniform", 2, ex.EXPLORATION_STRATEGIES[1:4]),
+    (ex.GGSP, "exact-ground-state", 2, ("echo-first-input", "walk-from-input", "ground-state-cheat")),
+])
+def test_run_trials_yields_pairs_in_order_one_oracle_per_window_trial(small_instance, preset, guiding, count,
+                                                                      algorithms):
+    """`run_trials` under each preset, in windows of 4 that split a trial's
+    pairs: the pairs come back in order, a window builds one oracle per
+    distinct trial, the sessions of a trial in one window share its oracle and
+    inputs (the same labels in any window), and explore-tree's inputs are the
+    label of the tree's root."""
+    graph = gm.TreeGraph(gm.Schedule((4, 3), (1, 2)), 2) if preset is ex.EXIT_TREE else small_instance
+    pairs = [(a, t) for t in (5, 0, 3) for a in algorithms]
+
+    def make(key):
+        return orc.LabeledOracle(graph, key, padding_ratio=0.5)
+
+    with mock.patch.object(ex, "EXIT_WINDOW", 4), _counted_builds() as built:
+        out = list(ex.run_trials(preset, pairs, make, guiding, count, 6, 11))
+    assert [(s.strategy, t) for t, s, _ in out] == pairs
+    windows = [out[w : w + 4] for w in range(0, len(out), 4)]
+    assert len(built) == sum(len({t for t, _, _ in window}) for window in windows) == 5
+    assert {id(s.oracle) for _, s, _ in out} == set(map(id, built))
+    for window in windows:
+        first = {}
+        for t, s, inputs in window:
+            oracle, drawn = first.setdefault(t, (s.oracle, inputs))
+            assert s.oracle is oracle and inputs is drawn and len(inputs) == count
+    labels = {}
+    for t, s, inputs in out:
+        assert labels.setdefault(t, inputs) == inputs
+        if preset is ex.EXIT_TREE:
+            assert inputs == [s.oracle.label_of(graph.root)]
+
+
+def test_explorer_reads_no_private_oracle_attribute():
+    """The oracle's memo has one owner: `explorer` touches none of its
+    private attributes (`OracleWindow.resolve` and `indices_of` read them)."""
+    private = {"_index", "_answers", "_label_at", "_index_at"}
+    tree = ast.parse(Path(ex.__file__).read_text())
+    hits = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in private]
+    assert hits == []
 
 
 @pytest.mark.parametrize("strategies", [
@@ -565,7 +611,7 @@ def _dumps(row) -> str:
 
 
 def _drawn(oracle, guiding, seed, count):
-    """A trial's inputs as labels, drawn as `_windows` draws them."""
+    """A trial's inputs as labels, drawn as `run_trials` draws them."""
     draws = orc.input_draws(oracle.graph, guiding, seed)
     return [oracle._label(i) for i in itertools.islice(draws, count)]
 

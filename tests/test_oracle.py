@@ -328,6 +328,9 @@ def test_input_sampler_determinism(small_instance):
 def test_single_fixed_root_constant(small_instance):
     stream = orc.input_draws(small_instance, "single-fixed-root", seed=0)
     assert [next(stream) for _ in range(5)] == [small_instance.index_of(gm.ExpanderVertex(0))] * 5
+    tree = gm.TreeGraph(gm.Schedule((5, 4, 3), (1, 2, 3)), 3)
+    stream = orc.input_draws(tree, "single-fixed-root", seed=0)
+    assert [next(stream) for _ in range(5)] == [tree.index_of(tree.root)] * 5
 
 
 def test_ground_state_sampler_fidelity_is_one(small_instance, small_materialized):
