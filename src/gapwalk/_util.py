@@ -36,15 +36,6 @@ def log2sumexp(values) -> float:
     return m + math.log2(sum(2.0 ** (v - m) for v in vals))
 
 
-def log1p_from_log(log_x: float) -> float:
-    """log(1 + x) given log(x), stable for tiny and huge x."""
-    if log_x == NEG_INF:
-        return 0.0
-    if log_x > 40.0:
-        return log_x + math.log1p(math.exp(-log_x))
-    return math.log1p(math.exp(log_x))
-
-
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:

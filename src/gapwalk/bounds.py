@@ -29,17 +29,16 @@ class BoundReport(NamedTuple):
     flags: tuple = ()
 
 
+def _report(name: str, inputs: dict, value: float, vacuous: bool,
+            log2_value: Optional[float] = None, flags: tuple = ()) -> BoundReport:
+    """Every report is built here: it carries the "vacuous" flag exactly when it is vacuous."""
+    return BoundReport(name, inputs, value, log2_value, vacuous, flags + (("vacuous",) if vacuous else ()))
+
+
 def _prob_report(name: str, inputs: dict, log2_value: float, flags: tuple = ()) -> BoundReport:
     vacuous = log2_value >= 0.0
     value = 1.0 if vacuous else 2.0 ** log2_value if log2_value > -1074 else 0.0
-    return BoundReport(
-        name=name,
-        inputs=inputs,
-        value=min(1.0, value),
-        log2_value=min(0.0, log2_value),
-        vacuous=vacuous,
-        flags=flags + (("vacuous",) if vacuous else ()),
-    )
+    return _report(name, inputs, min(1.0, value), vacuous, min(0.0, log2_value), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +151,7 @@ def localization_bound(u_size: int, degree: int, g: int, n_e: int) -> BoundRepor
     loss_log2 = math.log2(u_size) + g * math.log2(degree) - math.log2(n_e)
     vacuous = loss_log2 >= 0.0
     value = 0.0 if vacuous else -math.expm1(loss_log2 * math.log(2.0))  # 1 - 2^loss, precise near 1
-    return BoundReport("localization", {"u_size": u_size, "degree": degree, "g": g, "n_e": n_e}, value,
-                       vacuous=vacuous, flags=("vacuous",) if vacuous else ())
+    return _report("localization", {"u_size": u_size, "degree": degree, "g": g, "n_e": n_e}, value, vacuous)
 
 
 def tv_budget(fidelity: float, tv: float) -> tuple[float, float]:
@@ -167,28 +165,14 @@ def tv_budget(fidelity: float, tv: float) -> tuple[float, float]:
 
 def tv_budget_report(fidelity: float, tv: float) -> BoundReport:
     total, residual = tv_budget(fidelity, tv)
-    return BoundReport(
-        "tv-budget",
-        {"fidelity": fidelity, "tv": tv, "residual": residual},
-        total,
-        log2_value=None,
-        vacuous=residual <= 0,
-        flags=("vacuous",) if residual <= 0 else (),
-    )
+    return _report("tv-budget", {"fidelity": fidelity, "tv": tv, "residual": residual}, total, residual <= 0)
 
 
 def gap_sum_bound(delta: float, gamma: float) -> BoundReport:
     """Spectral gap floor delta - 2*gamma for a gapped matrix plus a bounded
     perturbation; negative values are vacuous, returned unclamped."""
     value = delta - 2.0 * gamma
-    return BoundReport(
-        "gap-sum",
-        {"delta": delta, "gamma": gamma},
-        value,
-        log2_value=None,
-        vacuous=value <= 0,
-        flags=("vacuous",) if value <= 0 else (),
-    )
+    return _report("gap-sum", {"delta": delta, "gamma": gamma}, value, value <= 0)
 
 
 def alpha_interval(
@@ -209,11 +193,5 @@ def alpha_bounds(
 ) -> BoundReport:
     """`alpha_interval`'s lower end as a report; vacuous when it is <= 0."""
     lo, _ = alpha_interval(lambda_e, max_degree, beta, tree_count)
-    vacuous = lo <= 0
-    return BoundReport(
-        "loop-weight-interval",
-        {"lambda_e": lambda_e, "max_degree": max_degree, "beta": beta, "tree_count": tree_count},
-        value=lo,
-        vacuous=vacuous,
-        flags=("vacuous",) if vacuous else (),
-    )
+    inputs = {"lambda_e": lambda_e, "max_degree": max_degree, "beta": beta, "tree_count": tree_count}
+    return _report("loop-weight-interval", inputs, lo, lo <= 0)

@@ -251,7 +251,7 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise UsageError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
@@ -272,33 +272,31 @@ def jsonl(rows) -> str:
     return "".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows)
 
 
-def read_jsonl(path: Path) -> list:
+def read_rows(path: Path, kind: str, is_row, cut_torn: bool = False) -> list:
+    """The rows of the JSON-lines file at `path` ([] when there is none),
+    blank lines skipped.  A file that cannot be read as text, or a line that is
+    not an object for which `is_row` holds, is a UsageError.  With `cut_torn`
+    a last line without its newline, a write torn by an interruption, is cut
+    from the file (so a resumed trial runs again)."""
     if not path.exists():
         return []
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
-def read_trial_rows(path: Path) -> list:
-    """Rows already in a resumable trials.jsonl.  A last line without its
-    newline is a write torn by an interruption: it is cut from the file, so its
-    trial runs again.  Any other line that is not a trial row is a UsageError."""
-    if not path.exists():
-        return []
-    text = path.read_text()
-    whole = text[: text.rfind("\n") + 1]
-    if whole != text:
-        path.write_text(whole)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path} as text: {exc}") from None
+    if cut_torn and text and not text.endswith("\n"):
+        text = text[: text.rfind("\n") + 1]
+        path.write_text(text)
     rows = []
-    for n, line in enumerate(whole.splitlines(), 1):
+    for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
         except json.JSONDecodeError:
             row = None
-        if not isinstance(row, dict) or not {"strategy", "trial", "exit"} <= row.keys():
-            raise UsageError(f"{path} line {n} is not a trial row; resume into a fresh --out")
+        if not (isinstance(row, dict) and is_row(row)):
+            raise UsageError(f"{path} line {n} is not {kind}")
         rows.append(row)
     return rows
 
@@ -514,10 +512,9 @@ def oracle_maker(graph, run: Run):
     try:
         build(bytes(16))  # a label width the instance cannot use exits before any trial
     except oracle_mod.LabelSpaceError as exc:
-        if label_bits is not None:
-            raise UsageError(f"oracle.label_bits: {exc}") from None
-        raise UsageError(f"the instance's {graph.num_nonisolated.bit_length()}-bit vertex count needs more than "
-                         f"{oracle_mod.MAX_LABEL_BITS} label bits") from None
+        if label_bits is None:
+            raise
+        raise UsageError(f"oracle.label_bits: {exc}") from None
     if key_hex is None:
         return build
     key = bytes.fromhex(key_hex)
@@ -648,13 +645,12 @@ def cmd_explore_tree(run: Run) -> int:
 
     # A bad level, label width, w or q_schedule exits 1 before any trial.
     tree = exit_tree(sched.degrees, sched.depths, level)
-    if 0 < padding <= 1 and oracle_mod.label_width(tree.num_nonisolated, padding) > oracle_mod.MAX_LABEL_BITS:
-        raise UsageError(f"the tree's {tree.num_nonisolated.bit_length()}-bit vertex count at padding_ratio {padding} "
-                         f"needs more than {oracle_mod.MAX_LABEL_BITS} label bits")
+    oracle_mod.label_width(tree.num_nonisolated, padding)
     bound_rep = bounds_mod.recursion_bound(
         graph_model.Schedule(sched.degrees[:level], sched.depths[:level]), q_schedule, w)[level - 1]
     trials_path = run.out / "trials.jsonl"
-    all_rows = read_trial_rows(trials_path)
+    all_rows = read_rows(trials_path, "a trial row; resume into a fresh --out",
+                         lambda row: {"strategy", "trial", "exit"} <= row.keys(), cut_torn=True)
     done = {(row["strategy"], row["trial"]) for row in all_rows}
     pending = [(s, t) for s in strategies for t in range(trials) if (s, t) not in done]
     # A pool of at most one worker per CPU: a fork pool starts all its workers
@@ -842,7 +838,9 @@ def run_verification_suite(seed: int = 0, planted_defect: bool = False) -> list:
 @command("report", results=(), reader=True)
 def cmd_report(run: Run) -> int:
     src = Path(run.get("dir") or run.out)
-    records = read_jsonl(src / "records.jsonl")
+    records = read_rows(src / "records.jsonl", "a records row (a string metric, a numeric value)",
+                        lambda row: isinstance(row.get("metric"), str)
+                        and isinstance(row.get("value"), (int, float)))
     if not records:
         raise UsageError(f"no records.jsonl under {src}")
     run.write("summary.csv", summary_csv(records))

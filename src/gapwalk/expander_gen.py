@@ -362,11 +362,13 @@ def from_text(text: str) -> RegularGraph:
     """Parse the text format in whole-array steps: one regular expression
     checks the edge lines, one `np.fromstring` call reads them.  A malformed
     file (a line that is not two integers, an edge that is not 0 <= u < v < N,
-    a graph that is not simple and d-regular) is an InputError."""
+    a graph that is not simple and d-regular, a header past MAX_CORE_STUBS) is
+    an InputError."""
     head, _, body = text.lstrip().partition("\n")
     if not re.fullmatch(r"\s*[0-9]+\s+[0-9]+\s+-?[0-9]+\s*", head):
         raise InputError(f"header must read N d seed, got {head!r}")
     N, d, seed = map(int, head.split())
+    _check_stubs(N, d)
     if not re.fullmatch(_EDGE_BODY, body):
         bad = next(ln for ln in body.split("\n") if not re.fullmatch(_EDGE_LINE, ln))
         raise InputError(f"expected 2 integers on a line, got {bad!r}")
@@ -381,10 +383,12 @@ def from_text(text: str) -> RegularGraph:
 
 def load(path) -> RegularGraph:
     """The core in the text file at `path`; a path that cannot be read as a
-    file (missing, a directory) is an InputError."""
+    file (missing, a directory) or as UTF-8 text is an InputError."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read core file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"core file {path} is not UTF-8 text: {exc}") from None
     return from_text(text)

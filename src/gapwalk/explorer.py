@@ -350,7 +350,6 @@ class ExitEstimate(NamedTuple):
     trials: int
     exit: EventStats
     restricted: dict  # w -> EventStats for [exit and fewer than w distinct decorations' level-1 leaves]
-    mean_queries: float
 
 
 RESTRICTED_W = (1, 2)
@@ -419,7 +418,6 @@ def estimate_exit_probability(
         restricted={
             w: EventStats.from_counts(sum(d < w for d in exits), trials) for w in RESTRICTED_W
         },
-        mean_queries=sum(r["queries"] for r in rows) / trials if trials else 0.0,
     )
 
 

@@ -438,13 +438,11 @@ class MainGraph:
         # A core vertex carries the decorations of an internal level-K vertex,
         # its d_K core neighbours in place of the d_K - 1 children and parent;
         # so its degree is d_1.  Blocks are laid out from level 1 up.
-        self._attach = schedule.table[schedule.levels].decorations[::-1]
         self._sizes = _sizes_for(schedule).upto(schedule.levels - 1)
-        # Cumulative offsets of (level, copy) tree blocks within one anchor block.
-        self._block_offsets = []
-        acc = 1
-        for k, c in self._attach:
-            self._block_offsets.append((k, c, acc, self._sizes.total[k]))
+        # {level: (copies, offset of its first tree within one anchor block, tree size)}
+        self._blocks, acc = {}, 1
+        for k, c in schedule.table[schedule.levels].decorations[::-1]:
+            self._blocks[k] = (c, acc, self._sizes.total[k])
             acc += c * self._sizes.total[k]
         self.per_anchor = acc
         self.num_nonisolated = expander.N * self.per_anchor
@@ -453,24 +451,30 @@ class MainGraph:
     index_info = _index_info
 
     def _walk(self, index: int) -> IndexInfo:
-        if index < self.expander.N:
+        anchor, tree, inner = self._locate(index)
+        if tree is None:
             first = self.expander.N + index * (self.per_anchor - 1)
-            roots = [first + off - 1 + j * size for _, c, off, size in self._block_offsets for j in range(c)]
+            roots = [first + off - 1 + j * size for c, off, size in self._blocks.values() for j in range(c)]
             return IndexInfo(tuple(self.expander.adjacency[index]) + tuple(roots), None, None, None)
-        anchor, k, copy, inner = self._tree_block(index)
-        neighbors, leaf, decoration = self._sizes.walk(k, inner, index - inner, anchor)
-        return IndexInfo(neighbors, (anchor, k, copy), leaf, decoration)
+        neighbors, leaf, decoration = self._sizes.walk(tree[1], inner, index - inner, anchor)
+        return IndexInfo(neighbors, tree, leaf, decoration)
 
-    # -- structure ---------------------------------------------------------
-
-    def _check_tree_vertex(self, v: TreeVertex):
-        if not 0 <= v.anchor < self.expander.N:
-            raise InvalidVertexError(f"anchor {v.anchor} out of range")
-        lvls = dict(self._attach)
-        if v.level not in lvls:
-            raise InvalidVertexError(f"no trees attached at level {v.level}")
-        if not 0 <= v.copy < lvls[v.level]:
-            raise InvalidVertexError(f"copy {v.copy} out of range at level {v.level}")
+    def _locate(self, index: int) -> tuple[int, Optional[tuple], int]:
+        """(anchor, its tree's (anchor, level, copy) or None on the core, rank
+        within that tree) of a canonical index."""
+        if not 0 <= index < self.num_nonisolated:
+            raise InvalidVertexError(f"index {index} out of range")
+        if index < self.expander.N:
+            return index, None, 0
+        # Anchor blocks hold only tree vertices; the anchor itself is indexed
+        # in the expander range, hence per_anchor - 1 per block.
+        anchor, r = divmod(index - self.expander.N, self.per_anchor - 1)
+        r += 1
+        for k, (c, off, size) in self._blocks.items():
+            if r < off + c * size:
+                break
+        copy, inner = divmod(r - off, size)
+        return anchor, (anchor, k, copy), inner
 
     # -- distance ----------------------------------------------------------
 
@@ -480,24 +484,15 @@ class MainGraph:
         tree with a u, 1 when it shares only an anchor.  One BFS out of v's
         anchor stops at the nearest anchor of a u; anchors and trees come from
         index arithmetic, with no unranking."""
-        (anchor, tree), *placed = map(self._placement, (v, *us))
-        if tree is not None and any(t == tree for _, t in placed):
+        (anchor, tree, _), *placed = map(self._locate, (v, *us))
+        if tree is not None and any(t == tree for _, t, _ in placed):
             return 0
-        anchors = {a for a, _ in placed}
+        anchors = {a for a, _, _ in placed}
         dist = bfs_distances(self.expander.adjacency, anchor, anchors)
         reached = [dist[a] for a in anchors if a in dist]
         if not reached:
             raise InvalidVertexError("no anchor of the set is reachable on the expander")
         return 1 + min(reached)
-
-    def _placement(self, index: int) -> tuple[int, Optional[tuple]]:
-        """(anchor, its tree's (anchor, level, copy) or None on the core)."""
-        if not 0 <= index < self.num_nonisolated:
-            raise InvalidVertexError(f"index {index} is not a non-isolated vertex")
-        if index < self.expander.N:
-            return index, None
-        anchor, k, copy, _ = self._tree_block(index)
-        return anchor, (anchor, k, copy)
 
     # -- canonical enumeration ---------------------------------------------
 
@@ -507,34 +502,19 @@ class MainGraph:
                 raise InvalidVertexError(f"expander index {v.index} out of range")
             return v.index
         if isinstance(v, TreeVertex):
-            self._check_tree_vertex(v)
-            base = self.expander.N + v.anchor * (self.per_anchor - 1)
-            # Anchor blocks hold only tree vertices; the anchor itself is indexed
-            # in the expander range, hence per_anchor - 1 per block.
-            for k, c, off, size in self._block_offsets:
-                if k == v.level:
-                    return base + (off - 1) + v.copy * size + self._sizes.rank(k, v.address)
-            raise InvalidVertexError(f"no block for level {v.level}")
+            c, off, size = self._blocks.get(v.level, (0, 0, 0))  # no copies at an unattached level
+            if not (0 <= v.anchor < self.expander.N and 0 <= v.copy < c):
+                raise InvalidVertexError(f"{v!r} has no tree in this graph")
+            base = self.expander.N + v.anchor * (self.per_anchor - 1) + off - 1
+            return base + v.copy * size + self._sizes.rank(v.level, v.address)
         isolated = isinstance(v, IsolatedVertex)
         raise InvalidVertexError("isolated vertices are not enumerated" if isolated else f"{v!r} is not a vertex")
 
     def vertex_at(self, index: int) -> Vertex:
-        if not 0 <= index < self.num_nonisolated:
-            raise InvalidVertexError(f"index {index} out of range")
-        if index < self.expander.N:
+        _, tree, inner = self._locate(index)
+        if tree is None:
             return ExpanderVertex(index)
-        anchor, k, copy, inner = self._tree_block(index)
-        return TreeVertex(anchor, k, copy, self._sizes.unrank(k, inner))
-
-    def _tree_block(self, index: int) -> tuple[int, int, int, int]:
-        """(anchor, level, copy, rank within the tree) of a tree vertex's index."""
-        anchor, r = divmod(index - self.expander.N, self.per_anchor - 1)
-        r += 1
-        for k, c, off, size in self._block_offsets:
-            if r < off + c * size:
-                copy, inner = divmod(r - off, size)
-                return anchor, k, copy, inner
-        raise InvalidVertexError("index walk escaped anchor block")
+        return TreeVertex(*tree, self._sizes.unrank(tree[1], inner))
 
 
 Instance = Union[TreeGraph, MainGraph]

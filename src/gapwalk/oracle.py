@@ -67,14 +67,27 @@ ROUNDS = 8
 _ROUND_BYTES = tuple(bytes([r]) for r in range(ROUNDS))
 
 
-def label_width(n: int, padding_ratio: float) -> int:
-    """Default label bits for n non-isolated vertices: ceil(log2(n / padding_ratio)),
-    at least 1, taken as two logarithms since n may be past the largest float."""
-    return max(1, math.ceil(math.log2(n) - math.log2(padding_ratio)))
-
-
-class LabelSpaceError(ValueError):
+class LabelSpaceError(InputError):
     """The label space is too small for the non-isolated vertex set, or too large to index."""
+
+
+def label_width(n: int, padding_ratio: float, label_bits: Optional[int] = None) -> int:
+    """The label bits of an instance of n non-isolated vertices: `label_bits`
+    when given, else ceil(log2(n / padding_ratio)), at least 1, taken as two
+    logarithms since n may be past the largest float.  A width past
+    MAX_LABEL_BITS, or whose labels cannot hold n vertices, is refused."""
+    if not 0 < padding_ratio <= 1:
+        raise InputError(f"padding_ratio must lie in (0, 1]: {padding_ratio}")
+    if label_bits is None:
+        label_bits = max(1, math.ceil(math.log2(n) - math.log2(padding_ratio)))
+        if label_bits > MAX_LABEL_BITS:
+            raise LabelSpaceError(f"a {n.bit_length()}-bit vertex count needs more than {MAX_LABEL_BITS} "
+                                  f"label bits at padding_ratio {padding_ratio}")
+    elif not 1 <= label_bits <= MAX_LABEL_BITS:
+        raise LabelSpaceError(f"label bits must lie in [1, {MAX_LABEL_BITS}], got {label_bits}")
+    if (1 << label_bits) < n:
+        raise LabelSpaceError(f"2^{label_bits} labels cannot host a {n.bit_length()}-bit count of non-isolated vertices")
+    return label_bits
 
 
 class RevealSealedError(RuntimeError):
@@ -201,17 +214,9 @@ class LabeledOracle:
         if padding_ratio is None:
             params = getattr(graph, "params", None)
             padding_ratio = params.padding_ratio if params is not None else 2.0 ** -20
-        if not 0 < padding_ratio <= 1:
-            raise InputError(f"padding_ratio must lie in (0, 1]: {padding_ratio}")
         self.padding_ratio = padding_ratio
         n = graph.num_nonisolated
-        if label_bits is None:
-            label_bits = label_width(n, padding_ratio)
-        if (1 << label_bits) < n:
-            raise LabelSpaceError(
-                f"2^{label_bits} labels cannot host a {n.bit_length()}-bit count of non-isolated vertices"
-            )
-        self.label_bits = label_bits
+        self.label_bits = label_bits = label_width(n, padding_ratio, label_bits)
         self.num_labels = 1 << label_bits
         self.num_nonisolated = n
         self.padding_count = self.num_labels - n

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from ._util import NEG_INF, InputError, below, log1p_from_log, logsumexp
+from ._util import NEG_INF, InputError, below, logsumexp
 from .graph_model import (
     CORE,
     DECOR,
@@ -171,10 +171,7 @@ class SpectralSolution:
     def __post_init__(self):
         """Build the tables at the top eigenvalue; a method of its own, which
         `bench/tracer.py` times as `spectral.tables`."""
-        self._tables = {
-            schedule: _TreeTables(schedule, k, self.top_eigenvalue)
-            for schedule, k in _deepest_levels(self.trees).items()
-        }
+        self._tables = _tables(self.trees, self.top_eigenvalue, with_norms=True)
         self._level_index = {}
         for idx, tree in enumerate(self.trees):
             self._level_index.setdefault(tree.level, idx)
@@ -244,8 +241,6 @@ class SpectralSolution:
 
 
 class NormSplit(NamedTuple):
-    log_core_sq: float
-    log_total_sq: float
     ratio: float            # |psi_core|^2 / |psi_total|^2
     one_minus_ratio: float  # computed directly, precise when tiny
 
@@ -255,13 +250,9 @@ def norm_decomposition(solution: SpectralSolution) -> NormSplit:
 
     The base restriction is the uniform vector on a regular base graph, so its
     squared norm is the base size; the total multiplies by (1 + x) with x the
-    per-vertex tree mass.
+    per-vertex tree mass, so the base share is 1 / (1 + x) at any base size.
     """
-    if solution.expander_size is None:
-        raise ValueError("expander_size required (solution is not instance-bound)")
-    log_core = math.log(solution.expander_size)
     log_x = solution.log_tree_mass() if solution.trees and solution.beta else NEG_INF  # beta 0: no tree mass
-    log_total = log_core + log1p_from_log(log_x)
     if log_x == NEG_INF:
         ratio, one_minus = 1.0, 0.0
     elif log_x > 40.0:
@@ -271,27 +262,27 @@ def norm_decomposition(solution: SpectralSolution) -> NormSplit:
         x = math.exp(log_x)
         ratio = 1.0 / (1.0 + x)
         one_minus = x / (1.0 + x)
-    return NormSplit(log_core, log_total, ratio, one_minus)
+    return NormSplit(ratio, one_minus)
 
 
 # ---------------------------------------------------------------------------
 # fixed-point solver
 # ---------------------------------------------------------------------------
 
-def _deepest_levels(trees: Sequence[AttachedTree]) -> dict:
-    """Each schedule's deepest attached level: one table at that level holds
-    the root resolvent of every attached tree of the schedule."""
+def _tables(trees: Sequence[AttachedTree], lam: float, with_norms: bool) -> dict:
+    """{schedule: its `_TreeTables` at lam}, each at the schedule's deepest
+    attached level, which holds the root resolvent of every attached tree of
+    the schedule."""
     deepest: dict = {}
     for tree in trees:
         deepest[tree.schedule] = max(tree.level, deepest.get(tree.schedule, 0))
-    return deepest
+    return {schedule: _TreeTables(schedule, k, lam, with_norms) for schedule, k in deepest.items()}
 
 
 def _tree_mass_sum(trees: Sequence[AttachedTree], beta: float, lam: float) -> float:
-    tables = {
-        schedule: _TreeTables(schedule, k, lam, with_norms=False)
-        for schedule, k in _deepest_levels(trees).items()
-    }
+    # An explicit float loop: `sum` compensates float sums from Python 3.12
+    # on, which would move the solved eigenvalue.
+    tables = _tables(trees, lam, with_norms=False)
     total = 0.0
     for tree in trees:
         total += beta * tree.copies * tables[tree.schedule].m[tree.level][0]

@@ -75,6 +75,15 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "spectrum.json").exists()
 
 
+def test_no_output_directory_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(cli.OUT_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "s.json", {"instance": {"mode": "standard", "n": 16}})
+    assert run(["spectrum", "--config", cfg]) == cli.EXIT_USAGE
+    assert "no output directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
 def test_resolved_config_and_meta_written(tmp_path):
     cfg = write_config(
         tmp_path, "s.json",
@@ -530,6 +539,12 @@ GEN_EXPANDER_GOLDEN = {
         "d302f20654e61fc3c0b6c8e13b9e143d2800460fabe4fa229b4b6f88a7954e78",
         "30868a48b99475a6eda5a9399eec07ac67bf204668c08d2a553a41fb9667793a",
     ),
+    # A fixture, certified on demand and written once accepted.
+    "complete-5": (
+        {"complete": 5}, 0,
+        "83c445703b4fb9b5f124b51e61c0b8563a83e0660a63ae7f375e9ceae43004b1",
+        "b9f3b2ef0366f602a13a7a81e284233629f7471ee4e9f42d4e4e223f20dc0574",
+    ),
 }
 
 
@@ -800,6 +815,29 @@ def test_report_without_records_usage_error(tmp_path):
     assert run(["report", "--out", tmp_path / "empty"]) == cli.EXIT_USAGE
 
 
+GOOD_RECORD = '{"metric": "m", "value": 1.0}\n'
+
+
+@pytest.mark.parametrize("records", [
+    GOOD_RECORD + "not json\n",
+    GOOD_RECORD + "[1, 2]\n",
+    GOOD_RECORD + '{"value": 2.0}\n',
+    None,  # records.jsonl is a directory
+], ids=["not-json", "not-an-object", "no-metric", "a-directory"])
+def test_report_refuses_a_line_that_is_not_a_records_row(tmp_path, capsys, records):
+    src = tmp_path / "run"
+    src.mkdir()
+    if records is None:
+        (src / "records.jsonl").mkdir()
+    else:
+        (src / "records.jsonl").write_text(records)
+    assert run(["report", "--out", src]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error:" in err and "records.jsonl" in err
+    assert records is None or "line 2" in err
+    assert not (src / "summary.csv").exists()
+
+
 # -- run directory ------------------------------------------------------------
 
 @pytest.mark.parametrize("command, cfg, argv", [
@@ -869,6 +907,8 @@ def test_bad_config_integer_is_config_error(tmp_path, capsys, command, cfg):
 NOT_REGULAR = "not-regular.txt"  # header "4 3 0" over two edges
 BAD_EDGE = "bad-edge.txt"  # header "4 1 0", then an edge to vertex 7
 ONE_VERTEX, NO_VERTEX = "one-vertex.txt", "no-vertex.txt"  # "1 0 0" and "0 0 0"
+HUGE_CORE = "huge-core.txt"  # header "1000000000000000 3 0": past MAX_CORE_STUBS
+NOT_UTF8_CORE = "not-utf8.txt"  # a header, then a byte that is not UTF-8
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -967,6 +1007,13 @@ ONE_VERTEX, NO_VERTEX = "one-vertex.txt", "no-vertex.txt"  # "1 0 0" and "0 0 0"
     ("spectrum", {"instance": dict(CUSTOM_INSTANCE, trees=[{"degrees": [2], "depths": [0], "level": 2}])}),
     # A core whose degree is not d_K (the cubic Petersen core under d_K = 4).
     ("spectrum", {"instance": dict(PETERSEN_INSTANCE, degrees=[5, 4])}),
+    # A core file whose header is past the stub cap, and one that is not UTF-8.
+    ("certify", {"expander_file": HUGE_CORE}),
+    ("certify", {"expander_file": NOT_UTF8_CORE}),
+    ("spectrum", {"instance": dict(PETERSEN_INSTANCE, expander={"file": NOT_UTF8_CORE})}),
+    # An instance mode the command does not read.
+    ("sample-ground", {"instance": {"mode": "custom"}}),
+    ("explore-graph", dict(GRAPH_CFG, instance={"mode": "standard", "n": 16})),
 ])
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command, cfg):
     monkeypatch.chdir(tmp_path)
@@ -974,6 +1021,8 @@ def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, command
     (tmp_path / BAD_EDGE).write_text("4 1 0\n0 1\n2 7\n")
     (tmp_path / ONE_VERTEX).write_text("1 0 0\n")
     (tmp_path / NO_VERTEX).write_text("0 0 0\n")
+    (tmp_path / HUGE_CORE).write_text("1000000000000000 3 0\n")
+    (tmp_path / NOT_UTF8_CORE).write_bytes(b"10 3 0\n0 1\xff\n")
     out = tmp_path / "o"
     path = write_config(tmp_path, "c.json", cfg)
     assert run([command, "--config", path, "--out", out]) == cli.EXIT_USAGE
@@ -1065,14 +1114,22 @@ def test_explore_graph_runs_past_two_to_the_fifty(tmp_path):
     ("ggsp", dict(GGSP_GOLDEN, instance=dict(PETERSEN_INSTANCE, expander={"petersen": True, "N": 10}))),
     ("report", {"dir": 5}),
     ("report", {"dir.x": "a"}),
+    # Config files that are not JSON, not UTF-8, or not an object (bytes are written as they are).
+    pytest.param("spectrum", b'{"instance": ', id="spectrum-not-json"),
+    pytest.param("spectrum", b'{"seed": "\xff"}', id="spectrum-not-utf8"),
+    ("spectrum", [1]),
 ])
 def test_config_refused_before_the_run_leaves_out_untouched(tmp_path, capsys, command, cfg):
-    """An unknown key, or a seed or directory of the wrong kind, exits 1
-    before the run starts: --out keeps an earlier run's files as they were."""
+    """An unknown key, a seed or directory of the wrong kind, or a config file
+    that is not a JSON object exits 1 before the run starts: --out keeps an
+    earlier run's files as they were."""
     out = tmp_path / "o"
     out.mkdir()
     (out / "records.jsonl").write_text("an earlier run's row\n")
-    path = write_config(tmp_path, "c.json", cfg)
+    if isinstance(cfg, bytes):
+        (path := tmp_path / "c.json").write_bytes(cfg)
+    else:
+        path = write_config(tmp_path, "c.json", cfg)
     assert run([command, "--config", path, "--out", out]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err

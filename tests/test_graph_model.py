@@ -602,7 +602,7 @@ def test_expander_distance_to_set_is_min_of_pairwise(name, data):
         if kind == "any":
             us.append(graph.vertex_at(data.draw(index)))
         elif kind == "same-anchor":  # distance 1
-            us.append(gm.ExpanderVertex(graph._placement(graph.index_of(v))[0]))
+            us.append(gm.ExpanderVertex(graph._locate(graph.index_of(v))[0]))
         elif isinstance(v, gm.TreeVertex):  # distance 0: the root of v's tree
             us.append(v._replace(address=()))
     assume(us)
@@ -659,7 +659,7 @@ def test_expander_distance_to_set_on_a_disconnected_core():
 
 def test_expander_anchor(small_instance):
     def anchor(v):
-        return small_instance._placement(small_instance.index_of(v))[0]
+        return small_instance._locate(small_instance.index_of(v))[0]
 
     assert anchor(gm.ExpanderVertex(3)) == 3
     assert anchor(gm.TreeVertex(5, 1, 0, ())) == 5

@@ -210,6 +210,28 @@ def test_norm_split_beta_zero():
     assert split.ratio == 1.0 and split.one_minus_ratio == 0.0
 
 
+class _MassStub:
+    """Just what `norm_decomposition` reads of a solution, at a chosen log tree mass."""
+
+    trees, beta = ("tree",), 1.0
+
+    def __init__(self, log_x):
+        self.log_x = log_x
+
+    def log_tree_mass(self):
+        return self.log_x
+
+
+def test_norm_split_past_a_tree_mass_of_e_to_the_40():
+    """Above log x = 40 the split is taken from exp(-log x) alone: exact at 50,
+    and continuous with the 1/(1 + x) branch across 40."""
+    split = sp.norm_decomposition(_MassStub(50.0))
+    assert split.ratio == math.exp(-50.0) and split.one_minus_ratio == 1.0 - math.exp(-50.0)
+    below_40, above_40 = (sp.norm_decomposition(_MassStub(x)) for x in (40.0, math.nextafter(40.0, 41.0)))
+    assert above_40.ratio == pytest.approx(below_40.ratio, rel=1e-12)
+    assert above_40.one_minus_ratio == pytest.approx(below_40.one_minus_ratio, rel=1e-15)
+
+
 def test_norm_split_matches_dense(small_instance, small_solution, small_materialized):
     psi = sp.assemble_amplitudes(small_solution, small_materialized)
     exp_idx = [
