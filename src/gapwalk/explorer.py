@@ -473,7 +473,7 @@ def score_localization(
     """Expander-vertex path distance from the root set to the output vertex,
     from each label's canonical index (`LabeledOracle.indices_of`) and index arithmetic
     (`MainGraph.expander_distance_to_set`): no vertex is revealed or
-    unranked.  A sealed oracle refuses; isolated or missing outputs fail."""
+    walked to.  A sealed oracle refuses; isolated or missing outputs fail."""
     graph = oracle.graph
     if not isinstance(graph, MainGraph):
         raise ValueError("localization scoring needs a main-graph oracle")

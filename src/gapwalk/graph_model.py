@@ -8,12 +8,13 @@ internal vertex additionally carries, for each lower level i < k, (d_i - d_{i+1}
 pendant copies of the level-i tree.  With expander degree equal to d_K every
 non-leaf, non-isolated vertex of the assembled graph has degree d_1.
 
-Adjacency comes from one place, the index walk (`index_info`): a walk from the
-root to a canonical index that yields that vertex's neighbour indices.  Every
-experiment reads it, and so does `materialize`, so the dense checks cover the
-same adjacency.  Vertex counts, indices and ranks are exact integers of any
-width: every subtree size comes from one closed form (`_Sizes`), so neither
-counting nor ranking has a size cap.  Everything here is pure and immutable;
+Adjacency and addresses come from one place, the index walk (`index_info`,
+`vertex_at`): a walk from the root to a canonical index that yields that
+vertex's neighbour indices and the hops it took.  Every experiment reads it,
+and so does `materialize`, so the dense checks cover the same adjacency.
+Vertex counts, indices and ranks are exact integers of any width: every
+subtree size comes from one closed form (`_Sizes`), so neither counting nor
+ranking has a size cap.  Everything here is pure and immutable;
 no vertex set is ever materialized unless `materialize` is called explicitly,
 and it refuses more than MATERIALIZE_CAP vertices.
 """
@@ -275,42 +276,18 @@ class _Sizes:
                 raise InvalidAddressError(f"unknown hop {hop!r}")
         return r
 
-    def unrank(self, k: int, r: int) -> tuple:
-        if not 0 <= r < self.total[k]:
-            raise InvalidAddressError(f"rank {r} out of range")
-        table, seg, size = self.table, k, self.total[k]
-        hops = []
-        while r > 0:
-            r -= 1
-            core_block = size - self.c[seg]
-            if r < core_block:
-                size = core_block // table[seg].children
-                t, r = divmod(r, size)
-                hops.append(core_hop(t))
-                continue
-            r -= core_block
-            for lvl, (lsize, block, _) in self.blocks[seg].items():
-                if r < block:
-                    slot, r = divmod(r, lsize)
-                    hops.append(decoration_hop(lvl, slot))
-                    seg, size = lvl, lsize
-                    break
-                r -= block
-            else:
-                raise InvalidAddressError("rank walk escaped decoration blocks")
-        return tuple(hops)
-
-    def walk(self, k: int, r: int, offset: int, up: Optional[int]) -> tuple[tuple, Optional[int], Optional[tuple]]:
-        """One walk from the root of the level-k tree to the node at rank r,
-        with no address built: (its neighbours' ranks plus `offset`: the
-        parent, or `up` at the root when given, then the children in canonical
-        order; its leaf level, k minus the level of the leaf's segment, or None
-        for an internal node; the address prefix up to its first decoration
-        hop, for leaves only).  The caller checks that r is in range."""
+    def walk(self, k: int, r: int, offset: int, up: Optional[int]) -> tuple:
+        """One walk from the root of the level-k tree to the node at rank r:
+        (its neighbours' ranks plus `offset`: the parent, or `up` at the root
+        when given, then the children in canonical order; its leaf level, k
+        minus the level of the leaf's segment, or None for an internal node;
+        a leaf's address up to and including its first decoration hop, or None;
+        its address, the hops the walk took).  The caller checks that r is in
+        range."""
         table, c_of, blocks_of = self.table, self.c, self.blocks
         seg, size, pos, parent = k, self.total[k], 0, up
         b, c = table[k].children, c_of[k]  # of the current segment's level
-        core_path, first_decoration = [], None
+        hops, cut = [], 0  # cut: hops up to and including the first decoration hop
         while pos != r:
             parent = pos + offset
             rest = r - pos - 1
@@ -319,8 +296,7 @@ class _Sizes:
                 size = core_block // b
                 t = rest // size
                 pos += 1 + t * size
-                if first_decoration is None:
-                    core_path.append(t)
+                hops.append(core_hop(t))
                 continue
             rest -= core_block
             pos += 1 + core_block
@@ -328,8 +304,8 @@ class _Sizes:
                 if rest < block:
                     slot = rest // lsize
                     pos += slot * lsize
-                    if first_decoration is None:
-                        first_decoration = decoration_hop(lvl, slot)
+                    hops.append(decoration_hop(lvl, slot))
+                    cut = cut or len(hops)
                     seg, size = lvl, lsize
                     b, c = table[lvl].children, c_of[lvl]
                     break
@@ -337,12 +313,10 @@ class _Sizes:
                 pos += block
             else:
                 raise InvalidAddressError("rank walk escaped decoration blocks")
+        address = tuple(hops)
         neighbors = [] if parent is None else [parent]
         if size == 1:
-            prefix = None
-            if first_decoration is not None:
-                prefix = tuple(core_hop(t) for t in core_path) + (first_decoration,)
-            return tuple(neighbors), k - seg, prefix
+            return tuple(neighbors), k - seg, address[:cut] or None, address
         core_block = size - c
         first = r + 1 + offset
         neighbors.extend(range(first, first + core_block, core_block // b))
@@ -350,7 +324,7 @@ class _Sizes:
         for lsize, block, _ in blocks_of[seg].values():
             neighbors.extend(range(first, first + block, lsize))
             first += block
-        return tuple(neighbors), None, None
+        return tuple(neighbors), None, None, address
 
 
 @lru_cache(maxsize=None)
@@ -377,9 +351,7 @@ def _index_info(graph, index: int) -> IndexInfo:
     `index_info` method of both instance classes."""
     info = graph._info_cache.get(index)
     if info is None:
-        if not 0 <= index < graph.num_nonisolated:
-            raise InvalidVertexError(f"index {index} out of range")
-        info = graph._walk(index)
+        info = graph._walk(index)[0]
         if len(graph._info_cache) < INDEX_CACHE_CAP:
             graph._info_cache[index] = info
     return info
@@ -400,9 +372,12 @@ class TreeGraph:
 
     index_info = _index_info
 
-    def _walk(self, index: int) -> IndexInfo:
-        neighbors, leaf, decoration = self._sizes.walk(self.k, index, 0, None)
-        return IndexInfo(neighbors, (0, self.k, 0), leaf, decoration)
+    def _walk(self, index: int) -> tuple[IndexInfo, tuple]:
+        """(`IndexInfo`, address) of the vertex at `index`, from one walk."""
+        if not 0 <= index < self.num_nonisolated:
+            raise InvalidVertexError(f"index {index} out of range")
+        neighbors, leaf, decoration, address = self._sizes.walk(self.k, index, 0, None)
+        return IndexInfo(neighbors, (0, self.k, 0), leaf, decoration), address
 
     @property
     def root(self) -> TreeVertex:
@@ -414,7 +389,7 @@ class TreeGraph:
         return self._sizes.rank(self.k, v.address)
 
     def vertex_at(self, index: int) -> TreeVertex:
-        return TreeVertex(0, self.k, 0, self._sizes.unrank(self.k, index))
+        return TreeVertex(0, self.k, 0, self._walk(index)[1])
 
 
 class MainGraph:
@@ -450,14 +425,16 @@ class MainGraph:
 
     index_info = _index_info
 
-    def _walk(self, index: int) -> IndexInfo:
+    def _walk(self, index: int) -> tuple[IndexInfo, Optional[tuple]]:
+        """(`IndexInfo`, address within its tree or None on the core) of the
+        vertex at `index`, from one walk."""
         anchor, tree, inner = self._locate(index)
         if tree is None:
             first = self.expander.N + index * (self.per_anchor - 1)
             roots = [first + off - 1 + j * size for c, off, size in self._blocks.values() for j in range(c)]
-            return IndexInfo(tuple(self.expander.adjacency[index]) + tuple(roots), None, None, None)
-        neighbors, leaf, decoration = self._sizes.walk(tree[1], inner, index - inner, anchor)
-        return IndexInfo(neighbors, tree, leaf, decoration)
+            return IndexInfo(tuple(self.expander.adjacency[index]) + tuple(roots), None, None, None), None
+        neighbors, leaf, decoration, address = self._sizes.walk(tree[1], inner, index - inner, anchor)
+        return IndexInfo(neighbors, tree, leaf, decoration), address
 
     def _locate(self, index: int) -> tuple[int, Optional[tuple], int]:
         """(anchor, its tree's (anchor, level, copy) or None on the core, rank
@@ -483,7 +460,7 @@ class MainGraph:
         v to any u in us, over canonical indices: 0 when v shares an attached
         tree with a u, 1 when it shares only an anchor.  One BFS out of v's
         anchor stops at the nearest anchor of a u; anchors and trees come from
-        index arithmetic, with no unranking."""
+        index arithmetic, with no tree walk."""
         (anchor, tree, _), *placed = map(self._locate, (v, *us))
         if tree is not None and any(t == tree for _, t, _ in placed):
             return 0
@@ -511,10 +488,8 @@ class MainGraph:
         raise InvalidVertexError("isolated vertices are not enumerated" if isolated else f"{v!r} is not a vertex")
 
     def vertex_at(self, index: int) -> Vertex:
-        _, tree, inner = self._locate(index)
-        if tree is None:
-            return ExpanderVertex(index)
-        return TreeVertex(*tree, self._sizes.unrank(tree[1], inner))
+        info, address = self._walk(index)
+        return ExpanderVertex(index) if info.tree is None else TreeVertex(*info.tree, address)
 
 
 Instance = Union[TreeGraph, MainGraph]
@@ -525,16 +500,12 @@ Instance = Union[TreeGraph, MainGraph]
 # ---------------------------------------------------------------------------
 
 class MaterializedGraph(NamedTuple):
-    vertices: list
-    index: dict
+    vertices: list  # in canonical order: vertex i has index i
     adjacency: list  # list[list[int]], sorted
 
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
 
 
 def materialize(graph: Instance) -> MaterializedGraph:
@@ -546,9 +517,8 @@ def materialize(graph: Instance) -> MaterializedGraph:
         raise SizeCapError(f"a {n.bit_length()}-bit vertex count exceeds the materialization "
                            f"cap {MATERIALIZE_CAP}")
     vertices = [graph.vertex_at(i) for i in range(n)]
-    index = {v: i for i, v in enumerate(vertices)}
     adjacency = [sorted(graph.index_info(i).neighbors) for i in range(n)]
-    return MaterializedGraph(vertices, index, adjacency)
+    return MaterializedGraph(vertices, adjacency)
 
 
 def bfs_distances(adjacency: list, source: int, stop=frozenset()) -> dict:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -536,7 +536,7 @@ class DenseEig(NamedTuple):
     degenerate: bool  # top eigenvalue not simple (e.g. disconnected input)
 
 
-def dense_top_eigenpair(adjacency: Union[list, MaterializedGraph]) -> DenseEig:
+def dense_top_eigenpair(adjacency: list) -> DenseEig:
     """Top two eigenvalues and the top eigenvector of an adjacency-list graph.
 
     The brute-force reference the recursion is checked against, through the
@@ -545,8 +545,6 @@ def dense_top_eigenpair(adjacency: Union[list, MaterializedGraph]) -> DenseEig:
     is not dense, but is as reproducible.  Refuses more than REFERENCE_CAP
     vertices.
     """
-    if isinstance(adjacency, MaterializedGraph):
-        adjacency = adjacency.adjacency
     n = len(adjacency)
     if n > REFERENCE_CAP:
         raise SizeCapError(f"{n} vertices exceeds the dense-reference cap {REFERENCE_CAP}")

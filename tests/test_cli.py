@@ -629,6 +629,22 @@ def test_outputs_match_golden_digests(tmp_path, case):
         assert_canonical_lines(out / name)
 
 
+@pytest.mark.parametrize("salt", ["0", "1"])
+def test_golden_outputs_do_not_depend_on_the_hash_salt(tmp_path, salt):
+    """No seed or order reads Python's per-process hash salt: two golden
+    configs, run in a child process under PYTHONHASHSEED=salt, write their
+    pinned digests."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONHASHSEED=salt)
+    for case in ("explore-tree:3-level", "explore-graph"):
+        cfg, records_sha, trials_sha = GOLDEN[case]
+        out = tmp_path / case.replace(":", "-")
+        argv = [case.split(":")[0], "--config", write_config(tmp_path, "c.json", cfg), "--out", out]
+        subprocess.run([sys.executable, "-m", "gapwalk.cli", *map(str, argv)], env=env,
+                       capture_output=True, check=True)
+        for name, expected in (("records.jsonl", records_sha), ("trials.jsonl", trials_sha)):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
+
+
 def test_explore_graph_query_limit_inside_a_window(tmp_path, capsys):
     """Trials 128-149 of the second window run, but only 128 and 129 fit under
     the limit: exit 3 after 130 trials, with nothing written."""
@@ -688,16 +704,33 @@ def test_explore_tree_resume_drops_torn_last_line(tmp_path):
         assert (clean / name).read_bytes() == (torn / name).read_bytes()
 
 
-def test_explore_tree_resume_rejects_bad_middle_line(tmp_path, capsys):
+def _trial_row(lines, i, **fields):
+    return json.dumps(dict(json.loads(lines[i]), **fields)) + "\n"
+
+
+@pytest.mark.parametrize("corrupt, line", [
+    (lambda lines: lines[:2] + [lines[2][:10] + "\n"] + lines[3:], 3),
+    (lambda lines: lines + [lines[0]], 6),
+    (lambda lines: lines + [_trial_row(lines, 1, trial=-1)], 6),
+    (lambda lines: lines + [_trial_row(lines, 1, trial="x")], 6),
+    (lambda lines: lines + [_trial_row(lines, 1, trial=True)], 6),
+    (lambda lines: lines + [_trial_row(lines, 1, trial=1.0)], 6),
+    (lambda lines: lines + [_trial_row(lines, 1, trial=7, exit=2)], 6),
+    (lambda lines: lines + [_trial_row(lines, 1, trial=7, strategy=["uniform-walk"])], 6),
+], ids=["torn-middle", "duplicate", "negative-trial", "string-trial", "bool-trial", "float-trial",
+        "exit-2", "list-strategy"])
+def test_explore_tree_resume_rejects_bad_middle_line(tmp_path, capsys, corrupt, line):
+    """A trials.jsonl line that is not a trial row, or that repeats a trial,
+    exits 1 and names the line before any trial runs."""
     path = write_config(tmp_path, "t.json", dict(TREE_CFG, strategies=["uniform-walk"], trials=5))
     out = tmp_path / "o"
     assert run(["explore-tree", "--config", path, "--out", out]) == cli.EXIT_OK
-    lines = (out / "trials.jsonl").read_text().splitlines(keepends=True)
-    lines[2] = lines[2][:10] + "\n"
-    (out / "trials.jsonl").write_text("".join(lines))
+    text = "".join(corrupt((out / "trials.jsonl").read_text().splitlines(keepends=True)))
+    (out / "trials.jsonl").write_text(text)
     assert run(["explore-tree", "--config", path, "--out", out, "--trials", 10]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert "config error:" in err and "line 3" in err
+    assert "config error:" in err and f"line {line} " in err
+    assert (out / "trials.jsonl").read_text() == text
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -822,8 +855,12 @@ GOOD_RECORD = '{"metric": "m", "value": 1.0}\n'
     GOOD_RECORD + "not json\n",
     GOOD_RECORD + "[1, 2]\n",
     GOOD_RECORD + '{"value": 2.0}\n',
+    GOOD_RECORD + '{"metric": "m", "value": 1.0, "flags": 5}\n',
+    GOOD_RECORD + '{"metric": "m", "value": 1.0, "flags": ["a", 3]}\n',
+    GOOD_RECORD + '{"metric": "m", "value": true}\n',
     None,  # records.jsonl is a directory
-], ids=["not-json", "not-an-object", "no-metric", "a-directory"])
+], ids=["not-json", "not-an-object", "no-metric", "flags-not-a-list", "flags-not-strings",
+        "bool-value", "a-directory"])
 def test_report_refuses_a_line_that_is_not_a_records_row(tmp_path, capsys, records):
     src = tmp_path / "run"
     src.mkdir()

@@ -212,7 +212,7 @@ def test_closed_form_sizes_match_the_recurrence(schedule):
 def test_standard_tree_builds_without_per_depth_tables():
     """The standard n=36 level-6 tree: a ~1.3-million-bit vertex count and
     leaves up to 67,002 hops deep.  Sizes per depth would take gigabytes; the
-    build, a walk of the root and rank/unrank of its 65 children stay small."""
+    build, a walk of the root and rank and `vertex_at` of its 65 children stay small."""
     gm._sizes_for.cache_clear()
     tracemalloc.start()
     try:
@@ -225,6 +225,38 @@ def test_standard_tree_builds_without_per_depth_tables():
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20  # the 65 child indices alone are ~10 MB
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_deep_vertex_at_reads_the_walk(k):
+    """The standard n=16 trees at levels 1 and 2 (segments 2,560 and 5,120
+    hops deep): at the last index and at a seeded random one, `vertex_at`
+    gives an address thousands of hops long that ranks back to the index and
+    whose node class (reference address walk) is the index walk's leaf level,
+    within the same memory bound."""
+    schedule = gm.GraphParams.standard(16).schedule
+    level1 = schedule.table[1]
+    last = (gm.core_hop(level1.children - 1),) * level1.depth
+    if k == 2:  # the last leaf of the root's last level-1 decoration copy
+        last = (gm.decoration_hop(1, dict(schedule.table[2].decorations)[1] - 1),) + last
+    gm._sizes_for.cache_clear()
+    tracemalloc.start()
+    try:
+        tree = gm.TreeGraph(schedule, k)
+        n = tree.num_nonisolated
+        addresses = []
+        for i in (n - 1, random.Random(k).randrange(n)):
+            v = tree.vertex_at(i)
+            assert tree.index_of(v) == i and len(v.address) >= level1.depth
+            node = classify_address(schedule, k, v.address)
+            leaf = node.depth == schedule.table[node.segment].depth
+            assert tree.index_info(i).leaf_level == (k - node.segment if leaf else None)
+            addresses.append(v.address)
+        assert addresses[0] == last
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 def test_unread_top_level_is_never_sized(petersen):
@@ -403,7 +435,7 @@ def test_all_internal_degrees_equal_d1(small_materialized, small_params):
     d1 = small_params.schedule.degrees[0]
     mat = small_materialized
     for i, v in enumerate(mat.vertices):
-        deg = mat.degree(i)
+        deg = len(mat.adjacency[i])
         if isinstance(v, gm.ExpanderVertex):
             assert deg == d1
         elif isinstance(v, gm.TreeVertex):

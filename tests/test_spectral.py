@@ -139,9 +139,9 @@ def test_loop_weights_within_interval_when_base_clears_norm_bound():
 def _check_instance_against_dense(graph, rel_tol=1e-8):
     sol = sp.solve_for_instance(graph)
     mat = gm.materialize(graph)
-    ref = sp.dense_top_eigenpair(mat)
+    ref = sp.dense_top_eigenpair(mat.adjacency)
     assert abs(sol.top_eigenvalue - ref.lambda1) <= rel_tol * abs(ref.lambda1)
-    exp_idx = [mat.index[gm.ExpanderVertex(u)] for u in range(graph.expander.N)]
+    exp_idx = range(graph.expander.N)  # a core vertex's index is its core index
     dense = ref.vector / np.mean(ref.vector[exp_idx])
     mine = sp.assemble_amplitudes(sol, mat)
     assert np.max(np.abs(mine - dense) / np.abs(dense)) <= rel_tol
@@ -158,7 +158,7 @@ def test_recursion_matches_dense_on_k8_core():
     graph = gm.MainGraph(params, eg.complete_graph(8))
     sol, mat, ref = _check_instance_against_dense(graph)
     # Non-vacuous inherited-gap floor: expander gap minus twice the tree norm.
-    tree_norm = sp.dense_top_eigenpair(gm.materialize(gm.TreeGraph(params.schedule, 1))).lambda1
+    tree_norm = sp.dense_top_eigenpair(gm.materialize(gm.TreeGraph(params.schedule, 1)).adjacency).lambda1
     floor = 8.0 - 2.0 * tree_norm
     assert floor > 0
     assert ref.lambda1 - ref.lambda2 >= floor - 1e-9
@@ -234,10 +234,7 @@ def test_norm_split_past_a_tree_mass_of_e_to_the_40():
 
 def test_norm_split_matches_dense(small_instance, small_solution, small_materialized):
     psi = sp.assemble_amplitudes(small_solution, small_materialized)
-    exp_idx = [
-        small_materialized.index[gm.ExpanderVertex(u)]
-        for u in range(small_instance.expander.N)
-    ]
+    exp_idx = range(small_instance.expander.N)  # a core vertex's index is its core index
     dense_ratio = float(np.sum(psi[exp_idx] ** 2) / np.sum(psi ** 2))
     split = sp.norm_decomposition(small_solution)
     assert split.ratio == pytest.approx(dense_ratio, rel=1e-10)
