@@ -1,12 +1,18 @@
-"""Shared helpers: the input error type, stable log-domain sums, binomial
-statistics, seed derivation and the pinned index draw."""
+"""Shared helpers: the input error type, the compact JSON encoder, stable
+log-domain sums, seed derivation and the pinned index draw."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 NEG_INF = float("-inf")
+
+# The one encoder of compact, key-sorted JSON: every `records.jsonl` and
+# `trials.jsonl` line and the config hash.  It writes what
+# `json.dumps(obj, sort_keys=True, separators=(",", ":"))` writes.
+compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class InputError(ValueError):
@@ -14,44 +20,21 @@ class InputError(ValueError):
     the library refuses; the CLI reports it as a config error."""
 
 
-def logsumexp(values) -> float:
-    """log(sum(exp(v))) over an iterable of natural-log values, stable against underflow."""
+def logsumexp(values, exp=math.exp, log=math.log) -> float:
+    """log(sum(exp(v))) over an iterable of log values, stable against underflow;
+    natural logs by default, another base with that base's `exp` and `log`."""
     vals = [v for v in values if v != NEG_INF]
     if not vals:
         return NEG_INF
     m = max(vals)
     if m == math.inf:
         return math.inf
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+    return m + log(sum(exp(v - m) for v in vals))
 
 
 def log2sumexp(values) -> float:
     """Same as logsumexp but in log base 2."""
-    vals = [v for v in values if v != NEG_INF]
-    if not vals:
-        return NEG_INF
-    m = max(vals)
-    if m == math.inf:
-        return math.inf
-    return m + math.log2(sum(2.0 ** (v - m) for v in vals))
-
-
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    if trials <= 0:
-        return (0.0, 1.0)
-    p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
-    return (max(0.0, center - half), min(1.0, center + half))
-
-
-def binomial_stderr(successes: int, trials: int) -> float:
-    if trials <= 0:
-        return 0.0
-    p = successes / trials
-    return math.sqrt(p * (1.0 - p) / trials)
+    return logsumexp(values, lambda x: 2.0 ** x, math.log2)
 
 
 def _digest(parts, separator: bytes) -> bytes:

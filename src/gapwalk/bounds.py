@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from ._util import NEG_INF, InputError, log2sumexp
-from .graph_model import Schedule, _exact_sqrt
+from .graph_model import Schedule, _exact_sqrt, _standard_level_root
 
 
 class BoundDomainError(InputError):
@@ -132,9 +132,7 @@ def standard_q_schedule(n: int) -> list[int]:
 def closed_form_exit_bound(n: int, k: int) -> BoundReport:
     """Closed-form exit ceiling of the standard family:
     2 ** (-2 n log2(n) + (sqrt(n)+1)(k - sqrt(n))); exact in log2 domain."""
-    root = _exact_sqrt(n)
-    if not 1 <= k <= root:
-        raise BoundDomainError(f"level k={k} out of range [1, {root}]")
+    root = _standard_level_root(n, k, BoundDomainError)
     log2_value = -2.0 * n * math.log2(n) + (root + 1) * (k - root)
     return _prob_report("exit-closed-form", {"n": n, "k": k}, log2_value)
 

@@ -68,7 +68,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import expander_gen, explorer, graph_model, oracle as oracle_mod, spectral
-from ._util import InputError, below, derive_key, derive_seed
+from ._util import InputError, below, compact_json, derive_key, derive_seed
 
 OUT_ENV_VAR = "GAPWALK_OUT"
 
@@ -259,8 +259,7 @@ def load_config(path) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(compact_json(cfg).encode()).hexdigest()
 
 
 def json_text(obj, sort_keys=True) -> str:
@@ -269,7 +268,7 @@ def json_text(obj, sort_keys=True) -> str:
 
 def jsonl(rows) -> str:
     """One compact, key-sorted JSON object per line."""
-    return "".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows)
+    return "".join(compact_json(row) + "\n" for row in rows)
 
 
 def read_rows(path: Path, kind: str, is_row, cut_torn: bool = False) -> list:
@@ -646,8 +645,7 @@ def cmd_explore_tree(run: Run) -> int:
     # A bad level, label width, w or q_schedule exits 1 before any trial.
     tree = exit_tree(sched.degrees, sched.depths, level)
     oracle_mod.label_width(tree.num_nonisolated, padding)
-    bound_rep = bounds_mod.recursion_bound(
-        graph_model.Schedule(sched.degrees[:level], sched.depths[:level]), q_schedule, w)[level - 1]
+    bound_rep = _recursion(sched.degrees[:level], sched.depths[:level], q_schedule, w)
     trials_path = run.out / "trials.jsonl"
     done = set()  # (strategy, trial) of each row read
 
@@ -733,6 +731,7 @@ def cmd_localization(run: Run) -> int:
 
 
 def _recursion(degrees, depths, q_schedule, w):
+    """The recursion bound at the schedule's last level (explore-tree's bound, and a bounds entry)."""
     return bounds_mod.recursion_bound(graph_model.Schedule(tuple(degrees), tuple(depths)), q_schedule, w)[-1]
 
 

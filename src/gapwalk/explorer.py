@@ -52,13 +52,13 @@ the trusted side, so a session refuses to arm on a sealed oracle.
 from __future__ import annotations
 
 import functools
-import json
+import math
 import random
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import spectral
-from ._util import InputError, below, binomial_stderr, derive_key, derive_seed, wilson_interval
+from ._util import InputError, below, compact_json, derive_key, derive_seed
 from .graph_model import IndexInfo, MainGraph, Schedule, TreeGraph
 from .oracle import LabeledOracle, OracleWindow, RevealSealedError, input_draws
 
@@ -85,9 +85,16 @@ class EventStats(NamedTuple):
     wilson: tuple
 
     @classmethod
-    def from_counts(cls, successes: int, trials: int) -> "EventStats":
-        p = successes / trials if trials else 0.0
-        return cls(trials, successes, p, binomial_stderr(successes, trials), wilson_interval(successes, trials))
+    def from_counts(cls, successes: int, trials: int, z: float = 1.959963984540054) -> "EventStats":
+        """The rate, its binomial standard error and its Wilson score interval."""
+        if trials <= 0:
+            return cls(trials, successes, 0.0, 0.0, (0.0, 1.0))
+        p = successes / trials
+        denom = 1.0 + z * z / trials
+        center = (p + z * z / (2 * trials)) / denom
+        half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
+        return cls(trials, successes, p, math.sqrt(p * (1.0 - p) / trials),
+                   (max(0.0, center - half), min(1.0, center + half)))
 
 
 class ExplorationSession:
@@ -487,21 +494,16 @@ def score_localization(
     return LocalizationScore(dist, dist >= threshold, threshold)
 
 
-# `json.dumps(value, sort_keys=True, separators=(",", ":"))`, without building
-# an encoder per call.
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def _json(value) -> str:
-    """`value` as `_dumps` writes it; None, bools and ints directly."""
+    """`value` as `compact_json` writes it; None, bools and ints directly."""
     if value is None or type(value) is bool:
         return "null" if value is None else "true" if value else "false"
-    return str(value) if type(value) is int else _dumps(value)
+    return str(value) if type(value) is int else compact_json(value)
 
 
 class TrialLines:
     """The one writer of explore-graph and ggsp trials.jsonl lines: the bytes
-    `_dumps` writes for each trial's row, as text straight from a session's
+    `compact_json` writes for each trial's row, as text straight from a session's
     raw record and the trial's scores, with no row dict built or kept.  An
     event's text is made once per run and its step spliced in: a leaf's text
     is fixed by its tree, level and decoration copy, which sibling leaves share."""
@@ -517,9 +519,9 @@ class TrialLines:
             key = kind if info is None else info[1:]
             text = cache.get(key)
             if text is None:
-                text = cache[key] = (f'{{"kind":{_dumps(kind)},"step":', "}") if info is None else (
-                    f'{{"decoration":{_dumps(repr(info.decoration))},"kind":{_dumps(kind)},'
-                    f'"level":{info.leaf_level},"step":', f',"tree":{_dumps(repr(info.tree))}}}')
+                text = cache[key] = (f'{{"kind":{compact_json(kind)},"step":', "}") if info is None else (
+                    f'{{"decoration":{compact_json(repr(info.decoration))},"kind":{compact_json(kind)},'
+                    f'"level":{info.leaf_level},"step":', f',"tree":{compact_json(repr(info.tree))}}}')
             parts.append(f"{text[0]}{step}{text[1]}")
         return f"[{','.join(parts)}]"
 

@@ -57,20 +57,23 @@ class SizeCapError(InputError):
 # schedules
 # ---------------------------------------------------------------------------
 
-def degree_schedule(n: int, k: int) -> int:
-    """Level-k degree 2n - k*sqrt(n) of the standard family; n must be a perfect square."""
+def _standard_level_root(n: int, k: int, error: type = ScheduleError) -> int:
+    """sqrt(n), the standard family's level count, once level k is one of its
+    levels; else `error`."""
     root = _exact_sqrt(n)
     if not 1 <= k <= root:
-        raise ScheduleError(f"level k={k} out of range [1, {root}]")
-    return 2 * n - k * root
+        raise error(f"level k={k} out of range [1, {root}]")
+    return root
+
+
+def degree_schedule(n: int, k: int) -> int:
+    """Level-k degree 2n - k*sqrt(n) of the standard family; n must be a perfect square."""
+    return 2 * n - k * _standard_level_root(n, k)
 
 
 def depth_schedule(n: int, k: int) -> int:
     """Level-k depth k * 10 * n^(3/2) * log2(n), rounded to the nearest integer."""
-    root = _exact_sqrt(n)
-    if not 1 <= k <= root:
-        raise ScheduleError(f"level k={k} out of range [1, {root}]")
-    return round(k * 10 * n * root * math.log2(n))
+    return round(k * 10 * n * _standard_level_root(n, k) * math.log2(n))
 
 
 def standard_girth_floor(n: int) -> int:

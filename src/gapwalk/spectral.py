@@ -105,7 +105,6 @@ class _TreeTables:
         if lam <= 0:
             raise SpectrumDomainError(f"lambda={lam} is not above the tree spectrum")
         self.schedule = schedule
-        self.k = k
         self.lam = lam
         self.m: dict[int, _Column] = {}
         self.log_m: dict[int, _Column] = {}
@@ -149,13 +148,10 @@ class _TreeTables:
             prev_s, prev_m = cur, m_here
         self.log_S[j] = _Column(depth, srun)
 
-    def root_resolvent(self) -> float:
-        return self.m[self.k][0]
-
 
 def root_resolvent(schedule: Schedule, k: int, lam: float) -> float:
     """Root entry of (lambda*I - A_T)^(-1) for the fully decorated level-k tree."""
-    return _TreeTables(schedule, k, lam, with_norms=False).root_resolvent()
+    return _TreeTables(schedule, k, lam, with_norms=False).m[k][0]
 
 
 class SpectralSolution:
@@ -338,11 +334,9 @@ def solve_top_eigenvalue(
         hi = lambda_e + total_copies / (lambda_e - norm_bound) + 1.0
     else:
         hi = max(lo * 2.0, lambda_e + total_copies + 1.0)
-    for _ in range(200):
-        if gap(hi) < 0.0:
-            break
+    while math.isfinite(hi) and not gap(hi) < 0.0:
         hi *= 2.0
-    else:
+    if not math.isfinite(hi):
         raise SolverError("could not bracket the fixed point from above")
 
     iterations = 0
@@ -379,7 +373,9 @@ def _walk_down_lower(gap, lambda_e: float, start: float) -> float:
 
     Such a point exists strictly between max(lambda_E, true tree norm) and the
     fixed point; bisect the interval (lambda_E, start] keeping an invalid /
-    nonpositive-gap bracket around it.
+    nonpositive-gap bracket around it.  When the fixed point lies within a
+    float step of lambda_E (a base eigenvalue far above the tree spectrum), no
+    such point is a float, and lambda_E itself is the bracket if gap >= 0 there.
     """
     invalid_lo = lambda_e  # below or at the left edge of the search region
     hi = start
@@ -394,6 +390,9 @@ def _walk_down_lower(gap, lambda_e: float, start: float) -> float:
             return mid
         else:
             hi = mid
+    g = _try_gap(gap, lambda_e)
+    if g is not None and g >= 0.0:
+        return lambda_e
     raise SolverError(
         "no valid lower bracket: the fixed point is too close to the tree spectrum"
     )

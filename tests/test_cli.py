@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -173,6 +174,20 @@ def test_spectrum_custom_trees_golden_ratio(tmp_path):
     assert run(["spectrum", "--config", cfg, "--out", out]) == cli.EXIT_OK
     rep = json.loads((out / "spectrum.json").read_text())
     assert abs(rep["lambda_g"] - (1 + math.sqrt(5)) / 2) < 1e-9
+
+
+@pytest.mark.parametrize("lambda_e", [1e8, 1e12, 1e300])
+def test_spectrum_solves_a_base_eigenvalue_far_above_the_trees(tmp_path, lambda_e):
+    """The fixed point lies within a float step of lambda_E, so no float
+    between them has a positive gap: lambda_E itself is the lower bracket."""
+    instance = {"mode": "custom", "lambda_e": lambda_e, "expander_size": 10,
+                "trees": [{"degrees": [4, 3], "depths": [1, 2], "level": 2, "copies": 1}]}
+    out = tmp_path / "o"
+    assert run(["spectrum", "--config", write_config(tmp_path, "c.json", {"instance": instance}),
+                "--out", out]) == cli.EXIT_OK
+    rep = json.loads((out / "spectrum.json").read_text())
+    assert 0.0 <= rep["lambda_g"] - lambda_e <= 1e-12 * lambda_e
+    assert rep["residual"] <= 1e-12 * lambda_e
 
 
 def test_explore_tree_threads_do_not_change_results(tmp_path):
@@ -526,26 +541,37 @@ FILE_CORE_GOLDEN = {
 }
 
 
-# gen-expander's own outputs.  At seed 4 the girth-5 config rejects nine
-# candidates on girth, six of them with a triangle, before the tenth certifies.
+# gen-expander's own outputs: the SHA-256 of expander.txt, and the
+# certificate.  At seed 4 the girth-5 config rejects nine candidates on girth,
+# six of them with a triangle, before the tenth certifies.
 GEN_EXPANDER_GOLDEN = {
     "girth-5": (
         {"N": 100, "d": 3, "girth_min": 5}, 4,
         "58e88c1069c7cc834b1016eec4655727efefb2ba4373ade4400d9074c20bd7fc",
-        "16822dbb724688722a884be1b3878401f748e17dcd2fdc125f8670af8a0604d5",
+        {"attempts": 10, "gap": 0.28467026664789774, "girth": 5, "lambda1": 3.0,
+         "lambda2": 2.7153297333521023, "residual1": 2.918957703353909e-15,
+         "residual2": 2.3696410222800642e-15, "uniform": True},
     ),
     "quartic": (
         {"N": 60, "d": 4, "gap_min": 0.5}, 3,
         "d302f20654e61fc3c0b6c8e13b9e143d2800460fabe4fa229b4b6f88a7954e78",
-        "30868a48b99475a6eda5a9399eec07ac67bf204668c08d2a553a41fb9667793a",
+        {"attempts": 1, "gap": 0.6697274707856415, "girth": 3, "lambda1": 3.9999999999999996,
+         "lambda2": 3.330272529214358, "residual1": 2.6691571797624167e-15,
+         "residual2": 2.3760247246840666e-15, "uniform": True},
     ),
     # A fixture, certified on demand and written once accepted.
     "complete-5": (
         {"complete": 5}, 0,
         "83c445703b4fb9b5f124b51e61c0b8563a83e0660a63ae7f375e9ceae43004b1",
-        "b9f3b2ef0366f602a13a7a81e284233629f7471ee4e9f42d4e4e223f20dc0574",
+        {"attempts": 1, "gap": 4.999999999999998, "girth": 3, "lambda1": 3.9999999999999996,
+         "lambda2": -0.9999999999999991, "residual1": 4.965068306494546e-16,
+         "residual2": 9.309503074677273e-16, "uniform": True},
     ),
 }
+# A certificate's eigenvalues and residuals come from LAPACK, whose last bits
+# move with the BLAS kernel: OpenBLAS's Haswell and SkylakeX kernels differ by
+# up to 1.4e-15 in lambda1, lambda2 and gap, and write residuals up to 3.7e-15.
+CERT_TOLERANCE = 1e-12
 
 
 # SHA-256 of (spectrum.json, records.jsonl): every solver step and the norm
@@ -579,6 +605,18 @@ def assert_canonical_lines(path):
         assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")), line
 
 
+def test_compact_json_has_one_encoder():
+    """Every compact, key-sorted JSON line and the config hash come from
+    `_util.compact_json`: no other module spells out the compact separators."""
+    hits = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name != "_util.py":
+            hits += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Tuple)
+                     and [getattr(e, "value", None) for e in node.elts] == [",", ":"]]
+    assert hits == []
+
+
 @pytest.mark.parametrize("case", sorted(SPECTRUM_GOLDEN))
 def test_spectrum_outputs_match_golden_digests(tmp_path, case):
     instance, spectrum_sha, records_sha = SPECTRUM_GOLDEN[case]
@@ -591,13 +629,24 @@ def test_spectrum_outputs_match_golden_digests(tmp_path, case):
 
 @pytest.mark.parametrize("case", sorted(GEN_EXPANDER_GOLDEN))
 def test_gen_expander_outputs_match_golden_digests(tmp_path, case):
-    cfg, seed, core_sha, cert_sha = GEN_EXPANDER_GOLDEN[case]
+    """The core by its bytes; the certificate's integer and flag fields exactly,
+    its LAPACK-derived floats within CERT_TOLERANCE."""
+    cfg, seed, core_sha, pinned = GEN_EXPANDER_GOLDEN[case]
     out = tmp_path / "o"
     argv = ["gen-expander", "--config", write_config(tmp_path, "c.json", {"expander": cfg}),
             "--out", out, "--seed", seed]
     assert run(argv) == cli.EXIT_OK
-    for name, expected in (("expander.txt", core_sha), ("expander.certificate.json", cert_sha)):
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
+    assert hashlib.sha256((out / "expander.txt").read_bytes()).hexdigest() == core_sha
+    text = (out / "expander.certificate.json").read_text()
+    cert = json.loads(text)
+    assert text == json.dumps(cert, indent=2, sort_keys=True) + "\n"
+    assert cert.keys() == pinned.keys()
+    for name in ("girth", "attempts", "uniform"):
+        assert cert[name] == pinned[name], name
+    for name in ("lambda1", "lambda2", "gap"):
+        assert abs(cert[name] - pinned[name]) <= CERT_TOLERANCE, name
+    for name in ("residual1", "residual2"):
+        assert 0.0 <= cert[name] <= CERT_TOLERANCE, name
 
 
 @pytest.mark.parametrize("case", sorted(FILE_CORE_GOLDEN))
@@ -643,6 +692,17 @@ def test_golden_outputs_do_not_depend_on_the_hash_salt(tmp_path, salt):
                        capture_output=True, check=True)
         for name, expected in (("records.jsonl", records_sha), ("trials.jsonl", trials_sha)):
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected, name
+
+
+def test_pinned_outputs_hold_under_a_second_blas_kernel():
+    """OPENBLAS_CORETYPE, set for one child pytest process only, makes OpenBLAS
+    run its Haswell kernels, not the ones it picks on an AVX-512 CPU; every
+    golden and verify-small test of this module passes there too."""
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+                           "-k", "golden or verify_small"], env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stdout[-4000:]
 
 
 def test_explore_graph_query_limit_inside_a_window(tmp_path, capsys):
