@@ -85,11 +85,13 @@ class EventStats(NamedTuple):
     wilson: tuple
 
     @classmethod
-    def from_counts(cls, successes: int, trials: int, z: float = 1.959963984540054) -> "EventStats":
-        """The rate, its binomial standard error and its Wilson score interval."""
+    def from_counts(cls, successes: int, trials: int) -> "EventStats":
+        """The rate, its binomial standard error and its two-sided 95% Wilson
+        score interval."""
         if trials <= 0:
             return cls(trials, successes, 0.0, 0.0, (0.0, 1.0))
         p = successes / trials
+        z = 1.959963984540054
         denom = 1.0 + z * z / trials
         center = (p + z * z / (2 * trials)) / denom
         half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
